@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.optimize import minimize
 
 from mubforge.bases import MubBasis, eigenbasis
 from mubforge.classes import ClassSet, CommutingClass, _class_from_record
@@ -126,6 +125,10 @@ class SearchOutcome:
 
 
 def _run_start(problem: UnbiasedVectorProblem, seed: int, start_index: int, options: dict):
+    # imported here, not at module level: scipy.optimize is slow to import and
+    # only the strong search needs it
+    from scipy.optimize import minimize
+
     rng = np.random.default_rng([seed, start_index])
     theta0 = rng.uniform(0.0, 2.0 * math.pi, problem.d - 1)
     res = minimize(

@@ -196,7 +196,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
             print(f"{path}: malformed (not a JSON object)")
             worst = max(worst, EXIT_MALFORMED)
             continue
-        problems = cert.verify_certificate(data)
+        try:
+            problems = cert.verify_certificate(data)
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            reason = (str(exc).splitlines() or [""])[0]
+            print(f"{path}: malformed ({type(exc).__name__}: {reason})")
+            worst = max(worst, EXIT_MALFORMED)
+            continue
         if problems:
             print(f"{path}: REFUTED")
             for p in problems:

@@ -4,9 +4,18 @@ Nonidentity projective operators are addressed by ``key - 1`` where
 ``key = (x << n) | z``, so a set of operators is one Python integer and a
 subset test is a single AND. Maximal commuting classes are the Lagrangian
 subgroups of the symplectic space; for n <= 4 there are only 15, 135 and
-2295 of them, so they are enumerated once per qubit count and every
-"which classes fit inside this operator set" query is a filter over that
-cached family.
+2295 of them, so they are enumerated once per qubit count. A single
+containment query ("which classes fit inside this operator set") is a
+filter over that cached family.
+
+Census queries over the sub-collections of a complete set use owner masks
+instead. Inside a fixed complete set every nonidentity operator belongs to
+exactly one class, so each maximal class has an owner mask: the set of
+complete-set classes its operators come from. A class lies inside the union
+of a sub-collection C iff its owner is a subset of C, and it draws from
+every class of C iff its owner equals C. One histogram of owner masks and
+one subset-sum transform over its 2**(2**n + 1) entries then answer the
+census counts of every sub-collection at once.
 
 A direct depth-first enumeration restricted to an arbitrary universe is kept
 alongside the cached filter as an independent cross-check route.
@@ -176,3 +185,52 @@ def count_classes_within(n: int, universe_mask: int) -> int:
         .all(axis=1)
         .sum()
     )
+
+
+@dataclass(frozen=True)
+class OwnerCensus:
+    """Extra-class counts for every sub-collection of one complete set.
+
+    ``owners[i]`` is the owner mask of ``all_maximal_classes(n)[i]``. Both
+    count arrays are indexed by a sub-collection mask C (bit j set when
+    complete-set class j is chosen) and leave out the complete-set classes
+    themselves: ``within[C]`` counts the extra classes inside the union of
+    C, ``spanning[C]`` those that use operators of every class in C.
+    """
+
+    owners: np.ndarray
+    within: np.ndarray
+    spanning: np.ndarray
+
+
+@lru_cache(maxsize=16)  # about 1 MB per four-qubit complete set
+def owner_census(n: int, part_masks: tuple[int, ...]) -> OwnerCensus:
+    """Owner-mask census of the complete set whose class masks are given."""
+    size = (1 << n) - 1
+    union = 0
+    for m in part_masks:
+        union |= m
+    if (
+        len(part_masks) != size + 2
+        or any(m.bit_count() != size for m in part_masks)
+        or union != pauli_index(n).full_mask
+    ):
+        raise ValueError(
+            f"part masks do not partition the operators into {size + 2} classes"
+        )
+    k = len(part_masks)
+    parts = np.stack([_mask_limbs(m) for m in part_masks])
+    uses = ((_class_mask_matrix(n)[:, None, :] & parts[None, :, :]) != 0).any(axis=2)
+    owners = (uses.astype(np.int32) << np.arange(k, dtype=np.int32)).sum(
+        axis=1, dtype=np.int32
+    )
+    # a single-bit owner is a complete-set class itself, not an extra class
+    extras = owners[(owners & (owners - 1)) != 0]
+    spanning = np.bincount(extras, minlength=1 << k).astype(np.int32)
+    within = spanning.copy()
+    for bit in range(k):  # in-place subset-sum (zeta) transform
+        view = within.reshape(-1, 2, 1 << bit)
+        view[:, 1, :] += view[:, 0, :]
+    for arr in (owners, within, spanning):
+        arr.flags.writeable = False
+    return OwnerCensus(owners, within, spanning)

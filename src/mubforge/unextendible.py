@@ -3,9 +3,13 @@
 A set of disjoint maximal commuting classes is (weakly) unextendible when no
 further maximal class can be formed from the operators outside the set. The
 searches here are exhaustive: every maximal commuting class on n qubits is
-known (see mubforge.search), so "which classes fit inside this universe" is
-answered by filtering that family, and a restricted depth-first enumeration
-over the same universe provides an independent route for cross-checks.
+known (see mubforge.search). A single "which classes fit inside this
+universe" query filters that family, and a restricted depth-first
+enumeration over the same universe provides an independent route for
+cross-checks. The census and the scanner, which ask the same question of
+many sub-collections of one complete set, read every answer from that
+set's owner-mask census instead: one histogram of which complete-set
+classes each maximal class draws from, plus its subset-sum transform.
 
 On two qubits, any three classes of a complete set admit exactly one extra
 class inside their union, and no unextendible four-set exists. On three
@@ -32,10 +36,12 @@ from mubforge.classes import (
 )
 from mubforge.pauli import ProjectivePauli
 from mubforge.search import (
+    all_maximal_classes,
     classes_within_mask,
     count_classes_within,
     enumerate_classes_in,
     keys_of_mask,
+    owner_census,
     pauli_index,
 )
 
@@ -214,21 +220,16 @@ def verify_no_weak_4set_d4(complete: ClassSet, *, brute_force: bool = False) -> 
     return True
 
 
-def _extra_records(n: int, chosen_masks: Sequence[int]):
-    """Records of extra classes inside the union, plus the spanning subset.
+def _subset_mask(indices: Sequence[int]) -> int:
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
 
-    A spanning class draws at least one operator from every chosen class.
-    Classes confined to a proper sub-collection are the smaller collection's
-    extras and show up again inside every larger union that contains it, so
-    census-style statements count spanning classes only.
-    """
-    union = 0
-    for m in chosen_masks:
-        union |= m
-    chosen = set(chosen_masks)
-    within = [r for r in classes_within_mask(n, union) if r.mask not in chosen]
-    spanning = [r for r in within if all(r.mask & m for m in chosen_masks)]
-    return within, spanning
+
+def _distribution(counts: np.ndarray) -> dict[int, int]:
+    values, freq = np.unique(counts, return_counts=True)
+    return {int(v): int(f) for v, f in zip(values, freq)}
 
 
 def theorem4_census(complete: ClassSet, k: int) -> int:
@@ -243,12 +244,11 @@ def theorem4_census(complete: ClassSet, k: int) -> int:
         raise ValueError("requires a complete three-qubit class set")
     if not 2 <= k <= 7:
         raise ValueError(f"subset size must be in [2, 7], got {k}")
-    masks = [c.mask for c in complete]
-    best = 0
-    for subset in combinations(range(len(complete)), k):
-        _, spanning = _extra_records(3, [masks[i] for i in subset])
-        best = max(best, len(spanning))
-    return best
+    census = owner_census(3, tuple(c.mask for c in complete))
+    return max(
+        int(census.spanning[_subset_mask(subset)])
+        for subset in combinations(range(len(complete)), k)
+    )
 
 
 @dataclass(frozen=True)
@@ -259,9 +259,12 @@ class ConjectureScanReport:
     the scan observed and nothing more. Two counts are kept per choice: all
     classes inside the union beyond the nine chosen, and the spanning ones
     that draw operators from every chosen class (the shape the proven lower
-    dimensional statements have). Whenever a choice admits exactly one
-    spanning class, the swapped nine-set (spanning class plus the eight
-    unchosen ones) is put through a full extendibility check.
+    dimensional statements have). A class confined to a proper
+    sub-collection is that sub-collection's extra class and reappears inside
+    every larger union, which is why the census statements count spanning
+    classes. Whenever a choice admits exactly one spanning class, the
+    swapped nine-set (spanning class plus the eight unchosen ones) is put
+    through a full extendibility check.
     """
 
     n: int
@@ -309,32 +312,34 @@ def conjecture_scan(
         selected = [combos[i] for i in sorted(picks)]
         exhaustive = False
 
-    within_dist: dict[int, int] = {}
-    spanning_dist: dict[int, int] = {}
+    census = owner_census(4, tuple(masks))
+    records = all_maximal_classes(4)
+    subsets = np.array([_subset_mask(combo) for combo in selected], dtype=np.int32)
+    within = census.within[subsets]
+    spanning = census.spanning[subsets]
     passes = 0
     failures: list[tuple[int, ...]] = []
-    for combo in selected:
-        within, spanning = _extra_records(4, [masks[i] for i in combo])
-        within_dist[len(within)] = within_dist.get(len(within), 0) + 1
-        spanning_dist[len(spanning)] = spanning_dist.get(len(spanning), 0) + 1
-        if len(spanning) == 1:
-            swapped_union = spanning[0].mask
-            for idx in range(len(complete)):
-                if idx not in combo:
-                    swapped_union |= masks[idx]
-            leftover = full & ~swapped_union
-            if count_classes_within(4, leftover) == 0:
-                passes += 1
-            else:
-                failures.append(combo)
+    for pos in np.flatnonzero(spanning == 1):
+        combo = selected[pos]
+        # the one spanning class is the record whose owner is this choice
+        owned = np.flatnonzero(census.owners == subsets[pos])
+        swapped_union = records[owned[0]].mask
+        for idx in range(len(complete)):
+            if idx not in combo:
+                swapped_union |= masks[idx]
+        leftover = full & ~swapped_union
+        if count_classes_within(4, leftover) == 0:
+            passes += 1
+        else:
+            failures.append(combo)
     return ConjectureScanReport(
         n=4,
         seed=seed,
         budget=budget,
         exhaustive=exhaustive,
         subsets_scanned=len(selected),
-        within_union_distribution=dict(sorted(within_dist.items())),
-        spanning_distribution=dict(sorted(spanning_dist.items())),
+        within_union_distribution=_distribution(within),
+        spanning_distribution=_distribution(spanning),
         swap_passes=passes,
         swap_failures=tuple(failures),
     )

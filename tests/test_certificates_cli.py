@@ -176,6 +176,70 @@ class TestCheckCommand:
         assert problems and any("hash" in p for p in problems)
 
 
+def _drop_classes(cert):
+    del cert["payload"]["classes"]
+
+
+def _payload_as_string(cert):
+    cert["payload"] = "not a payload"
+
+
+def _drop_max_iterations(cert):
+    del cert["payload"]["config"]["max_iterations"]
+
+
+def _non_numeric_vector(cert):
+    cert["payload"]["best_vector"]["re"][0] = "not a number"
+
+
+class TestCheckMalformedInput:
+    @pytest.fixture
+    def strong_cert(self, tmp_path):
+        out = tmp_path / "strong.json"
+        assert run([
+            "strong", "paper-d4-strong", "--starts", "5", "--output", str(out),
+        ]) == 0
+        return out
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [_drop_classes, _payload_as_string, _drop_max_iterations, _non_numeric_vector],
+        ids=["missing-classes", "payload-string", "missing-max-iterations",
+             "non-numeric-vector"],
+    )
+    def test_probe_is_malformed(self, tmp_path, strong_cert, mutate, capsys):
+        cert = load(strong_cert)
+        mutate(cert)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cert), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["check", str(bad)]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"{bad}: malformed (")
+
+    def test_scan_with_zero_budget_is_malformed(self, tmp_path, capsys):
+        out = tmp_path / "scan.json"
+        assert run(["scan", "-n", "4", "--budget", "5", "--output", str(out)]) == 0
+        cert = load(out)
+        cert["payload"]["budget"] = 0
+        out.write_text(json.dumps(cert), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["check", str(out)]) == 2
+        assert capsys.readouterr().out.startswith(f"{out}: malformed (ValueError: ")
+
+    def test_bad_file_does_not_stop_the_next(self, tmp_path, strong_cert, capsys):
+        cert = load(strong_cert)
+        _drop_classes(cert)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cert), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["check", str(bad), str(strong_cert)]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith(f"{bad}: malformed (")
+        assert lines[1] == f"{strong_cert}: verified"
+
+
 class TestAnalysisCommands:
     def test_strong_on_builtin_name(self, tmp_path):
         out = tmp_path / "s.json"
@@ -284,3 +348,23 @@ class TestThreadsEnvironment:
         from mubforge.cli import _default_threads
 
         assert _default_threads() >= 1
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy.optimize is only needed by the strong search; importing the CLI
+    # for a combinatorial command must not pay for it
+    import os
+    import subprocess
+    import sys
+
+    import mubforge
+
+    env = dict(os.environ)
+    src = str(Path(mubforge.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, mubforge.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "False"

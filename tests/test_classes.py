@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -172,6 +173,16 @@ class TestCompleteSets:
         ops = cs.operators()
         assert len(ops) == total
         assert list(ops) == list(enumerate_nonidentity(n))
+
+    def test_four_qubit_partition_is_pinned(self):
+        # the frozen n = 4 scan counts depend on this exact partition, so a
+        # change to the backtracking order must fail here, not only as
+        # drifted scan distributions
+        groups = sorted(tuple(sorted(c.letters())) for c in canonical_complete_set(4))
+        text = "\n".join(" ".join(g) for g in groups)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "196d1fe9deed94d020f84eec364508fd8b85890f87469cdd2e639344c0eff19d"
+        )
 
     def test_reconstruction_from_every_pair_two_qubits(self):
         # any two classes of the complete set regenerate the same partition

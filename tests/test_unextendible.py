@@ -2,17 +2,25 @@
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
-from mubforge.classes import ClassSet, canonical_complete_set
+from mubforge.classes import (
+    ClassSet,
+    canonical_complete_set,
+    class_from_strings,
+    complete_set_from_two,
+)
 from mubforge.named_sets import (
     WEAK_TRIPLE_D4_LEFTOVER,
     strong_five_d8,
     weak_triple_d4,
 )
 from mubforge.pauli import commutes
+from mubforge.search import enumerate_classes_in, owner_census
 from mubforge.unextendible import (
     _weak4_candidates,
     build_unextendible_set,
@@ -249,6 +257,62 @@ def test_searches_reject_oversized_qubit_counts():
     )
     with pytest.raises(ValueError, match="support"):
         extra_classes_within_union(ClassSet(5, (z5,)))
+
+
+def _oracle_counts(n, part_masks, subset):
+    """Within-union and spanning counts rebuilt by direct enumeration."""
+    chosen = [part_masks[i] for i in range(len(part_masks)) if subset >> i & 1]
+    union = 0
+    for m in chosen:
+        union |= m
+    within = [r for r in enumerate_classes_in(n, union) if r.mask not in chosen]
+    spanning = [r for r in within if all(r.mask & m for m in chosen)]
+    return len(within), len(spanning)
+
+
+def _assert_engine_matches_oracle(n, complete, subsets):
+    masks = tuple(c.mask for c in complete)
+    census = owner_census(n, masks)
+    for subset in subsets:
+        got = (int(census.within[subset]), int(census.spanning[subset]))
+        assert got == _oracle_counts(n, masks, subset), bin(subset)
+
+
+class TestOwnerCensus:
+    def test_every_subset_of_the_canonical_three_qubit_set(self):
+        _assert_engine_matches_oracle(3, canonical_complete_set(3), range(1 << 9))
+
+    def test_every_subset_of_a_second_three_qubit_set(self):
+        seed = class_from_strings(("IIX", "IXI", "IXX", "YII", "YIX", "YXI", "YXX"))
+        z_class = canonical_complete_set(3)[0]
+        other = complete_set_from_two(seed, z_class)
+        assert other.partition_key() != canonical_complete_set(3).partition_key()
+        _assert_engine_matches_oracle(3, other, range(1 << 9))
+
+    def test_sampled_subsets_at_four_qubits(self):
+        rng = random.Random(40)
+        subsets = []
+        for size in [0, 1, 2, 3, 5, 8, 9, 9, 10, 13, 16, 17] + [
+            rng.randrange(18) for _ in range(28)
+        ]:
+            subsets.append(sum(1 << i for i in rng.sample(range(17), size)))
+        assert len(subsets) == 40
+        _assert_engine_matches_oracle(4, canonical_complete_set(4), subsets)
+
+    def test_arrays_are_small_and_read_only(self):
+        census = owner_census(4, tuple(c.mask for c in canonical_complete_set(4)))
+        assert census.within.shape == census.spanning.shape == (1 << 17,)
+        assert census.owners.shape == (2295,)
+        for arr in (census.owners, census.within, census.spanning):
+            assert arr.dtype == np.int32
+            assert not arr.flags.writeable
+
+    def test_rejects_masks_that_are_not_a_partition(self):
+        masks = tuple(c.mask for c in canonical_complete_set(3))
+        with pytest.raises(ValueError, match="partition"):
+            owner_census(3, masks[:-1])
+        with pytest.raises(ValueError, match="partition"):
+            owner_census(3, masks[:-1] + (masks[0],))
 
 
 class TestConjectureScan:
