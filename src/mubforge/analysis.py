@@ -17,17 +17,20 @@ both directions by the test suite.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from mubforge.bases import MubBasis, eigenbasis
-from mubforge.classes import ClassSet, CommutingClass, _class_from_record
+from mubforge.bases import MubBasis, eigenbasis, unbiasedness_deviation
+from mubforge.classes import ClassSet, CommutingClass
 from mubforge.pauli import ProjectivePauli, commutes, multiply, pauli_from_string
-from mubforge.search import classes_within_mask, keys_of_mask
-from mubforge.unextendible import UnextendibleSet, extendibility_check
+from mubforge.search import keys_of_mask
+from mubforge.unextendible import (
+    UnextendibleSet,
+    extendibility_check,
+    extra_classes_within_union,
+)
 
 SATURATION_TOL = 1e-12
 WITNESS_THRESHOLD = 1e-10
@@ -81,7 +84,7 @@ class UnbiasedVectorProblem:
                 raise ValueError("bases have different dimensions")
         for i in range(len(bases)):
             for j in range(i + 1, len(bases)):
-                dev = _pair_deviation(bases[i], bases[j])
+                dev = unbiasedness_deviation(bases[i], bases[j])
                 if dev > MUTUAL_UNBIASED_TOL:
                     raise ValueError(
                         f"input bases {i} and {j} are not mutually unbiased "
@@ -124,29 +127,11 @@ class SearchOutcome:
     config: dict = field(default_factory=dict)
 
 
-def _run_start(problem: UnbiasedVectorProblem, seed: int, start_index: int, options: dict):
-    # imported here, not at module level: scipy.optimize is slow to import and
-    # only the strong search needs it
-    from scipy.optimize import minimize
-
-    rng = np.random.default_rng([seed, start_index])
-    theta0 = rng.uniform(0.0, 2.0 * math.pi, problem.d - 1)
-    res = minimize(
-        problem.residual_and_gradient,
-        theta0,
-        jac=True,
-        method="L-BFGS-B",
-        options=options,
-    )
-    return float(res.fun), np.asarray(res.x), bool(res.success)
-
-
 def strong_unext_search(
     bases: Sequence[MubBasis],
     starts: int = DEFAULT_STARTS,
     seed: int = 0,
     *,
-    threads: int = 1,
     stop_below: Optional[float] = None,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     f_tol: float = DEFAULT_F_TOL,
@@ -154,9 +139,10 @@ def strong_unext_search(
     """Seeded multistart minimization of the unbiasedness residual.
 
     Each start draws its initial phases from an independent stream keyed by
-    (seed, start index), so results are reproducible for any thread count.
-    ``stop_below`` ends the search early once a residual under the threshold
-    is found, which is enough when only a witness is wanted.
+    (seed, start index), so a run that stops early after k starts matches a
+    run of k starts. ``stop_below`` ends the search after the first start
+    whose residual falls under the threshold, which is enough when only a
+    witness is wanted.
 
     A result below WITNESS_THRESHOLD is a constructive extension witness; a
     floor far above it across all starts is evidence, not proof, that no
@@ -164,6 +150,10 @@ def strong_unext_search(
     """
     if starts < 1:
         raise ValueError("need at least one start")
+    # imported here, not at module level: scipy.optimize is slow to import and
+    # only the strong search needs it
+    from scipy.optimize import minimize
+
     problem = UnbiasedVectorProblem.from_bases(bases)
     options = {"maxiter": max_iterations, "ftol": f_tol, "gtol": _GRAD_TOL}
 
@@ -172,23 +162,23 @@ def strong_unext_search(
     best_index = -1
     converged = 0
     executed = 0
-    chunk = max(1, threads)
-    with ThreadPoolExecutor(max_workers=chunk) as pool:
-        for base_index in range(0, starts, chunk):
-            indices = range(base_index, min(base_index + chunk, starts))
-            futures = [
-                pool.submit(_run_start, problem, seed, k, options)
-                for k in indices
-            ]
-            for k, fut in zip(indices, futures):
-                f, theta, success = fut.result()
-                executed += 1
-                if success:
-                    converged += 1
-                if f < best_f:
-                    best_f, best_theta, best_index = f, theta, k
-            if stop_below is not None and best_f < stop_below:
-                break
+    for k in range(starts):
+        rng = np.random.default_rng([seed, k])
+        theta0 = rng.uniform(0.0, 2.0 * math.pi, problem.d - 1)
+        res = minimize(
+            problem.residual_and_gradient,
+            theta0,
+            jac=True,
+            method="L-BFGS-B",
+            options=options,
+        )
+        executed += 1
+        if res.success:
+            converged += 1
+        if res.fun < best_f:
+            best_f, best_theta, best_index = float(res.fun), np.asarray(res.x), k
+        if stop_below is not None and best_f < stop_below:
+            break
 
     best_vector = problem.vector(best_theta)
     config = {
@@ -197,7 +187,6 @@ def strong_unext_search(
         "max_iterations": max_iterations,
         "f_tol": f_tol,
         "gradient_tol": _GRAD_TOL,
-        "threads": threads,
         "best_start_index": best_index,
     }
     return SearchOutcome(
@@ -208,11 +197,6 @@ def strong_unext_search(
         converged_starts=converged,
         config=config,
     )
-
-
-def _pair_deviation(b1: MubBasis, b2: MubBasis) -> float:
-    overlaps = np.abs(b1.vectors.conj() @ b2.vectors.T) ** 2
-    return float(np.max(np.abs(overlaps - 1.0 / b1.d)))
 
 
 def collision_entropy(b: MubBasis, psi: np.ndarray) -> float:
@@ -291,7 +275,6 @@ class KsContextSet:
     operators: tuple[ProjectivePauli, ...]
     original: tuple[CommutingClass, ...]
     alternate: tuple[CommutingClass, ...]
-    context_signs: Optional[tuple[int, ...]]
 
     @property
     def contexts(self) -> tuple[CommutingClass, ...]:
@@ -303,7 +286,6 @@ class KsReport:
     signs: tuple[int, ...]
     minus_identity_count: int
     parity_odd: bool
-    all_plus_minus_identity: bool
 
 
 def _context_sign(context: CommutingClass) -> int:
@@ -340,12 +322,7 @@ def ks_alternate_partition(
     if not extendibility_check(cs).is_empty:
         raise ValueError("triple is extendible; no alternate partition exists")
     union = cs.union_mask
-    input_masks = {c.mask for c in cs}
-    fresh = [
-        _class_from_record(2, rec)
-        for rec in classes_within_mask(2, union)
-        if rec.mask not in input_masks
-    ]
+    fresh = extra_classes_within_union(cs).found
     cover = 0
     for c in fresh:
         cover |= c.mask
@@ -359,9 +336,7 @@ def ks_alternate_partition(
     operators = tuple(
         ProjectivePauli.from_key(2, k) for k in sorted(keys_of_mask(union))
     )
-    contexts = tuple(cs.classes) + alternate
-    signs = tuple(_context_sign(c) for c in contexts)
-    return KsContextSet(2, operators, tuple(cs.classes), alternate, signs)
+    return KsContextSet(2, operators, tuple(cs.classes), alternate)
 
 
 def ks_sign_verify(ctx: KsContextSet) -> KsReport:
@@ -374,7 +349,6 @@ def ks_sign_verify(ctx: KsContextSet) -> KsReport:
         signs=signs,
         minus_identity_count=minus,
         parity_odd=minus % 2 == 1,
-        all_plus_minus_identity=True,
     )
 
 

@@ -6,11 +6,11 @@ generators and their 2**n - 1 nonidentity products. A complete set is a
 partition of all 4**n - 1 operators into 2**n + 1 mutually disjoint classes;
 their joint eigenbases form a full family of mutually unbiased bases.
 
-Complete sets are built here from two seed classes: on two qubits via the
-three product classes determined by the commuting alignment of the seeds,
-on three qubits via the nine-generator product table after aligning the
-seed generators, and on four qubits by deterministic backtracking over the
-canonical class family.
+Complete sets come from one exact-cover routine over the canonical class
+family, seeded with any disjoint classes (none for the canonical four-qubit
+set, two for ``complete_set_from_two``). The canonical two- and three-qubit
+sets are pinned listings, because certificates embed their exact classes
+and generators.
 """
 
 from __future__ import annotations
@@ -42,6 +42,21 @@ CANONICAL_D4_COMPLETE = (
     ("XZ", "ZY", "YX"),
     ("YI", "IY", "YY"),
     ("YZ", "ZX", "XY"),
+)
+
+# The canonical three-qubit complete set as generator triples. The generators
+# are part of every certificate that embeds the set, so they are pinned as
+# listed, not rebuilt from the element sets.
+CANONICAL_D8_GENERATORS = (
+    ("IIZ", "IZI", "ZII"),
+    ("IIX", "IXI", "XII"),
+    ("IIY", "IYI", "YII"),
+    ("XIZ", "XYI", "ZXX"),
+    ("IXZ", "YXI", "XYX"),
+    ("IZX", "XXZ", "YIX"),
+    ("XZI", "XIY", "YXX"),
+    ("ZIX", "IYX", "XXY"),
+    ("ZXI", "IXY", "XZX"),
 )
 
 
@@ -231,118 +246,20 @@ class ClassSet:
         return frozenset(c.element_keys for c in self.classes)
 
 
-def _partner_map(c1: CommutingClass, c2: CommutingClass) -> dict[int, int]:
-    """For two-qubit disjoint classes: the unique commuting partner in c2."""
-    partners: dict[int, int] = {}
-    for u in c1.sorted_elements:
-        matches = [v for v in c2.sorted_elements if commutes(u, v)]
-        if len(matches) != 1:
-            raise ValueError(
-                "classes do not pair one-to-one; are they disjoint and maximal?"
-            )
-        partners[u.key] = matches[0].key
-    return partners
+def _exact_cover(n: int, seeds: Sequence[CommutingClass]) -> ClassSet:
+    """Complete the seed classes to a complete set by exact-cover backtracking.
 
-
-def _keys_class(n: int, keys: Iterable[int]) -> CommutingClass:
-    return class_from_elements(ProjectivePauli.from_key(n, k) for k in keys)
-
-
-def _complete_from_two_d4(c1: CommutingClass, c2: CommutingClass) -> ClassSet:
-    e = c1.sorted_elements
-    u1, v1 = e[0].key, e[1].key
-    partners = _partner_map(c1, c2)
-    u2, v2 = partners[u1], partners[v1]
-    c3 = _keys_class(2, [u1 ^ v2, u2 ^ v1, u1 ^ v1 ^ u2 ^ v2])
-    c4 = _keys_class(2, [u1 ^ u2, v1 ^ u2 ^ v2, u1 ^ v1 ^ v2])
-    c5 = _keys_class(2, [u1 ^ v1 ^ u2, u1 ^ u2 ^ v2, v1 ^ v2])
-    return ClassSet(2, (c1, c2, c3, c4, c5), complete=True)
-
-
-def _ordered_bases(c: CommutingClass) -> list[tuple[int, int, int]]:
-    keys = [p.key for p in c.sorted_elements]
-    out = []
-    for a in keys:
-        for b in keys:
-            if b == a:
-                continue
-            for d in keys:
-                if d in (a, b, a ^ b):
-                    continue
-                out.append((a, b, d))
-    return out
-
-
-def _complete_from_two_d8(c1: CommutingClass, c2: CommutingClass) -> ClassSet:
-    # Align generators (A1, A2, A3) of c1 and (B1, B2, B3) of c2 so that
-    # B3 commutes with A1 and A2, B1 with A2 and A3, and B2 with A3 and A1.
-    # An element outside a class commutes with exactly three of its seven
-    # members, so such an alignment always exists; the first one in
-    # canonical order wins.
-    idx = pauli_index(3)
-    comm = idx.comm
-
-    def ck(a: int, b: int) -> bool:
-        return bool((comm[a - 1] >> (b - 1)) & 1)
-
-    for a1, a2, a3 in _ordered_bases(c1):
-        for b1, b2, b3 in _ordered_bases(c2):
-            if not (ck(a1, b3) and ck(a2, b3)):
-                continue
-            if not (ck(a2, b1) and ck(a3, b1)):
-                continue
-            if not (ck(a3, b2) and ck(a1, b2)):
-                continue
-            gens = [
-                (a1 ^ b1, a2 ^ b2, a3 ^ b3),
-                (a1 ^ b3, a2 ^ b2 ^ b3, a3 ^ b1 ^ b2),
-                (a1 ^ b2, a3 ^ b2 ^ b3, a2 ^ b1 ^ b2 ^ b3),
-                (a2 ^ b1, a1 ^ b2 ^ b3, a3 ^ b1 ^ b3),
-                (a2 ^ b3, a1 ^ b1 ^ b3, a3 ^ b1 ^ b2 ^ b3),
-                (a3 ^ b1, a2 ^ b1 ^ b2, a1 ^ b1 ^ b2 ^ b3),
-                (a3 ^ b2, a1 ^ b1 ^ b2, a2 ^ b1 ^ b3),
-            ]
-            try:
-                rest = [
-                    class_from_generators(
-                        [ProjectivePauli.from_key(3, k).hermitian() for k in g]
-                    )
-                    for g in gens
-                ]
-                return ClassSet(3, (c1, c2, *rest), complete=True)
-            except ValueError:
-                continue
-    raise ValueError("generator alignment impossible; inputs are not a disjoint "
-                     "pair of maximal classes")
-
-
-def complete_set_from_two(c1: CommutingClass, c2: CommutingClass) -> ClassSet:
-    """Extend two disjoint maximal classes to the full complete set.
-
-    Supported on two and three qubits, where the remaining classes are
-    products of the two seeds after aligning generators by their commuting
-    pattern.
+    The smallest uncovered operator is covered first, by the first class of
+    the canonical family that fits (Knuth's Algorithm X without the dancing
+    links); the first full partition found wins, so the result is
+    deterministic. The seeds come first in the returned order.
     """
-    if c1.n != c2.n:
-        raise ValueError("classes act on different qubit counts")
-    if not disjoint(c1, c2):
-        raise ValueError("seed classes are not disjoint")
-    if c1.n == 2:
-        return _complete_from_two_d4(c1, c2)
-    if c1.n == 3:
-        return _complete_from_two_d8(c1, c2)
-    raise ValueError("complete_set_from_two supports 2 or 3 qubits")
-
-
-def _partition_backtrack(n: int) -> ClassSet:
-    records = all_maximal_classes(n)
     by_min: dict[int, list[ClassRecord]] = {}
-    for rec in records:
+    for rec in all_maximal_classes(n):
         by_min.setdefault(rec.elements[0], []).append(rec)
-    full = pauli_index(n).full_mask
     chosen: list[ClassRecord] = []
 
-    def rec_fill(remaining: int) -> bool:
+    def fill(remaining: int) -> bool:
         if remaining == 0:
             return True
         low_key = (remaining & -remaining).bit_length()
@@ -350,27 +267,42 @@ def _partition_backtrack(n: int) -> ClassSet:
             if rec.mask & ~remaining:
                 continue
             chosen.append(rec)
-            if rec_fill(remaining & ~rec.mask):
+            if fill(remaining & ~rec.mask):
                 return True
             chosen.pop()
         return False
 
-    if not rec_fill(full):
-        raise RuntimeError(f"no complete partition found at n={n}")
-    return ClassSet(
-        n, tuple(_class_from_record(n, rec) for rec in chosen), complete=True
-    )
+    remaining = pauli_index(n).full_mask
+    for c in seeds:
+        remaining &= ~c.mask
+    if not fill(remaining):
+        raise ValueError(f"no complete set on {n} qubits contains the seed classes")
+    rest = tuple(_class_from_record(n, rec) for rec in chosen)
+    return ClassSet(n, tuple(seeds) + rest, complete=True)
+
+
+def complete_set_from_two(c1: CommutingClass, c2: CommutingClass) -> ClassSet:
+    """Extend two disjoint maximal classes to a complete set (1 to 4 qubits).
+
+    The seeds stay first; the remaining classes come from the exact cover.
+    On two qubits the completion is unique, on more qubits it is the first
+    one in the cover's search order.
+    """
+    if c1.n != c2.n:
+        raise ValueError("classes act on different qubit counts")
+    if not disjoint(c1, c2):
+        raise ValueError("seed classes are not disjoint")
+    return _exact_cover(c1.n, (c1, c2))
 
 
 @lru_cache(maxsize=None)
 def canonical_complete_set(n: int) -> ClassSet:
     """A fixed, deterministic complete set for each supported qubit count.
 
-    Two qubits: the standard listing in CANONICAL_D4_COMPLETE. Three qubits:
-    the product construction seeded with the all-Z and all-X classes. Four
-    qubits: the first partition found by backtracking over the canonical
-    class family; nothing distinguishes this choice, so consumers must embed
-    it rather than assume it.
+    Two and three qubits: the pinned listings CANONICAL_D4_COMPLETE and
+    CANONICAL_D8_GENERATORS. Four qubits: the unseeded exact cover over the
+    canonical class family; nothing distinguishes this choice, so consumers
+    must embed it rather than assume it.
     """
     if n == 2:
         return ClassSet(
@@ -379,15 +311,16 @@ def canonical_complete_set(n: int) -> ClassSet:
             complete=True,
         )
     if n == 3:
-        z_class = class_from_generators(
-            [pauli_from_string(s) for s in ("IIZ", "IZI", "ZII")]
+        return ClassSet(
+            3,
+            tuple(
+                class_from_generators([pauli_from_string(s) for s in gens])
+                for gens in CANONICAL_D8_GENERATORS
+            ),
+            complete=True,
         )
-        x_class = class_from_generators(
-            [pauli_from_string(s) for s in ("IIX", "IXI", "XII")]
-        )
-        return complete_set_from_two(z_class, x_class)
     if n == 4:
-        return _partition_backtrack(4)
+        return _exact_cover(4, ())
     raise ValueError("canonical complete sets cover 2, 3 or 4 qubits")
 
 

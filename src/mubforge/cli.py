@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -40,16 +39,6 @@ from mubforge.unextendible import (
 EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_MALFORMED = 2
-
-
-def _default_threads() -> int:
-    env = os.environ.get("MUBFORGE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def _emit(certificate: dict, output: Optional[str], table: bool) -> None:
@@ -220,14 +209,12 @@ def _cmd_strong(args: argparse.Namespace) -> int:
         bases,
         starts=args.starts,
         seed=args.seed,
-        threads=args.threads,
         stop_below=args.stop_below,
     )
     config = {
         "source": args.source,
         "starts": args.starts,
         "seed": args.seed,
-        "threads": args.threads,
         "stop_below": args.stop_below,
     }
     payload = cert.search_outcome_to_json(outcome, cs)
@@ -307,11 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", "-o", help="write the certificate here")
         p.add_argument(
             "--table", action="store_true", help="print a human-readable summary"
-        )
-        p.add_argument(
-            "--threads", type=int, default=_default_threads(),
-            help="worker threads (never affects results); "
-            "MUBFORGE_THREADS sets the default",
         )
 
     p = sub.add_parser("complete-set", help="emit a canonical complete class set")

@@ -3,13 +3,12 @@
 A set of disjoint maximal commuting classes is (weakly) unextendible when no
 further maximal class can be formed from the operators outside the set. The
 searches here are exhaustive: every maximal commuting class on n qubits is
-known (see mubforge.search). A single "which classes fit inside this
-universe" query filters that family, and a restricted depth-first
-enumeration over the same universe provides an independent route for
-cross-checks. The census and the scanner, which ask the same question of
-many sub-collections of one complete set, read every answer from that
-set's owner-mask census instead: one histogram of which complete-set
-classes each maximal class draws from, plus its subset-sum transform.
+known (see mubforge.search). Every "which classes fit inside this
+universe" query is one filter of that family. The census and the scanner,
+which ask the same question of many sub-collections of one complete set,
+read every answer from that set's owner-mask census instead: one histogram
+of which complete-set classes each maximal class draws from, plus its
+subset-sum transform.
 
 On two qubits, any three classes of a complete set admit exactly one extra
 class inside their union, and no unextendible four-set exists. On three
@@ -38,8 +37,6 @@ from mubforge.pauli import ProjectivePauli
 from mubforge.search import (
     all_maximal_classes,
     classes_within_mask,
-    count_classes_within,
-    enumerate_classes_in,
     keys_of_mask,
     owner_census,
     pauli_index,
@@ -97,45 +94,32 @@ class UnextendibleSet:
 
 
 def _classes_within(
-    n: int, universe_mask: int, exclude_masks: frozenset[int], restricted: bool
-) -> list[CommutingClass]:
-    if restricted:
-        records = enumerate_classes_in(n, universe_mask)
-    else:
-        records = classes_within_mask(n, universe_mask)
-    return [
-        _class_from_record(n, rec) for rec in records if rec.mask not in exclude_masks
-    ]
+    n: int, universe_mask: int, exclude_masks: frozenset[int] = frozenset()
+) -> tuple[CommutingClass, ...]:
+    return tuple(
+        _class_from_record(n, rec)
+        for rec in classes_within_mask(n, universe_mask)
+        if rec.mask not in exclude_masks
+    )
 
 
-def extra_classes_within_union(
-    cs: ClassSet, *, restricted_search: bool = False
-) -> ExtensionReport:
+def extra_classes_within_union(cs: ClassSet) -> ExtensionReport:
     """All maximal commuting classes formable from the union of ``cs``.
 
-    The input classes themselves are excluded. ``restricted_search`` switches
-    to the direct generator-tuple enumeration over the union instead of the
-    cached-family filter; both are exhaustive and must agree.
+    The input classes themselves are excluded.
     """
-    found = _classes_within(
-        cs.n,
-        cs.union_mask,
-        frozenset(c.mask for c in cs),
-        restricted_search,
-    )
-    return ExtensionReport(cs, WITHIN_UNION, tuple(found), exhaustive=True)
+    found = _classes_within(cs.n, cs.union_mask, frozenset(c.mask for c in cs))
+    return ExtensionReport(cs, WITHIN_UNION, found, exhaustive=True)
 
 
-def extendibility_check(
-    cs: ClassSet, *, restricted_search: bool = False
-) -> ExtensionReport:
+def extendibility_check(cs: ClassSet) -> ExtensionReport:
     """All maximal classes formable from the operators outside ``cs``.
 
     An empty report is the weak-unextendibility certificate for ``cs``.
     """
     universe = pauli_index(cs.n).full_mask & ~cs.union_mask
-    found = _classes_within(cs.n, universe, frozenset(), restricted_search)
-    return ExtensionReport(cs, REMAINING_OPERATORS, tuple(found), exhaustive=True)
+    found = _classes_within(cs.n, universe)
+    return ExtensionReport(cs, REMAINING_OPERATORS, found, exhaustive=True)
 
 
 def build_unextendible_set(
@@ -176,27 +160,19 @@ def build_unextendible_set(
     return UnextendibleSet(result, Provenance(complete, chosen), extra, ext)
 
 
-def _weak4_candidates(
-    complete: ClassSet, i: int, j: int, brute_force: bool
-) -> list[CommutingClass]:
+def _weak4_candidates(complete: ClassSet, i: int, j: int) -> list[CommutingClass]:
     """Candidate third classes disjoint from classes i and j.
 
-    The default route mirrors the uniqueness argument: candidates are the
-    three remaining classes of the complete set plus the single extra class
-    their union supports. The brute-force route enumerates every class
-    inside the remaining nine operators directly.
+    This mirrors the uniqueness argument: candidates are the three remaining
+    classes of the complete set plus the single extra class their union
+    supports.
     """
     others = tuple(c for k, c in enumerate(complete) if k not in (i, j))
-    if brute_force:
-        union = 0
-        for c in others:
-            union |= c.mask
-        return _classes_within(complete.n, union, frozenset(), restricted=True)
     report = extra_classes_within_union(ClassSet(complete.n, others))
     return list(others) + list(report.found)
 
 
-def verify_no_weak_4set_d4(complete: ClassSet, *, brute_force: bool = False) -> bool:
+def verify_no_weak_4set_d4(complete: ClassSet) -> bool:
     """Exhaustively confirm that no four-class set is weakly unextendible.
 
     For every pair of classes from the complete two-qubit set, every pair of
@@ -206,7 +182,7 @@ def verify_no_weak_4set_d4(complete: ClassSet, *, brute_force: bool = False) -> 
     if complete.n != 2 or not complete.complete:
         raise ValueError("requires a complete two-qubit class set")
     for i, j in combinations(range(len(complete)), 2):
-        candidates = _weak4_candidates(complete, i, j, brute_force)
+        candidates = _weak4_candidates(complete, i, j)
         examined = 0
         for ca, cb in combinations(candidates, 2):
             if not disjoint(ca, cb):
@@ -328,7 +304,7 @@ def conjecture_scan(
             if idx not in combo:
                 swapped_union |= masks[idx]
         leftover = full & ~swapped_union
-        if count_classes_within(4, leftover) == 0:
+        if not classes_within_mask(4, leftover):
             passes += 1
         else:
             failures.append(combo)

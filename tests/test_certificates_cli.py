@@ -336,18 +336,20 @@ class TestArgumentValidation:
         assert load(out)["payload"]["kind"] == "eur_report"
 
 
-class TestThreadsEnvironment:
-    def test_env_variable_sets_default(self, monkeypatch):
-        monkeypatch.setenv("MUBFORGE_THREADS", "3")
-        from mubforge.cli import _default_threads
-
-        assert _default_threads() == 3
-
-    def test_garbage_env_falls_back(self, monkeypatch):
-        monkeypatch.setenv("MUBFORGE_THREADS", "lots")
-        from mubforge.cli import _default_threads
-
-        assert _default_threads() >= 1
+def test_strong_hash_does_not_depend_on_the_environment(tmp_path, monkeypatch):
+    # the same strong run must hash the same on every machine; a worker
+    # count taken from the environment or the core count must not reach
+    # the hashed config
+    hashes = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("MUBFORGE_THREADS", threads)
+        out = tmp_path / f"strong-{threads}.json"
+        assert run([
+            "strong", "paper-d4-strong", "--starts", "40", "--seed", "3",
+            "--output", str(out),
+        ]) == 0
+        hashes.append(load(out)["payload_sha256"])
+    assert hashes[0] == hashes[1]
 
 
 def test_cli_import_does_not_load_scipy():

@@ -184,6 +184,19 @@ class TestCompleteSets:
             "196d1fe9deed94d020f84eec364508fd8b85890f87469cdd2e639344c0eff19d"
         )
 
+    def test_three_qubit_partition_is_pinned(self):
+        # certificates embed the generators as well as the elements, so both
+        # are pinned, in order
+        text = "\n".join(
+            " ".join(g.to_string() for g in c.generators)
+            + " | "
+            + " ".join(c.letters())
+            for c in canonical_complete_set(3)
+        )
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "46fbd75d498b0e1153c25a77a11bca8ca3bb9b1fb177c451b0238da3a3586bab"
+        )
+
     def test_reconstruction_from_every_pair_two_qubits(self):
         # any two classes of the complete set regenerate the same partition
         cs = canonical_complete_set(2)
@@ -242,10 +255,16 @@ class TestCompleteSets:
         with pytest.raises(ValueError):
             complete_set_from_two(c1, c2)
 
-    def test_unsupported_size(self):
+    def test_four_qubit_completion_reproduces_the_canonical_set(self):
         cs = canonical_complete_set(4)
-        with pytest.raises(ValueError):
-            complete_set_from_two(cs[0], cs[1])
+        rebuilt = complete_set_from_two(cs[0], cs[1])
+        assert rebuilt.complete
+        assert rebuilt.partition_key() == cs.partition_key()
+
+    def test_single_qubit_completion(self):
+        z, x = class_from_strings(("Z",)), class_from_strings(("X",))
+        cs = complete_set_from_two(z, x)
+        assert [c.letters() for c in cs] == [("Z",), ("X",), ("Y",)]
 
 
 class TestClassFamily:

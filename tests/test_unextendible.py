@@ -62,13 +62,26 @@ class TestExtraClassesWithinUnion:
             assert commutes(w1, w2)
 
     def test_restricted_search_agrees(self):
+        # both queries against the direct enumeration over the same
+        # universe, for every triple and every pair of the complete set
         cs = canonical_complete_set(2)
-        sub = ClassSet(2, cs.classes[:3])
-        fast = extra_classes_within_union(sub)
-        slow = extra_classes_within_union(sub, restricted_search=True)
-        assert [c.element_keys for c in fast.found] == [
-            c.element_keys for c in slow.found
-        ]
+        for picks in combinations(range(5), 3):
+            sub = ClassSet(2, tuple(cs[i] for i in picks))
+            own = {c.element_keys for c in sub}
+            oracle = [
+                frozenset(r.elements)
+                for r in enumerate_classes_in(2, sub.union_mask)
+                if frozenset(r.elements) not in own
+            ]
+            found = extra_classes_within_union(sub).found
+            assert [c.element_keys for c in found] == oracle
+        for picks in combinations(range(5), 2):
+            sub = ClassSet(2, tuple(cs[i] for i in picks))
+            report = extendibility_check(sub)
+            oracle = enumerate_classes_in(2, report.universe_mask)
+            assert [c.element_keys for c in report.found] == [
+                frozenset(r.elements) for r in oracle
+            ]
 
     def test_five_class_subsets_at_d8(self):
         cs = canonical_complete_set(3)
@@ -155,30 +168,42 @@ class TestBuildUnextendibleSet:
             build_unextendible_set(triple, (0, 1, 2))
 
 
+def _brute_candidates(cs, i, j):
+    """Masks of every class inside the nine operators left by classes i, j."""
+    union = 0
+    for k, c in enumerate(cs):
+        if k not in (i, j):
+            union |= c.mask
+    return [r.mask for r in enumerate_classes_in(cs.n, union)]
+
+
 class TestNoWeakFourSet:
     def test_structured_verification(self):
         assert verify_no_weak_4set_d4(canonical_complete_set(2)) is True
 
     def test_brute_force_agrees(self):
-        assert verify_no_weak_4set_d4(
-            canonical_complete_set(2), brute_force=True
-        ) is True
+        # the verdict again, with candidates and extendibility taken from
+        # the direct enumeration instead of the library's queries
+        cs = canonical_complete_set(2)
+        full = (1 << 15) - 1
+        for i, j in combinations(range(5), 2):
+            brute = _brute_candidates(cs, i, j)
+            for a, b in combinations(brute, 2):
+                if a & b:
+                    continue
+                union = cs[i].mask | cs[j].mask | a | b
+                assert enumerate_classes_in(2, full & ~union)
+        assert verify_no_weak_4set_d4(cs) is True
 
     def test_candidate_routes_agree_and_are_nonvacuous(self):
         cs = canonical_complete_set(2)
         for i, j in combinations(range(5), 2):
-            structured = _weak4_candidates(cs, i, j, brute_force=False)
-            brute = _weak4_candidates(cs, i, j, brute_force=True)
-            assert {c.element_keys for c in structured} == {
-                c.element_keys for c in brute
-            }
+            structured = _weak4_candidates(cs, i, j)
+            brute = _brute_candidates(cs, i, j)
+            assert {c.mask for c in structured} == set(brute)
             # there are always the three leftover classes plus one extra
             assert len(brute) == 4
-            pairs = [
-                (a, b)
-                for a, b in combinations(brute, 2)
-                if not (a.mask & b.mask)
-            ]
+            pairs = [(a, b) for a, b in combinations(brute, 2) if not a & b]
             assert len(pairs) >= 1
 
     def test_rejects_wrong_input(self):
