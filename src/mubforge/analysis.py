@@ -7,11 +7,14 @@ with unimodular x_j, so the squared-deviation functional
 
     F(psi) = sum_{i, a} (|<psi|b_i^(a)>|^2 - 1/d)^2
 
-is minimized over the (d-1)-torus of phases by seeded multistart L-BFGS
-with an analytic gradient. A residual below the witness threshold is a
-constructive extension witness; a floor well above it across all starts is
-evidence (not proof) of strong unextendibility. The search is calibrated in
-both directions by the test suite.
+is minimized over the (d-1)-torus of phases from many seeded starts. F is
+a sum of squared residuals, so each start runs Levenberg-Marquardt (damped
+Gauss-Newton) on the analytic Jacobian, and all starts in flight advance
+together as one numpy batch whose rows never interact; see
+``strong_unext_search`` for the stopping rules. A residual below the
+witness threshold is a constructive extension witness; a floor well above
+it across all starts is evidence (not proof) of strong unextendibility. The
+search is calibrated in both directions by the test suite.
 """
 
 from __future__ import annotations
@@ -40,6 +43,16 @@ DEFAULT_STARTS = 1000
 DEFAULT_MAX_ITERATIONS = 500
 DEFAULT_F_TOL = 1e-14
 _GRAD_TOL = 1e-12
+
+# Levenberg-Marquardt damping: start, shrink and growth factors, the floor
+# that keeps J^T J + lambda I invertible, and the ceiling past which a start
+# that no damped step improves is given up
+_LAMBDA_START = 1e-3
+_LAMBDA_DOWN = 0.1
+_LAMBDA_UP = 10.0
+_LAMBDA_MIN = 1e-12
+_LAMBDA_CEILING = 1e16
+_BATCH_CAP = 1024  # the most starts in flight at once
 
 
 def _check_unit(psi: np.ndarray) -> np.ndarray:
@@ -105,14 +118,21 @@ class UnbiasedVectorProblem:
         v = self.frame.T @ self.torus_vector(theta)
         return v / np.linalg.norm(v)
 
-    def residual_and_gradient(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        psi = self.torus_vector(theta)
-        o = self.conditions @ psi
-        t = np.abs(o) ** 2 - 1.0 / self.d
-        f = float(np.sum(t * t))
-        weighted = (o.conjugate()[:, None] * self.conditions) * psi[None, :]
-        grad = -4.0 * (t @ weighted.imag)
-        return f, grad[1:]
+    def residual_and_gradient(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Residuals and their Jacobian at a batch of torus points.
+
+        ``theta`` has shape (B, d-1), or (d-1,) for one point. Returns r of
+        shape (B, m), r_a = |<c_a|psi>|^2 - 1/d over the m condition rows,
+        and J = dr/dtheta of shape (B, m, d-1). The residual is F = sum r^2
+        and its gradient is 2 J^T r. Every operation acts on each row alone,
+        so a row's result does not depend on the rest of the batch.
+        """
+        scale = 1.0 / math.sqrt(self.d)
+        terms = self.conditions[:, 1:] * (scale * np.exp(1j * np.asarray(theta)))[..., None, :]
+        o = self.conditions[:, 0] * scale + terms.sum(axis=-1)
+        r = o.real**2 + o.imag**2 - 1.0 / self.d
+        jacobian = -2.0 * (o.conj()[..., None] * terms).imag
+        return r, jacobian
 
 
 @dataclass(frozen=True)
@@ -139,8 +159,18 @@ def strong_unext_search(
     """Seeded multistart minimization of the unbiasedness residual.
 
     Each start draws its initial phases from an independent stream keyed by
-    (seed, start index), so a run that stops early after k starts matches a
-    run of k starts. ``stop_below`` ends the search after the first start
+    (seed, start index) and runs its own Levenberg-Marquardt iteration: the
+    damped Gauss-Newton step (J^T J + lambda I) delta = -J^T r is kept when
+    it lowers F, after which lambda shrinks; otherwise lambda grows. A start
+    has converged when an accepted step lowers F by at most ``f_tol``
+    relative to max(F, 1), or when its gradient 2 J^T r is at most
+    _GRAD_TOL in every component; it also stops, unconverged, when lambda
+    passes _LAMBDA_CEILING or after ``max_iterations`` steps.
+
+    All starts in flight are iterated as one batch whose rows never
+    interact, so every start's result is the same whatever else shares its
+    batch, and a run that stops early after k starts matches a run of k
+    starts. ``stop_below`` ends the search at the first start (by index)
     whose residual falls under the threshold, which is enough when only a
     witness is wanted.
 
@@ -150,37 +180,16 @@ def strong_unext_search(
     """
     if starts < 1:
         raise ValueError("need at least one start")
-    # imported here, not at module level: scipy.optimize is slow to import and
-    # only the strong search needs it
-    from scipy.optimize import minimize
-
+    if max_iterations < 1:
+        raise ValueError("need at least one iteration per start")
+    if not (math.isfinite(f_tol) and f_tol >= 0):
+        raise ValueError(f"f_tol must be finite and non-negative, got {f_tol!r}")
     problem = UnbiasedVectorProblem.from_bases(bases)
-    options = {"maxiter": max_iterations, "ftol": f_tol, "gtol": _GRAD_TOL}
-
-    best_f = math.inf
-    best_theta: Optional[np.ndarray] = None
-    best_index = -1
-    converged = 0
-    executed = 0
-    for k in range(starts):
-        rng = np.random.default_rng([seed, k])
-        theta0 = rng.uniform(0.0, 2.0 * math.pi, problem.d - 1)
-        res = minimize(
-            problem.residual_and_gradient,
-            theta0,
-            jac=True,
-            method="L-BFGS-B",
-            options=options,
-        )
-        executed += 1
-        if res.success:
-            converged += 1
-        if res.fun < best_f:
-            best_f, best_theta, best_index = float(res.fun), np.asarray(res.x), k
-        if stop_below is not None and best_f < stop_below:
-            break
-
-    best_vector = problem.vector(best_theta)
+    final_f, final_theta, converged = _multistart(
+        problem, starts, seed, stop_below, max_iterations, f_tol
+    )
+    best_index = int(np.argmin(final_f))
+    best_vector = problem.vector(final_theta[best_index])
     config = {
         "starts_requested": starts,
         "stop_below": stop_below,
@@ -192,11 +201,98 @@ def strong_unext_search(
     return SearchOutcome(
         min_residual=residual(best_vector, bases),
         best_vector=best_vector,
-        starts=executed,
+        starts=len(final_f),
         seed=seed,
-        converged_starts=converged,
+        converged_starts=int(np.count_nonzero(converged)),
         config=config,
     )
+
+
+def _multistart(
+    problem: UnbiasedVectorProblem,
+    starts: int,
+    seed: int,
+    stop_below: Optional[float],
+    max_iterations: int,
+    f_tol: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Final F, angles and converged flag of each counted start.
+
+    Starts join the batch in index order, in blocks of 1, 2, 4, ... while
+    it holds fewer than _BATCH_CAP rows, and leave it when they stop, so a
+    slow start never holds the next ones back. Once a start ends below
+    ``stop_below``, later starts are dropped and only the earlier ones run
+    on; the starts counted are those up to the first one below it.
+    """
+    n = problem.d - 1
+    m = len(problem.conditions)
+    final_f = np.empty(starts)
+    final_theta = np.empty((starts, n))
+    converged = np.zeros(starts, dtype=bool)
+    limit = starts
+    admitted = 0
+    block = 1
+    identity = np.eye(n)
+    # the rows in flight: row i runs start index[i]
+    index = np.empty(0, dtype=np.intp)
+    theta = np.empty((0, n))
+    r = np.empty((0, m))
+    jac = np.empty((0, m, n))
+    f = np.empty(0)
+    lam = np.empty(0)
+    steps = np.empty(0, dtype=np.intp)
+    while admitted < limit or index.size:
+        room = min(block, _BATCH_CAP - index.size, limit - admitted)
+        if room > 0:
+            new = np.arange(admitted, admitted + room)
+            theta0 = np.array([
+                np.random.default_rng([seed, k]).uniform(0.0, 2.0 * math.pi, n)
+                for k in new
+            ])
+            r0, jac0 = problem.residual_and_gradient(theta0)
+            index = np.concatenate([index, new])
+            theta = np.concatenate([theta, theta0])
+            r = np.concatenate([r, r0])
+            jac = np.concatenate([jac, jac0])
+            f = np.concatenate([f, np.einsum("bm,bm->b", r0, r0)])
+            lam = np.concatenate([lam, np.full(room, _LAMBDA_START)])
+            steps = np.concatenate([steps, np.zeros(room, dtype=np.intp)])
+            admitted += room
+            block *= 2
+
+        jac_t = jac.transpose(0, 2, 1)
+        grad = (jac_t @ r[..., None])[..., 0]
+        flat = np.max(np.abs(2.0 * grad), axis=1) <= _GRAD_TOL
+        normal = jac_t @ jac + lam[:, None, None] * identity
+        trial = theta + np.linalg.solve(normal, -grad[..., None])[..., 0]
+        r_trial, jac_trial = problem.residual_and_gradient(trial)
+        f_trial = np.einsum("bm,bm->b", r_trial, r_trial)
+        better = (f_trial < f) & ~flat
+        settled = better & (f - f_trial <= f_tol * np.maximum(f, 1.0))
+        theta[better] = trial[better]
+        r[better] = r_trial[better]
+        jac[better] = jac_trial[better]
+        f = np.where(better, f_trial, f)
+        lam = np.where(better, np.maximum(lam * _LAMBDA_DOWN, _LAMBDA_MIN), lam * _LAMBDA_UP)
+        steps += 1
+
+        done_converged = flat | settled
+        done = done_converged | (lam > _LAMBDA_CEILING) | (steps >= max_iterations)
+        if not done.any():
+            continue
+        ended = index[done]
+        final_f[ended] = f[done]
+        final_theta[ended] = theta[done]
+        converged[ended] = done_converged[done]
+        if stop_below is not None:
+            hits = ended[f[done] < stop_below]
+            if hits.size:
+                limit = min(limit, int(hits.min()) + 1)
+        keep = ~done & (index < limit)
+        index, theta, r, jac, f, lam, steps = (
+            a[keep] for a in (index, theta, r, jac, f, lam, steps)
+        )
+    return final_f[:limit], final_theta[:limit], converged[:limit]
 
 
 def collision_entropy(b: MubBasis, psi: np.ndarray) -> float:

@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from mubforge.analysis import (
+    DEFAULT_MAX_ITERATIONS,
     EurReport,
     KsContextSet,
     KsReport,
@@ -242,6 +243,17 @@ def _verify_unextendible_set(payload: dict, config: dict) -> list[str]:
 
 
 def _verify_search_outcome(payload: dict, config: dict) -> list[str]:
+    """Re-check a strong-search outcome from the file alone.
+
+    The recorded vector must give the recorded residual, and a spot re-run
+    of the first starts must not beat it. The re-run's cost does not grow
+    with what the file claims: at most RECHECK_STARTS starts of at most
+    DEFAULT_MAX_ITERATIONS steps each, so at most RECHECK_STARTS x
+    (DEFAULT_MAX_ITERATIONS + 1) single-start evaluations of the residual
+    kernel, made in about DEFAULT_MAX_ITERATIONS batched calls. A shorter
+    re-run can only end higher, so capping it never refutes a true claim.
+    Optimizer settings the search rejects raise ValueError (malformed).
+    """
     problems = []
     cs = classes_from_json(payload["classes"])
     bases = [eigenbasis(c) for c in cs]
@@ -265,7 +277,7 @@ def _verify_search_outcome(payload: dict, config: dict) -> list[str]:
         bases,
         starts=min(payload["starts"], RECHECK_STARTS),
         seed=payload["seed"],
-        max_iterations=payload["config"]["max_iterations"],
+        max_iterations=min(payload["config"]["max_iterations"], DEFAULT_MAX_ITERATIONS),
         f_tol=payload["config"]["f_tol"],
     )
     if payload["min_residual"] > rerun.min_residual + RESIDUAL_RECHECK_TOL:

@@ -7,6 +7,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
+from mubforge import analysis
 from mubforge.analysis import (
     UnbiasedVectorProblem,
     collision_entropy,
@@ -75,17 +76,31 @@ class TestUnbiasedVectorProblem:
         problem = UnbiasedVectorProblem.from_bases(triple_bases(cs.classes[:3]))
         rng = np.random.default_rng(17)
         h = 1e-6
-        for _ in range(100):
-            theta = rng.uniform(0, 2 * np.pi, 3)
-            _, grad = problem.residual_and_gradient(theta)
-            for j in range(3):
-                step = np.zeros(3)
-                step[j] = h
-                fp, _ = problem.residual_and_gradient(theta + step)
-                fm, _ = problem.residual_and_gradient(theta - step)
-                numeric = (fp - fm) / (2 * h)
-                scale = max(1.0, abs(numeric))
-                assert abs(grad[j] - numeric) / scale < 1e-6
+        theta = rng.uniform(0, 2 * np.pi, (100, 3))
+        r, jac = problem.residual_and_gradient(theta)
+        grad = 2.0 * np.einsum("bmi,bm->bi", jac, r)
+        for j in range(3):
+            step = np.zeros(3)
+            step[j] = h
+            r_plus, _ = problem.residual_and_gradient(theta + step)
+            r_minus, _ = problem.residual_and_gradient(theta - step)
+            numeric_jac = (r_plus - r_minus) / (2 * h)
+            assert np.max(np.abs(jac[:, :, j] - numeric_jac)) < 1e-6
+            numeric = (np.sum(r_plus**2, axis=1) - np.sum(r_minus**2, axis=1)) / (2 * h)
+            scale = np.maximum(1.0, np.abs(numeric))
+            assert np.all(np.abs(grad[:, j] - numeric) / scale < 1e-6)
+
+    def test_batch_rows_equal_single_point_calls(self):
+        # each row of a batch is computed on its own: exactly the 1-row call
+        problem = UnbiasedVectorProblem.from_bases(triple_bases(strong_five_d8()))
+        theta = np.random.default_rng(4).uniform(0, 2 * np.pi, (9, 7))
+        r, jac = problem.residual_and_gradient(theta)
+        assert r.shape == (9, 32) and jac.shape == (9, 32, 7)
+        for b in range(9):
+            r1, jac1 = problem.residual_and_gradient(theta[b])
+            assert np.array_equal(r1, r[b]) and np.array_equal(jac1, jac[b])
+            r2, jac2 = problem.residual_and_gradient(theta[b : b + 1])
+            assert np.array_equal(r2[0], r[b]) and np.array_equal(jac2[0], jac[b])
 
     def test_candidates_are_unbiased_to_the_first_basis(self):
         cs = canonical_complete_set(2)
@@ -99,13 +114,13 @@ class TestUnbiasedVectorProblem:
             assert np.max(np.abs(probs - 0.25)) < 1e-12
 
     def test_problem_residual_matches_full_residual(self):
-        cs = canonical_complete_set(2)
-        bases = triple_bases(cs.classes[:3])
-        problem = UnbiasedVectorProblem.from_bases(bases)
-        rng = np.random.default_rng(8)
-        theta = rng.uniform(0, 2 * np.pi, 3)
-        f, _ = problem.residual_and_gradient(theta)
-        assert abs(f - residual(problem.vector(theta), bases)) < 1e-13
+        for cs in (canonical_complete_set(2).classes[:3], strong_five_d8()):
+            bases = triple_bases(cs)
+            problem = UnbiasedVectorProblem.from_bases(bases)
+            theta = np.random.default_rng(8).uniform(0, 2 * np.pi, (10, problem.d - 1))
+            r, _ = problem.residual_and_gradient(theta)
+            for row, t in zip(r, theta):
+                assert abs(np.sum(row * row) - residual(problem.vector(t), bases)) < 1e-13
 
 
 class TestStrongSearch:
@@ -130,10 +145,10 @@ class TestStrongSearch:
 
     def test_early_stop_equals_the_shorter_run(self):
         # a run that stop_below ends after k starts is the run of k starts;
-        # three iterations per start keep the first starts above the bar
+        # one iteration per start keeps the first starts above the bar
         cs = canonical_complete_set(2)
         bases = triple_bases([cs[0], cs[1], cs[2]])
-        opts = {"seed": 9, "max_iterations": 3}
+        opts = {"seed": 9, "max_iterations": 1}
         stopped = strong_unext_search(bases, starts=50, stop_below=1e-3, **opts)
         assert 1 < stopped.starts < 50
         short = strong_unext_search(bases, starts=stopped.starts, **opts)
@@ -151,6 +166,45 @@ class TestStrongSearch:
             )
         with pytest.raises(ValueError):
             strong_unext_search(triple_bases(cs.classes[:3]), starts=0, seed=0)
+
+    @pytest.mark.parametrize(
+        "opts",
+        [{"max_iterations": 0}, {"max_iterations": -3}, {"f_tol": -1.0},
+         {"f_tol": float("nan")}, {"f_tol": float("inf")}],
+        ids=["zero-iterations", "negative-iterations", "negative-f-tol",
+             "nan-f-tol", "infinite-f-tol"],
+    )
+    def test_rejects_unusable_optimizer_settings(self, opts):
+        bases = triple_bases(canonical_complete_set(2).classes[:3])
+        with pytest.raises(ValueError):
+            strong_unext_search(bases, starts=5, seed=0, **opts)
+
+    @pytest.mark.parametrize(
+        "source, opts",
+        [("d4-strong", {"starts": 300, "seed": 11}),
+         ("d8-strong", {"starts": 120, "seed": 4}),
+         ("d4-extendible", {"starts": 50, "seed": 9, "max_iterations": 1,
+                            "stop_below": 1e-3})],
+    )
+    def test_batch_split_does_not_change_results(self, monkeypatch, source, opts):
+        # every start's result is its own: how the starts are batched
+        # together, down to one at a time, changes nothing
+        bases = triple_bases({
+            "d4-strong": strong_triple_d4(),
+            "d8-strong": strong_five_d8(),
+            "d4-extendible": canonical_complete_set(2).classes[:3],
+        }[source])
+        outcomes = []
+        for cap in (1, 7, analysis._BATCH_CAP):
+            monkeypatch.setattr(analysis, "_BATCH_CAP", cap)
+            outcomes.append(strong_unext_search(bases, **opts))
+        first = outcomes[0]
+        for out in outcomes[1:]:
+            assert out.min_residual == first.min_residual
+            assert np.array_equal(out.best_vector, first.best_vector)
+            assert out.starts == first.starts
+            assert out.converged_starts == first.converged_starts
+            assert out.config == first.config
 
     def test_outcome_records_configuration(self):
         bases = triple_bases(strong_triple_d4())

@@ -240,6 +240,80 @@ class TestCheckMalformedInput:
         assert lines[1] == f"{strong_cert}: verified"
 
 
+def _rehash(cert):
+    from mubforge.certificates import _payload_hash
+
+    cert["payload_sha256"] = _payload_hash(
+        cert["command"], cert["config"], cert["payload"]
+    )
+
+
+class TestUntrustedOptimizerSettings:
+    # the spot re-run takes its optimizer settings from the file; a
+    # re-hashed certificate must not make it misbehave or run unbounded
+    @pytest.fixture
+    def strong_cert(self, tmp_path):
+        out = tmp_path / "strong.json"
+        assert run([
+            "strong", "paper-d4-strong", "--starts", "30", "--seed", "4",
+            "--output", str(out),
+        ]) == 0
+        return out
+
+    @pytest.mark.parametrize(
+        "key, value", [("max_iterations", 0), ("f_tol", -1)],
+        ids=["zero-iterations", "negative-f-tol"],
+    )
+    def test_unusable_setting_is_malformed(self, tmp_path, strong_cert, key, value, capsys):
+        cert = load(strong_cert)
+        cert["payload"]["config"][key] = value
+        _rehash(cert)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cert), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["check", str(bad)]) == 2
+        assert capsys.readouterr().out.startswith(f"{bad}: malformed (ValueError: ")
+
+    def test_huge_iteration_count_is_capped(self, tmp_path, strong_cert, capsys, monkeypatch):
+        import time
+
+        from mubforge import certificates
+        from mubforge.analysis import DEFAULT_MAX_ITERATIONS
+
+        seen = []
+        search = certificates.strong_unext_search
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["max_iterations"])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(certificates, "strong_unext_search", spy)
+        cert = load(strong_cert)
+        cert["payload"]["config"]["max_iterations"] = 10**9
+        _rehash(cert)
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(cert), encoding="utf-8")
+        capsys.readouterr()
+        start = time.perf_counter()
+        code = run(["check", str(big)])
+        assert time.perf_counter() - start < 5.0
+        assert code == 0
+        assert capsys.readouterr().out == f"{big}: verified\n"
+        assert seen == [DEFAULT_MAX_ITERATIONS]
+
+
+LBFGS_CERTIFICATES = sorted((Path(__file__).parent / "data" / "lbfgs_strong").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", LBFGS_CERTIFICATES, ids=lambda p: p.stem)
+def test_certificates_from_the_lbfgs_search_still_verify(path, capsys):
+    # strong certificates written when each start ran scipy's L-BFGS-B: the
+    # spot re-run now uses a different optimizer but must agree with them
+    assert len(LBFGS_CERTIFICATES) == 3
+    assert run(["check", str(path)]) == 0
+    assert capsys.readouterr().out == f"{path}: verified\n"
+
+
 class TestAnalysisCommands:
     def test_strong_on_builtin_name(self, tmp_path):
         out = tmp_path / "s.json"
@@ -352,9 +426,8 @@ def test_strong_hash_does_not_depend_on_the_environment(tmp_path, monkeypatch):
     assert hashes[0] == hashes[1]
 
 
-def test_cli_import_does_not_load_scipy():
-    # scipy.optimize is only needed by the strong search; importing the CLI
-    # for a combinatorial command must not pay for it
+def _python(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter that imports this package."""
     import os
     import subprocess
     import sys
@@ -364,9 +437,27 @@ def test_cli_import_does_not_load_scipy():
     env = dict(os.environ)
     src = str(Path(mubforge.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, mubforge.cli; print('scipy' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         check=True, timeout=60,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_cli_import_does_not_load_scipy():
+    # importing the CLI for a combinatorial command must not pay for scipy
+    assert _python("import sys, mubforge.cli; print('scipy' in sys.modules)") == "False"
+
+
+def test_strong_search_runs_without_scipy(tmp_path):
+    # the multistart is plain numpy: a whole strong run, self-check
+    # included, never imports scipy
+    out_file = tmp_path / "strong.json"
+    code = (
+        "import sys, mubforge.cli\n"
+        "code = mubforge.cli.main(['strong', 'paper-d4-strong', '--starts', '20',"
+        f" '--output', {str(out_file)!r}])\n"
+        "print(code, 'scipy' in sys.modules)"
+    )
+    assert _python(code) == "0 False"
+    assert load(out_file)["verified"] is True
