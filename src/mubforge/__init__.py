@@ -35,6 +35,7 @@ from mubforge.classes import (
     canonical_complete_set,
     class_from_elements,
     class_from_generators,
+    class_from_mask,
     class_from_strings,
     commuting_overlap,
     complete_set_from_two,
@@ -82,6 +83,7 @@ __all__ = [
     "canonical_complete_set",
     "class_from_elements",
     "class_from_generators",
+    "class_from_mask",
     "class_from_strings",
     "collision_entropy",
     "commutes",

@@ -26,9 +26,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from mubforge.bases import MubBasis, eigenbasis, unbiasedness_deviation
-from mubforge.classes import ClassSet, CommutingClass
-from mubforge.pauli import ProjectivePauli, commutes, multiply, pauli_from_string
-from mubforge.search import keys_of_mask
+from mubforge.classes import ClassSet, CommutingClass, class_from_mask
+from mubforge.pauli import ProjectivePauli, multiply, pauli_from_string
+from mubforge.search import mask_of_keys
 from mubforge.unextendible import (
     UnextendibleSet,
     extendibility_check,
@@ -342,7 +342,7 @@ def eur_check(classes: ClassSet, extra: CommutingClass) -> EurReport:
     if extra.n != 2:
         raise ValueError("extra class acts on a different qubit count")
     for c in classes:
-        if len(extra.elements & c.elements) != 1:
+        if (extra.mask & c.mask).bit_count() != 1:
             raise ValueError("extra class must take exactly one element per class")
     bound = eur_bound(len(classes), 1 << classes.n)
     bases = [eigenbasis(c) for c in classes]
@@ -426,13 +426,10 @@ def ks_alternate_partition(
         raise ValueError("operators do not admit a second partition")
     for new in fresh:
         for orig in cs:
-            if len(new.elements & orig.elements) != 1:
+            if (new.mask & orig.mask).bit_count() != 1:
                 raise ValueError("alternate context does not cross all classes")
-    alternate = tuple(sorted(fresh, key=lambda c: c.sorted_elements[0].key))
-    operators = tuple(
-        ProjectivePauli.from_key(2, k) for k in sorted(keys_of_mask(union))
-    )
-    return KsContextSet(2, operators, tuple(cs.classes), alternate)
+    alternate = tuple(sorted(fresh, key=lambda c: c.mask & -c.mask))
+    return KsContextSet(2, cs.operators(), tuple(cs.classes), alternate)
 
 
 def ks_sign_verify(ctx: KsContextSet) -> KsReport:
@@ -448,66 +445,56 @@ def ks_sign_verify(ctx: KsContextSet) -> KsReport:
     )
 
 
-def _normalize_partition(part) -> list[frozenset[int]]:
-    """Accept a ClassSet or raw element collections; no validity assumed."""
+def _partition_masks(part) -> tuple[list[int], bool]:
+    """Element masks of a ClassSet or of raw element collections.
+
+    No validity is assumed. The flag tells whether any collection names the
+    identity, which no class contains and no mask can hold.
+    """
     if isinstance(part, ClassSet):
-        return [c.element_keys for c in part]
-    out = []
+        return [c.mask for c in part], False
+    masks, identity = [], False
     for group in part:
-        keys = set()
-        for item in group:
-            if isinstance(item, str):
-                keys.add(pauli_from_string(item).key)
-            else:
-                keys.add(item.key)
-        out.append(frozenset(keys))
-    return out
-
-
-def _is_commuting_closed(n: int, keys: frozenset[int]) -> bool:
-    ops = [ProjectivePauli.from_key(n, k) for k in keys]
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            if not commutes(ops[i], ops[j]):
-                return False
-            if ops[i].key ^ ops[j].key not in keys:
-                return False
-    return True
+        keys = {
+            pauli_from_string(i).key if isinstance(i, str) else i.key for i in group
+        }
+        identity |= 0 in keys
+        masks.append(mask_of_keys(keys - {0}))
+    return masks, identity
 
 
 def d8_double_partition_verify(first, second) -> bool:
     """Check that two five-class partitions of 35 operators form double contexts.
 
     Both collections must be genuine disjoint commuting-class partitions of
-    the same operator set, and the i-th classes must share a closed triple
-    {u, v, uv} while every cross intersection has exactly one operator.
-    Raises only when the two operator sets differ; any structural failure
-    returns False.
+    the same operator set, and the i-th classes must share three operators
+    (as the meet of two classes, a closed triple {u, v, uv}) while every
+    cross intersection has exactly one operator. Raises only when the two
+    operator sets differ; any structural failure returns False.
     """
-    n = 3
-    a = _normalize_partition(first)
-    b = _normalize_partition(second)
-    ops_a = frozenset().union(*a) if a else frozenset()
-    ops_b = frozenset().union(*b) if b else frozenset()
-    if ops_a != ops_b:
+    a, a_identity = _partition_masks(first)
+    b, b_identity = _partition_masks(second)
+    ops_a = ops_b = 0
+    for m in a:
+        ops_a |= m
+    for m in b:
+        ops_b |= m
+    if (ops_a, a_identity) != (ops_b, b_identity):
         raise ValueError("the two partitions cover different operator sets")
-    if len(a) != 5 or len(b) != 5:
+    if a_identity or len(a) != 5 or len(b) != 5:
         return False
     for part in (a, b):
-        if sum(len(g) for g in part) != len(ops_a) or any(
-            len(g) != 7 for g in part
+        if sum(m.bit_count() for m in part) != ops_a.bit_count() or any(
+            m.bit_count() != 7 for m in part
         ):
             return False
-        if any(not _is_commuting_closed(n, g) for g in part):
+        try:
+            for m in part:
+                class_from_mask(3, m)
+        except ValueError:
             return False
-    for i in range(5):
-        for j in range(5):
-            inter = a[i] & b[j]
-            want = 3 if i == j else 1
-            if len(inter) != want:
-                return False
-            if i == j:
-                u, v, w = sorted(inter)
-                if u ^ v != w:
-                    return False
-    return True
+    return all(
+        (a[i] & b[j]).bit_count() == (3 if i == j else 1)
+        for i in range(5)
+        for j in range(5)
+    )

@@ -235,9 +235,12 @@ def _verify_unextendible_set(payload: dict, config: dict) -> list[str]:
         problems.append("embedded extendibility report is not empty")
     prov = payload.get("provenance")
     if prov:
-        complete = classes_from_json(prov["complete_set"])
-        rebuilt = build_unextendible_set(complete, tuple(prov["chosen"]))
-        if rebuilt.classes.partition_key() != cs.partition_key():
+        try:
+            complete = classes_from_json(prov["complete_set"])
+            rebuilt = build_unextendible_set(complete, tuple(prov["chosen"])).classes
+        except (ValueError, RuntimeError):
+            rebuilt = None  # a provenance that does not rebuild proves nothing
+        if rebuilt is None or rebuilt.partition_key() != cs.partition_key():
             problems.append("provenance does not reproduce the certified classes")
     return problems
 
@@ -295,14 +298,16 @@ def _verify_eur_report(payload: dict, config: dict) -> list[str]:
     problems = []
     if abs(fresh.bound - payload["bound"]) > EUR_RECHECK_TOL:
         problems.append("bound value changed")
+    if fresh.saturated != payload["saturated"]:
+        problems.append("saturation flag changed")
+    if [s.label for s in fresh.states] != [s["label"] for s in payload["states"]]:
+        problems.append("state labels changed")
+        return problems
     for got, want in zip(fresh.states, payload["states"]):
-        if got.label != want["label"]:
-            problems.append("state labels changed")
-            break
         if abs(got.average - want["average"]) > EUR_RECHECK_TOL:
             problems.append("per-state average entropy changed")
             break
-        if any(
+        if len(got.per_basis) != len(want["per_basis"]) or any(
             abs(g - w) > EUR_RECHECK_TOL
             for g, w in zip(got.per_basis, want["per_basis"])
         ):
@@ -317,20 +322,17 @@ def _verify_ks_report(payload: dict, config: dict) -> list[str]:
             2, tuple(class_from_json(c) for c in payload["original"])
         )
         ctx = ks_alternate_partition(original)
-        report = ks_sign_verify(ctx)
+        want = ks_report_to_json(ctx, ks_sign_verify(ctx))
     except (KeyError, ValueError) as exc:
         return [f"context re-derivation failed: {exc}"]
-    problems = []
-    want_alt = {frozenset(c["elements"]) for c in payload["alternate"]}
-    got_alt = {frozenset(c.letters()) for c in ctx.alternate}
-    if want_alt != got_alt:
+    problems = [
+        f"ks field {key!r} does not reproduce"
+        for key in ("operators", "signs", "minus_identity_count", "parity_odd")
+        if want[key] != payload[key]
+    ]
+    want_alt = {frozenset(c["elements"]) for c in want["alternate"]}
+    if want_alt != {frozenset(c["elements"]) for c in payload["alternate"]}:
         problems.append("alternate partition changed")
-    if list(report.signs) != payload["signs"]:
-        problems.append("context signs changed")
-    if report.minus_identity_count != payload["minus_identity_count"]:
-        problems.append("minus-identity count changed")
-    if report.parity_odd != payload["parity_odd"]:
-        problems.append("sign parity changed")
     return problems
 
 

@@ -6,6 +6,12 @@ generators and their 2**n - 1 nonidentity products. A complete set is a
 partition of all 4**n - 1 operators into 2**n + 1 mutually disjoint classes;
 their joint eigenbases form a full family of mutually unbiased bases.
 
+A class stores its generators and one bit mask of its elements (bit
+``key - 1`` per element, as in mubforge.search); every element view, the
+equality test and the disjointness test read that mask. ``class_from_mask``
+turns any mask, such as a member of the search family, back into a class
+with canonical generators.
+
 Complete sets come from one exact-cover routine over the canonical class
 family, seeded with any disjoint classes (none for the canonical four-qubit
 set, two for ``complete_set_from_two``). The canonical two- and three-qubit
@@ -29,8 +35,8 @@ from mubforge.pauli import (
     pauli_from_string,
 )
 from mubforge.search import (
-    ClassRecord,
     all_maximal_classes,
+    keys_of_mask,
     mask_of_keys,
     pauli_index,
 )
@@ -66,41 +72,41 @@ def _as_projective(op: PauliLike) -> ProjectivePauli:
 
 @dataclass(frozen=True, eq=False)
 class CommutingClass:
-    """A maximal commuting class: n generators plus their full closure.
+    """A maximal commuting class: n generators plus the mask of their closure.
 
-    Equality and hashing go by the projective element set, so the same class
+    Bit ``key - 1`` of ``mask`` is set for each nonidentity element (see
+    mubforge.search). Equality and hashing go by the mask, so the same class
     reached through different generator choices compares equal.
     """
 
     n: int
     generators: tuple[PauliOperator, ...]
-    elements: frozenset[ProjectivePauli]
+    mask: int
 
     @property
     def sorted_elements(self) -> tuple[ProjectivePauli, ...]:
-        return tuple(sorted(self.elements, key=lambda p: p.key))
+        return tuple(
+            ProjectivePauli.from_key(self.n, k) for k in keys_of_mask(self.mask)
+        )
 
     @property
-    def element_keys(self) -> frozenset[int]:
-        return frozenset(p.key for p in self.elements)
-
-    @property
-    def mask(self) -> int:
-        return mask_of_keys(p.key for p in self.elements)
+    def elements(self) -> frozenset[ProjectivePauli]:
+        return frozenset(self.sorted_elements)
 
     def letters(self) -> tuple[str, ...]:
         return tuple(p.to_string() for p in self.sorted_elements)
 
     def __contains__(self, op: PauliLike) -> bool:
-        return _as_projective(op) in self.elements
+        p = _as_projective(op)
+        return p.n == self.n and p.key > 0 and (self.mask >> (p.key - 1)) & 1 == 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CommutingClass):
             return NotImplemented
-        return self.n == other.n and self.elements == other.elements
+        return self.n == other.n and self.mask == other.mask
 
     def __hash__(self) -> int:
-        return hash((self.n, self.elements))
+        return hash((self.n, self.mask))
 
     def __repr__(self) -> str:
         return f"CommutingClass({'+'.join(self.letters())})"
@@ -127,49 +133,49 @@ def class_from_generators(gens: Sequence[PauliOperator]) -> CommutingClass:
             )
     if not independent(gens):
         raise ValueError("generators are dependent; closure would be degenerate")
-    keys = {0}
+    span = [0]
     for g in gens:
-        keys |= {k ^ g.key for k in keys}
-    keys.discard(0)
-    elements = frozenset(ProjectivePauli.from_key(n, k) for k in keys)
-    return CommutingClass(n, tuple(gens), elements)
+        span += [k ^ g.key for k in span]
+    return CommutingClass(n, tuple(gens), mask_of_keys(span[1:]))
 
 
-def class_from_elements(elements: Iterable[PauliLike]) -> CommutingClass:
-    """Rebuild a class from its element set, choosing canonical generators.
+def class_from_mask(n: int, mask: int) -> CommutingClass:
+    """Rebuild a class from its element mask, choosing canonical generators.
 
     The generator chain picks the smallest element outside the running span
     at every step, which makes the result stable for certificates.
     """
-    projs = sorted({_as_projective(p) for p in elements}, key=lambda p: p.key)
-    if not projs:
-        raise ValueError("empty element set")
-    n = projs[0].n
+    if mask <= 0:
+        raise ValueError("element mask must be a positive integer")
     span = {0}
     gen_keys: list[int] = []
-    for p in projs:
-        if p.n != n:
-            raise ValueError("elements act on different qubit counts")
-        if p.key in span:
-            continue
-        gen_keys.append(p.key)
-        span |= {k ^ p.key for k in span}
+    for k in keys_of_mask(mask):
+        if k not in span:
+            gen_keys.append(k)
+            span |= {s ^ k for s in span}
     cls = class_from_generators(
         [ProjectivePauli.from_key(n, k).hermitian() for k in gen_keys]
     )
-    if cls.elements != frozenset(projs):
+    if cls.mask != mask:
         raise ValueError("element set is not closed under products")
     return cls
 
 
+def class_from_elements(elements: Iterable[PauliLike]) -> CommutingClass:
+    """Rebuild a class from its element set; see ``class_from_mask``."""
+    projs = {_as_projective(p) for p in elements}
+    if not projs:
+        raise ValueError("empty element set")
+    n = next(iter(projs)).n
+    if any(p.n != n for p in projs):
+        raise ValueError("elements act on different qubit counts")
+    if any(p.is_identity for p in projs):
+        raise ValueError("element set is not closed under products")
+    return class_from_mask(n, mask_of_keys(p.key for p in projs))
+
+
 def class_from_strings(letters: Iterable[str]) -> CommutingClass:
     return class_from_elements(pauli_from_string(s) for s in letters)
-
-
-def _class_from_record(n: int, record: ClassRecord) -> CommutingClass:
-    return class_from_elements(
-        ProjectivePauli.from_key(n, k) for k in record.elements
-    )
 
 
 def disjoint(c1: CommutingClass, c2: CommutingClass) -> bool:
@@ -202,11 +208,10 @@ class ClassSet:
     complete: bool = False
 
     def __post_init__(self) -> None:
+        union = 0
         for c in self.classes:
             if c.n != self.n:
                 raise ValueError("class qubit count does not match the set")
-        union = 0
-        for c in self.classes:
             if union & c.mask:
                 raise ValueError("classes are not pairwise disjoint")
             union |= c.mask
@@ -236,14 +241,13 @@ class ClassSet:
         return union
 
     def operators(self) -> tuple[ProjectivePauli, ...]:
-        ops: list[ProjectivePauli] = []
-        for c in self.classes:
-            ops.extend(c.elements)
-        return tuple(sorted(ops, key=lambda p: p.key))
+        return tuple(
+            ProjectivePauli.from_key(self.n, k) for k in keys_of_mask(self.union_mask)
+        )
 
-    def partition_key(self) -> frozenset[frozenset[int]]:
+    def partition_key(self) -> frozenset[int]:
         """Order-insensitive identity of the partition, for comparisons."""
-        return frozenset(c.element_keys for c in self.classes)
+        return frozenset(c.mask for c in self.classes)
 
 
 def _exact_cover(n: int, seeds: Sequence[CommutingClass]) -> ClassSet:
@@ -254,20 +258,19 @@ def _exact_cover(n: int, seeds: Sequence[CommutingClass]) -> ClassSet:
     links); the first full partition found wins, so the result is
     deterministic. The seeds come first in the returned order.
     """
-    by_min: dict[int, list[ClassRecord]] = {}
-    for rec in all_maximal_classes(n):
-        by_min.setdefault(rec.elements[0], []).append(rec)
-    chosen: list[ClassRecord] = []
+    by_low: dict[int, list[int]] = {}  # family masks by their lowest set bit
+    for mask in all_maximal_classes(n):
+        by_low.setdefault(mask & -mask, []).append(mask)
+    chosen: list[int] = []
 
     def fill(remaining: int) -> bool:
         if remaining == 0:
             return True
-        low_key = (remaining & -remaining).bit_length()
-        for rec in by_min.get(low_key, ()):
-            if rec.mask & ~remaining:
+        for mask in by_low.get(remaining & -remaining, ()):
+            if mask & ~remaining:
                 continue
-            chosen.append(rec)
-            if fill(remaining & ~rec.mask):
+            chosen.append(mask)
+            if fill(remaining & ~mask):
                 return True
             chosen.pop()
         return False
@@ -277,7 +280,7 @@ def _exact_cover(n: int, seeds: Sequence[CommutingClass]) -> ClassSet:
         remaining &= ~c.mask
     if not fill(remaining):
         raise ValueError(f"no complete set on {n} qubits contains the seed classes")
-    rest = tuple(_class_from_record(n, rec) for rec in chosen)
+    rest = tuple(class_from_mask(n, mask) for mask in chosen)
     return ClassSet(n, tuple(seeds) + rest, complete=True)
 
 
@@ -322,10 +325,6 @@ def canonical_complete_set(n: int) -> ClassSet:
     if n == 4:
         return _exact_cover(4, ())
     raise ValueError("canonical complete sets cover 2, 3 or 4 qubits")
-
-
-def all_nonidentity_mask(n: int) -> int:
-    return pauli_index(n).full_mask
 
 
 def classes_to_json(cs: ClassSet) -> dict:

@@ -41,7 +41,11 @@ EXIT_REFUTED = 1
 EXIT_MALFORMED = 2
 
 
-def _emit(certificate: dict, output: Optional[str], table: bool) -> None:
+def _emit(certificate: dict, output: str | Path | None, table: bool) -> None:
+    """Write a certificate to ``output`` as indented, key-sorted JSON.
+
+    Without an output path it goes to stdout, unless a table is asked for.
+    """
     text = json.dumps(certificate, indent=2, sort_keys=True)
     if output:
         Path(output).write_text(text + "\n", encoding="utf-8")
@@ -151,16 +155,8 @@ def _cmd_find_unextendible(args: argparse.Namespace) -> int:
         for chosen in combinations(range((1 << args.dim) + 1), size):
             certificate = _unextendible_certificate(args.dim, chosen, args.seed)
             count += 1
-            if outdir:
-                name = f"unextendible-n{args.dim}-" + "-".join(map(str, chosen))
-                (outdir / f"{name}.json").write_text(
-                    json.dumps(certificate, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8",
-                )
-            elif args.table:
-                _print_table(certificate)
-            else:
-                print(json.dumps(certificate, indent=2, sort_keys=True))
+            name = f"unextendible-n{args.dim}-" + "-".join(map(str, chosen)) + ".json"
+            _emit(certificate, outdir / name if outdir else None, args.table)
         if outdir:
             print(f"wrote {count} certificates to {outdir}")
         return EXIT_OK
@@ -238,19 +234,12 @@ def _cmd_eur(args: argparse.Namespace) -> int:
         }
         payload = cert.eur_report_to_json(eur)
         certificates.append(cert.make_certificate("eur", config, payload))
-    if args.output and len(certificates) > 1:
-        base = Path(args.output)
-        for i, certificate in enumerate(certificates):
+    base = Path(args.output) if args.output else None
+    for i, certificate in enumerate(certificates):
+        path = base
+        if base and len(certificates) > 1:
             path = base.with_name(f"{base.stem}-{i}{base.suffix}")
-            path.write_text(
-                json.dumps(certificate, indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
-            if args.table:
-                _print_table(certificate)
-        return EXIT_OK
-    for certificate in certificates:
-        _emit(certificate, args.output, args.table)
+        _emit(certificate, path, args.table)
     return EXIT_OK
 
 

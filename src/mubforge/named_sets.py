@@ -96,14 +96,6 @@ def strong_five_d8() -> ClassSet:
     return _class_set(STRONG_FIVE_D8, 3)
 
 
-def alternate_triple_d4() -> ClassSet:
-    return _class_set(ALTERNATE_TRIPLE_D4, 2)
-
-
-def alternate_five_d8() -> ClassSet:
-    return _class_set(ALTERNATE_FIVE_D8, 3)
-
-
 NAMED_CLASS_SETS = {
     "paper-d4-weak": weak_triple_d4,
     "paper-d4-strong": strong_triple_d4,

@@ -2,11 +2,13 @@
 
 Nonidentity projective operators are addressed by ``key - 1`` where
 ``key = (x << n) | z``, so a set of operators is one Python integer and a
-subset test is a single AND. Maximal commuting classes are the Lagrangian
-subgroups of the symplectic space; for n <= 4 there are only 15, 135 and
-2295 of them, so they are enumerated once per qubit count. A single
-containment query ("which classes fit inside this operator set") is a
-filter over that cached family.
+subset test is a single AND. That mask is the one representation of a class
+throughout the package (``CommutingClass.mask``), and ascending bit order is
+ascending key order. Maximal commuting classes are the Lagrangian subgroups
+of the symplectic space; for n <= 4 there are only 15, 135 and 2295 of them,
+so their masks are enumerated once per qubit count. A single containment
+query ("which classes fit inside this operator set") is a filter over that
+cached family.
 
 Census queries over the sub-collections of a complete set use owner masks
 instead. Inside a fixed complete set every nonidentity operator belongs to
@@ -36,14 +38,6 @@ _LIMBS = 4  # 4 * 64 bits cover the 255 operators at n = 4
 
 def _parity(v: int) -> int:
     return v.bit_count() & 1
-
-
-@dataclass(frozen=True)
-class ClassRecord:
-    """One maximal commuting class as canonical element keys plus a bit mask."""
-
-    elements: tuple[int, ...]
-    mask: int
 
 
 class PauliIndex:
@@ -95,23 +89,24 @@ def keys_of_mask(mask: int) -> list[int]:
     return keys
 
 
-def enumerate_classes_in(n: int, universe_mask: int) -> list[ClassRecord]:
-    """All maximal commuting classes whose closure lies inside the universe.
+def enumerate_classes_in(n: int, universe_mask: int) -> list[int]:
+    """Masks of every maximal commuting class lying inside the universe.
 
     Depth-first search over canonical generator chains: each class is
     produced exactly once, from the chain whose k-th generator is the
     smallest class element outside the span of the previous ones. Candidate
     generators must commute with the current span, exceed the previous
-    generator, and keep the whole closure inside the universe.
+    generator, and keep the whole closure inside the universe. The masks
+    come sorted by their ascending element keys.
     """
     idx = pauli_index(n)
     comm = idx.comm
     depth_target = n
-    results: list[ClassRecord] = []
+    results: list[tuple[tuple[int, ...], int]] = []
 
     def extend(span_keys: tuple[int, ...], span_mask: int, cand: int, depth: int):
         if depth == depth_target:
-            results.append(ClassRecord(tuple(sorted(span_keys)), span_mask))
+            results.append((tuple(sorted(span_keys)), span_mask))
             return
         rest = cand
         while rest:
@@ -143,22 +138,21 @@ def enumerate_classes_in(n: int, universe_mask: int) -> list[ClassRecord]:
         gk = low.bit_length()
         above = -1 << gk
         extend((gk,), low, universe_mask & comm[gk - 1] & above, 1)
-    results.sort(key=lambda r: r.elements)
-    return results
+    results.sort()
+    return [mask for _, mask in results]
 
 
 @lru_cache(maxsize=None)
-def all_maximal_classes(n: int) -> tuple[ClassRecord, ...]:
-    """Every maximal commuting class on n qubits, canonically ordered."""
+def all_maximal_classes(n: int) -> tuple[int, ...]:
+    """Masks of every maximal commuting class on n qubits, canonically ordered."""
     return tuple(enumerate_classes_in(n, pauli_index(n).full_mask))
 
 
 @lru_cache(maxsize=None)
 def _class_mask_matrix(n: int) -> np.ndarray:
-    records = all_maximal_classes(n)
-    mat = np.zeros((len(records), _LIMBS), dtype=np.uint64)
-    for i, rec in enumerate(records):
-        m = rec.mask
+    family = all_maximal_classes(n)
+    mat = np.zeros((len(family), _LIMBS), dtype=np.uint64)
+    for i, m in enumerate(family):
         for limb in range(_LIMBS):
             mat[i, limb] = (m >> (64 * limb)) & 0xFFFFFFFFFFFFFFFF
     return mat
@@ -171,13 +165,13 @@ def _mask_limbs(mask: int) -> np.ndarray:
     )
 
 
-def classes_within_mask(n: int, universe_mask: int) -> list[ClassRecord]:
-    """Maximal commuting classes entirely contained in the universe mask."""
-    records = all_maximal_classes(n)
+def classes_within_mask(n: int, universe_mask: int) -> list[int]:
+    """Masks of the maximal commuting classes contained in the universe mask."""
+    family = all_maximal_classes(n)
     hits = np.flatnonzero(
         ((_class_mask_matrix(n) & ~_mask_limbs(universe_mask)) == 0).all(axis=1)
     )
-    return [records[i] for i in hits]
+    return [family[i] for i in hits]
 
 
 @dataclass(frozen=True)

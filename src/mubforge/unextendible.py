@@ -29,8 +29,8 @@ import numpy as np
 from mubforge.classes import (
     ClassSet,
     CommutingClass,
-    _class_from_record,
     canonical_complete_set,
+    class_from_mask,
     disjoint,
 )
 from mubforge.pauli import ProjectivePauli
@@ -97,9 +97,9 @@ def _classes_within(
     n: int, universe_mask: int, exclude_masks: frozenset[int] = frozenset()
 ) -> tuple[CommutingClass, ...]:
     return tuple(
-        _class_from_record(n, rec)
-        for rec in classes_within_mask(n, universe_mask)
-        if rec.mask not in exclude_masks
+        class_from_mask(n, mask)
+        for mask in classes_within_mask(n, universe_mask)
+        if mask not in exclude_masks
     )
 
 
@@ -289,7 +289,7 @@ def conjecture_scan(
         exhaustive = False
 
     census = owner_census(4, tuple(masks))
-    records = all_maximal_classes(4)
+    family = all_maximal_classes(4)
     subsets = np.array([_subset_mask(combo) for combo in selected], dtype=np.int32)
     within = census.within[subsets]
     spanning = census.spanning[subsets]
@@ -297,9 +297,9 @@ def conjecture_scan(
     failures: list[tuple[int, ...]] = []
     for pos in np.flatnonzero(spanning == 1):
         combo = selected[pos]
-        # the one spanning class is the record whose owner is this choice
+        # the one spanning class is the family member owned by this choice
         owned = np.flatnonzero(census.owners == subsets[pos])
-        swapped_union = records[owned[0]].mask
+        swapped_union = family[owned[0]]
         for idx in range(len(complete)):
             if idx not in combo:
                 swapped_union |= masks[idx]

@@ -24,7 +24,7 @@ from mubforge.bases import eigenbasis, labels_hamming_check
 from mubforge.classes import (
     ClassSet,
     canonical_complete_set,
-    class_from_elements,
+    class_from_mask,
     class_from_strings,
 )
 from mubforge.named_sets import (
@@ -36,7 +36,6 @@ from mubforge.named_sets import (
     strong_triple_d4,
     weak_triple_d4,
 )
-from mubforge.pauli import ProjectivePauli
 from mubforge.search import all_maximal_classes, enumerate_classes_in
 from mubforge.unextendible import (
     _weak4_candidates,
@@ -56,10 +55,7 @@ def _report(tag: str, detail: str, started: float, budget: float) -> None:
 
 
 def _all_disjoint_triples_d4() -> list[ClassSet]:
-    classes = [
-        class_from_elements(ProjectivePauli.from_key(2, k) for k in rec.elements)
-        for rec in all_maximal_classes(2)
-    ]
+    classes = [class_from_mask(2, rec) for rec in all_maximal_classes(2)]
     triples = []
     for trio in combinations(classes, 3):
         masks = [c.mask for c in trio]
@@ -99,7 +95,7 @@ def test_a03_no_weakly_unextendible_four_set():
         for k in range(5):
             if k not in (i, j):
                 union |= cs[k].mask
-        brute = {r.mask for r in enumerate_classes_in(2, union)}
+        brute = set(enumerate_classes_in(2, union))
         assert {c.mask for c in _weak4_candidates(cs, i, j)} == brute
     _report("A3", "every formable four-set is extendible; candidates match direct enumeration", started, 10.0)
 
@@ -191,7 +187,7 @@ def test_a08_ks_contexts_and_d8_double_partition():
 def test_a09_label_columns_have_weight_two():
     started = time.perf_counter()
     for rec in all_maximal_classes(2):
-        cls = class_from_elements(ProjectivePauli.from_key(2, k) for k in rec.elements)
+        cls = class_from_mask(2, rec)
         assert labels_hamming_check(eigenbasis(cls))
     _report("A9", "label columns of all 15 two-qubit eigenbases have weight two", started, 1.0)
 

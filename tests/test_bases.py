@@ -22,6 +22,7 @@ from mubforge.bases import (
 from mubforge.classes import (
     canonical_complete_set,
     class_from_elements,
+    class_from_mask,
     class_from_strings,
 )
 from mubforge.named_sets import (
@@ -29,7 +30,7 @@ from mubforge.named_sets import (
     BASIS_LISTING_D4_YZXXZY,
     strong_five_d8,
 )
-from mubforge.pauli import ProjectivePauli, pauli_from_string
+from mubforge.pauli import pauli_from_string
 from mubforge.search import all_maximal_classes
 from oracles import assert_same_basis, matrix_from_letters
 
@@ -165,9 +166,7 @@ class TestUnbiasedness:
 class TestLabelLemma:
     def test_all_two_qubit_classes_satisfy_the_lemma(self):
         for rec in all_maximal_classes(2):
-            cls = class_from_elements(
-                ProjectivePauli.from_key(2, k) for k in rec.elements
-            )
+            cls = class_from_mask(2, rec)
             assert labels_hamming_check(eigenbasis(cls))
 
     def test_canonical_complete_set_classes(self):

@@ -240,6 +240,62 @@ class TestCheckMalformedInput:
         assert lines[1] == f"{strong_cert}: verified"
 
 
+def _refuted_then_verified(tmp_path, capsys, good, mutate):
+    # check a re-hashed tampered copy of ``good``, then ``good`` itself
+    cert = load(good)
+    mutate(cert["payload"])
+    _rehash(cert)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cert), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["check", str(bad), str(good)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"{bad}: REFUTED"
+    assert lines[-1] == f"{good}: verified"
+    return lines[1:-1]
+
+
+def test_provenance_that_does_not_rebuild_is_refuted(tmp_path, capsys):
+    from mubforge.classes import canonical_complete_set, classes_to_json
+
+    good = tmp_path / "w.json"
+    assert run(["find-unextendible", "-n", "2", "--choose", "0,1,2", "-o", str(good)]) == 0
+
+    def foreign_provenance(payload):
+        # nine classes of the four-qubit set span three extra classes, not one
+        payload["provenance"] = {
+            "complete_set": classes_to_json(canonical_complete_set(4)),
+            "chosen": list(range(9)),
+        }
+
+    problems = _refuted_then_verified(tmp_path, capsys, good, foreign_provenance)
+    assert problems == ["  - provenance does not reproduce the certified classes"]
+
+
+def _drop_states(payload):
+    payload["states"] = []
+
+
+def _unsaturated(payload):
+    payload["saturated"] = False
+
+
+def _drop_operators(payload):
+    payload["operators"] = []
+
+
+@pytest.mark.parametrize(
+    "command,mutate",
+    [("eur", _drop_states), ("eur", _unsaturated), ("ks", _drop_operators)],
+    ids=["eur-no-states", "eur-unsaturated", "ks-no-operators"],
+)
+def test_rehashed_report_tamper_is_refuted(tmp_path, capsys, command, mutate):
+    out = tmp_path / "report.json"
+    assert run([command, "paper-d4-weak", "--output", str(out)]) == 0
+    good = sorted(tmp_path.glob("report*.json"))[0]  # eur writes one file per extra class
+    assert _refuted_then_verified(tmp_path, capsys, good, mutate)
+
+
 def _rehash(cert):
     from mubforge.certificates import _payload_hash
 

@@ -14,6 +14,7 @@ from mubforge.classes import (
     class_from_elements,
     class_from_generators,
     class_from_json,
+    class_from_mask,
     class_from_strings,
     class_to_json,
     classes_from_json,
@@ -38,6 +39,7 @@ from mubforge.search import (
     all_maximal_classes,
     classes_within_mask,
     enumerate_classes_in,
+    keys_of_mask,
     pauli_index,
 )
 
@@ -83,6 +85,9 @@ class TestClassConstruction:
             class_from_elements([pauli_from_string(s) for s in ("ZI", "IZ")])
         with pytest.raises(ValueError):
             class_from_elements([pauli_from_string(s) for s in ("ZI", "IZ", "XX")])
+        for mask in (0, -1):
+            with pytest.raises(ValueError, match="positive"):
+                class_from_mask(2, mask)
 
     def test_json_round_trip(self):
         cls = class_from_strings(("YY", "IY", "YI"))
@@ -212,16 +217,13 @@ class TestCompleteSets:
         five = strong_five_d8()
         rebuilt = complete_set_from_two(five[2], five[1])
         assert rebuilt.complete and len(rebuilt) == 9
-        built = {c.element_keys for c in rebuilt.classes}
-        assert five[1].element_keys in built and five[2].element_keys in built
-        named = {c.element_keys for c in five}
+        built = {c.mask for c in rebuilt.classes}
+        assert five[1].mask in built and five[2].mask in built
+        named = {c.mask for c in five}
         assert len(named & built) <= 4
 
     def test_every_disjoint_pair_completes_two_qubits(self):
-        classes = [
-            class_from_elements(ProjectivePauli.from_key(2, k) for k in r.elements)
-            for r in all_maximal_classes(2)
-        ]
+        classes = [class_from_mask(2, r) for r in all_maximal_classes(2)]
         pairs = [
             (a, b)
             for a, b in combinations(classes, 2)
@@ -237,10 +239,7 @@ class TestCompleteSets:
         import numpy as np
 
         rng = np.random.default_rng(0)
-        classes = [
-            class_from_elements(ProjectivePauli.from_key(3, k) for k in r.elements)
-            for r in all_maximal_classes(3)
-        ]
+        classes = [class_from_mask(3, r) for r in all_maximal_classes(3)]
         built = 0
         while built < 20:
             i, j = rng.integers(len(classes), size=2)
@@ -281,15 +280,14 @@ class TestClassFamily:
                 trio[0].key ^ trio[1].key == trio[2].key
             ):
                 brute.add(frozenset(p.key for p in trio))
-        family = {frozenset(rec.elements) for rec in all_maximal_classes(2)}
+        family = {frozenset(keys_of_mask(rec)) for rec in all_maximal_classes(2)}
         assert family == brute
 
     def test_every_family_member_is_a_valid_class(self):
         for n in (2, 3):
             for rec in all_maximal_classes(n):
-                cls = class_from_elements(
-                    ProjectivePauli.from_key(n, k) for k in rec.elements
-                )
+                cls = class_from_mask(n, rec)
+                assert cls.mask == rec
                 assert len(cls.elements) == (1 << n) - 1
 
     def test_restricted_enumeration_agrees_with_family_filter(self):
@@ -299,8 +297,8 @@ class TestClassFamily:
             universe = 0
             for i in picks:
                 universe |= cs[i].mask
-            direct = {r.elements for r in enumerate_classes_in(3, universe)}
-            filtered = {r.elements for r in classes_within_mask(3, universe)}
+            direct = set(enumerate_classes_in(3, universe))
+            filtered = set(classes_within_mask(3, universe))
             assert direct == filtered
 
     def test_route_agreement_at_four_qubits(self):
@@ -308,15 +306,15 @@ class TestClassFamily:
         universe = 0
         for idx in (0, 2, 3, 5, 7, 8, 11, 13, 16):
             universe |= cs[idx].mask
-        direct = {r.elements for r in enumerate_classes_in(4, universe)}
-        filtered = {r.elements for r in classes_within_mask(4, universe)}
+        direct = set(enumerate_classes_in(4, universe))
+        filtered = set(classes_within_mask(4, universe))
         assert direct == filtered
 
     def test_each_operator_sits_in_the_right_number_of_classes(self):
         # each two-qubit operator lies in exactly 3 maximal classes
         counts = {key: 0 for key in range(1, 16)}
         for rec in all_maximal_classes(2):
-            for k in rec.elements:
+            for k in keys_of_mask(rec):
                 counts[k] += 1
         assert set(counts.values()) == {3}
 

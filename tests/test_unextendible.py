@@ -67,21 +67,17 @@ class TestExtraClassesWithinUnion:
         cs = canonical_complete_set(2)
         for picks in combinations(range(5), 3):
             sub = ClassSet(2, tuple(cs[i] for i in picks))
-            own = {c.element_keys for c in sub}
+            own = {c.mask for c in sub}
             oracle = [
-                frozenset(r.elements)
-                for r in enumerate_classes_in(2, sub.union_mask)
-                if frozenset(r.elements) not in own
+                r for r in enumerate_classes_in(2, sub.union_mask) if r not in own
             ]
             found = extra_classes_within_union(sub).found
-            assert [c.element_keys for c in found] == oracle
+            assert [c.mask for c in found] == oracle
         for picks in combinations(range(5), 2):
             sub = ClassSet(2, tuple(cs[i] for i in picks))
             report = extendibility_check(sub)
             oracle = enumerate_classes_in(2, report.universe_mask)
-            assert [c.element_keys for c in report.found] == [
-                frozenset(r.elements) for r in oracle
-            ]
+            assert [c.mask for c in report.found] == oracle
 
     def test_five_class_subsets_at_d8(self):
         cs = canonical_complete_set(3)
@@ -111,12 +107,12 @@ class TestExtendibilityCheck:
         # third classes in the no-weak-four-set argument
         cs = canonical_complete_set(2)
         report = extendibility_check(ClassSet(2, cs.classes[:2]))
-        found = {c.element_keys for c in report.found}
-        remaining = {c.element_keys for c in cs.classes[2:]}
+        found = {c.mask for c in report.found}
+        remaining = {c.mask for c in cs.classes[2:]}
         assert remaining <= found
         assert len(found) == 4
         extra = extra_classes_within_union(ClassSet(2, cs.classes[2:]))
-        assert found - remaining == {extra.found[0].element_keys}
+        assert found - remaining == {extra.found[0].mask}
 
     def test_full_complete_set_leaves_nothing(self):
         cs = canonical_complete_set(2)
@@ -174,7 +170,7 @@ def _brute_candidates(cs, i, j):
     for k, c in enumerate(cs):
         if k not in (i, j):
             union |= c.mask
-    return [r.mask for r in enumerate_classes_in(cs.n, union)]
+    return enumerate_classes_in(cs.n, union)
 
 
 class TestNoWeakFourSet:
@@ -290,8 +286,8 @@ def _oracle_counts(n, part_masks, subset):
     union = 0
     for m in chosen:
         union |= m
-    within = [r for r in enumerate_classes_in(n, union) if r.mask not in chosen]
-    spanning = [r for r in within if all(r.mask & m for m in chosen)]
+    within = [r for r in enumerate_classes_in(n, union) if r not in chosen]
+    spanning = [r for r in within if all(r & m for m in chosen)]
     return len(within), len(spanning)
 
 
