@@ -6,6 +6,21 @@ claim from scratch. ``verify_payload`` is the single checker used both when
 a certificate is emitted (the ``verified`` flag is set only after it passes)
 and when one is re-checked later from the file alone.
 
+The deterministic kinds (class_set, unextendible_set, eur_report, ks_report,
+scan_report) verify by re-emission. One ``*_content`` function per kind runs
+the domain call and returns the config and payload the CLI writes; ``check``
+feeds it the inputs the payload declares and requires the whole config and
+payload back (floats within REBUILD_FLOAT_TOL, all else as identical JSON).
+Declared classes that do not rebuild refute the claim. A ``source`` that is
+a built-in name stands for that set, which is rebuilt in place of the
+payload's classes; any other ``source`` string, and the find-unextendible
+``seed`` (an int the construction does not use), are labels, echoed back.
+
+Strong-search outcomes keep their own route, since files from earlier
+optimizers must still verify: the numbers must be finite and consistent,
+the vector must give the recorded residual, and a bounded spot re-run must
+not beat it.
+
 The payload hash covers the schema version, command, config and payload in
 canonical JSON; the creation timestamp sits outside the hashed region so
 identical runs produce byte-identical hashed content.
@@ -15,16 +30,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
-from typing import Callable
+from contextlib import contextmanager
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from mubforge.analysis import (
     DEFAULT_MAX_ITERATIONS,
-    EurReport,
-    KsContextSet,
-    KsReport,
+    SATURATION_TOL,
     SearchOutcome,
     eur_check,
     ks_alternate_partition,
@@ -35,25 +50,19 @@ from mubforge.analysis import (
 from mubforge.bases import eigenbasis, unbiasedness_deviation
 from mubforge.classes import (
     ClassSet,
+    CommutingClass,
     classes_from_json,
     classes_to_json,
     class_from_json,
     class_to_json,
 )
-from mubforge.unextendible import (
-    ConjectureScanReport,
-    ExtensionReport,
-    UnextendibleSet,
-    build_unextendible_set,
-    conjecture_scan,
-    extendibility_check,
-    extra_classes_within_union,
-)
+from mubforge.named_sets import NAMED_CLASS_SETS, named_class_set
+from mubforge.unextendible import build_unextendible_set, conjecture_scan
 
 SCHEMA_VERSION = "1"
 
 RESIDUAL_RECHECK_TOL = 1e-9
-EUR_RECHECK_TOL = 1e-12
+REBUILD_FLOAT_TOL = 1e-12
 RECHECK_STARTS = 25
 
 
@@ -71,33 +80,6 @@ def _payload_hash(command: str, config: dict, payload: dict) -> str:
     return hashlib.sha256(canonical_json(body).encode("utf-8")).hexdigest()
 
 
-def extension_report_to_json(report: ExtensionReport) -> dict:
-    return {
-        "kind": "extension_report",
-        "input": classes_to_json(report.input),
-        "universe": report.universe,
-        "universe_operators": [p.to_string() for p in report.universe_operators()],
-        "found": [class_to_json(c) for c in report.found],
-        "exhaustive": report.exhaustive,
-    }
-
-
-def unextendible_set_to_json(us: UnextendibleSet) -> dict:
-    payload = {
-        "kind": "unextendible_set",
-        "classes": classes_to_json(us.classes),
-        "extra_class": class_to_json(us.extra_class),
-        "extendibility": extension_report_to_json(us.extendibility),
-        "provenance": None,
-    }
-    if us.provenance is not None:
-        payload["provenance"] = {
-            "complete_set": classes_to_json(us.provenance.complete),
-            "chosen": list(us.provenance.chosen),
-        }
-    return payload
-
-
 def _vector_to_json(v: np.ndarray) -> dict:
     return {"re": [float(a.real) for a in v], "im": [float(a.imag) for a in v]}
 
@@ -106,10 +88,17 @@ def _vector_from_json(data: dict) -> np.ndarray:
     return np.array(data["re"], dtype=float) + 1j * np.array(data["im"], dtype=float)
 
 
-def search_outcome_to_json(outcome: SearchOutcome, source: ClassSet) -> dict:
-    return {
+# One function per command returns the (config, payload) pair the CLI writes.
+# The deterministic ones run the domain call themselves, and ``check`` calls
+# them again on the inputs the payload declares.
+
+
+def strong_content(
+    source: str, cs: ClassSet, outcome: SearchOutcome
+) -> tuple[dict, dict]:
+    payload = {
         "kind": "search_outcome",
-        "classes": classes_to_json(source),
+        "classes": classes_to_json(cs),
         "min_residual": outcome.min_residual,
         "best_vector": _vector_to_json(outcome.best_vector),
         "starts": outcome.starts,
@@ -117,10 +106,65 @@ def search_outcome_to_json(outcome: SearchOutcome, source: ClassSet) -> dict:
         "converged_starts": outcome.converged_starts,
         "config": outcome.config,
     }
+    return _strong_config(source, payload), payload
 
 
-def eur_report_to_json(report: EurReport) -> dict:
+def _strong_config(source: str, payload: dict) -> dict:
+    settings = payload["config"]
     return {
+        "source": source,
+        "starts": settings["starts_requested"],
+        "seed": payload["seed"],
+        "stop_below": settings["stop_below"],
+    }
+
+
+def complete_set_content(cs: ClassSet) -> tuple[dict, dict]:
+    if not cs.complete:
+        raise ValueError("class set is not flagged complete")
+    payload = {
+        "kind": "class_set",
+        "class_set": classes_to_json(cs),
+        "expected_complete": True,
+    }
+    return {"n": cs.n}, payload
+
+
+def unextendible_content(
+    complete: ClassSet, chosen: Sequence[int], seed: int
+) -> tuple[dict, dict]:
+    us = build_unextendible_set(complete, chosen)
+    ext = us.extendibility
+    payload = {
+        "kind": "unextendible_set",
+        "classes": classes_to_json(us.classes),
+        "extra_class": class_to_json(us.extra_class),
+        "extendibility": {
+            "kind": "extension_report",
+            "input": classes_to_json(ext.input),
+            "universe": ext.universe,
+            "universe_operators": [p.to_string() for p in ext.universe_operators()],
+            "found": [class_to_json(c) for c in ext.found],
+            "exhaustive": ext.exhaustive,
+        },
+        "provenance": {
+            "complete_set": classes_to_json(us.provenance.complete),
+            "chosen": list(us.provenance.chosen),
+        },
+    }
+    return {"n": complete.n, "chosen": list(us.provenance.chosen), "seed": seed}, payload
+
+
+def eur_content(
+    source: str, cs: ClassSet, extra: CommutingClass
+) -> tuple[dict, dict]:
+    report = eur_check(cs, extra)
+    config = {
+        "source": source,
+        "extra": " ".join(extra.letters()),
+        "saturation_tol": SATURATION_TOL,
+    }
+    payload = {
         "kind": "eur_report",
         "classes": classes_to_json(report.classes),
         "extra_class": class_to_json(report.extra_class),
@@ -135,10 +179,13 @@ def eur_report_to_json(report: EurReport) -> dict:
         ],
         "saturated": report.saturated,
     }
+    return config, payload
 
 
-def ks_report_to_json(ctx: KsContextSet, report: KsReport) -> dict:
-    return {
+def ks_content(source: str, cs: ClassSet) -> tuple[dict, dict]:
+    ctx = ks_alternate_partition(cs)
+    report = ks_sign_verify(ctx)
+    payload = {
         "kind": "ks_report",
         "operators": [p.to_string() for p in ctx.operators],
         "original": [class_to_json(c) for c in ctx.original],
@@ -147,10 +194,12 @@ def ks_report_to_json(ctx: KsContextSet, report: KsReport) -> dict:
         "minus_identity_count": report.minus_identity_count,
         "parity_odd": report.parity_odd,
     }
+    return {"source": source}, payload
 
 
-def scan_report_to_json(report: ConjectureScanReport) -> dict:
-    return {
+def scan_content(n: int, budget: Optional[int], seed: int) -> tuple[dict, dict]:
+    report = conjecture_scan(n=n, budget=budget, seed=seed)
+    payload = {
         "kind": "scan_report",
         "n": report.n,
         "seed": report.seed,
@@ -167,6 +216,7 @@ def scan_report_to_json(report: ConjectureScanReport) -> dict:
         "swap_failures": [list(a) for a in report.swap_failures],
         "note": "evidence only; the scanned statement is an open conjecture",
     }
+    return {"n": n, "budget": budget, "seed": seed}, payload
 
 
 def make_certificate(command: str, config: dict, payload: dict) -> dict:
@@ -185,86 +235,132 @@ def make_certificate(command: str, config: dict, payload: dict) -> dict:
     }
 
 
-def _verify_class_set(payload: dict, config: dict) -> list[str]:
-    problems = []
+class _Refuted(Exception):
+    """What a file declares contradicts its claim."""
+
+
+@contextmanager
+def _declared(what: str):
+    """Declared inputs that fail to rebuild refute the claim they carry."""
     try:
-        cs = classes_from_json(payload["class_set"])
-    except (KeyError, ValueError) as exc:
-        return [f"class set does not rebuild: {exc}"]
-    if payload.get("expected_complete") and not cs.complete:
-        problems.append("class set is not flagged complete")
-    return problems
+        yield
+    except (KeyError, TypeError, ValueError, RuntimeError) as exc:
+        raise _Refuted(f"{what} does not rebuild: {exc}") from None
 
 
-def _verify_extension_report(payload: dict, config: dict) -> list[str]:
-    try:
-        cs = classes_from_json(payload["input"])
-    except (KeyError, ValueError) as exc:
-        return [f"input classes do not rebuild: {exc}"]
-    if payload["universe"] == "within-union":
-        fresh = extra_classes_within_union(cs)
-    else:
-        fresh = extendibility_check(cs)
-    want = [class_to_json(c) for c in fresh.found]
-    problems = []
-    if want != payload["found"]:
-        problems.append("re-running the search finds different classes")
-    fresh_ops = [p.to_string() for p in fresh.universe_operators()]
-    if fresh_ops != payload["universe_operators"]:
-        problems.append("universe operator list does not match")
-    return problems
+# Inputs the rebuild echoes pass through str() or int() first, so a value of
+# another type (a bool for an int, say) no longer matches the file's.
 
 
-def _verify_unextendible_set(payload: dict, config: dict) -> list[str]:
-    problems = []
-    try:
-        cs = classes_from_json(payload["classes"])
-        extra = class_from_json(payload["extra_class"])
-    except (KeyError, ValueError) as exc:
-        return [f"classes do not rebuild: {exc}"]
-    if extra not in cs.classes:
-        problems.append("extra class is not a member of the certified set")
-    report = extendibility_check(cs)
-    if not report.is_empty:
-        problems.append("set is extendible: extra classes exist outside it")
-    embedded = payload.get("extendibility", {})
-    fresh_ops = [p.to_string() for p in report.universe_operators()]
-    if embedded.get("universe_operators") != fresh_ops:
-        problems.append("embedded leftover operator list does not re-derive")
-    if embedded.get("found") != []:
-        problems.append("embedded extendibility report is not empty")
-    prov = payload.get("provenance")
-    if prov:
-        try:
-            complete = classes_from_json(prov["complete_set"])
-            rebuilt = build_unextendible_set(complete, tuple(prov["chosen"])).classes
-        except (ValueError, RuntimeError):
-            rebuilt = None  # a provenance that does not rebuild proves nothing
-        if rebuilt is None or rebuilt.partition_key() != cs.partition_key():
-            problems.append("provenance does not reproduce the certified classes")
-    return problems
+def _source(config: dict, declared: ClassSet) -> tuple[str, ClassSet]:
+    """The ``source`` label and its classes: a built-in set, else those declared."""
+    source = str(config["source"])
+    return source, named_class_set(source) if source in NAMED_CLASS_SETS else declared
+
+
+def _rebuild_class_set(payload: dict, config: dict) -> tuple[dict, dict]:
+    with _declared("class set"):
+        return complete_set_content(classes_from_json(payload["class_set"]))
+
+
+def _rebuild_unextendible_set(payload: dict, config: dict) -> tuple[dict, dict]:
+    seed = int(config["seed"])
+    with _declared("provenance"):
+        prov = payload["provenance"]
+        chosen = [int(i) for i in prov["chosen"]]
+        return unextendible_content(classes_from_json(prov["complete_set"]), chosen, seed)
+
+
+def _rebuild_eur_report(payload: dict, config: dict) -> tuple[dict, dict]:
+    with _declared("eur input"):
+        source, cs = _source(config, classes_from_json(payload["classes"]))
+        return eur_content(source, cs, class_from_json(payload["extra_class"]))
+
+
+def _rebuild_ks_report(payload: dict, config: dict) -> tuple[dict, dict]:
+    with _declared("ks input"):
+        original = ClassSet(2, tuple(class_from_json(c) for c in payload["original"]))
+        return ks_content(*_source(config, original))
+
+
+def _rebuild_scan_report(payload: dict, config: dict) -> tuple[dict, dict]:
+    budget = None if payload["budget"] is None else int(payload["budget"])
+    return scan_content(int(payload["n"]), budget, int(payload["seed"]))
+
+
+# payload kind -> the command that emits it and the rebuild ``check`` runs;
+# search_outcome has no rebuild and goes through _verify_search_outcome
+_KINDS: dict[str, tuple[str, Optional[Callable]]] = {
+    "class_set": ("complete-set", _rebuild_class_set),
+    "unextendible_set": ("find-unextendible", _rebuild_unextendible_set),
+    "search_outcome": ("strong", None),
+    "eur_report": ("eur", _rebuild_eur_report),
+    "ks_report": ("ks", _rebuild_ks_report),
+    "scan_report": ("scan", _rebuild_scan_report),
+}
+
+
+def _differences(got, want, path: str) -> list[str]:
+    """Where ``got`` departs from the rebuilt ``want``, one line per place.
+
+    Equal canonical JSON means equal keys, lengths, types and values; below
+    that, a finite float within REBUILD_FLOAT_TOL of the rebuilt one passes.
+    """
+    got_text, want_text = canonical_json(got), canonical_json(want)
+    if got_text == want_text:
+        return []
+    if isinstance(got, dict) and isinstance(want, dict) and got.keys() == want.keys():
+        return [
+            line for key in sorted(want)
+            for line in _differences(got[key], want[key], f"{path}.{key}")
+        ]
+    if isinstance(got, list) and isinstance(want, list) and len(got) == len(want):
+        return [
+            line for i, (g, w) in enumerate(zip(got, want))
+            for line in _differences(g, w, f"{path}[{i}]")
+        ]
+    if (
+        isinstance(got, float) and isinstance(want, float)
+        and math.isfinite(got) and abs(got - want) <= REBUILD_FLOAT_TOL
+    ):
+        return []
+    return [f"{path} does not reproduce: {got_text[:60]}, rebuilt {want_text[:60]}"]
 
 
 def _verify_search_outcome(payload: dict, config: dict) -> list[str]:
     """Re-check a strong-search outcome from the file alone.
 
-    The recorded vector must give the recorded residual, and a spot re-run
-    of the first starts must not beat it. The re-run's cost does not grow
-    with what the file claims: at most RECHECK_STARTS starts of at most
-    DEFAULT_MAX_ITERATIONS steps each, so at most RECHECK_STARTS x
+    The recorded numbers must be finite and agree with each other and with
+    the config. The recorded vector must give the recorded residual, and a
+    spot re-run of the first starts must not beat it. The re-run's cost does
+    not grow with what the file claims: at most RECHECK_STARTS starts of at
+    most DEFAULT_MAX_ITERATIONS steps each, so at most RECHECK_STARTS x
     (DEFAULT_MAX_ITERATIONS + 1) single-start evaluations of the residual
     kernel, made in about DEFAULT_MAX_ITERATIONS batched calls. A shorter
     re-run can only end higher, so capping it never refutes a true claim.
     Optimizer settings the search rejects raise ValueError (malformed).
     """
-    problems = []
     cs = classes_from_json(payload["classes"])
+    source, named = _source(config, cs)
+    problems = _differences(payload["classes"], classes_to_json(named), "payload.classes")
+    settings = payload["config"]
+    starts = payload["starts"]
+    vec = _vector_from_json(payload["best_vector"])
+    if not (math.isfinite(payload["min_residual"]) and np.isfinite(vec).all()):
+        return ["recorded residual or best vector is not finite"]
+    if not 0 <= payload["converged_starts"] <= starts:
+        problems.append("converged starts are not between 0 and the starts made")
+    if not 0 <= settings["best_start_index"] < starts:
+        problems.append("best start index is not one of the starts made")
+    requested = settings["starts_requested"]
+    if starts > requested or (settings["stop_below"] is None and starts != requested):
+        problems.append("starts made do not match the starts requested")
+    problems += _differences(config, _strong_config(source, payload), "config")
     bases = [eigenbasis(c) for c in cs]
     for i in range(len(bases)):
         for j in range(i + 1, len(bases)):
             if unbiasedness_deviation(bases[i], bases[j]) > 1e-9:
                 problems.append("embedded classes do not give mutually unbiased bases")
-    vec = _vector_from_json(payload["best_vector"])
     if abs(np.linalg.norm(vec) - 1.0) > 1e-9:
         problems.append("best vector is not unit norm")
         return problems
@@ -278,101 +374,30 @@ def _verify_search_outcome(payload: dict, config: dict) -> list[str]:
     # recorded optimum of the full run.
     rerun = strong_unext_search(
         bases,
-        starts=min(payload["starts"], RECHECK_STARTS),
+        starts=min(starts, RECHECK_STARTS),
         seed=payload["seed"],
-        max_iterations=min(payload["config"]["max_iterations"], DEFAULT_MAX_ITERATIONS),
-        f_tol=payload["config"]["f_tol"],
+        max_iterations=min(settings["max_iterations"], DEFAULT_MAX_ITERATIONS),
+        f_tol=settings["f_tol"],
     )
     if payload["min_residual"] > rerun.min_residual + RESIDUAL_RECHECK_TOL:
         problems.append("recorded residual is worse than a deterministic re-run")
     return problems
 
 
-def _verify_eur_report(payload: dict, config: dict) -> list[str]:
-    try:
-        cs = classes_from_json(payload["classes"])
-        extra = class_from_json(payload["extra_class"])
-        fresh = eur_check(cs, extra)
-    except (KeyError, ValueError) as exc:
-        return [f"saturation re-check failed: {exc}"]
-    problems = []
-    if abs(fresh.bound - payload["bound"]) > EUR_RECHECK_TOL:
-        problems.append("bound value changed")
-    if fresh.saturated != payload["saturated"]:
-        problems.append("saturation flag changed")
-    if [s.label for s in fresh.states] != [s["label"] for s in payload["states"]]:
-        problems.append("state labels changed")
-        return problems
-    for got, want in zip(fresh.states, payload["states"]):
-        if abs(got.average - want["average"]) > EUR_RECHECK_TOL:
-            problems.append("per-state average entropy changed")
-            break
-        if len(got.per_basis) != len(want["per_basis"]) or any(
-            abs(g - w) > EUR_RECHECK_TOL
-            for g, w in zip(got.per_basis, want["per_basis"])
-        ):
-            problems.append("per-basis entropy changed")
-            break
-    return problems
-
-
-def _verify_ks_report(payload: dict, config: dict) -> list[str]:
-    try:
-        original = ClassSet(
-            2, tuple(class_from_json(c) for c in payload["original"])
-        )
-        ctx = ks_alternate_partition(original)
-        want = ks_report_to_json(ctx, ks_sign_verify(ctx))
-    except (KeyError, ValueError) as exc:
-        return [f"context re-derivation failed: {exc}"]
-    problems = [
-        f"ks field {key!r} does not reproduce"
-        for key in ("operators", "signs", "minus_identity_count", "parity_odd")
-        if want[key] != payload[key]
-    ]
-    want_alt = {frozenset(c["elements"]) for c in want["alternate"]}
-    if want_alt != {frozenset(c["elements"]) for c in payload["alternate"]}:
-        problems.append("alternate partition changed")
-    return problems
-
-
-def _verify_scan_report(payload: dict, config: dict) -> list[str]:
-    fresh = conjecture_scan(
-        n=payload["n"], budget=payload["budget"], seed=payload["seed"]
-    )
-    want = scan_report_to_json(fresh)
-    problems = []
-    for key in (
-        "subsets_scanned",
-        "within_union_distribution",
-        "spanning_distribution",
-        "swap_passes",
-        "swap_failures",
-        "exhaustive",
-    ):
-        if want[key] != payload[key]:
-            problems.append(f"scan field {key!r} does not reproduce")
-    return problems
-
-
-_VERIFIERS: dict[str, Callable[[dict, dict], list[str]]] = {
-    "class_set": _verify_class_set,
-    "extension_report": _verify_extension_report,
-    "unextendible_set": _verify_unextendible_set,
-    "search_outcome": _verify_search_outcome,
-    "eur_report": _verify_eur_report,
-    "ks_report": _verify_ks_report,
-    "scan_report": _verify_scan_report,
-}
-
-
 def verify_payload(payload: dict, config: dict) -> list[str]:
     """Re-derive every claim in a payload; return a list of discrepancies."""
     kind = payload.get("kind")
-    verifier = _VERIFIERS.get(kind)
-    if verifier is None:
+    if kind not in _KINDS:
         return [f"unknown payload kind {kind!r}"]
-    return verifier(payload, config)
+    try:
+        if kind == "search_outcome":
+            return _verify_search_outcome(payload, config)
+        want_config, want_payload = _KINDS[kind][1](payload, config)
+    except _Refuted as exc:
+        return [str(exc)]
+    return _differences(config, want_config, "config") + _differences(
+        payload, want_payload, "payload"
+    )
 
 
 def verify_certificate(cert: dict) -> list[str]:
@@ -387,4 +412,7 @@ def verify_certificate(cert: dict) -> list[str]:
     if fresh_hash != cert["payload_sha256"]:
         problems.append("payload hash mismatch: certificate was altered")
     problems.extend(verify_payload(cert["payload"], cert["config"]))
+    kind = cert["payload"].get("kind")
+    if kind in _KINDS and cert["command"] != _KINDS[kind][0]:
+        problems.append(f"command {cert['command']!r} does not emit a {kind} payload")
     return problems

@@ -94,7 +94,7 @@ class CommutingClass:
         return frozenset(self.sorted_elements)
 
     def letters(self) -> tuple[str, ...]:
-        return tuple(p.to_string() for p in self.sorted_elements)
+        return _mask_letters(self.n, self.mask)
 
     def __contains__(self, op: PauliLike) -> bool:
         p = _as_projective(op)
@@ -110,6 +110,11 @@ class CommutingClass:
 
     def __repr__(self) -> str:
         return f"CommutingClass({'+'.join(self.letters())})"
+
+
+@lru_cache(maxsize=4096)  # certificates spell the same classes many times
+def _mask_letters(n: int, mask: int) -> tuple[str, ...]:
+    return tuple(ProjectivePauli.from_key(n, k).to_string() for k in keys_of_mask(mask))
 
 
 def class_from_generators(gens: Sequence[PauliOperator]) -> CommutingClass:
@@ -244,10 +249,6 @@ class ClassSet:
         return tuple(
             ProjectivePauli.from_key(self.n, k) for k in keys_of_mask(self.union_mask)
         )
-
-    def partition_key(self) -> frozenset[int]:
-        """Order-insensitive identity of the partition, for comparisons."""
-        return frozenset(c.mask for c in self.classes)
 
 
 def _exact_cover(n: int, seeds: Sequence[CommutingClass]) -> ClassSet:

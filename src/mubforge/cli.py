@@ -20,25 +20,18 @@ from pathlib import Path
 from typing import Optional
 
 from mubforge import certificates as cert
-from mubforge.analysis import (
-    SATURATION_TOL,
-    eur_check,
-    ks_alternate_partition,
-    ks_sign_verify,
-    strong_unext_search,
-)
+from mubforge.analysis import strong_unext_search
 from mubforge.bases import eigenbasis
 from mubforge.classes import ClassSet, canonical_complete_set, classes_from_json
 from mubforge.named_sets import NAMED_CLASS_SETS, named_class_set
-from mubforge.unextendible import (
-    build_unextendible_set,
-    conjecture_scan,
-    extra_classes_within_union,
-)
+from mubforge.unextendible import extra_classes_within_union
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_MALFORMED = 2
+
+# what ``check`` reports as malformed input rather than a refuted claim
+MALFORMED_ERRORS = (KeyError, TypeError, AttributeError, ValueError)
 
 
 def _emit(certificate: dict, output: str | Path | None, table: bool) -> None:
@@ -114,14 +107,8 @@ def _resolve_source(source: str) -> ClassSet:
 
 
 def _cmd_complete_set(args: argparse.Namespace) -> int:
-    cs = canonical_complete_set(args.dim)
-    config = {"n": args.dim}
-    payload = {
-        "kind": "class_set",
-        "class_set": cert.classes_to_json(cs),
-        "expected_complete": True,
-    }
-    certificate = cert.make_certificate("complete-set", config, payload)
+    content = cert.complete_set_content(canonical_complete_set(args.dim))
+    certificate = cert.make_certificate("complete-set", *content)
     _emit(certificate, args.output, args.table)
     return EXIT_OK
 
@@ -134,11 +121,8 @@ def _parse_indices(text: str) -> tuple[int, ...]:
 
 
 def _unextendible_certificate(n: int, chosen: tuple[int, ...], seed: int) -> dict:
-    complete = canonical_complete_set(n)
-    us = build_unextendible_set(complete, chosen)
-    config = {"n": n, "chosen": list(chosen), "seed": seed}
-    payload = cert.unextendible_set_to_json(us)
-    return cert.make_certificate("find-unextendible", config, payload)
+    content = cert.unextendible_content(canonical_complete_set(n), chosen, seed)
+    return cert.make_certificate("find-unextendible", *content)
 
 
 def _cmd_find_unextendible(args: argparse.Namespace) -> int:
@@ -183,7 +167,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             continue
         try:
             problems = cert.verify_certificate(data)
-        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        except MALFORMED_ERRORS as exc:
             reason = (str(exc).splitlines() or [""])[0]
             print(f"{path}: malformed ({type(exc).__name__}: {reason})")
             worst = max(worst, EXIT_MALFORMED)
@@ -207,14 +191,8 @@ def _cmd_strong(args: argparse.Namespace) -> int:
         seed=args.seed,
         stop_below=args.stop_below,
     )
-    config = {
-        "source": args.source,
-        "starts": args.starts,
-        "seed": args.seed,
-        "stop_below": args.stop_below,
-    }
-    payload = cert.search_outcome_to_json(outcome, cs)
-    certificate = cert.make_certificate("strong", config, payload)
+    content = cert.strong_content(args.source, cs, outcome)
+    certificate = cert.make_certificate("strong", *content)
     _emit(certificate, args.output, args.table)
     return EXIT_OK
 
@@ -224,16 +202,10 @@ def _cmd_eur(args: argparse.Namespace) -> int:
     report = extra_classes_within_union(cs)
     if not report.found:
         raise ValueError("no extra class exists inside the source triple")
-    certificates = []
-    for extra in report.found:
-        eur = eur_check(cs, extra)
-        config = {
-            "source": args.source,
-            "extra": " ".join(extra.letters()),
-            "saturation_tol": SATURATION_TOL,
-        }
-        payload = cert.eur_report_to_json(eur)
-        certificates.append(cert.make_certificate("eur", config, payload))
+    certificates = [
+        cert.make_certificate("eur", *cert.eur_content(args.source, cs, extra))
+        for extra in report.found
+    ]
     base = Path(args.output) if args.output else None
     for i, certificate in enumerate(certificates):
         path = base
@@ -244,12 +216,8 @@ def _cmd_eur(args: argparse.Namespace) -> int:
 
 
 def _cmd_ks(args: argparse.Namespace) -> int:
-    cs = _resolve_source(args.source)
-    ctx = ks_alternate_partition(cs)
-    report = ks_sign_verify(ctx)
-    config = {"source": args.source}
-    payload = cert.ks_report_to_json(ctx, report)
-    certificate = cert.make_certificate("ks", config, payload)
+    content = cert.ks_content(args.source, _resolve_source(args.source))
+    certificate = cert.make_certificate("ks", *content)
     _emit(certificate, args.output, args.table)
     return EXIT_OK
 
@@ -258,10 +226,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     budget = None if args.all else args.budget
     if budget is None and not args.all:
         raise ValueError("give --budget N or --all")
-    report = conjecture_scan(n=args.dim, budget=budget, seed=args.seed)
-    config = {"n": args.dim, "budget": budget, "seed": args.seed}
-    payload = cert.scan_report_to_json(report)
-    certificate = cert.make_certificate("scan", config, payload)
+    content = cert.scan_content(args.dim, budget, args.seed)
+    certificate = cert.make_certificate("scan", *content)
     _emit(certificate, args.output, args.table)
     return EXIT_OK
 

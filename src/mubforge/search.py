@@ -81,6 +81,8 @@ def mask_of_keys(keys) -> int:
 
 
 def keys_of_mask(mask: int) -> list[int]:
+    if mask < 0:
+        raise ValueError(f"an operator mask is non-negative, got {mask}")
     keys = []
     while mask:
         low = mask & -mask

@@ -88,7 +88,7 @@ class UnextendibleSet:
     """A class set certified unextendible by an empty extendibility report."""
 
     classes: ClassSet
-    provenance: Optional[Provenance]
+    provenance: Provenance
     extra_class: CommutingClass
     extendibility: ExtensionReport
 

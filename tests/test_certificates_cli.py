@@ -6,9 +6,10 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from mubforge.certificates import verify_certificate
-from mubforge.cli import main
+from mubforge.certificates import _payload_hash, verify_certificate
+from mubforge.cli import MALFORMED_ERRORS, main
 from mubforge.named_sets import (
     NAMED_CLASS_SETS,
     STRONG_FIVE_D8,
@@ -149,8 +150,6 @@ class TestCheckCommand:
         run(["find-unextendible", "-n", "2", "--choose", "0,1,2", "--output", str(out)])
         cert = load(out)
         cert["payload"]["extendibility"]["universe_operators"][0] = "IY"
-        from mubforge.certificates import _payload_hash
-
         cert["payload_sha256"] = _payload_hash(
             cert["command"], cert["config"], cert["payload"]
         )
@@ -269,7 +268,80 @@ def test_provenance_that_does_not_rebuild_is_refuted(tmp_path, capsys):
         }
 
     problems = _refuted_then_verified(tmp_path, capsys, good, foreign_provenance)
-    assert problems == ["  - provenance does not reproduce the certified classes"]
+    assert problems == [
+        "  - provenance does not rebuild: expected exactly one extra class, found 3; "
+        "the construction's uniqueness guarantee is violated"
+    ]
+
+
+def test_provenance_is_required(tmp_path, capsys):
+    # without a provenance an unextendible set cannot be re-derived
+    good = tmp_path / "w.json"
+    assert run(["find-unextendible", "-n", "2", "--choose", "0,1,2", "-o", str(good)]) == 0
+
+    def drop_provenance(payload):
+        payload["provenance"] = None
+
+    problems = _refuted_then_verified(tmp_path, capsys, good, drop_provenance)
+    assert problems == [
+        "  - provenance does not rebuild: 'NoneType' object is not subscriptable"
+    ]
+
+
+def _bool_index(cert):
+    cert["config"]["chosen"][0] = cert["payload"]["provenance"]["chosen"][0] = False
+
+
+def _bool_seed(cert):
+    cert["config"]["seed"] = False
+
+
+@pytest.mark.parametrize("mutate", [_bool_index, _bool_seed], ids=["index", "seed"])
+def test_a_bool_does_not_stand_in_for_an_int(tmp_path, mutate):
+    # False == 0 in Python, but the file no longer says what was emitted
+    out = tmp_path / "w.json"
+    assert run(["find-unextendible", "-n", "2", "--choose", "0,1,2", "-o", str(out)]) == 0
+    cert = load(out)
+    mutate(cert)
+    _rehash(cert)
+    assert verify_certificate(cert)
+
+
+def test_command_must_match_the_payload_kind(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    assert run(["complete-set", "-n", "2", "-o", str(out)]) == 0
+    cert = load(out)
+    cert["command"] = "scan"
+    _rehash(cert)
+    assert verify_certificate(cert) == ["command 'scan' does not emit a class_set payload"]
+
+
+def test_eur_floats_reproduce_within_tolerance(tmp_path):
+    # another BLAS may round the entropies differently in the last digits
+    out = tmp_path / "e.json"
+    assert run(["eur", "paper-d4-weak", "--output", str(out)]) == 0
+    cert = load(sorted(tmp_path.glob("e*.json"))[0])
+    state = cert["payload"]["states"][0]
+    state["average"] += 1e-14
+    _rehash(cert)
+    assert verify_certificate(cert) == []
+    state["average"] += 1e-9
+    _rehash(cert)
+    problems = verify_certificate(cert)
+    assert len(problems) == 1
+    assert problems[0].startswith("payload.states[0].average does not reproduce: ")
+
+
+@pytest.mark.parametrize("command", ["eur", "ks"])
+def test_source_naming_another_builtin_set_is_refuted(tmp_path, command):
+    out = tmp_path / "report.json"
+    assert run([command, "paper-d4-weak", "--output", str(out)]) == 0
+    cert = load(sorted(tmp_path.glob("report*.json"))[0])
+    cert["config"]["source"] = "paper-d4-strong"
+    _rehash(cert)
+    # rebuilt from the set the name stands for, the payload's classes differ
+    problems = verify_certificate(cert)
+    assert problems and all(p.startswith("payload.") for p in problems)
 
 
 def _drop_states(payload):
@@ -297,11 +369,37 @@ def test_rehashed_report_tamper_is_refuted(tmp_path, capsys, command, mutate):
 
 
 def _rehash(cert):
-    from mubforge.certificates import _payload_hash
-
     cert["payload_sha256"] = _payload_hash(
-        cert["command"], cert["config"], cert["payload"]
+        cert.get("command"), cert.get("config"), cert.get("payload")
     )
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("min_residual",), float("nan")),
+        (("best_vector", "re", 0), float("nan")),
+        (("converged_starts",), 10**30),
+        (("starts",), 10**6),
+        (("config", "best_start_index"), 999),
+        (("config", "starts_requested"), 7),
+    ],
+    ids=["nan-residual", "nan-vector", "huge-converged", "huge-starts",
+         "best-index-out-of-range", "fewer-starts-requested"],
+)
+def test_strong_numbers_must_be_finite_and_consistent(tmp_path, capsys, path, value):
+    good = tmp_path / "strong.json"
+    assert run([
+        "strong", "paper-d4-strong", "--starts", "20", "--seed", "3", "-o", str(good),
+    ]) == 0
+
+    def mutate(payload):
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    assert _refuted_then_verified(tmp_path, capsys, good, mutate)
 
 
 class TestUntrustedOptimizerSettings:
@@ -517,3 +615,106 @@ def test_strong_search_runs_without_scipy(tmp_path):
     )
     assert _python(code) == "0 False"
     assert load(out_file)["verified"] is True
+
+
+# One certificate of each deterministic payload kind, each re-verified by
+# rebuilding its whole payload from the inputs it declares.
+DETERMINISTIC_COMMANDS = {
+    "class_set": ["complete-set", "-n", "2"],
+    "unextendible_set": ["find-unextendible", "-n", "2", "--choose", "0,1,2"],
+    "eur_report": ["eur", "paper-d4-weak"],
+    "ks_report": ["ks", "paper-d4-weak"],
+    "scan_report": ["scan", "-n", "4", "--budget", "64", "--seed", "12"],
+}
+
+
+@pytest.fixture(scope="module")
+def emitted(tmp_path_factory):
+    out = tmp_path_factory.mktemp("emitted")
+    texts = {}
+    for kind, command in DETERMINISTIC_COMMANDS.items():
+        path = out / f"{kind}.json"
+        assert main(command + ["--output", str(path)]) == 0
+        # eur writes one file per extra class; any one will do
+        texts[kind] = sorted(out.glob(f"{kind}*.json"))[0].read_text(encoding="utf-8")
+    return texts
+
+
+def _hashed_paths(cert):
+    """Every node of the hashed content, as a path of keys and indices."""
+    found = [("schema_version",)]
+
+    def walk(node, path):
+        found.append(path)
+        children = node.items() if isinstance(node, dict) else (
+            enumerate(node) if isinstance(node, list) else ())
+        for key, child in children:
+            walk(child, path + (key,))
+
+    for top in ("command", "config", "payload"):
+        walk(cert[top], (top,))
+    return found
+
+
+def _bump(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, str):
+        return value + "x"
+    if isinstance(value, list):
+        return value + value[:1] if value else [0]
+    if isinstance(value, dict):
+        return {**value, "extra": 0}
+    return 0
+
+
+MUTATIONS = {
+    "nan": lambda value: float("nan"),
+    "huge": lambda value: 10**30,
+    "string": lambda value: "tampered",
+    "empty-list": lambda value: [],
+    "bump": _bump,
+}
+
+
+def _is_label(kind, path, value):
+    # fields echoed, not rebuilt: a source that names no built-in set, and
+    # the seed find-unextendible records but does not use
+    if path == ("config", "source"):
+        return isinstance(value, str) and value not in NAMED_CLASS_SETS
+    if kind == "unextendible_set" and path == ("config", "seed"):
+        return type(value) is int
+    return False
+
+
+MUTATION_PROFILE = settings(
+    derandomize=True, max_examples=150, deadline=None, database=None
+)
+
+
+@pytest.mark.parametrize("kind", sorted(DETERMINISTIC_COMMANDS))
+@MUTATION_PROFILE
+@given(data=st.data())
+def test_rehashed_single_field_mutation_never_verifies(emitted, kind, data):
+    original = json.loads(emitted[kind])
+    cert = json.loads(emitted[kind])
+    path = data.draw(st.sampled_from(_hashed_paths(cert)), label="field")
+    how = data.draw(st.sampled_from(["delete", *MUTATIONS]), label="mutation")
+    node = cert
+    for key in path[:-1]:
+        node = node[key]
+    if how == "delete":
+        del node[path[-1]]
+    else:
+        node[path[-1]] = MUTATIONS[how](node[path[-1]])
+    assume(cert != original)
+    _rehash(cert)
+    try:
+        problems = verify_certificate(cert)
+    except MALFORMED_ERRORS:
+        return  # ``check`` answers malformed, exit 2
+    if how != "delete" and _is_label(kind, path, node[path[-1]]):
+        return
+    assert problems, f"{how} at {path} still verifies"

@@ -159,7 +159,7 @@ class TestClassSet:
     def test_json_round_trip(self):
         cs = canonical_complete_set(2)
         rebuilt = classes_from_json(classes_to_json(cs))
-        assert rebuilt.partition_key() == cs.partition_key()
+        assert set(rebuilt) == set(cs)
         assert rebuilt.complete
 
 
@@ -208,7 +208,7 @@ class TestCompleteSets:
         for i, j in combinations(range(5), 2):
             rebuilt = complete_set_from_two(cs[i], cs[j])
             assert rebuilt.complete
-            assert rebuilt.partition_key() == cs.partition_key()
+            assert set(rebuilt) == set(cs)
 
     def test_three_qubit_reconstruction_from_named_seeds(self):
         # seeding with two classes of the named unextendible five yields a
@@ -258,7 +258,7 @@ class TestCompleteSets:
         cs = canonical_complete_set(4)
         rebuilt = complete_set_from_two(cs[0], cs[1])
         assert rebuilt.complete
-        assert rebuilt.partition_key() == cs.partition_key()
+        assert set(rebuilt) == set(cs)
 
     def test_single_qubit_completion(self):
         z, x = class_from_strings(("Z",)), class_from_strings(("X",))
@@ -320,6 +320,12 @@ class TestClassFamily:
 
     def test_full_mask_matches_enumeration(self):
         assert pauli_index(2).full_mask == (1 << 15) - 1
+
+    def test_keys_of_mask_rejects_a_negative_mask(self):
+        # a negative int has infinitely many set bits in two's complement
+        assert keys_of_mask(0b1011) == [1, 2, 4]
+        with pytest.raises(ValueError, match="non-negative"):
+            keys_of_mask(-1)
 
 
 def test_alternate_triple_fixture_is_made_of_valid_classes():
