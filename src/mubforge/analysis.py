@@ -20,6 +20,7 @@ search is calibrated in both directions by the test suite.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -147,6 +148,18 @@ class SearchOutcome:
     config: dict = field(default_factory=dict)
 
 
+def check_max_iterations(max_iterations) -> None:
+    """Raise ValueError unless the step cap is an integer of at least 1."""
+    if (
+        isinstance(max_iterations, bool)
+        or not isinstance(max_iterations, numbers.Integral)
+        or max_iterations < 1
+    ):
+        raise ValueError(
+            f"max_iterations must be an integer of at least 1, got {max_iterations!r}"
+        )
+
+
 def strong_unext_search(
     bases: Sequence[MubBasis],
     starts: int = DEFAULT_STARTS,
@@ -180,8 +193,7 @@ def strong_unext_search(
     """
     if starts < 1:
         raise ValueError("need at least one start")
-    if max_iterations < 1:
-        raise ValueError("need at least one iteration per start")
+    check_max_iterations(max_iterations)
     if not (math.isfinite(f_tol) and f_tol >= 0):
         raise ValueError(f"f_tol must be finite and non-negative, got {f_tol!r}")
     problem = UnbiasedVectorProblem.from_bases(bases)

@@ -17,9 +17,10 @@ payload's classes; any other ``source`` string, and the find-unextendible
 ``seed`` (an int the construction does not use), are labels, echoed back.
 
 Strong-search outcomes keep their own route, since files from earlier
-optimizers must still verify: the numbers must be finite and consistent,
-the vector must give the recorded residual, and a bounded spot re-run must
-not beat it.
+optimizers must still verify: the payload carries exactly the keys every
+optimizer has written, the numbers must be finite and consistent, the
+vector must give the recorded residual, and a bounded spot re-run must not
+beat it.
 
 The payload hash covers the schema version, command, config and payload in
 canonical JSON; the creation timestamp sits outside the hashed region so
@@ -41,6 +42,7 @@ from mubforge.analysis import (
     DEFAULT_MAX_ITERATIONS,
     SATURATION_TOL,
     SearchOutcome,
+    check_max_iterations,
     eur_check,
     ks_alternate_partition,
     ks_sign_verify,
@@ -64,6 +66,20 @@ SCHEMA_VERSION = "1"
 RESIDUAL_RECHECK_TOL = 1e-9
 REBUILD_FLOAT_TOL = 1e-12
 RECHECK_STARTS = 25
+
+# The closed key sets of a search_outcome, as every optimizer has written
+# them: a key beyond these refutes, a missing one is malformed.
+_OUTCOME_KEYS = {
+    "payload": frozenset({
+        "kind", "classes", "min_residual", "best_vector", "starts", "seed",
+        "converged_starts", "config",
+    }),
+    "payload.config": frozenset({
+        "starts_requested", "stop_below", "max_iterations", "f_tol",
+        "gradient_tol", "best_start_index",
+    }),
+    "payload.best_vector": frozenset({"re", "im"}),
+}
 
 
 def canonical_json(obj) -> str:
@@ -330,24 +346,39 @@ def _differences(got, want, path: str) -> list[str]:
 def _verify_search_outcome(payload: dict, config: dict) -> list[str]:
     """Re-check a strong-search outcome from the file alone.
 
-    The recorded numbers must be finite and agree with each other and with
-    the config. The recorded vector must give the recorded residual, and a
-    spot re-run of the first starts must not beat it. The re-run's cost does
-    not grow with what the file claims: at most RECHECK_STARTS starts of at
-    most DEFAULT_MAX_ITERATIONS steps each, so at most RECHECK_STARTS x
-    (DEFAULT_MAX_ITERATIONS + 1) single-start evaluations of the residual
-    kernel, made in about DEFAULT_MAX_ITERATIONS batched calls. A shorter
-    re-run can only end higher, so capping it never refutes a true claim.
-    Optimizer settings the search rejects raise ValueError (malformed).
+    The payload, its optimizer config and its vector carry exactly the keys
+    of _OUTCOME_KEYS. The recorded numbers must be finite and agree with each
+    other and with the config. The recorded vector must give the recorded
+    residual, and a spot re-run of the first starts must not beat it. The
+    re-run's cost does not grow with what the file claims: at most
+    RECHECK_STARTS starts of at most DEFAULT_MAX_ITERATIONS steps each, so at
+    most RECHECK_STARTS x (DEFAULT_MAX_ITERATIONS + 1) single-start
+    evaluations of the residual kernel, made in about DEFAULT_MAX_ITERATIONS
+    batched calls. A shorter re-run can only end higher, so capping it never
+    refutes a true claim. Optimizer settings the search rejects, and missing
+    keys, raise ValueError or KeyError (malformed).
     """
+    settings = payload["config"]
+    problems = []
+    for path, node in (
+        ("payload", payload),
+        ("payload.config", settings),
+        ("payload.best_vector", payload["best_vector"]),
+    ):
+        missing = sorted(_OUTCOME_KEYS[path] - set(node))
+        if missing:
+            raise KeyError(f"{path}.{missing[0]}")
+        problems += [
+            f"{path}.{key} is not a search outcome field"
+            for key in sorted(set(node) - _OUTCOME_KEYS[path])
+        ]
     cs = classes_from_json(payload["classes"])
     source, named = _source(config, cs)
-    problems = _differences(payload["classes"], classes_to_json(named), "payload.classes")
-    settings = payload["config"]
+    problems += _differences(payload["classes"], classes_to_json(named), "payload.classes")
     starts = payload["starts"]
     vec = _vector_from_json(payload["best_vector"])
     if not (math.isfinite(payload["min_residual"]) and np.isfinite(vec).all()):
-        return ["recorded residual or best vector is not finite"]
+        return problems + ["recorded residual or best vector is not finite"]
     if not 0 <= payload["converged_starts"] <= starts:
         problems.append("converged starts are not between 0 and the starts made")
     if not 0 <= settings["best_start_index"] < starts:
@@ -372,6 +403,7 @@ def _verify_search_outcome(payload: dict, config: dict) -> list[str]:
         )
     # Deterministic spot re-run: the first few starts can never beat the
     # recorded optimum of the full run.
+    check_max_iterations(settings["max_iterations"])  # before the cap hides it
     rerun = strong_unext_search(
         bases,
         starts=min(starts, RECHECK_STARTS),

@@ -19,9 +19,16 @@ every class of C iff its owner equals C. One histogram of owner masks and
 one subset-sum transform over its 2**(2**n + 1) entries then answer the
 census counts of every sub-collection at once.
 
-The family itself comes from a depth-first enumeration of canonical
-generator chains, which can also be restricted to any universe; the tests
-use that restricted enumeration as the oracle for the filter.
+The same owners answer "does any class fit inside the union of C minus one
+class S" for many choices at once: such a class has its owner inside C and
+shares no operator with S (``classes_fit_in_union_minus``).
+
+The family itself is built in closed form from the quadratic-form picture
+of stabilizer states (Dehaene and De Moor, quant-ph/0304125): every
+Lagrangian subspace is the graph {(x, Sx)} of a symmetric GF(2) matrix S in
+one of the 2**n Hadamard charts. All 2**n x 2**(n(n+1)/2) graphs are
+formed as one numpy array and deduplicated. The tests keep a depth-first
+enumeration of canonical generator chains as the independent oracle.
 """
 
 from __future__ import annotations
@@ -36,14 +43,10 @@ MAX_SEARCH_QUBITS = 4
 _LIMBS = 4  # 4 * 64 bits cover the 255 operators at n = 4
 
 
-def _parity(v: int) -> int:
-    return v.bit_count() & 1
-
-
 class PauliIndex:
-    """Per-qubit-count tables: commutation adjacency and the class family."""
+    """Per-qubit-count constants: operator count and the all-operators mask."""
 
-    __slots__ = ("n", "count", "full_mask", "comm")
+    __slots__ = ("n", "count", "full_mask")
 
     def __init__(self, n: int):
         if not 1 <= n <= MAX_SEARCH_QUBITS:
@@ -53,19 +56,6 @@ class PauliIndex:
         self.n = n
         self.count = (1 << (2 * n)) - 1
         self.full_mask = (1 << self.count) - 1
-        nbits = (1 << n) - 1
-        xs = [key >> n for key in range(1, self.count + 1)]
-        zs = [key & nbits for key in range(1, self.count + 1)]
-        comm = [0] * self.count
-        for i in range(self.count):
-            xi, zi = xs[i], zs[i]
-            row = 1 << i
-            for j in range(i + 1, self.count):
-                if (_parity(xi & zs[j]) ^ _parity(xs[j] & zi)) == 0:
-                    row |= 1 << j
-                    comm[j] |= 1 << i
-            comm[i] |= row
-        self.comm = comm
 
 
 @lru_cache(maxsize=None)
@@ -91,73 +81,60 @@ def keys_of_mask(mask: int) -> list[int]:
     return keys
 
 
-def enumerate_classes_in(n: int, universe_mask: int) -> list[int]:
-    """Masks of every maximal commuting class lying inside the universe.
+def _lagrangian_keys(n: int) -> np.ndarray:
+    """Element keys of every maximal class, one ascending row per class.
 
-    Depth-first search over canonical generator chains: each class is
-    produced exactly once, from the chain whose k-th generator is the
-    smallest class element outside the span of the previous ones. Candidate
-    generators must commute with the current span, exceed the previous
-    generator, and keep the whole closure inside the universe. The masks
-    come sorted by their ascending element keys.
+    In the Hadamard chart T (qubits in T have x and z swapped) the graph
+    {(u, Su)} of a symmetric GF(2) matrix S is a Lagrangian subspace, and
+    every Lagrangian subspace is such a graph in at least one of the 2**n
+    charts. The 2**(n(n+1)/2) graphs of each chart are built as one array
+    and each row's keys are sorted; a set of the rows as bytes drops the
+    graphs that recur across charts, and sorting it gives ascending
+    lexicographic order.
     """
-    idx = pauli_index(n)
-    comm = idx.comm
-    depth_target = n
-    results: list[tuple[tuple[int, ...], int]] = []
-
-    def extend(span_keys: tuple[int, ...], span_mask: int, cand: int, depth: int):
-        if depth == depth_target:
-            results.append((tuple(sorted(span_keys)), span_mask))
-            return
-        rest = cand
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            gk = low.bit_length()
-            new_keys = [gk]
-            ok = True
-            for s in span_keys:
-                t = gk ^ s
-                # canonical chain: gk must open its coset; closure stays inside
-                if t < gk or not (universe_mask >> (t - 1)) & 1:
-                    ok = False
-                    break
-                new_keys.append(t)
-            if not ok:
-                continue
-            new_mask = span_mask
-            for t in new_keys:
-                new_mask |= 1 << (t - 1)
-            above = -1 << gk  # bits strictly greater than index gk - 1
-            next_cand = cand & comm[gk - 1] & above & ~new_mask
-            extend(span_keys + tuple(new_keys), new_mask, next_cand, depth + 1)
-
-    rest = universe_mask
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        gk = low.bit_length()
-        above = -1 << gk
-        extend((gk,), low, universe_mask & comm[gk - 1] & above, 1)
-    results.sort()
-    return [mask for _, mask in results]
-
-
-@lru_cache(maxsize=None)
-def all_maximal_classes(n: int) -> tuple[int, ...]:
-    """Masks of every maximal commuting class on n qubits, canonically ordered."""
-    return tuple(enumerate_classes_in(n, pauli_index(n).full_mask))
+    pauli_index(n)  # validates n; keys then fit in uint8
+    dim = 1 << n
+    su = np.zeros((1, dim), dtype=np.uint8)  # row S: S u for u = 0 .. dim - 1
+    for i in range(n):
+        for j in range(i, n):
+            # putting 1 at (i, j) and (j, i) of S flips bit i of S u when u_j
+            # is set and bit j when u_i is set; every S gets both versions
+            flip = [(v >> j & 1) << i | (v >> i & 1) << j for v in range(dim)]
+            su = np.concatenate([su, su ^ np.array(flip, dtype=np.uint8)])
+    u = np.arange(1, dim, dtype=np.uint8)  # u = 0 is the identity
+    su = su[:, 1:]
+    rows: set[bytes] = set()
+    for chart in range(dim):  # qubits in ``chart`` have x and z swapped
+        kept = (dim - 1) ^ chart
+        keys = (((u & kept) | (su & chart)) << n) | (su & kept) | (u & chart)
+        keys.sort(axis=1)
+        rows.update(keys.view(np.dtype((np.void, dim - 1))).ravel().tolist())
+    return np.frombuffer(b"".join(sorted(rows)), dtype=np.uint8).reshape(-1, dim - 1)
 
 
 @lru_cache(maxsize=None)
 def _class_mask_matrix(n: int) -> np.ndarray:
-    family = all_maximal_classes(n)
-    mat = np.zeros((len(family), _LIMBS), dtype=np.uint64)
-    for i, m in enumerate(family):
-        for limb in range(_LIMBS):
-            mat[i, limb] = (m >> (64 * limb)) & 0xFFFFFFFFFFFFFFFF
+    """The class family as _LIMBS little-endian 64-bit limbs per mask."""
+    keys = _lagrangian_keys(n)
+    mat = np.zeros((len(keys), _LIMBS), dtype=np.uint64)
+    rows = np.arange(len(keys))
+    for col in keys.T:  # one element per row at a time
+        bit = col.astype(np.uint64) - np.uint64(1)
+        mat[rows, bit >> np.uint64(6)] |= np.uint64(1) << (bit & np.uint64(63))
+    mat.flags.writeable = False
     return mat
+
+
+@lru_cache(maxsize=None)
+def all_maximal_classes(n: int) -> tuple[int, ...]:
+    """Masks of every maximal commuting class on n qubits, canonically ordered.
+
+    The order is ascending by the tuple of ascending element keys.
+    """
+    return tuple(
+        int.from_bytes(row.tobytes(), "little")
+        for row in _class_mask_matrix(n).astype("<u8")
+    )
 
 
 def _mask_limbs(mask: int) -> np.ndarray:
@@ -223,3 +200,28 @@ def owner_census(n: int, part_masks: tuple[int, ...]) -> OwnerCensus:
     for arr in (owners, within, spanning):
         arr.flags.writeable = False
     return OwnerCensus(owners, within, spanning)
+
+
+_FIT_CHUNK = 64  # choices per block: a 64 x 2295 int32 subset test is 0.6 MB
+
+
+def classes_fit_in_union_minus(
+    n: int, census: OwnerCensus, choices: np.ndarray, removed: np.ndarray
+) -> np.ndarray:
+    """Whether any maximal class fits in the union of ``choices[i]`` minus one class.
+
+    ``choices`` holds sub-collection masks of the census's complete set and
+    ``removed`` the family index of the class taken out of each union. A
+    class fits exactly when its owner is a subset of the choice and it
+    shares no operator with the removed class. The choices go through in
+    fixed-size blocks, so the temporaries stay small however many there are.
+    """
+    mat = _class_mask_matrix(n)
+    fits = np.zeros(len(choices), dtype=bool)
+    for start in range(0, len(choices), _FIT_CHUNK):
+        block = choices[start:start + _FIT_CHUNK]
+        row, cls = np.nonzero((census.owners & ~block[:, None]) == 0)
+        row += start
+        misses = ((mat[cls] & mat[removed[row]]) == 0).all(axis=1)
+        fits[row[misses]] = True
+    return fits

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Literal, Optional, Sequence
 
 import numpy as np
@@ -35,7 +36,7 @@ from mubforge.classes import (
 )
 from mubforge.pauli import ProjectivePauli
 from mubforge.search import (
-    all_maximal_classes,
+    classes_fit_in_union_minus,
     classes_within_mask,
     keys_of_mask,
     owner_census,
@@ -239,8 +240,11 @@ class ConjectureScanReport:
     sub-collection is that sub-collection's extra class and reappears inside
     every larger union, which is why the census statements count spanning
     classes. Whenever a choice admits exactly one spanning class, the
-    swapped nine-set (spanning class plus the eight unchosen ones) is put
-    through a full extendibility check.
+    swapped nine-set (spanning class plus the eight unchosen ones) gets an
+    exact extendibility check. Its leftover operators are the union of the
+    choice minus the spanning class, so a class fits there exactly when its
+    owner lies inside the choice and it misses the spanning class; the
+    owner census already built answers that for every choice at once.
     """
 
     n: int
@@ -276,44 +280,44 @@ def conjecture_scan(
     if budget is not None and budget < 1:
         raise ValueError("budget must be at least 1")
     complete = canonical_complete_set(4)
-    masks = [c.mask for c in complete]
-    full = pauli_index(4).full_mask
-    combos = list(combinations(range(len(complete)), 9))
-    if budget is None or budget >= len(combos):
-        selected = combos
+    # every nine-class choice as a bit mask, in itertools.combinations order
+    choices = np.fromiter(
+        (_subset_mask(combo) for combo in combinations(range(len(complete)), 9)),
+        dtype=np.int32,
+        count=comb(len(complete), 9),
+    )
+    if budget is None or budget >= len(choices):
+        subsets = choices
         exhaustive = True
     else:
         rng = np.random.default_rng(seed)
-        picks = rng.choice(len(combos), size=budget, replace=False)
-        selected = [combos[i] for i in sorted(picks)]
+        picks = rng.choice(len(choices), size=budget, replace=False)
+        subsets = choices[np.sort(picks)]
         exhaustive = False
 
-    census = owner_census(4, tuple(masks))
-    family = all_maximal_classes(4)
-    subsets = np.array([_subset_mask(combo) for combo in selected], dtype=np.int32)
+    census = owner_census(4, tuple(c.mask for c in complete))
     within = census.within[subsets]
     spanning = census.spanning[subsets]
-    passes = 0
-    failures: list[tuple[int, ...]] = []
-    for pos in np.flatnonzero(spanning == 1):
-        combo = selected[pos]
-        # the one spanning class is the family member owned by this choice
-        owned = np.flatnonzero(census.owners == subsets[pos])
-        swapped_union = family[owned[0]]
-        for idx in range(len(complete)):
-            if idx not in combo:
-                swapped_union |= masks[idx]
-        leftover = full & ~swapped_union
-        if not classes_within_mask(4, leftover):
-            passes += 1
-        else:
-            failures.append(combo)
+    # swap check: the one spanning class S of a choice C is the family member
+    # owned by C, and the swapped set is extendible exactly when some class
+    # fits in the union of C minus S
+    one = np.flatnonzero(spanning == 1)
+    by_owner = np.argsort(census.owners)
+    spanning_class = by_owner[
+        np.searchsorted(census.owners, subsets[one], sorter=by_owner)
+    ]
+    fits = classes_fit_in_union_minus(4, census, subsets[one], spanning_class)
+    passes = int(np.count_nonzero(~fits))
+    failures = [
+        tuple(i for i in range(len(complete)) if c >> i & 1)
+        for c in subsets[one[fits]].tolist()
+    ]
     return ConjectureScanReport(
         n=4,
         seed=seed,
         budget=budget,
         exhaustive=exhaustive,
-        subsets_scanned=len(selected),
+        subsets_scanned=len(subsets),
         within_union_distribution=_distribution(within),
         spanning_distribution=_distribution(spanning),
         swap_passes=passes,

@@ -1,12 +1,17 @@
-"""Independent dense-matrix oracles for the exact Pauli arithmetic.
+"""Independent oracles for the exact Pauli arithmetic and the class family.
 
-Everything here is built straight from letter strings with literal 2x2
-matrices and Kronecker products, deliberately bypassing the package's
-symplectic representation, so agreement between the two routes is a real
-check rather than a tautology.
+The dense-matrix helpers are built straight from letter strings with
+literal 2x2 matrices and Kronecker products, deliberately bypassing the
+package's symplectic representation, so agreement between the two routes
+is a real check rather than a tautology. ``enumerate_classes_in`` finds the
+maximal commuting classes inside a universe by a depth-first search over
+generator chains, a different route from the package's closed-form
+family.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,3 +56,70 @@ def assert_same_basis(got: np.ndarray, want: np.ndarray, tol: float = 1e-12):
 def random_state(rng: np.random.Generator, d: int) -> np.ndarray:
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
     return v / np.linalg.norm(v)
+
+
+@lru_cache(maxsize=None)
+def commutation_rows(n: int) -> tuple[int, ...]:
+    """Row i is the mask of the operators that commute with key i + 1.
+
+    Keys are ``(x << n) | z``; two operators commute when their symplectic
+    product x1.z2 + x2.z1 is even.
+    """
+    count = (1 << (2 * n)) - 1
+    low = (1 << n) - 1
+    rows = []
+    for a in range(1, count + 1):
+        row = 0
+        for b in range(1, count + 1):
+            product = (a >> n) & b & low ^ (b >> n) & a & low
+            if product.bit_count() % 2 == 0:
+                row |= 1 << (b - 1)
+        rows.append(row)
+    return tuple(rows)
+
+
+def enumerate_classes_in(n: int, universe_mask: int) -> list[int]:
+    """Masks of every maximal commuting class lying inside the universe.
+
+    Depth-first search over canonical generator chains: each class is
+    produced exactly once, from the chain whose k-th generator is the
+    smallest class element outside the span of the previous ones. Candidate
+    generators must commute with the current span, exceed the previous
+    generator, and keep the whole closure inside the universe. The masks
+    come sorted by their ascending element keys.
+    """
+    comm = commutation_rows(n)
+    results: list[tuple[tuple[int, ...], int]] = []
+
+    def extend(span_keys: tuple[int, ...], span_mask: int, cand: int, depth: int):
+        if depth == n:
+            results.append((tuple(sorted(span_keys)), span_mask))
+            return
+        rest = cand
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            gk = low.bit_length()
+            new_keys = [gk]
+            for s in span_keys:
+                t = gk ^ s
+                # canonical chain: gk must open its coset; closure stays inside
+                if t < gk or not (universe_mask >> (t - 1)) & 1:
+                    break
+                new_keys.append(t)
+            else:
+                new_mask = span_mask
+                for t in new_keys:
+                    new_mask |= 1 << (t - 1)
+                above = -1 << gk  # bits strictly greater than index gk - 1
+                next_cand = cand & comm[gk - 1] & above & ~new_mask
+                extend(span_keys + tuple(new_keys), new_mask, next_cand, depth + 1)
+
+    rest = universe_mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        gk = low.bit_length()
+        extend((gk,), low, universe_mask & comm[gk - 1] & (-1 << gk), 1)
+    results.sort()
+    return [mask for _, mask in results]

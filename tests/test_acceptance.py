@@ -36,7 +36,7 @@ from mubforge.named_sets import (
     strong_triple_d4,
     weak_triple_d4,
 )
-from mubforge.search import all_maximal_classes, enumerate_classes_in
+from mubforge.search import all_maximal_classes
 from mubforge.unextendible import (
     _weak4_candidates,
     conjecture_scan,
@@ -45,7 +45,7 @@ from mubforge.unextendible import (
     theorem4_census,
     verify_no_weak_4set_d4,
 )
-from oracles import assert_same_basis, random_state
+from oracles import assert_same_basis, enumerate_classes_in, random_state
 
 
 def _report(tag: str, detail: str, started: float, budget: float) -> None:

@@ -170,9 +170,12 @@ class TestStrongSearch:
     @pytest.mark.parametrize(
         "opts",
         [{"max_iterations": 0}, {"max_iterations": -3}, {"f_tol": -1.0},
-         {"f_tol": float("nan")}, {"f_tol": float("inf")}],
+         {"f_tol": float("nan")}, {"f_tol": float("inf")},
+         {"max_iterations": float("nan")}, {"max_iterations": 2.5},
+         {"max_iterations": 3.0}, {"max_iterations": True}],
         ids=["zero-iterations", "negative-iterations", "negative-f-tol",
-             "nan-f-tol", "infinite-f-tol"],
+             "nan-f-tol", "infinite-f-tol", "nan-iterations",
+             "fractional-iterations", "float-iterations", "bool-iterations"],
     )
     def test_rejects_unusable_optimizer_settings(self, opts):
         bases = triple_bases(canonical_complete_set(2).classes[:3])

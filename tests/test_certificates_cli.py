@@ -187,6 +187,11 @@ def _drop_max_iterations(cert):
     del cert["payload"]["config"]["max_iterations"]
 
 
+def _drop_gradient_tol(cert):
+    # no check reads this setting, so only the closed key set notices
+    del cert["payload"]["config"]["gradient_tol"]
+
+
 def _non_numeric_vector(cert):
     cert["payload"]["best_vector"]["re"][0] = "not a number"
 
@@ -202,9 +207,10 @@ class TestCheckMalformedInput:
 
     @pytest.mark.parametrize(
         "mutate",
-        [_drop_classes, _payload_as_string, _drop_max_iterations, _non_numeric_vector],
+        [_drop_classes, _payload_as_string, _drop_max_iterations, _non_numeric_vector,
+         _drop_gradient_tol],
         ids=["missing-classes", "payload-string", "missing-max-iterations",
-             "non-numeric-vector"],
+             "non-numeric-vector", "missing-gradient-tol"],
     )
     def test_probe_is_malformed(self, tmp_path, strong_cert, mutate, capsys):
         cert = load(strong_cert)
@@ -402,6 +408,26 @@ def test_strong_numbers_must_be_finite_and_consistent(tmp_path, capsys, path, va
     assert _refuted_then_verified(tmp_path, capsys, good, mutate)
 
 
+@pytest.mark.parametrize(
+    "path", [(), ("config",), ("best_vector",)], ids=["payload", "config", "vector"]
+)
+def test_strong_key_sets_are_closed(tmp_path, capsys, path):
+    good = tmp_path / "strong.json"
+    assert run([
+        "strong", "paper-d4-strong", "--starts", "20", "--seed", "3", "-o", str(good),
+    ]) == 0
+
+    def add_key(payload):
+        node = payload
+        for key in path:
+            node = node[key]
+        node["note"] = "unchecked"
+
+    where = ".".join(("payload",) + path)
+    lines = _refuted_then_verified(tmp_path, capsys, good, add_key)
+    assert lines == [f"  - {where}.note is not a search outcome field"]
+
+
 class TestUntrustedOptimizerSettings:
     # the spot re-run takes its optimizer settings from the file; a
     # re-hashed certificate must not make it misbehave or run unbounded
@@ -415,8 +441,11 @@ class TestUntrustedOptimizerSettings:
         return out
 
     @pytest.mark.parametrize(
-        "key, value", [("max_iterations", 0), ("f_tol", -1)],
-        ids=["zero-iterations", "negative-f-tol"],
+        "key, value",
+        [("max_iterations", 0), ("f_tol", -1), ("max_iterations", float("nan")),
+         ("max_iterations", 2.5), ("max_iterations", True), ("max_iterations", 1e30)],
+        ids=["zero-iterations", "negative-f-tol", "nan-iterations",
+             "fractional-iterations", "bool-iterations", "huge-float-iterations"],
     )
     def test_unusable_setting_is_malformed(self, tmp_path, strong_cert, key, value, capsys):
         cert = load(strong_cert)
@@ -562,6 +591,26 @@ class TestArgumentValidation:
         assert run(["eur", str(src2), "--output", str(out)]) == 0
         assert out.exists()
         assert load(out)["payload"]["kind"] == "eur_report"
+
+
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (["complete-set", "-n", "4"],
+         "02e1b7022e3d47068d03d067b2fbfb9c7f7a5771590930fad53a7e4a7627c5df"),
+        (["scan", "-n", "4", "--all"],
+         "4c3317e4935a14a9822f25cd1b21011db291d77cb3c95e30da0609d30f9121a0"),
+        (["scan", "-n", "4", "--budget", "300", "--seed", "1"],
+         "1b721963bd67a118cba559b3b8b1a366f6560b1affddf8b93561200fef21a171"),
+    ],
+    ids=["complete-set-n4", "scan-all", "scan-budget-300-seed-1"],
+)
+def test_four_qubit_hashes_are_pinned(tmp_path, argv, sha256):
+    # the family order, the exact cover's choices and the budgeted sample's
+    # order all reach these hashes, so a change to any of them fails here
+    out = tmp_path / "cert.json"
+    assert run(argv + ["--output", str(out)]) == 0
+    assert load(out)["payload_sha256"] == sha256
 
 
 def test_strong_hash_does_not_depend_on_the_environment(tmp_path, monkeypatch):

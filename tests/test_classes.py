@@ -38,10 +38,10 @@ from mubforge.pauli import (
 from mubforge.search import (
     all_maximal_classes,
     classes_within_mask,
-    enumerate_classes_in,
     keys_of_mask,
     pauli_index,
 )
+from oracles import enumerate_classes_in
 
 
 def gens(*strings):
@@ -271,6 +271,13 @@ class TestClassFamily:
     def test_family_sizes(self, n, count):
         assert len(all_maximal_classes(n)) == count
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_family_equals_the_depth_first_oracle_in_order(self, n):
+        # the chart construction must give the oracle's masks in its order:
+        # ascending by the tuple of ascending element keys
+        full = (1 << ((1 << (2 * n)) - 1)) - 1
+        assert all_maximal_classes(n) == tuple(enumerate_classes_in(n, full))
+
     def test_two_qubit_family_against_brute_force(self):
         # independent oracle: test all 3-subsets of the 15 operators directly
         ops = enumerate_nonidentity(2)
@@ -291,7 +298,7 @@ class TestClassFamily:
                 assert len(cls.elements) == (1 << n) - 1
 
     def test_restricted_enumeration_agrees_with_family_filter(self):
-        # the direct in-universe DFS and the cached-family filter must agree
+        # the oracle's in-universe search and the family filter must agree
         cs = canonical_complete_set(3)
         for picks in [(0, 1, 2), (0, 3, 6), (1, 4, 7, 8), (0, 1, 2, 3, 4)]:
             universe = 0

@@ -20,7 +20,12 @@ from mubforge.named_sets import (
     weak_triple_d4,
 )
 from mubforge.pauli import commutes
-from mubforge.search import enumerate_classes_in, owner_census
+from mubforge import search
+from mubforge.search import (
+    classes_fit_in_union_minus,
+    classes_within_mask,
+    owner_census,
+)
 from mubforge.unextendible import (
     _weak4_candidates,
     build_unextendible_set,
@@ -30,6 +35,7 @@ from mubforge.unextendible import (
     theorem4_census,
     verify_no_weak_4set_d4,
 )
+from oracles import enumerate_classes_in
 
 
 class TestExtraClassesWithinUnion:
@@ -375,3 +381,69 @@ class TestConjectureScan:
         assert report.swap_passes == 1870
         assert report.swap_failures == ()
         assert not report.conjecture_consistent
+
+
+def _one_spanning_choices():
+    """Every nine-class choice of the canonical n = 4 set with one spanning class.
+
+    Returns the census, the class masks, the choice masks and, per choice,
+    the family index of its spanning class.
+    """
+    masks = tuple(c.mask for c in canonical_complete_set(4))
+    census = owner_census(4, masks)
+    choices = np.array(
+        [sum(1 << i for i in combo) for combo in combinations(range(17), 9)],
+        dtype=np.int32,
+    )
+    choices = choices[census.spanning[choices] == 1]
+    spanning = np.array(
+        [np.flatnonzero(census.owners == c)[0] for c in choices], dtype=np.intp
+    )
+    return census, masks, choices, spanning
+
+
+def _fits_by_filter(masks, choice, removed_mask):
+    """Whether the containment filter finds a class in union(choice) minus a class."""
+    union = 0
+    for i, m in enumerate(masks):
+        if choice >> i & 1:
+            union |= m
+    return bool(classes_within_mask(4, union & ~removed_mask))
+
+
+def _lowest_chosen_class(family, masks, choices):
+    """Family index of the lowest-numbered complete-set class of each choice."""
+    lowest = [(int(c) & -int(c)).bit_length() - 1 for c in choices]
+    return np.array([family.index(masks[i]) for i in lowest], dtype=np.intp)
+
+
+class TestSwapCheckFromCensus:
+    def test_census_route_matches_the_filter_on_every_choice(self, monkeypatch):
+        census, masks, choices, spanning = _one_spanning_choices()
+        assert len(choices) == 1870
+        family = search.all_maximal_classes(4)
+        # the true spanning class, a chosen complete-set class and an
+        # unrelated family member, so both verdicts occur
+        lowest = _lowest_chosen_class(family, masks, choices)
+        verdicts = set()
+        for removed in (spanning, lowest, (spanning + 7) % len(family)):
+            want = [
+                _fits_by_filter(masks, int(c), family[r])
+                for c, r in zip(choices, removed)
+            ]
+            for chunk in (1, 64, 5000):  # the block size must not matter
+                monkeypatch.setattr(search, "_FIT_CHUNK", chunk)
+                got = classes_fit_in_union_minus(4, census, choices, removed)
+                assert got.tolist() == want
+            verdicts.update(want)
+        assert verdicts == {True, False}
+
+    def test_a_wrong_spanning_class_is_reported_as_a_failure(self):
+        census, masks, choices, spanning = _one_spanning_choices()
+        family = search.all_maximal_classes(4)
+        # removing one chosen complete-set class leaves the other eight
+        lowest = _lowest_chosen_class(family, masks, choices)
+        assert classes_fit_in_union_minus(4, census, choices, lowest).all()
+        for shift in (1, 7, 1000):
+            wrong = (spanning + shift) % len(family)
+            assert classes_fit_in_union_minus(4, census, choices, wrong).any()
