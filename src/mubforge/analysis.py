@@ -43,7 +43,7 @@ MUTUAL_UNBIASED_TOL = 1e-9
 DEFAULT_STARTS = 1000
 DEFAULT_MAX_ITERATIONS = 500
 DEFAULT_F_TOL = 1e-14
-_GRAD_TOL = 1e-12
+GRADIENT_TOL = 1e-12
 
 # Levenberg-Marquardt damping: start, shrink and growth factors, the floor
 # that keeps J^T J + lambda I invertible, and the ceiling past which a start
@@ -177,7 +177,7 @@ def strong_unext_search(
     it lowers F, after which lambda shrinks; otherwise lambda grows. A start
     has converged when an accepted step lowers F by at most ``f_tol``
     relative to max(F, 1), or when its gradient 2 J^T r is at most
-    _GRAD_TOL in every component; it also stops, unconverged, when lambda
+    GRADIENT_TOL in every component; it also stops, unconverged, when lambda
     passes _LAMBDA_CEILING or after ``max_iterations`` steps.
 
     All starts in flight are iterated as one batch whose rows never
@@ -207,7 +207,7 @@ def strong_unext_search(
         "stop_below": stop_below,
         "max_iterations": max_iterations,
         "f_tol": f_tol,
-        "gradient_tol": _GRAD_TOL,
+        "gradient_tol": GRADIENT_TOL,
         "best_start_index": best_index,
     }
     return SearchOutcome(
@@ -274,7 +274,7 @@ def _multistart(
 
         jac_t = jac.transpose(0, 2, 1)
         grad = (jac_t @ r[..., None])[..., 0]
-        flat = np.max(np.abs(2.0 * grad), axis=1) <= _GRAD_TOL
+        flat = np.max(np.abs(2.0 * grad), axis=1) <= GRADIENT_TOL
         normal = jac_t @ jac + lam[:, None, None] * identity
         trial = theta + np.linalg.solve(normal, -grad[..., None])[..., 0]
         r_trial, jac_trial = problem.residual_and_gradient(trial)

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from mubforge.classes import CommutingClass, class_from_json, class_to_json
+from mubforge.classes import CommutingClass
 from mubforge.pauli import PauliOperator, identity, multiply
 
 UNITARY_TOL = 1e-12
@@ -206,27 +206,3 @@ def labels_hamming_check(b: MubBasis) -> bool:
         raise ValueError("the label lemma check applies to two-qubit bases")
     return labels_have_hamming_weight_two(list(element_sign_labels(b).values()))
 
-
-def basis_to_json(b: MubBasis) -> dict:
-    return {
-        "class": class_to_json(b.source),
-        "vectors": [
-            {
-                "label": b.labels[k],
-                "re": [float(a.real) for a in b.vectors[k]],
-                "im": [float(a.imag) for a in b.vectors[k]],
-            }
-            for k in range(b.d)
-        ],
-    }
-
-
-def basis_from_json(data: dict) -> MubBasis:
-    source = class_from_json(data["class"])
-    d = 1 << source.n
-    vectors = np.empty((d, d), dtype=complex)
-    labels = []
-    for k, entry in enumerate(data["vectors"]):
-        labels.append(entry["label"])
-        vectors[k] = np.array(entry["re"]) + 1j * np.array(entry["im"])
-    return MubBasis(source.n, d, tuple(labels), vectors, source)

@@ -40,6 +40,7 @@ import numpy as np
 
 from mubforge.analysis import (
     DEFAULT_MAX_ITERATIONS,
+    GRADIENT_TOL,
     SATURATION_TOL,
     SearchOutcome,
     check_max_iterations,
@@ -347,16 +348,17 @@ def _verify_search_outcome(payload: dict, config: dict) -> list[str]:
     """Re-check a strong-search outcome from the file alone.
 
     The payload, its optimizer config and its vector carry exactly the keys
-    of _OUTCOME_KEYS. The recorded numbers must be finite and agree with each
-    other and with the config. The recorded vector must give the recorded
-    residual, and a spot re-run of the first starts must not beat it. The
-    re-run's cost does not grow with what the file claims: at most
-    RECHECK_STARTS starts of at most DEFAULT_MAX_ITERATIONS steps each, so at
-    most RECHECK_STARTS x (DEFAULT_MAX_ITERATIONS + 1) single-start
-    evaluations of the residual kernel, made in about DEFAULT_MAX_ITERATIONS
-    batched calls. A shorter re-run can only end higher, so capping it never
-    refutes a true claim. Optimizer settings the search rejects, and missing
-    keys, raise ValueError or KeyError (malformed).
+    of _OUTCOME_KEYS. The recorded numbers must be finite and agree with
+    each other and with the config, and ``gradient_tol`` must be
+    GRADIENT_TOL. The recorded vector must give the recorded residual, and a
+    spot re-run of the first starts must not beat it. The re-run's cost does
+    not grow with what the file claims: at most RECHECK_STARTS starts of at
+    most DEFAULT_MAX_ITERATIONS steps each, so at most RECHECK_STARTS x
+    (DEFAULT_MAX_ITERATIONS + 1) single-start evaluations of the residual
+    kernel, made in about DEFAULT_MAX_ITERATIONS batched calls. A shorter
+    re-run can only end higher, so capping it never refutes a true claim.
+    Optimizer settings the search rejects, and missing keys, raise
+    ValueError or KeyError (malformed).
     """
     settings = payload["config"]
     problems = []
@@ -386,6 +388,8 @@ def _verify_search_outcome(payload: dict, config: dict) -> list[str]:
     requested = settings["starts_requested"]
     if starts > requested or (settings["stop_below"] is None and starts != requested):
         problems.append("starts made do not match the starts requested")
+    if settings["gradient_tol"] != GRADIENT_TOL:  # what every optimizer used
+        problems.append(f"payload.config.gradient_tol is not {GRADIENT_TOL}")
     problems += _differences(config, _strong_config(source, payload), "config")
     bases = [eigenbasis(c) for c in cs]
     for i in range(len(bases)):

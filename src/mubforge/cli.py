@@ -239,13 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, dim_choices=None) -> None:
+    def add_common(p: argparse.ArgumentParser, dim_choices=None, seed=True) -> None:
         if dim_choices:
             p.add_argument(
                 "--dim", "-n", type=int, required=True, choices=dim_choices,
                 help="number of qubits (Hilbert dimension 2**n)",
             )
-        p.add_argument("--seed", type=int, default=0, help="deterministic seed")
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="deterministic seed")
         p.add_argument("--output", "-o", help="write the certificate here")
         p.add_argument(
             "--table", action="store_true", help="print a human-readable summary"
@@ -281,12 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eur", help="collision-entropy saturation report")
     p.add_argument("source", help="built-in name or class-set certificate path")
-    add_common(p)
+    add_common(p, seed=False)
     p.set_defaults(func=_cmd_eur)
 
     p = sub.add_parser("ks", help="double-context partition and sign parity")
     p.add_argument("source", help="built-in name or class-set certificate path")
-    add_common(p)
+    add_common(p, seed=False)
     p.set_defaults(func=_cmd_ks)
 
     p = sub.add_parser("scan", help="four-qubit conjecture evidence scan")

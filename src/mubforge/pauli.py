@@ -196,18 +196,3 @@ def independent(ops: Sequence[PauliLike]) -> bool:
             return False
     return True
 
-
-def operator_to_json(op: Union[PauliOperator, ProjectivePauli]) -> dict:
-    """Wire form ``{"n", "x", "z", "phase"}`` with bit-string masks."""
-    phase = op.phase if isinstance(op, PauliOperator) else 0
-    return {
-        "n": op.n,
-        "x": format(op.x, f"0{op.n}b"),
-        "z": format(op.z, f"0{op.n}b"),
-        "phase": phase,
-    }
-
-
-def operator_from_json(data: dict) -> PauliOperator:
-    n = int(data["n"])
-    return PauliOperator(n, int(data["x"], 2), int(data["z"], 2), int(data["phase"]))

@@ -1,4 +1,4 @@
-"""Bit-mask search engine over the canonical Pauli enumeration.
+"""Class search engine over the canonical Pauli enumeration.
 
 Nonidentity projective operators are addressed by ``key - 1`` where
 ``key = (x << n) | z``, so a set of operators is one Python integer and a
@@ -6,9 +6,8 @@ subset test is a single AND. That mask is the one representation of a class
 throughout the package (``CommutingClass.mask``), and ascending bit order is
 ascending key order. Maximal commuting classes are the Lagrangian subgroups
 of the symplectic space; for n <= 4 there are only 15, 135 and 2295 of them,
-so their masks are enumerated once per qubit count. A single containment
-query ("which classes fit inside this operator set") is a filter over that
-cached family.
+so their key rows are built once per qubit count, and every query is a
+gather on those rows through a lookup table indexed by operator key.
 
 Census queries over the sub-collections of a complete set use owner masks
 instead. Inside a fixed complete set every nonidentity operator belongs to
@@ -21,7 +20,7 @@ census counts of every sub-collection at once.
 
 The same owners answer "does any class fit inside the union of C minus one
 class S" for many choices at once: such a class has its owner inside C and
-shares no operator with S (``classes_fit_in_union_minus``).
+no key in S (``classes_fit_in_union_minus``).
 
 The family itself is built in closed form from the quadratic-form picture
 of stabilizer states (Dehaene and De Moor, quant-ph/0304125): every
@@ -39,8 +38,6 @@ from functools import lru_cache
 import numpy as np
 
 MAX_SEARCH_QUBITS = 4
-
-_LIMBS = 4  # 4 * 64 bits cover the 255 operators at n = 4
 
 
 class PauliIndex:
@@ -113,16 +110,26 @@ def _lagrangian_keys(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _class_mask_matrix(n: int) -> np.ndarray:
-    """The class family as _LIMBS little-endian 64-bit limbs per mask."""
+def _family(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only key rows and membership table of the class family.
+
+    ``keys[i]`` lists the keys of class i in ascending order, and
+    ``member[i, key]`` says whether class i holds ``key``.
+    """
     keys = _lagrangian_keys(n)
-    mat = np.zeros((len(keys), _LIMBS), dtype=np.uint64)
-    rows = np.arange(len(keys))
-    for col in keys.T:  # one element per row at a time
-        bit = col.astype(np.uint64) - np.uint64(1)
-        mat[rows, bit >> np.uint64(6)] |= np.uint64(1) << (bit & np.uint64(63))
-    mat.flags.writeable = False
-    return mat
+    member = np.zeros((len(keys), 1 << (2 * n)), dtype=bool)
+    member[np.arange(len(keys))[:, None], keys] = True
+    for arr in (keys, member):
+        arr.flags.writeable = False
+    return keys, member
+
+
+def _key_table(n: int, mask: int) -> np.ndarray:
+    """An operator mask as a boolean table indexed by key (key 0 is False)."""
+    size = 1 << (2 * n)
+    data = ((mask << 1) & ((1 << size) - 1)).to_bytes((size + 7) // 8, "little")
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
+    return bits[:size].astype(bool)
 
 
 @lru_cache(maxsize=None)
@@ -131,25 +138,17 @@ def all_maximal_classes(n: int) -> tuple[int, ...]:
 
     The order is ascending by the tuple of ascending element keys.
     """
-    return tuple(
-        int.from_bytes(row.tobytes(), "little")
-        for row in _class_mask_matrix(n).astype("<u8")
-    )
-
-
-def _mask_limbs(mask: int) -> np.ndarray:
-    return np.array(
-        [(mask >> (64 * i)) & 0xFFFFFFFFFFFFFFFF for i in range(_LIMBS)],
-        dtype=np.uint64,
-    )
+    packed = np.packbits(_family(n)[1], axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") >> 1 for row in packed)
 
 
 def classes_within_mask(n: int, universe_mask: int) -> list[int]:
     """Masks of the maximal commuting classes contained in the universe mask."""
+    keys = _family(n)[0]  # validates n before the key table is sized by it
+    inside = _key_table(n, universe_mask)
+    # np.take, and a reduction over the leading axis, are numpy's fast forms
+    hits = np.flatnonzero(np.take(inside, keys.T).all(axis=0))
     family = all_maximal_classes(n)
-    hits = np.flatnonzero(
-        ((_class_mask_matrix(n) & ~_mask_limbs(universe_mask)) == 0).all(axis=1)
-    )
     return [family[i] for i in hits]
 
 
@@ -185,11 +184,10 @@ def owner_census(n: int, part_masks: tuple[int, ...]) -> OwnerCensus:
             f"part masks do not partition the operators into {size + 2} classes"
         )
     k = len(part_masks)
-    parts = np.stack([_mask_limbs(m) for m in part_masks])
-    uses = ((_class_mask_matrix(n)[:, None, :] & parts[None, :, :]) != 0).any(axis=2)
-    owners = (uses.astype(np.int32) << np.arange(k, dtype=np.int32)).sum(
-        axis=1, dtype=np.int32
-    )
+    part_bit = np.zeros(1 << (2 * n), dtype=np.int32)  # key -> 1 << its class
+    for j, m in enumerate(part_masks):
+        part_bit[_key_table(n, m)] = 1 << j
+    owners = np.bitwise_or.reduce(part_bit[_family(n)[0]], axis=1)
     # a single-bit owner is a complete-set class itself, not an extra class
     extras = owners[(owners & (owners - 1)) != 0]
     spanning = np.bincount(extras, minlength=1 << k).astype(np.int32)
@@ -216,12 +214,12 @@ def classes_fit_in_union_minus(
     shares no operator with the removed class. The choices go through in
     fixed-size blocks, so the temporaries stay small however many there are.
     """
-    mat = _class_mask_matrix(n)
+    keys, member = _family(n)
     fits = np.zeros(len(choices), dtype=bool)
     for start in range(0, len(choices), _FIT_CHUNK):
         block = choices[start:start + _FIT_CHUNK]
         row, cls = np.nonzero((census.owners & ~block[:, None]) == 0)
         row += start
-        misses = ((mat[cls] & mat[removed[row]]) == 0).all(axis=1)
+        misses = ~member[removed[row][:, None], keys[cls]].any(axis=1)
         fits[row[misses]] = True
     return fits

@@ -221,11 +221,8 @@ def theorem4_census(complete: ClassSet, k: int) -> int:
         raise ValueError("requires a complete three-qubit class set")
     if not 2 <= k <= 7:
         raise ValueError(f"subset size must be in [2, 7], got {k}")
-    census = owner_census(3, tuple(c.mask for c in complete))
-    return max(
-        int(census.spanning[_subset_mask(subset)])
-        for subset in combinations(range(len(complete)), k)
-    )
+    spanning = owner_census(3, tuple(c.mask for c in complete)).spanning
+    return int(max(spanning[c] for c in range(len(spanning)) if c.bit_count() == k))
 
 
 @dataclass(frozen=True)

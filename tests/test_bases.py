@@ -10,8 +10,6 @@ import pytest
 from mubforge.bases import (
     MubBasis,
     SignedGroup,
-    basis_from_json,
-    basis_to_json,
     eigenbasis,
     element_sign_labels,
     labels_hamming_check,
@@ -107,13 +105,6 @@ class TestEigenbasis:
     def test_labels_count_in_binary(self):
         b = basis_of("ZI", "IZ", "ZZ")
         assert b.labels == ("00", "01", "10", "11")
-
-    def test_json_round_trip(self):
-        b = basis_of("YY", "IY", "YI")
-        rebuilt = basis_from_json(basis_to_json(b))
-        assert rebuilt.labels == b.labels
-        assert np.allclose(rebuilt.vectors, b.vectors, atol=0)
-        assert rebuilt.source == b.source
 
 
 class TestFourQubitBases:

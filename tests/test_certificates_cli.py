@@ -188,7 +188,7 @@ def _drop_max_iterations(cert):
 
 
 def _drop_gradient_tol(cert):
-    # no check reads this setting, so only the closed key set notices
+    # the closed key set notices a missing key before its value is compared
     del cert["payload"]["config"]["gradient_tol"]
 
 
@@ -593,6 +593,31 @@ class TestArgumentValidation:
         assert load(out)["payload"]["kind"] == "eur_report"
 
 
+@pytest.mark.parametrize("command", ["eur", "ks"])
+def test_eur_and_ks_take_no_seed(command, capsys):
+    # neither command draws random numbers, so a seed would be a dead knob
+    with pytest.raises(SystemExit) as exc:
+        run([command, "paper-d4-weak", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_eur_and_ks_content_is_unchanged_without_the_seed_option(tmp_path):
+    # dropping the option must not change what either command writes; eur's
+    # entropies may round differently in the last digit on another BLAS, so
+    # its config, where a seed would show, is pinned instead of its hash
+    assert run(["ks", "paper-d4-weak", "-o", str(tmp_path / "ks.json")]) == 0
+    assert load(tmp_path / "ks.json")["payload_sha256"] == (
+        "b01fb3f825758628ceb9781a0c282a23a75770b2cfd89b4fee55e1e2e2a80eff"
+    )
+    assert run(["eur", "paper-d4-weak", "-o", str(tmp_path / "eur.json")]) == 0
+    configs = [load(p)["config"] for p in sorted(tmp_path.glob("eur-*.json"))]
+    assert configs == [
+        {"source": "paper-d4-weak", "extra": extra, "saturation_tol": 1e-12}
+        for extra in ("IZ YI YZ", "IY XI XY", "ZX XZ YY")
+    ]
+
+
 @pytest.mark.parametrize(
     "argv, sha256",
     [
@@ -726,6 +751,26 @@ MUTATIONS = {
     "empty-list": lambda value: [],
     "bump": _bump,
 }
+
+
+@pytest.fixture(scope="module")
+def strong_text(tmp_path_factory):
+    out = tmp_path_factory.mktemp("strong") / "strong.json"
+    assert main([
+        "strong", "paper-d4-strong", "--starts", "20", "--seed", "3", "-o", str(out),
+    ]) == 0
+    return out.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("how", sorted(MUTATIONS))
+def test_strong_gradient_tol_is_pinned(strong_text, how):
+    # every optimizer wrote the search's 1e-12, the L-BFGS-B files included
+    cert = json.loads(strong_text)
+    optimizer = cert["payload"]["config"]
+    assert optimizer["gradient_tol"] == 1e-12
+    optimizer["gradient_tol"] = MUTATIONS[how](optimizer["gradient_tol"])
+    _rehash(cert)
+    assert verify_certificate(cert) == ["payload.config.gradient_tol is not 1e-12"]
 
 
 def _is_label(kind, path, value):

@@ -15,8 +15,6 @@ from mubforge.pauli import (
     identity,
     independent,
     multiply,
-    operator_from_json,
-    operator_to_json,
     pauli_from_string,
 )
 from oracles import LETTER_MATS, matrices_commute, matrix_from_letters
@@ -79,12 +77,6 @@ class TestEncoding:
         assert identity(2).is_identity
         assert PauliOperator(2, 0, 0, 2).is_projective_identity
         assert not PauliOperator(2, 0, 0, 2).is_identity
-
-    def test_json_round_trip(self):
-        op = pauli_from_string("YIZ")
-        data = operator_to_json(op)
-        assert data == {"n": 3, "x": "100", "z": "101", "phase": 1}
-        assert operator_from_json(data) == op
 
 
 class TestMultiply:

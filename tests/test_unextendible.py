@@ -284,6 +284,9 @@ def test_searches_reject_oversized_qubit_counts():
     )
     with pytest.raises(ValueError, match="support"):
         extra_classes_within_union(ClassSet(5, (z5,)))
+    for n in (0, 5, 40):  # 4**40 keys would not fit in memory
+        with pytest.raises(ValueError, match="support"):
+            classes_within_mask(n, 1)
 
 
 def _oracle_counts(n, part_masks, subset):
@@ -326,6 +329,15 @@ class TestOwnerCensus:
         assert len(subsets) == 40
         _assert_engine_matches_oracle(4, canonical_complete_set(4), subsets)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_owners_match_a_direct_computation_from_the_masks(self, n):
+        masks = tuple(c.mask for c in canonical_complete_set(n))
+        want = [
+            sum(1 << j for j, part in enumerate(masks) if cls & part)
+            for cls in search.all_maximal_classes(n)
+        ]
+        assert owner_census(n, masks).owners.tolist() == want
+
     def test_arrays_are_small_and_read_only(self):
         census = owner_census(4, tuple(c.mask for c in canonical_complete_set(4)))
         assert census.within.shape == census.spanning.shape == (1 << 17,)
@@ -333,6 +345,9 @@ class TestOwnerCensus:
         for arr in (census.owners, census.within, census.spanning):
             assert arr.dtype == np.int32
             assert not arr.flags.writeable
+        keys, member = search._family(4)
+        assert keys.shape == (2295, 15) and member.shape == (2295, 256)
+        assert not keys.flags.writeable and not member.flags.writeable
 
     def test_rejects_masks_that_are_not_a_partition(self):
         masks = tuple(c.mask for c in canonical_complete_set(3))
