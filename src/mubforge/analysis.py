@@ -9,7 +9,9 @@ with unimodular x_j, so the squared-deviation functional
 
 is minimized over the (d-1)-torus of phases from many seeded starts. F is
 a sum of squared residuals, so each start runs Levenberg-Marquardt (damped
-Gauss-Newton) on the analytic Jacobian, and all starts in flight advance
+Gauss-Newton) on its normal equations: one kernel returns the residuals,
+J^T r and J^T J straight from fixed tables of condition-column products,
+and the Jacobian J itself is never formed. All starts in flight advance
 together as one numpy batch whose rows never interact; see
 ``strong_unext_search`` for the stopping rules. A residual below the
 witness threshold is a constructive extension witness; a floor well above
@@ -80,13 +82,18 @@ class UnbiasedVectorProblem:
     After a frame rotation taking the first basis to the computational one,
     every candidate has the form (1/sqrt(d)) (1, e^(i t_1), .., e^(i t_{d-1})),
     which enforces unbiasedness to that basis exactly; the residual sums the
-    squared unbiasedness deviations against the remaining bases.
+    squared unbiasedness deviations against the remaining bases. Row a of
+    the m condition rows is the conjugated rotated vector c_a of another
+    basis, so that <c_a|psi> = offset_a + sum_j conditions_aj e^(i t_j).
     """
 
     bases: tuple[MubBasis, ...]
     d: int
     frame: np.ndarray  # rows of the first basis; maps torus vectors back
-    conditions: np.ndarray  # conjugated rotated vectors of the other bases
+    offset: np.ndarray  # (m,) first condition column over sqrt(d)
+    conditions: np.ndarray  # (m, d-1) C: the other condition columns over sqrt(d)
+    pair_conj: np.ndarray  # (m, (d-1)^2) P[a, jk] = C_aj conj(C_ak)
+    pair: np.ndarray  # (m, (d-1)^2) Q[a, jk] = C_aj C_ak
 
     @classmethod
     def from_bases(cls, bases: Sequence[MubBasis]) -> "UnbiasedVectorProblem":
@@ -105,8 +112,17 @@ class UnbiasedVectorProblem:
                         f"(deviation {dev:.3e})"
                     )
         w = bases[0].vectors.conj()
-        conditions = np.vstack([(b.vectors @ w.T).conj() for b in bases[1:]])
-        return cls(tuple(bases), d, bases[0].vectors, conditions)
+        rows = np.vstack([(b.vectors @ w.T).conj() for b in bases[1:]]) / math.sqrt(d)
+        c = rows[:, 1:]
+        tables = (
+            rows[:, 0],
+            c,
+            (c[:, :, None] * c.conj()[:, None, :]).reshape(len(c), -1),
+            (c[:, :, None] * c[:, None, :]).reshape(len(c), -1),
+        )
+        for t in tables:
+            t.flags.writeable = False
+        return cls(tuple(bases), d, bases[0].vectors, *tables)
 
     def torus_vector(self, theta: np.ndarray) -> np.ndarray:
         psi = np.empty(self.d, dtype=complex)
@@ -119,21 +135,46 @@ class UnbiasedVectorProblem:
         v = self.frame.T @ self.torus_vector(theta)
         return v / np.linalg.norm(v)
 
-    def residual_and_gradient(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Residuals and their Jacobian at a batch of torus points.
+    def residual_and_gradient(
+        self, theta: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Residuals and the normal-equation terms at a batch of torus points.
 
-        ``theta`` has shape (B, d-1), or (d-1,) for one point. Returns r of
-        shape (B, m), r_a = |<c_a|psi>|^2 - 1/d over the m condition rows,
-        and J = dr/dtheta of shape (B, m, d-1). The residual is F = sum r^2
-        and its gradient is 2 J^T r. Every operation acts on each row alone,
-        so a row's result does not depend on the rest of the batch.
+        ``theta`` has shape (B, d-1), or (d-1,) for one point. With J =
+        dr/dtheta the (m, d-1) Jacobian of the m residuals r_a = |<c_a|psi>|^2
+        - 1/d, returns r of shape (B, m), g = J^T r of shape (B, d-1) and
+        H = J^T J of shape (B, d-1, d-1); F = sum r^2 has gradient 2 g. With
+        e = e^(i theta), o = offset + C e, u = conj(o) and w = |o|^2,
+
+            g = -2 Im(e * ((u r) C)),
+            H = 2 Re[(w P) * e e^H - (u^2 Q) * e e^T],
+
+        so J itself is never formed. Every contraction is a stack of
+        one-row products, which BLAS rounds the same way whatever the batch
+        size (a plain batch product does not), so a row's result does not
+        depend on the rest of the batch.
         """
-        scale = 1.0 / math.sqrt(self.d)
-        terms = self.conditions[:, 1:] * (scale * np.exp(1j * np.asarray(theta)))[..., None, :]
-        o = self.conditions[:, 0] * scale + terms.sum(axis=-1)
-        r = o.real**2 + o.imag**2 - 1.0 / self.d
-        jacobian = -2.0 * (o.conj()[..., None] * terms).imag
-        return r, jacobian
+        theta = np.asarray(theta, dtype=float)
+        n = self.d - 1
+        e = np.exp(1j * theta.reshape(-1, 1, n))
+        u = (self.offset + (e @ self.conditions.T)[:, 0]).conj()
+        w = u.real**2 + u.imag**2
+        r = w - 1.0 / self.d
+        g = -2.0 * (e[:, 0] * ((u * r)[:, None, :] @ self.conditions)[:, 0]).imag
+        # w is real, so it meets P's (re, im) pairs as one real table; the
+        # phase products are then applied in place
+        h = (w[:, None, :] @ self.pair_conj.view(float)).view(complex).reshape(-1, n, n)
+        uq = ((u * u)[:, None, :] @ self.pair).reshape(-1, n, n)
+        h *= e.conj()
+        uq *= e
+        h -= uq
+        h *= e.transpose(0, 2, 1)
+        lead = theta.shape[:-1]
+        return (
+            r.reshape(lead + (-1,)),
+            g.reshape(theta.shape),
+            (2.0 * h.real).reshape(lead + (n, n)),
+        )
 
 
 @dataclass(frozen=True)
@@ -160,6 +201,18 @@ def check_max_iterations(max_iterations) -> None:
         )
 
 
+def check_stop_below(stop_below) -> None:
+    """Raise ValueError unless the early-stop bar is None or a finite number."""
+    if stop_below is not None and (
+        isinstance(stop_below, bool)
+        or not isinstance(stop_below, numbers.Real)
+        or not math.isfinite(stop_below)
+    ):
+        raise ValueError(
+            f"stop_below must be a finite number or None, got {stop_below!r}"
+        )
+
+
 def strong_unext_search(
     bases: Sequence[MubBasis],
     starts: int = DEFAULT_STARTS,
@@ -180,12 +233,18 @@ def strong_unext_search(
     GRADIENT_TOL in every component; it also stops, unconverged, when lambda
     passes _LAMBDA_CEILING or after ``max_iterations`` steps.
 
+    The step runs on the normal equations alone: each start in flight keeps
+    J^T r and the (d-1) x (d-1) matrix J^T J, which
+    ``UnbiasedVectorProblem.residual_and_gradient`` computes without a
+    Jacobian tensor, so what a start keeps between steps does not grow with
+    the number of condition rows.
+
     All starts in flight are iterated as one batch whose rows never
     interact, so every start's result is the same whatever else shares its
     batch, and a run that stops early after k starts matches a run of k
     starts. ``stop_below`` ends the search at the first start (by index)
     whose residual falls under the threshold, which is enough when only a
-    witness is wanted.
+    witness is wanted; it must be None or a finite number.
 
     A result below WITNESS_THRESHOLD is a constructive extension witness; a
     floor far above it across all starts is evidence, not proof, that no
@@ -194,6 +253,7 @@ def strong_unext_search(
     if starts < 1:
         raise ValueError("need at least one start")
     check_max_iterations(max_iterations)
+    check_stop_below(stop_below)
     if not (math.isfinite(f_tol) and f_tol >= 0):
         raise ValueError(f"f_tol must be finite and non-negative, got {f_tol!r}")
     problem = UnbiasedVectorProblem.from_bases(bases)
@@ -237,7 +297,6 @@ def _multistart(
     on; the starts counted are those up to the first one below it.
     """
     n = problem.d - 1
-    m = len(problem.conditions)
     final_f = np.empty(starts)
     final_theta = np.empty((starts, n))
     converged = np.zeros(starts, dtype=bool)
@@ -248,8 +307,8 @@ def _multistart(
     # the rows in flight: row i runs start index[i]
     index = np.empty(0, dtype=np.intp)
     theta = np.empty((0, n))
-    r = np.empty((0, m))
-    jac = np.empty((0, m, n))
+    grad = np.empty((0, n))
+    gauss = np.empty((0, n, n))  # J^T J of each row
     f = np.empty(0)
     lam = np.empty(0)
     steps = np.empty(0, dtype=np.intp)
@@ -261,29 +320,27 @@ def _multistart(
                 np.random.default_rng([seed, k]).uniform(0.0, 2.0 * math.pi, n)
                 for k in new
             ])
-            r0, jac0 = problem.residual_and_gradient(theta0)
+            r0, grad0, gauss0 = problem.residual_and_gradient(theta0)
             index = np.concatenate([index, new])
             theta = np.concatenate([theta, theta0])
-            r = np.concatenate([r, r0])
-            jac = np.concatenate([jac, jac0])
+            grad = np.concatenate([grad, grad0])
+            gauss = np.concatenate([gauss, gauss0])
             f = np.concatenate([f, np.einsum("bm,bm->b", r0, r0)])
             lam = np.concatenate([lam, np.full(room, _LAMBDA_START)])
             steps = np.concatenate([steps, np.zeros(room, dtype=np.intp)])
             admitted += room
             block *= 2
 
-        jac_t = jac.transpose(0, 2, 1)
-        grad = (jac_t @ r[..., None])[..., 0]
         flat = np.max(np.abs(2.0 * grad), axis=1) <= GRADIENT_TOL
-        normal = jac_t @ jac + lam[:, None, None] * identity
+        normal = gauss + lam[:, None, None] * identity
         trial = theta + np.linalg.solve(normal, -grad[..., None])[..., 0]
-        r_trial, jac_trial = problem.residual_and_gradient(trial)
+        r_trial, grad_trial, gauss_trial = problem.residual_and_gradient(trial)
         f_trial = np.einsum("bm,bm->b", r_trial, r_trial)
         better = (f_trial < f) & ~flat
         settled = better & (f - f_trial <= f_tol * np.maximum(f, 1.0))
         theta[better] = trial[better]
-        r[better] = r_trial[better]
-        jac[better] = jac_trial[better]
+        grad[better] = grad_trial[better]
+        gauss[better] = gauss_trial[better]
         f = np.where(better, f_trial, f)
         lam = np.where(better, np.maximum(lam * _LAMBDA_DOWN, _LAMBDA_MIN), lam * _LAMBDA_UP)
         steps += 1
@@ -301,8 +358,8 @@ def _multistart(
             if hits.size:
                 limit = min(limit, int(hits.min()) + 1)
         keep = ~done & (index < limit)
-        index, theta, r, jac, f, lam, steps = (
-            a[keep] for a in (index, theta, r, jac, f, lam, steps)
+        index, theta, grad, gauss, f, lam, steps = (
+            a[keep] for a in (index, theta, grad, gauss, f, lam, steps)
         )
     return final_f[:limit], final_theta[:limit], converged[:limit]
 

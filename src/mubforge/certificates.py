@@ -44,6 +44,7 @@ from mubforge.analysis import (
     SATURATION_TOL,
     SearchOutcome,
     check_max_iterations,
+    check_stop_below,
     eur_check,
     ks_alternate_partition,
     ks_sign_verify,
@@ -355,9 +356,13 @@ def _verify_search_outcome(payload: dict, config: dict) -> list[str]:
     not grow with what the file claims: at most RECHECK_STARTS starts of at
     most DEFAULT_MAX_ITERATIONS steps each, so at most RECHECK_STARTS x
     (DEFAULT_MAX_ITERATIONS + 1) single-start evaluations of the residual
-    kernel, made in about DEFAULT_MAX_ITERATIONS batched calls. A shorter
-    re-run can only end higher, so capping it never refutes a true claim.
-    Optimizer settings the search rejects, and missing keys, raise
+    kernel, made in about DEFAULT_MAX_ITERATIONS batched calls. Over m
+    condition rows at dimension d, each evaluation costs about 2 m (d-1)^2
+    complex multiply-adds and each step one (d-1) x (d-1) solve per start;
+    a start in flight holds O(m + (d-1)^2) numbers, never an m x (d-1)
+    Jacobian. A shorter re-run can only end higher, so capping it never
+    refutes a true claim. Optimizer settings the search rejects (a
+    non-finite ``stop_below`` among them), and missing keys, raise
     ValueError or KeyError (malformed).
     """
     settings = payload["config"]
@@ -374,6 +379,7 @@ def _verify_search_outcome(payload: dict, config: dict) -> list[str]:
             f"{path}.{key} is not a search outcome field"
             for key in sorted(set(node) - _OUTCOME_KEYS[path])
         ]
+    check_stop_below(settings["stop_below"])
     cs = classes_from_json(payload["classes"])
     source, named = _source(config, cs)
     problems += _differences(payload["classes"], classes_to_json(named), "payload.classes")

@@ -6,11 +6,14 @@ package's symplectic representation, so agreement between the two routes
 is a real check rather than a tautology. ``enumerate_classes_in`` finds the
 maximal commuting classes inside a universe by a depth-first search over
 generator chains, a different route from the package's closed-form
-family.
+family. ``residual_jacobian`` forms the strong search's residuals and their
+full Jacobian by broadcasting, the route the package's normal-equation
+kernel avoids.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -123,3 +126,22 @@ def enumerate_classes_in(n: int, universe_mask: int) -> list[int]:
         extend((gk,), low, universe_mask & comm[gk - 1] & (-1 << gk), 1)
     results.sort()
     return [mask for _, mask in results]
+
+
+def residual_jacobian(bases, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals r and Jacobian J = dr/dtheta of the unbiased-vector search.
+
+    Built from the bases alone: the candidate (1/sqrt(d)) (1, e^(i t_1), ..)
+    is read in the frame where the first basis is computational, and r_a =
+    |<c_a|psi>|^2 - 1/d over the rotated vectors c_a of the other bases.
+    ``theta`` has shape (B, d-1); r has shape (B, m) and J the full
+    (B, m, d-1) broadcast shape.
+    """
+    d = bases[0].d
+    w = bases[0].vectors.conj()
+    conditions = np.vstack([(b.vectors @ w.T).conj() for b in bases[1:]])
+    scale = 1.0 / math.sqrt(d)
+    terms = conditions[:, 1:] * (scale * np.exp(1j * np.asarray(theta)))[..., None, :]
+    o = conditions[:, 0] * scale + terms.sum(axis=-1)
+    r = o.real**2 + o.imag**2 - 1.0 / d
+    return r, -2.0 * (o.conj()[..., None] * terms).imag

@@ -125,11 +125,14 @@ def test_a05_mub_property_and_pinned_bases():
 
 def test_a06_strong_unextendibility_two_sided():
     started = time.perf_counter()
-    # evidence side: the published strong sets keep a high residual floor
-    for cs, label in ((strong_triple_d4(), "d=4"), (strong_five_d8(), "d=8")):
+    # evidence side: the published strong sets keep their calibrated floors
+    for cs, floor, label in (
+        (strong_triple_d4(), 0.25, "d=4"),
+        (strong_five_d8(), 0.125, "d=8"),
+    ):
         bases = [eigenbasis(c) for c in cs]
         outcome = strong_unext_search(bases, starts=1000, seed=7)
-        assert outcome.min_residual > 1e-3, f"{label} floor too low"
+        assert abs(outcome.min_residual - floor) < 1e-9, f"{label} floor moved"
         assert outcome.starts == 1000
     # calibration side: every extendible triple yields an exact witness
     complete = canonical_complete_set(2)
@@ -144,7 +147,7 @@ def test_a06_strong_unextendibility_two_sided():
         )
         assert overlap > 1 - 1e-4, "witness does not match a fourth-basis vector"
         assert residual(outcome.best_vector, bases) < 1e-10
-    _report("A6", "strong sets floor > 1e-3; extendible triples witness < 1e-10", started, 120.0)
+    _report("A6", "strong floors 0.25 (d=4) and 0.125 (d=8) within 1e-9; extendible triples witness < 1e-10", started, 120.0)
 
 
 def test_a07_collision_entropy_saturation():

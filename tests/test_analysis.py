@@ -31,7 +31,7 @@ from mubforge.named_sets import (
 )
 from mubforge.pauli import multiply
 from mubforge.unextendible import build_unextendible_set, extra_classes_within_union
-from oracles import matrix_from_letters, random_state
+from oracles import matrix_from_letters, random_state, residual_jacobian
 
 
 def triple_bases(cs):
@@ -72,35 +72,50 @@ class TestResidual:
 
 class TestUnbiasedVectorProblem:
     def test_analytic_gradient_matches_central_differences(self):
-        cs = canonical_complete_set(2)
-        problem = UnbiasedVectorProblem.from_bases(triple_bases(cs.classes[:3]))
-        rng = np.random.default_rng(17)
+        # g = J^T r is half the gradient of F, and H = J^T J is the
+        # Gauss-Newton matrix of the broadcast Jacobian oracle
         h = 1e-6
-        theta = rng.uniform(0, 2 * np.pi, (100, 3))
-        r, jac = problem.residual_and_gradient(theta)
-        grad = 2.0 * np.einsum("bmi,bm->bi", jac, r)
-        for j in range(3):
-            step = np.zeros(3)
-            step[j] = h
-            r_plus, _ = problem.residual_and_gradient(theta + step)
-            r_minus, _ = problem.residual_and_gradient(theta - step)
-            numeric_jac = (r_plus - r_minus) / (2 * h)
-            assert np.max(np.abs(jac[:, :, j] - numeric_jac)) < 1e-6
-            numeric = (np.sum(r_plus**2, axis=1) - np.sum(r_minus**2, axis=1)) / (2 * h)
-            scale = np.maximum(1.0, np.abs(numeric))
-            assert np.all(np.abs(grad[:, j] - numeric) / scale < 1e-6)
+        for sets in (canonical_complete_set(2).classes[:3], strong_five_d8()):
+            bases = triple_bases(sets)
+            problem = UnbiasedVectorProblem.from_bases(bases)
+            n = problem.d - 1
+            theta = np.random.default_rng(17).uniform(0, 2 * np.pi, (40, n))
+            r, g, gauss = problem.residual_and_gradient(theta)
+            r_oracle, jac = residual_jacobian(bases, theta)
+            assert np.max(np.abs(r - r_oracle)) < 1e-13
+            assert np.max(np.abs(gauss - jac.transpose(0, 2, 1) @ jac)) < 1e-12
+            for j in range(n):
+                step = np.zeros(n)
+                step[j] = h
+                r_plus, _ = residual_jacobian(bases, theta + step)
+                r_minus, _ = residual_jacobian(bases, theta - step)
+                assert np.max(np.abs(jac[:, :, j] - (r_plus - r_minus) / (2 * h))) < 1e-6
+                f_plus, f_minus = (
+                    np.array([residual(problem.vector(t), bases) for t in theta + shift])
+                    for shift in (step, -step)
+                )
+                numeric = (f_plus - f_minus) / (2 * h)
+                scale = np.maximum(1.0, np.abs(numeric))
+                assert np.all(np.abs(2.0 * g[:, j] - numeric) / scale < 1e-6)
 
     def test_batch_rows_equal_single_point_calls(self):
-        # each row of a batch is computed on its own: exactly the 1-row call
-        problem = UnbiasedVectorProblem.from_bases(triple_bases(strong_five_d8()))
-        theta = np.random.default_rng(4).uniform(0, 2 * np.pi, (9, 7))
-        r, jac = problem.residual_and_gradient(theta)
-        assert r.shape == (9, 32) and jac.shape == (9, 32, 7)
-        for b in range(9):
-            r1, jac1 = problem.residual_and_gradient(theta[b])
-            assert np.array_equal(r1, r[b]) and np.array_equal(jac1, jac[b])
-            r2, jac2 = problem.residual_and_gradient(theta[b : b + 1])
-            assert np.array_equal(r2[0], r[b]) and np.array_equal(jac2[0], jac[b])
+        # each row of a batch is computed on its own: exactly the 1-row call,
+        # whatever the batch size
+        for sets in (canonical_complete_set(2).classes[:3], strong_five_d8()):
+            problem = UnbiasedVectorProblem.from_bases(triple_bases(sets))
+            n = problem.d - 1
+            m = len(problem.conditions)
+            rng = np.random.default_rng(4)
+            for size in (1, 2, 3, 17, 64, 1000):
+                theta = rng.uniform(0, 2 * np.pi, (size, n))
+                batch = problem.residual_and_gradient(theta)
+                assert [a.shape for a in batch] == [(size, m), (size, n), (size, n, n)]
+                for b in range(size):
+                    single = problem.residual_and_gradient(theta[b])
+                    row = problem.residual_and_gradient(theta[b : b + 1])
+                    for whole, one, first in zip(batch, single, row):
+                        assert np.array_equal(one, whole[b])
+                        assert np.array_equal(first[0], whole[b])
 
     def test_candidates_are_unbiased_to_the_first_basis(self):
         cs = canonical_complete_set(2)
@@ -118,7 +133,7 @@ class TestUnbiasedVectorProblem:
             bases = triple_bases(cs)
             problem = UnbiasedVectorProblem.from_bases(bases)
             theta = np.random.default_rng(8).uniform(0, 2 * np.pi, (10, problem.d - 1))
-            r, _ = problem.residual_and_gradient(theta)
+            r, _, _ = problem.residual_and_gradient(theta)
             for row, t in zip(r, theta):
                 assert abs(np.sum(row * row) - residual(problem.vector(t), bases)) < 1e-13
 
@@ -172,10 +187,13 @@ class TestStrongSearch:
         [{"max_iterations": 0}, {"max_iterations": -3}, {"f_tol": -1.0},
          {"f_tol": float("nan")}, {"f_tol": float("inf")},
          {"max_iterations": float("nan")}, {"max_iterations": 2.5},
-         {"max_iterations": 3.0}, {"max_iterations": True}],
+         {"max_iterations": 3.0}, {"max_iterations": True},
+         {"stop_below": float("nan")}, {"stop_below": float("inf")},
+         {"stop_below": float("-inf")}],
         ids=["zero-iterations", "negative-iterations", "negative-f-tol",
              "nan-f-tol", "infinite-f-tol", "nan-iterations",
-             "fractional-iterations", "float-iterations", "bool-iterations"],
+             "fractional-iterations", "float-iterations", "bool-iterations",
+             "nan-stop-below", "infinite-stop-below", "minus-infinite-stop-below"],
     )
     def test_rejects_unusable_optimizer_settings(self, opts):
         bases = triple_bases(canonical_complete_set(2).classes[:3])

@@ -457,6 +457,21 @@ class TestUntrustedOptimizerSettings:
         assert run(["check", str(bad)]) == 2
         assert capsys.readouterr().out.startswith(f"{bad}: malformed (ValueError: ")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_stop_below_is_malformed(self, tmp_path, strong_cert, value, capsys):
+        # what `strong --stop-below nan` or `inf` wrote before the search
+        # rejected those values: the same bar in the config and the payload
+        cert = load(strong_cert)
+        cert["config"]["stop_below"] = cert["payload"]["config"]["stop_below"] = value
+        _rehash(cert)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cert), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["check", str(bad)]) == 2
+        assert capsys.readouterr().out.startswith(
+            f"{bad}: malformed (ValueError: stop_below must be a finite number"
+        )
+
     def test_huge_iteration_count_is_capped(self, tmp_path, strong_cert, capsys, monkeypatch):
         import time
 
@@ -557,6 +572,18 @@ class TestAnalysisCommands:
 
     def test_unknown_source_exits_two(self):
         assert run(["strong", "paper-d6-weak", "--starts", "5"]) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_strong_rejects_a_non_finite_stop_below(self, tmp_path, capsys, value):
+        out = tmp_path / "strong.json"
+        assert run([
+            "strong", "paper-d4-strong", "--starts", "30", "--stop-below", value,
+            "--output", str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: stop_below must be a finite number")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestArgumentValidation:
