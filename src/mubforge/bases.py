@@ -12,6 +12,12 @@ and g_i P_e = (-1)^(e_i) P_e. Taking characters over the actual signed
 products, rather than over re-signed abstract generators, keeps the formula
 correct without choosing a sign convention for the class.
 
+The label contract: character i of a label (the i-th letter of its bit
+string) is the eigenvalue sign of signed generator i. ``_label_bits`` is the
+one place that pairs string positions with generator subsets; the bases and
+the per-element labels are both read from it, and every basis is checked
+against its label strings before it is returned.
+
 Dense complex matrices are confined to this module and to the analysis
 layer; everything upstream is exact GF(2) arithmetic.
 """
@@ -25,6 +31,7 @@ import numpy as np
 
 from mubforge.classes import CommutingClass
 from mubforge.pauli import PauliOperator, identity, multiply
+from mubforge.search import MAX_SEARCH_QUBITS
 
 UNITARY_TOL = 1e-12
 
@@ -73,13 +80,6 @@ class SignedGroup:
                 raise ValueError("dependent generators: product collapses to identity")
         return cls(c.n, tuple(members))
 
-    def subset_of_key(self, key: int) -> int:
-        """Generator subset whose product has the given projective key."""
-        for t, m in enumerate(self.members):
-            if m.key == key:
-                return t
-        raise KeyError(f"projective key {key} is not in the group")
-
     def hermitian_sign(self, t: int) -> int:
         """Sign of member t relative to the standard Hermitian representative."""
         member = self.members[t]
@@ -87,14 +87,28 @@ class SignedGroup:
         return 1 if member.phase == herm.phase else -1
 
 
+def _label_bits(n: int) -> np.ndarray:
+    """The label convention: ``bits[e, t] = 1`` when signed member t flips vector e.
+
+    Vector e carries the n-bit label of e, and character i of that label
+    (bit n-1-i of e) pairs with generator i (bit i of the subset t), so the
+    entry is the GF(2) inner product of the two.
+    """
+    index = np.arange(1 << n)
+    label = (index[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    subset = (index[:, None] >> np.arange(n)) & 1
+    return (label @ subset.T) & 1
+
+
 @dataclass(frozen=True)
 class MubBasis:
     """An orthonormal joint eigenbasis, vectors ordered by their n-bit label.
 
-    ``vectors[k]`` is the eigenvector whose label is k as an n-bit binary
-    counter; bit i of the label gives the eigenvalue (-1)**bit of signed
-    generator product i. Global phases are fixed by making the first nonzero
-    amplitude real positive.
+    ``vectors[k]`` is the eigenvector labeled ``labels[k]``, k written as an
+    n-bit binary counter; signed generator i multiplies it by
+    (-1)**int(labels[k][i]). ``eigenbasis`` checks that contract, and
+    orthonormality, before it returns a basis. Global phases are fixed by
+    making the first nonzero amplitude real positive.
     """
 
     n: int
@@ -103,64 +117,42 @@ class MubBasis:
     vectors: np.ndarray
     source: CommutingClass
 
-    def vector(self, label: str) -> np.ndarray:
-        return self.vectors[int(label, 2)]
-
-
-def _label_genmask(label_index: int, n: int) -> int:
-    """Label bit i (string position i) maps to generator i (subset bit i)."""
-    mask = 0
-    for i in range(n):
-        if (label_index >> (n - 1 - i)) & 1:
-            mask |= 1 << i
-    return mask
-
-
-def _normalize_phase(v: np.ndarray) -> np.ndarray:
-    for amp in v:
-        if abs(amp) > 1e-9:
-            return v * (amp.conjugate() / abs(amp))
-    raise ValueError("zero vector cannot be normalized")
-
 
 def eigenbasis(c: CommutingClass) -> MubBasis:
     """Synthesize the joint eigenbasis of a maximal commuting class.
 
-    Each projector is Hermitian, idempotent and rank one by construction;
-    all three properties plus completeness are still verified numerically to
-    UNITARY_TOL before the basis is returned.
+    All d character projectors come from one product of the label table's
+    signs with the stacked group matrices; each vector is its projector's
+    heaviest column, normalized and phase-fixed. Before the basis is
+    returned, each signed generator i must map vector k to
+    (-1)**label_k[i] times itself, with the sign read from the label string,
+    and the vectors must be orthonormal, both to UNITARY_TOL. Together these
+    say the vectors are the joint eigenbasis with the stated labels.
     """
-    if c.n > 4:
-        raise ValueError("eigenbases are synthesized for up to 4 qubits")
+    if c.n > MAX_SEARCH_QUBITS:
+        raise ValueError(
+            f"eigenbases are synthesized for up to {MAX_SEARCH_QUBITS} qubits"
+        )
     n, d = c.n, 1 << c.n
-    group = SignedGroup.from_class(c)
-    mats = [operator_matrix(m) for m in group.members]
-    vectors = np.empty((d, d), dtype=complex)
-    labels = []
-    proj_sum = np.zeros((d, d), dtype=complex)
-    for e in range(d):
-        genmask = _label_genmask(e, n)
-        proj = np.zeros((d, d), dtype=complex)
-        for t in range(d):
-            sign = -1.0 if (t & genmask).bit_count() & 1 else 1.0
-            proj += sign * mats[t]
-        proj /= d
-        if np.max(np.abs(proj - proj.conj().T)) > UNITARY_TOL:
-            raise ValueError("projector is not Hermitian")
-        if np.max(np.abs(proj @ proj - proj)) > UNITARY_TOL:
-            raise ValueError("projector is not idempotent")
-        proj_sum += proj
-        col = int(np.argmax(np.linalg.norm(proj, axis=0)))
-        v = proj[:, col]
-        v = v / np.linalg.norm(v)
-        vectors[e] = _normalize_phase(v)
-        labels.append(format(e, f"0{n}b"))
-    if np.max(np.abs(proj_sum - np.eye(d))) > UNITARY_TOL:
-        raise ValueError("projectors do not resolve the identity")
+    mats = np.array([operator_matrix(m) for m in SignedGroup.from_class(c).members])
+    signs = 1 - 2 * _label_bits(n)
+    projs = (signs @ mats.reshape(d, d * d)).reshape(d, d, d) / d
+    rows = np.arange(d)
+    cols = np.argmax(np.linalg.norm(projs, axis=1), axis=1)
+    vectors = projs[rows, :, cols]
+    vectors = vectors / np.linalg.norm(vectors, axis=1)[:, None]
+    amps = vectors[rows, np.argmax(np.abs(vectors) > 1e-9, axis=1)]
+    vectors = vectors * (amps.conj() / np.abs(amps))[:, None]
+    labels = tuple(format(e, f"0{n}b") for e in range(d))
+    for i in range(n):
+        eigenvalues = np.array([-1.0 if label[i] == "1" else 1.0 for label in labels])
+        moved = vectors @ mats[1 << i].T - eigenvalues[:, None] * vectors
+        if not np.all(np.abs(moved) <= UNITARY_TOL):
+            raise ValueError(f"vectors are not eigenvectors of generator {i}")
     gram = vectors.conj() @ vectors.T
-    if np.max(np.abs(gram - np.eye(d))) > UNITARY_TOL:
+    if not np.all(np.abs(gram - np.eye(d)) <= UNITARY_TOL):
         raise ValueError("eigenbasis is not orthonormal")
-    return MubBasis(n, d, tuple(labels), vectors, c)
+    return MubBasis(n, d, labels, vectors, c)
 
 
 def unbiasedness_deviation(b1: MubBasis, b2: MubBasis) -> float:
@@ -176,18 +168,16 @@ def element_sign_labels(b: MubBasis) -> dict[str, str]:
 
     Bit k of the string for element sigma is 0 when the standard Hermitian
     representative of sigma fixes vector k and 1 when it flips its sign.
-    Computed exactly from the signed group, no floating point involved.
+    Read exactly from the label table and the signed group, no floating
+    point involved; elements come in ascending key order.
     """
     group = SignedGroup.from_class(b.source)
+    bits = _label_bits(b.n)
     out: dict[str, str] = {}
-    for elem in b.source.sorted_elements:
-        t = group.subset_of_key(elem.key)
-        flip = group.hermitian_sign(t) < 0
-        bits = []
-        for e in range(b.d):
-            bit = (t & _label_genmask(e, b.n)).bit_count() & 1
-            bits.append(str(bit ^ int(flip)))
-        out[elem.to_string()] = "".join(bits)
+    for t in sorted(range(1, b.d), key=lambda t: group.members[t].key):
+        flip = int(group.hermitian_sign(t) < 0)
+        column = "".join(str(bit ^ flip) for bit in bits[:, t])
+        out[group.members[t].to_string()] = column
     return out
 
 
@@ -205,4 +195,3 @@ def labels_hamming_check(b: MubBasis) -> bool:
     if b.n != 2:
         raise ValueError("the label lemma check applies to two-qubit bases")
     return labels_have_hamming_weight_two(list(element_sign_labels(b).values()))
-

@@ -408,8 +408,8 @@ def _verify_search_outcome(payload: dict, config: dict) -> list[str]:
     fresh = residual(vec, bases)
     if abs(fresh - payload["min_residual"]) > RESIDUAL_RECHECK_TOL:
         problems.append(
-            f"recomputed residual {fresh:.3e} disagrees with recorded "
-            f"{payload['min_residual']:.3e}"
+            f"recomputed residual {fresh!r} disagrees with recorded "
+            f"{payload['min_residual']!r}"
         )
     # Deterministic spot re-run: the first few starts can never beat the
     # recorded optimum of the full run.

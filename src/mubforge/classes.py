@@ -36,9 +36,9 @@ from mubforge.pauli import (
 )
 from mubforge.search import (
     all_maximal_classes,
+    full_mask,
     keys_of_mask,
     mask_of_keys,
-    pauli_index,
 )
 
 # The standard two-qubit complete set used as the canonical fixture.
@@ -226,7 +226,7 @@ class ClassSet:
                 raise ValueError(
                     f"complete set needs {expected} classes, got {len(self.classes)}"
                 )
-            if union != pauli_index(self.n).full_mask:
+            if union != full_mask(self.n):
                 raise ValueError("complete set does not cover all operators")
 
     def __iter__(self) -> Iterator[CommutingClass]:
@@ -276,7 +276,7 @@ def _exact_cover(n: int, seeds: Sequence[CommutingClass]) -> ClassSet:
             chosen.pop()
         return False
 
-    remaining = pauli_index(n).full_mask
+    remaining = full_mask(n)
     for c in seeds:
         remaining &= ~c.mask
     if not fill(remaining):

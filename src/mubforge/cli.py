@@ -89,6 +89,10 @@ def _print_table(certificate: dict) -> None:
 
 
 def _resolve_source(source: str) -> ClassSet:
+    """A built-in set, or the classes of a class-set or unextendible-set file.
+
+    Any file that cannot be read as such raises ValueError.
+    """
     if source in NAMED_CLASS_SETS:
         return named_class_set(source)
     path = Path(source)
@@ -96,14 +100,26 @@ def _resolve_source(source: str) -> ClassSet:
         raise ValueError(
             f"source {source!r} is neither a built-in name nor an existing file"
         )
-    data = json.loads(path.read_text(encoding="utf-8"))
-    payload = data.get("payload", data)
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ValueError(f"source {source!r} cannot be read ({exc.strerror})") from None
+    payload = data.get("payload", data) if isinstance(data, dict) else data
+    if not isinstance(payload, dict):
+        raise ValueError(f"source {source!r} does not hold a payload object")
     kind = payload.get("kind")
     if kind == "class_set":
-        return classes_from_json(payload["class_set"])
-    if kind == "unextendible_set":
-        return classes_from_json(payload["classes"])
-    raise ValueError(f"certificate payload kind {kind!r} does not carry classes")
+        field = "class_set"
+    elif kind == "unextendible_set":
+        field = "classes"
+    else:
+        raise ValueError(f"certificate payload kind {kind!r} does not carry classes")
+    try:
+        return classes_from_json(payload[field])
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(
+            f"source {source!r} has no readable classes ({type(exc).__name__}: {exc})"
+        ) from None
 
 
 def _cmd_complete_set(args: argparse.Namespace) -> int:

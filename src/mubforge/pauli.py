@@ -71,8 +71,7 @@ class ProjectivePauli:
 class PauliOperator:
     """A phase-tracked Pauli operator ``i**phase * X^x Z^z``.
 
-    Instances are immutable values; all operations on them are pure, so they
-    can be shared freely across workers.
+    Instances are immutable values and all operations on them are pure.
     """
 
     n: int

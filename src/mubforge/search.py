@@ -40,24 +40,13 @@ import numpy as np
 MAX_SEARCH_QUBITS = 4
 
 
-class PauliIndex:
-    """Per-qubit-count constants: operator count and the all-operators mask."""
-
-    __slots__ = ("n", "count", "full_mask")
-
-    def __init__(self, n: int):
-        if not 1 <= n <= MAX_SEARCH_QUBITS:
-            raise ValueError(
-                f"class searches support 1..{MAX_SEARCH_QUBITS} qubits, got {n}"
-            )
-        self.n = n
-        self.count = (1 << (2 * n)) - 1
-        self.full_mask = (1 << self.count) - 1
-
-
-@lru_cache(maxsize=None)
-def pauli_index(n: int) -> PauliIndex:
-    return PauliIndex(n)
+def full_mask(n: int) -> int:
+    """Mask of all 4**n - 1 nonidentity operators on n searchable qubits."""
+    if not 1 <= n <= MAX_SEARCH_QUBITS:
+        raise ValueError(
+            f"class searches support 1..{MAX_SEARCH_QUBITS} qubits, got {n}"
+        )
+    return (1 << ((1 << (2 * n)) - 1)) - 1
 
 
 def mask_of_keys(keys) -> int:
@@ -89,7 +78,7 @@ def _lagrangian_keys(n: int) -> np.ndarray:
     graphs that recur across charts, and sorting it gives ascending
     lexicographic order.
     """
-    pauli_index(n)  # validates n; keys then fit in uint8
+    full_mask(n)  # validates n; keys then fit in uint8
     dim = 1 << n
     su = np.zeros((1, dim), dtype=np.uint8)  # row S: S u for u = 0 .. dim - 1
     for i in range(n):
@@ -178,7 +167,7 @@ def owner_census(n: int, part_masks: tuple[int, ...]) -> OwnerCensus:
     if (
         len(part_masks) != size + 2
         or any(m.bit_count() != size for m in part_masks)
-        or union != pauli_index(n).full_mask
+        or union != full_mask(n)
     ):
         raise ValueError(
             f"part masks do not partition the operators into {size + 2} classes"

@@ -38,9 +38,9 @@ from mubforge.pauli import ProjectivePauli
 from mubforge.search import (
     classes_fit_in_union_minus,
     classes_within_mask,
+    full_mask,
     keys_of_mask,
     owner_census,
-    pauli_index,
 )
 
 UniverseTag = Literal["within-union", "remaining-operators"]
@@ -63,7 +63,7 @@ class ExtensionReport:
         union = self.input.union_mask
         if self.universe == WITHIN_UNION:
             return union
-        return pauli_index(self.input.n).full_mask & ~union
+        return full_mask(self.input.n) & ~union
 
     def universe_operators(self) -> tuple[ProjectivePauli, ...]:
         n = self.input.n
@@ -118,7 +118,7 @@ def extendibility_check(cs: ClassSet) -> ExtensionReport:
 
     An empty report is the weak-unextendibility certificate for ``cs``.
     """
-    universe = pauli_index(cs.n).full_mask & ~cs.union_mask
+    universe = full_mask(cs.n) & ~cs.union_mask
     found = _classes_within(cs.n, universe)
     return ExtensionReport(cs, REMAINING_OPERATORS, found, exhaustive=True)
 

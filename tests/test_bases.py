@@ -93,6 +93,21 @@ class TestEigenbasis:
                         )
                         assert residual_norm < TOL
 
+    def test_generators_act_by_their_label_signs(self):
+        for n in (2, 3):
+            for c in canonical_complete_set(n):
+                b = eigenbasis(c)
+                for i, gen in enumerate(c.generators):
+                    # a pinned generator is the standard Hermitian form of its letters
+                    assert gen == pauli_from_string(gen.to_string())
+                    mat = matrix_from_letters(gen.to_string())
+                    for k, label in enumerate(b.labels):
+                        expected = -1.0 if label[i] == "1" else 1.0
+                        residual_norm = np.linalg.norm(
+                            mat @ b.vectors[k] - expected * b.vectors[k]
+                        )
+                        assert residual_norm < TOL
+
     def test_orthonormal_and_phase_normalized(self):
         for c in canonical_complete_set(3):
             b = eigenbasis(c)

@@ -87,6 +87,35 @@ class TestCompleteSetCommand:
         out = capsys.readouterr().out
         assert "classes   : 5" in out
 
+    def test_stdout_is_the_certificate(self, tmp_path, capsys):
+        out = tmp_path / "c2.json"
+        assert run(["complete-set", "-n", "2", "-o", str(out)]) == 0
+        capsys.readouterr()
+        assert run(["complete-set", "-n", "2"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["payload_sha256"] == load(out)["payload_sha256"]
+
+
+@pytest.mark.parametrize(
+    "argv, lead",
+    [
+        (["complete-set", "-n", "2"], "classes   : 5 (complete=True)"),
+        (["find-unextendible", "-n", "2", "--choose", "0,1,2"],
+         "classes   : 3 (unextendible)"),
+        (["strong", "paper-d4-strong", "--starts", "5"], "residual  : "),
+        (["eur", "paper-d4-weak"], "bound     : 1.0"),
+        (["ks", "paper-d4-weak"], "contexts  : "),
+        (["scan", "-n", "4", "--budget", "5", "--seed", "1"], "scanned   : 5 "),
+    ],
+    ids=["class_set", "unextendible_set", "search_outcome", "eur_report",
+         "ks_report", "scan_report"],
+)
+def test_table_for_every_payload_kind(capsys, argv, lead):
+    assert run(argv + ["--table"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [f"command   : {argv[0]}", "verified  : True"]
+    assert lines[2].startswith(lead)
+
 
 class TestFindUnextendible:
     def test_single_choice_matches_weak_triple(self, tmp_path):
@@ -408,6 +437,60 @@ def test_strong_numbers_must_be_finite_and_consistent(tmp_path, capsys, path, va
     assert _refuted_then_verified(tmp_path, capsys, good, mutate)
 
 
+def _double_vector(payload):
+    for part in ("re", "im"):
+        payload["best_vector"][part] = [2 * a for a in payload["best_vector"][part]]
+
+
+def _lower_residual(payload):
+    payload["min_residual"] -= 1e-6
+
+
+@pytest.mark.parametrize(
+    "mutate, problem",
+    [
+        (_double_vector, "best vector is not unit norm"),
+        (_lower_residual, "recomputed residual "),
+    ],
+    ids=["doubled-vector", "lowered-residual"],
+)
+def test_strong_vector_must_give_the_recorded_residual(tmp_path, capsys, mutate, problem):
+    good = tmp_path / "strong.json"
+    assert run([
+        "strong", "paper-d4-strong", "--starts", "20", "--seed", "3", "-o", str(good),
+    ]) == 0
+    recorded = load(good)["payload"]["min_residual"]
+    lines = _refuted_then_verified(tmp_path, capsys, good, mutate)
+    assert len(lines) == 1 and lines[0].startswith(f"  - {problem}")
+    if mutate is _lower_residual:  # both values show in full, so the gap is visible
+        assert lines[0].endswith(f"disagrees with recorded {recorded - 1e-6!r}")
+
+
+def test_strong_residual_worse_than_a_rerun_is_refuted(tmp_path, capsys):
+    import numpy as np
+
+    from mubforge import certificates as cert
+    from mubforge.analysis import residual, strong_unext_search
+    from mubforge.bases import eigenbasis
+    from mubforge.classes import ClassSet, canonical_complete_set
+
+    triple = ClassSet(2, canonical_complete_set(2).classes[:3])
+    bases = [eigenbasis(c) for c in triple]
+    outcome = strong_unext_search(bases, starts=10, seed=1)
+    assert outcome.min_residual < 1e-12  # the triple is extendible
+    good = tmp_path / "strong.json"
+    content = cert.strong_content("extendible-triple", triple, outcome)
+    good.write_text(json.dumps(cert.make_certificate("strong", *content)), encoding="utf-8")
+    e0 = np.eye(4)[0]
+
+    def basis_vector(payload):
+        payload["best_vector"] = {"re": e0.tolist(), "im": [0.0] * 4}
+        payload["min_residual"] = residual(e0, bases)
+
+    lines = _refuted_then_verified(tmp_path, capsys, good, basis_vector)
+    assert lines == ["  - recorded residual is worse than a deterministic re-run"]
+
+
 @pytest.mark.parametrize(
     "path", [(), ("config",), ("best_vector",)], ids=["payload", "config", "vector"]
 )
@@ -572,6 +655,29 @@ class TestAnalysisCommands:
 
     def test_unknown_source_exits_two(self):
         assert run(["strong", "paper-d6-weak", "--starts", "5"]) == 2
+
+    @pytest.mark.parametrize(
+        "command, content",
+        [
+            ("strong", []),
+            ("eur", {"payload": []}),
+            ("strong", None),  # the source is a directory
+            ("ks", {"payload": {"kind": "class_set", "class_set": {"n": 2}}}),
+            ("strong", {"kind": "class_set", "class_set": {"n": 2, "complete": False}}),
+        ],
+        ids=["json-array", "payload-array", "directory", "ks-no-classes",
+             "strong-no-classes"],
+    )
+    def test_unreadable_source_is_malformed(self, tmp_path, capsys, command, content):
+        source = tmp_path / "source.json"
+        if content is None:
+            source.mkdir()
+        else:
+            source.write_text(json.dumps(content), encoding="utf-8")
+        assert run([command, str(source)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_strong_rejects_a_non_finite_stop_below(self, tmp_path, capsys, value):

@@ -38,8 +38,8 @@ from mubforge.pauli import (
 from mubforge.search import (
     all_maximal_classes,
     classes_within_mask,
+    full_mask,
     keys_of_mask,
-    pauli_index,
 )
 from oracles import enumerate_classes_in
 
@@ -326,7 +326,7 @@ class TestClassFamily:
         assert set(counts.values()) == {3}
 
     def test_full_mask_matches_enumeration(self):
-        assert pauli_index(2).full_mask == (1 << 15) - 1
+        assert full_mask(2) == (1 << 15) - 1
 
     def test_keys_of_mask_rejects_a_negative_mask(self):
         # a negative int has infinitely many set bits in two's complement
