@@ -16,7 +16,9 @@ together as one numpy batch whose rows never interact; see
 ``strong_unext_search`` for the stopping rules. A residual below the
 witness threshold is a constructive extension witness; a floor well above
 it across all starts is evidence (not proof) of strong unextendibility. The
-search is calibrated in both directions by the test suite.
+search is calibrated in both directions by the test suite. numpy is imported
+by the functions that compute with arrays, so importing this module does not
+load it.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
-
-import numpy as np
 
 from mubforge.bases import MubBasis, eigenbasis, unbiasedness_deviation
 from mubforge.classes import ClassSet, CommutingClass, class_from_mask
@@ -59,6 +59,8 @@ _BATCH_CAP = 1024  # the most starts in flight at once
 
 
 def _check_unit(psi: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
         raise ValueError("state vector is not unit norm")
@@ -67,6 +69,8 @@ def _check_unit(psi: np.ndarray) -> np.ndarray:
 
 def residual(psi: np.ndarray, bases: Sequence[MubBasis]) -> float:
     """Sum of squared unbiasedness deviations of psi against all bases."""
+    import numpy as np
+
     psi = _check_unit(psi)
     total = 0.0
     for b in bases:
@@ -97,6 +101,8 @@ class UnbiasedVectorProblem:
 
     @classmethod
     def from_bases(cls, bases: Sequence[MubBasis]) -> "UnbiasedVectorProblem":
+        import numpy as np
+
         if len(bases) < 2:
             raise ValueError("need at least two bases")
         d = bases[0].d
@@ -125,6 +131,8 @@ class UnbiasedVectorProblem:
         return cls(tuple(bases), d, bases[0].vectors, *tables)
 
     def torus_vector(self, theta: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         psi = np.empty(self.d, dtype=complex)
         psi[0] = 1.0 / math.sqrt(self.d)
         psi[1:] = np.exp(1j * np.asarray(theta)) / math.sqrt(self.d)
@@ -132,6 +140,8 @@ class UnbiasedVectorProblem:
 
     def vector(self, theta: np.ndarray) -> np.ndarray:
         """Candidate vector in the original frame, unit norm."""
+        import numpy as np
+
         v = self.frame.T @ self.torus_vector(theta)
         return v / np.linalg.norm(v)
 
@@ -154,6 +164,8 @@ class UnbiasedVectorProblem:
         size (a plain batch product does not), so a row's result does not
         depend on the rest of the batch.
         """
+        import numpy as np
+
         theta = np.asarray(theta, dtype=float)
         n = self.d - 1
         e = np.exp(1j * theta.reshape(-1, 1, n))
@@ -250,6 +262,8 @@ def strong_unext_search(
     floor far above it across all starts is evidence, not proof, that no
     unbiased vector exists.
     """
+    import numpy as np
+
     if starts < 1:
         raise ValueError("need at least one start")
     check_max_iterations(max_iterations)
@@ -296,6 +310,8 @@ def _multistart(
     ``stop_below``, later starts are dropped and only the earlier ones run
     on; the starts counted are those up to the first one below it.
     """
+    import numpy as np
+
     n = problem.d - 1
     final_f = np.empty(starts)
     final_theta = np.empty((starts, n))
@@ -366,6 +382,8 @@ def _multistart(
 
 def collision_entropy(b: MubBasis, psi: np.ndarray) -> float:
     """Base-2 collision entropy of the outcome distribution of psi in b."""
+    import numpy as np
+
     psi = _check_unit(psi)
     probs = np.abs(b.vectors.conj() @ psi) ** 2
     s = float(np.sum(probs**2))

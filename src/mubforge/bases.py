@@ -19,15 +19,16 @@ the per-element labels are both read from it, and every basis is checked
 against its label strings before it is returned.
 
 Dense complex matrices are confined to this module and to the analysis
-layer; everything upstream is exact GF(2) arithmetic.
+layer; everything upstream is exact GF(2) arithmetic. numpy is imported by
+the functions that compute with arrays, so importing this module does not
+load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
-
-import numpy as np
 
 from mubforge.classes import CommutingClass
 from mubforge.pauli import PauliOperator, identity, multiply
@@ -35,21 +36,29 @@ from mubforge.search import MAX_SEARCH_QUBITS
 
 UNITARY_TOL = 1e-12
 
-_SINGLE = {
-    (0, 0): np.eye(2, dtype=complex),
-    (1, 0): np.array([[0, 1], [1, 0]], dtype=complex),
-    (0, 1): np.array([[1, 0], [0, -1]], dtype=complex),
-    (1, 1): np.array([[0, -1], [1, 0]], dtype=complex),  # X @ Z
-}
+@lru_cache(maxsize=None)
+def _single_qubit_matrices() -> dict:
+    """X**x Z**z as a dense 2 x 2 matrix, keyed by (x, z)."""
+    import numpy as np
+
+    return {
+        (0, 0): np.eye(2, dtype=complex),
+        (1, 0): np.array([[0, 1], [1, 0]], dtype=complex),
+        (0, 1): np.array([[1, 0], [0, -1]], dtype=complex),
+        (1, 1): np.array([[0, -1], [1, 0]], dtype=complex),  # X @ Z
+    }
 
 
 def operator_matrix(op: PauliOperator) -> np.ndarray:
     """Dense matrix of a phase-tracked operator, qubit 0 leftmost."""
+    import numpy as np
+
+    single = _single_qubit_matrices()
     m = np.ones((1, 1), dtype=complex)
     for j in range(op.n):
         xb = (op.x >> (op.n - 1 - j)) & 1
         zb = (op.z >> (op.n - 1 - j)) & 1
-        m = np.kron(m, _SINGLE[(xb, zb)])
+        m = np.kron(m, single[(xb, zb)])
     return (1j ** op.phase) * m
 
 
@@ -94,6 +103,8 @@ def _label_bits(n: int) -> np.ndarray:
     (bit n-1-i of e) pairs with generator i (bit i of the subset t), so the
     entry is the GF(2) inner product of the two.
     """
+    import numpy as np
+
     index = np.arange(1 << n)
     label = (index[:, None] >> np.arange(n - 1, -1, -1)) & 1
     subset = (index[:, None] >> np.arange(n)) & 1
@@ -129,6 +140,8 @@ def eigenbasis(c: CommutingClass) -> MubBasis:
     and the vectors must be orthonormal, both to UNITARY_TOL. Together these
     say the vectors are the joint eigenbasis with the stated labels.
     """
+    import numpy as np
+
     if c.n > MAX_SEARCH_QUBITS:
         raise ValueError(
             f"eigenbases are synthesized for up to {MAX_SEARCH_QUBITS} qubits"
@@ -157,6 +170,8 @@ def eigenbasis(c: CommutingClass) -> MubBasis:
 
 def unbiasedness_deviation(b1: MubBasis, b2: MubBasis) -> float:
     """Max over vector pairs of | |<a|b>|^2 - 1/d |."""
+    import numpy as np
+
     if b1.d != b2.d:
         raise ValueError("bases have different dimensions")
     overlaps = np.abs(b1.vectors.conj() @ b2.vectors.T) ** 2

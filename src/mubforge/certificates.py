@@ -36,8 +36,6 @@ import time
 from contextlib import contextmanager
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from mubforge.analysis import (
     DEFAULT_MAX_ITERATIONS,
     GRADIENT_TOL,
@@ -103,6 +101,8 @@ def _vector_to_json(v: np.ndarray) -> dict:
 
 
 def _vector_from_json(data: dict) -> np.ndarray:
+    import numpy as np
+
     return np.array(data["re"], dtype=float) + 1j * np.array(data["im"], dtype=float)
 
 
@@ -365,6 +365,8 @@ def _verify_search_outcome(payload: dict, config: dict) -> list[str]:
     non-finite ``stop_below`` among them), and missing keys, raise
     ValueError or KeyError (malformed).
     """
+    import numpy as np
+
     settings = payload["config"]
     problems = []
     for path, node in (

@@ -3,13 +3,12 @@
 These pin the exact operator listings of the published example sets this
 library reproduces: the weakly unextendible two-qubit triple, the strongly
 unextendible triples and five-class set in dimensions 4 and 8, the
-alternate partitions giving two measurement contexts per operator, and the
-explicit basis vectors of the dimension-4 strong set.
+alternate partitions giving two measurement contexts per operator. Every
+listing is letter strings; the published basis vectors of the dimension-4
+strong set, which only the tests compare against, live with the tests.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from mubforge.classes import ClassSet, class_from_strings
 
@@ -56,29 +55,6 @@ ALTERNATE_FIVE_D8 = (
     ("IZX", "YZI", "YIX", "YZX", "YII", "IIX", "IZI"),
     ("XIZ", "XYI", "IYZ", "IYI", "XII", "IIZ", "XYZ"),
 )
-
-# Joint eigenbasis of the class {YY, IY, YI}, as published.
-BASIS_LISTING_D4_YY = 0.5 * np.array(
-    [
-        [1, 1j, 1j, -1],
-        [1, -1j, -1j, -1],
-        [1, -1j, 1j, 1],
-        [1, 1j, -1j, 1],
-    ],
-    dtype=complex,
-)
-
-# Joint eigenbasis of the class {YZ, XX, ZY}, as published.
-BASIS_LISTING_D4_YZXXZY = 0.5 * np.array(
-    [
-        [1, -1j, -1j, 1],
-        [1, -1j, 1j, -1],
-        [1, 1j, -1j, -1],
-        [1, 1j, 1j, 1],
-    ],
-    dtype=complex,
-)
-
 
 def _class_set(listing: tuple[tuple[str, ...], ...], n: int) -> ClassSet:
     return ClassSet(n, tuple(class_from_strings(group) for group in listing))

@@ -6,36 +6,37 @@ subset test is a single AND. That mask is the one representation of a class
 throughout the package (``CommutingClass.mask``), and ascending bit order is
 ascending key order. Maximal commuting classes are the Lagrangian subgroups
 of the symplectic space; for n <= 4 there are only 15, 135 and 2295 of them,
-so their key rows are built once per qubit count, and every query is a
-gather on those rows through a lookup table indexed by operator key.
+so their masks are built once per qubit count, and "which classes fit inside
+this universe" is one AND per family member.
 
 Census queries over the sub-collections of a complete set use owner masks
 instead. Inside a fixed complete set every nonidentity operator belongs to
 exactly one class, so each maximal class has an owner mask: the set of
 complete-set classes its operators come from. A class lies inside the union
 of a sub-collection C iff its owner is a subset of C, and it draws from
-every class of C iff its owner equals C. One histogram of owner masks and
-one subset-sum transform over its 2**(2**n + 1) entries then answer the
-census counts of every sub-collection at once.
+every class of C iff its owner equals C. ``extras_within`` lifts each owner
+to the supersets of the sizes asked for, so its cost follows the answers it
+finds, not the 2**(2**n + 1) possible sub-collections.
 
 The same owners answer "does any class fit inside the union of C minus one
-class S" for many choices at once: such a class has its owner inside C and
-no key in S (``classes_fit_in_union_minus``).
+class S": such a class has its owner inside C and no key in S
+(``classes_fit_in_union_minus``).
 
 The family itself is built in closed form from the quadratic-form picture
-of stabilizer states (Dehaene and De Moor, quant-ph/0304125): every
-Lagrangian subspace is the graph {(x, Sx)} of a symmetric GF(2) matrix S in
-one of the 2**n Hadamard charts. All 2**n x 2**(n(n+1)/2) graphs are
-formed as one numpy array and deduplicated. The tests keep a depth-first
-enumeration of canonical generator chains as the independent oracle.
+of stabilizer states (Dehaene and De Moor, quant-ph/0304125): the
+x-projection of a Lagrangian subspace L is a subspace V, and L is
+{(x, Bx + w) : x in V, w in V-perp} for one symmetric form B on V. Every
+reduced echelon basis of V with every B gives each class exactly once. The
+tests keep a depth-first enumeration of canonical generator chains as the
+independent oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from itertools import combinations, product
+from typing import Iterable, Sequence
 
 MAX_SEARCH_QUBITS = 4
 
@@ -67,58 +68,22 @@ def keys_of_mask(mask: int) -> list[int]:
     return keys
 
 
-def _lagrangian_keys(n: int) -> np.ndarray:
-    """Element keys of every maximal class, one ascending row per class.
+def _echelon_bases(n: int):
+    """Reduced echelon bases of every subspace V of GF(2)**n, as (pivots, rows).
 
-    In the Hadamard chart T (qubits in T have x and z swapped) the graph
-    {(u, Su)} of a symmetric GF(2) matrix S is a Lagrangian subspace, and
-    every Lagrangian subspace is such a graph in at least one of the 2**n
-    charts. The 2**(n(n+1)/2) graphs of each chart are built as one array
-    and each row's keys are sorted; a set of the rows as bytes drops the
-    graphs that recur across charts, and sorting it gives ascending
-    lexicographic order.
+    Row i leads with bit ``pivots[i]``, which no other row holds; its lower
+    bits are free outside the pivots. The reduced echelon form of a subspace
+    is unique, so each one comes once.
     """
-    full_mask(n)  # validates n; keys then fit in uint8
-    dim = 1 << n
-    su = np.zeros((1, dim), dtype=np.uint8)  # row S: S u for u = 0 .. dim - 1
-    for i in range(n):
-        for j in range(i, n):
-            # putting 1 at (i, j) and (j, i) of S flips bit i of S u when u_j
-            # is set and bit j when u_i is set; every S gets both versions
-            flip = [(v >> j & 1) << i | (v >> i & 1) << j for v in range(dim)]
-            su = np.concatenate([su, su ^ np.array(flip, dtype=np.uint8)])
-    u = np.arange(1, dim, dtype=np.uint8)  # u = 0 is the identity
-    su = su[:, 1:]
-    rows: set[bytes] = set()
-    for chart in range(dim):  # qubits in ``chart`` have x and z swapped
-        kept = (dim - 1) ^ chart
-        keys = (((u & kept) | (su & chart)) << n) | (su & kept) | (u & chart)
-        keys.sort(axis=1)
-        rows.update(keys.view(np.dtype((np.void, dim - 1))).ravel().tolist())
-    return np.frombuffer(b"".join(sorted(rows)), dtype=np.uint8).reshape(-1, dim - 1)
-
-
-@lru_cache(maxsize=None)
-def _family(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only key rows and membership table of the class family.
-
-    ``keys[i]`` lists the keys of class i in ascending order, and
-    ``member[i, key]`` says whether class i holds ``key``.
-    """
-    keys = _lagrangian_keys(n)
-    member = np.zeros((len(keys), 1 << (2 * n)), dtype=bool)
-    member[np.arange(len(keys))[:, None], keys] = True
-    for arr in (keys, member):
-        arr.flags.writeable = False
-    return keys, member
-
-
-def _key_table(n: int, mask: int) -> np.ndarray:
-    """An operator mask as a boolean table indexed by key (key 0 is False)."""
-    size = 1 << (2 * n)
-    data = ((mask << 1) & ((1 << size) - 1)).to_bytes((size + 7) // 8, "little")
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
-    return bits[:size].astype(bool)
+    for k in range(n + 1):
+        for pivots in combinations(range(n), k):
+            pivot_mask = sum(1 << p for p in pivots)
+            options = [
+                [v for v in range(1 << p, 2 << p) if v & pivot_mask == 1 << p]
+                for p in pivots
+            ]
+            for rows in product(*options):
+                yield pivots, rows
 
 
 @lru_cache(maxsize=None)
@@ -126,40 +91,74 @@ def all_maximal_classes(n: int) -> tuple[int, ...]:
     """Masks of every maximal commuting class on n qubits, canonically ordered.
 
     The order is ascending by the tuple of ascending element keys.
+
+    For the x-projection V with echelon rows v_i and pivots p_i, a symmetric
+    form B is fixed by the z-parts c_i = sum_j B_ij e(p_j) of the generators
+    (v_i, c_i), since v_j . c_i = B_ij. Setting B_ij = B_ji flips the z-part
+    of the graph element sum_l a_l (v_l, c_l) by a_i e(p_j) | a_j e(p_i), so
+    the graphs of all forms come from doubling the graph of B = 0 once per
+    entry. Each graph element (x, z) stands for the coset {(x, z + w) : w in
+    V-perp}, whose bits are the precomputed mask of z + V-perp shifted to
+    x's block of 2**n keys.
     """
-    packed = np.packbits(_family(n)[1], axis=1, bitorder="little")
-    return tuple(int.from_bytes(row.tobytes(), "little") >> 1 for row in packed)
+    full_mask(n)
+    block = (1 << n) - 1
+    found = []
+    for pivots, rows in _echelon_bases(n):
+        k = len(pivots)
+        perp = [
+            w for w in range(1 << n)
+            if not any((w & v).bit_count() & 1 for v in rows)
+        ]
+        coset = [sum(1 << (z ^ w) for w in perp) for z in range(1 << n)]
+        graphs = [[0]]
+        for v in rows:
+            graphs[0] += [g ^ (v << n) for g in graphs[0]]
+        for i in range(k):
+            for j in range(i, k):
+                flip = [
+                    (a >> i & 1) << pivots[j] | (a >> j & 1) << pivots[i]
+                    for a in range(1 << k)
+                ]
+                graphs += [[g ^ f for g, f in zip(graph, flip)] for graph in graphs]
+        for graph in graphs:  # bit 0 is the identity, which no mask holds
+            found.append(sum(coset[g & block] << (g & ~block) for g in graph) >> 1)
+    # A precedes B in key-tuple order exactly when the lowest key in only
+    # one of them is in A, so the order is descending on bit-reversed masks
+    width = full_mask(n).bit_length()
+    found.sort(key=lambda m: int(f"{m:0{width}b}"[::-1], 2), reverse=True)
+    return tuple(found)
 
 
 def classes_within_mask(n: int, universe_mask: int) -> list[int]:
     """Masks of the maximal commuting classes contained in the universe mask."""
-    keys = _family(n)[0]  # validates n before the key table is sized by it
-    inside = _key_table(n, universe_mask)
-    # np.take, and a reduction over the leading axis, are numpy's fast forms
-    hits = np.flatnonzero(np.take(inside, keys.T).all(axis=0))
     family = all_maximal_classes(n)
-    return [family[i] for i in hits]
+    if universe_mask < 0 or universe_mask & ~full_mask(n):
+        raise ValueError(
+            f"universe mask is not a set of nonidentity operators on {n} qubits"
+        )
+    return [m for m in family if m & universe_mask == m]
 
 
 @dataclass(frozen=True)
 class OwnerCensus:
-    """Extra-class counts for every sub-collection of one complete set.
+    """Owner masks of the class family with respect to one complete set.
 
-    ``owners[i]`` is the owner mask of ``all_maximal_classes(n)[i]``. Both
-    count arrays are indexed by a sub-collection mask C (bit j set when
-    complete-set class j is chosen) and leave out the complete-set classes
-    themselves: ``within[C]`` counts the extra classes inside the union of
-    C, ``spanning[C]`` those that use operators of every class in C.
+    ``parts`` are the complete-set class masks, and ``owners[i]`` is the
+    owner mask of ``all_maximal_classes(n)[i]``: bit j is set when the class
+    holds an operator of ``parts[j]``. A sub-collection of the complete set
+    is a mask C of the same kind. A single-bit owner marks a complete-set
+    class itself; every other class is an extra class.
     """
 
-    owners: np.ndarray
-    within: np.ndarray
-    spanning: np.ndarray
+    n: int
+    parts: tuple[int, ...]
+    owners: tuple[int, ...]
 
 
-@lru_cache(maxsize=16)  # about 1 MB per four-qubit complete set
+@lru_cache(maxsize=16)
 def owner_census(n: int, part_masks: tuple[int, ...]) -> OwnerCensus:
-    """Owner-mask census of the complete set whose class masks are given."""
+    """Owner census of the complete set whose class masks are given."""
     size = (1 << n) - 1
     union = 0
     for m in part_masks:
@@ -172,43 +171,61 @@ def owner_census(n: int, part_masks: tuple[int, ...]) -> OwnerCensus:
         raise ValueError(
             f"part masks do not partition the operators into {size + 2} classes"
         )
-    k = len(part_masks)
-    part_bit = np.zeros(1 << (2 * n), dtype=np.int32)  # key -> 1 << its class
-    for j, m in enumerate(part_masks):
-        part_bit[_key_table(n, m)] = 1 << j
-    owners = np.bitwise_or.reduce(part_bit[_family(n)[0]], axis=1)
-    # a single-bit owner is a complete-set class itself, not an extra class
-    extras = owners[(owners & (owners - 1)) != 0]
-    spanning = np.bincount(extras, minlength=1 << k).astype(np.int32)
-    within = spanning.copy()
-    for bit in range(k):  # in-place subset-sum (zeta) transform
-        view = within.reshape(-1, 2, 1 << bit)
-        view[:, 1, :] += view[:, 0, :]
-    for arr in (owners, within, spanning):
-        arr.flags.writeable = False
-    return OwnerCensus(owners, within, spanning)
+    bits = [(1 << j, m) for j, m in enumerate(part_masks)]
+    owners = tuple(
+        sum(bit for bit, m in bits if m & cls) for cls in all_maximal_classes(n)
+    )
+    return OwnerCensus(n, part_masks, owners)
 
 
-_FIT_CHUNK = 64  # choices per block: a 64 x 2295 int32 subset test is 0.6 MB
+def extras_within(census: OwnerCensus, subsets: Iterable[int]) -> dict[int, list[int]]:
+    """Family indices of the extra classes inside the union of each sub-collection.
+
+    An extra class lies inside the union of C exactly when its owner is a
+    subset of C. For each size s asked for, every extra owner of at most s
+    bits is lifted to its size-s supersets, and those that were asked for
+    collect it; indices come in ascending order. The cost is the number of
+    (class, sub-collection) pairs over the sizes asked for, however few
+    sub-collections of each size are asked for.
+    """
+    found = {c: [] for c in subsets}
+    sizes = {c.bit_count() for c in found}
+    bits = [1 << j for j in range(len(census.parts))]
+    for i, owner in enumerate(census.owners):
+        p = owner.bit_count()
+        if p < 2:
+            continue
+        free = [b for b in bits if not owner & b]
+        for s in sizes:
+            if s < p:
+                continue
+            # the added bits are free, so each sum is a union with the owner
+            for c in map(owner.__add__, map(sum, combinations(free, s - p))):
+                hit = found.get(c)
+                if hit is not None:
+                    hit.append(i)
+    return found
 
 
 def classes_fit_in_union_minus(
-    n: int, census: OwnerCensus, choices: np.ndarray, removed: np.ndarray
-) -> np.ndarray:
+    census: OwnerCensus,
+    choices: Sequence[int],
+    extras: dict[int, list[int]],
+    removed: Sequence[int],
+) -> list[bool]:
     """Whether any maximal class fits in the union of ``choices[i]`` minus one class.
 
-    ``choices`` holds sub-collection masks of the census's complete set and
-    ``removed`` the family index of the class taken out of each union. A
-    class fits exactly when its owner is a subset of the choice and it
-    shares no operator with the removed class. The choices go through in
-    fixed-size blocks, so the temporaries stay small however many there are.
+    ``choices`` holds sub-collection masks, ``extras`` the family indices of
+    the extra classes inside the union of each (as ``extras_within`` gives
+    them) and ``removed`` the family index of the class taken out of each
+    union. The classes whose owner lies inside a choice are its extras and
+    its complete-set classes, and one of them fits exactly when it shares no
+    operator with the removed class: for a complete-set class, when the
+    removed class's owner misses it.
     """
-    keys, member = _family(n)
-    fits = np.zeros(len(choices), dtype=bool)
-    for start in range(0, len(choices), _FIT_CHUNK):
-        block = choices[start:start + _FIT_CHUNK]
-        row, cls = np.nonzero((census.owners & ~block[:, None]) == 0)
-        row += start
-        misses = ~member[removed[row][:, None], keys[cls]].any(axis=1)
-        fits[row[misses]] = True
-    return fits
+    family = all_maximal_classes(census.n)
+    return [
+        bool(choice & ~census.owners[r])
+        or any(not family[i] & family[r] for i in extras[choice])
+        for choice, r in zip(choices, removed)
+    ]

@@ -6,9 +6,9 @@ searches here are exhaustive: every maximal commuting class on n qubits is
 known (see mubforge.search). Every "which classes fit inside this
 universe" query is one filter of that family. The census and the scanner,
 which ask the same question of many sub-collections of one complete set,
-read every answer from that set's owner-mask census instead: one histogram
-of which complete-set classes each maximal class draws from, plus its
-subset-sum transform.
+read every answer from that set's owner-mask census instead: which
+complete-set classes each maximal class draws from, lifted to the
+sub-collections whose union holds it.
 
 On two qubits, any three classes of a complete set admit exactly one extra
 class inside their union, and no unextendible four-set exists. On three
@@ -20,12 +20,10 @@ the counts it observed.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 from typing import Literal, Optional, Sequence
-
-import numpy as np
 
 from mubforge.classes import (
     ClassSet,
@@ -38,6 +36,7 @@ from mubforge.pauli import ProjectivePauli
 from mubforge.search import (
     classes_fit_in_union_minus,
     classes_within_mask,
+    extras_within,
     full_mask,
     keys_of_mask,
     owner_census,
@@ -197,16 +196,8 @@ def verify_no_weak_4set_d4(complete: ClassSet) -> bool:
     return True
 
 
-def _subset_mask(indices: Sequence[int]) -> int:
-    mask = 0
-    for i in indices:
-        mask |= 1 << i
-    return mask
-
-
-def _distribution(counts: np.ndarray) -> dict[int, int]:
-    values, freq = np.unique(counts, return_counts=True)
-    return {int(v): int(f) for v, f in zip(values, freq)}
+def _distribution(counts: Sequence[int]) -> dict[int, int]:
+    return dict(sorted(Counter(counts).items()))
 
 
 def theorem4_census(complete: ClassSet, k: int) -> int:
@@ -221,8 +212,9 @@ def theorem4_census(complete: ClassSet, k: int) -> int:
         raise ValueError("requires a complete three-qubit class set")
     if not 2 <= k <= 7:
         raise ValueError(f"subset size must be in [2, 7], got {k}")
-    spanning = owner_census(3, tuple(c.mask for c in complete)).spanning
-    return int(max(spanning[c] for c in range(len(spanning)) if c.bit_count() == k))
+    # the spanning classes of a choice C are those whose owner is C
+    owners = owner_census(3, tuple(c.mask for c in complete)).owners
+    return max(Counter(o for o in owners if o.bit_count() == k).values(), default=0)
 
 
 @dataclass(frozen=True)
@@ -241,7 +233,8 @@ class ConjectureScanReport:
     exact extendibility check. Its leftover operators are the union of the
     choice minus the spanning class, so a class fits there exactly when its
     owner lies inside the choice and it misses the spanning class; the
-    owner census already built answers that for every choice at once.
+    extras the census found inside the choice, with the chosen classes
+    themselves, are all the candidates.
     """
 
     n: int
@@ -278,36 +271,36 @@ def conjecture_scan(
         raise ValueError("budget must be at least 1")
     complete = canonical_complete_set(4)
     # every nine-class choice as a bit mask, in itertools.combinations order
-    choices = np.fromiter(
-        (_subset_mask(combo) for combo in combinations(range(len(complete)), 9)),
-        dtype=np.int32,
-        count=comb(len(complete), 9),
-    )
+    # (the bits are distinct, so their sum is their union)
+    bits = [1 << i for i in range(len(complete))]
+    choices = list(map(sum, combinations(bits, 9)))
     if budget is None or budget >= len(choices):
         subsets = choices
         exhaustive = True
     else:
-        rng = np.random.default_rng(seed)
-        picks = rng.choice(len(choices), size=budget, replace=False)
-        subsets = choices[np.sort(picks)]
+        import numpy as np  # its generator fixes which choices a seed samples
+
+        picks = np.random.default_rng(seed).choice(
+            len(choices), size=budget, replace=False
+        )
+        subsets = [choices[i] for i in sorted(picks.tolist())]
         exhaustive = False
 
     census = owner_census(4, tuple(c.mask for c in complete))
-    within = census.within[subsets]
-    spanning = census.spanning[subsets]
-    # swap check: the one spanning class S of a choice C is the family member
-    # owned by C, and the swapped set is extendible exactly when some class
-    # fits in the union of C minus S
-    one = np.flatnonzero(spanning == 1)
-    by_owner = np.argsort(census.owners)
-    spanning_class = by_owner[
-        np.searchsorted(census.owners, subsets[one], sorter=by_owner)
-    ]
-    fits = classes_fit_in_union_minus(4, census, subsets[one], spanning_class)
-    passes = int(np.count_nonzero(~fits))
+    extras = extras_within(census, subsets)
+    owned: dict[int, list[int]] = {}  # owner -> the family indices it owns
+    for i, owner in enumerate(census.owners):
+        owned.setdefault(owner, []).append(i)
+    # the spanning classes of a choice C are the classes C owns; with exactly
+    # one, S, the swapped set is extendible exactly when some class fits in
+    # the union of C minus S
+    spanning = [len(owned.get(c, ())) for c in subsets]
+    one = [c for c, count in zip(subsets, spanning) if count == 1]
+    fits = classes_fit_in_union_minus(census, one, extras, [owned[c][0] for c in one])
     failures = [
         tuple(i for i in range(len(complete)) if c >> i & 1)
-        for c in subsets[one[fits]].tolist()
+        for c, fit in zip(one, fits)
+        if fit
     ]
     return ConjectureScanReport(
         n=4,
@@ -315,8 +308,8 @@ def conjecture_scan(
         budget=budget,
         exhaustive=exhaustive,
         subsets_scanned=len(subsets),
-        within_union_distribution=_distribution(within),
+        within_union_distribution=_distribution([len(extras[c]) for c in subsets]),
         spanning_distribution=_distribution(spanning),
-        swap_passes=passes,
+        swap_passes=spanning.count(1) - len(failures),
         swap_failures=tuple(failures),
     )

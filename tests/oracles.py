@@ -8,7 +8,8 @@ maximal commuting classes inside a universe by a depth-first search over
 generator chains, a different route from the package's closed-form
 family. ``residual_jacobian`` forms the strong search's residuals and their
 full Jacobian by broadcasting, the route the package's normal-equation
-kernel avoids.
+kernel avoids. ``BASIS_LISTING_*`` are the published eigenbases of two
+dimension-4 classes, as reference data for the synthesized ones.
 """
 
 from __future__ import annotations
@@ -24,6 +25,28 @@ Y2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z2 = np.array([[1, 0], [0, -1]], dtype=complex)
 
 LETTER_MATS = {"I": I2, "X": X2, "Y": Y2, "Z": Z2}
+
+# Joint eigenbasis of the class {YY, IY, YI}, as published.
+BASIS_LISTING_D4_YY = 0.5 * np.array(
+    [
+        [1, 1j, 1j, -1],
+        [1, -1j, -1j, -1],
+        [1, -1j, 1j, 1],
+        [1, 1j, -1j, 1],
+    ],
+    dtype=complex,
+)
+
+# Joint eigenbasis of the class {YZ, XX, ZY}, as published.
+BASIS_LISTING_D4_YZXXZY = 0.5 * np.array(
+    [
+        [1, -1j, -1j, 1],
+        [1, -1j, 1j, -1],
+        [1, 1j, -1j, -1],
+        [1, 1j, 1j, 1],
+    ],
+    dtype=complex,
+)
 
 
 def matrix_from_letters(s: str) -> np.ndarray:

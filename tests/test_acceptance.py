@@ -30,7 +30,6 @@ from mubforge.classes import (
 from mubforge.named_sets import (
     ALTERNATE_FIVE_D8,
     ALTERNATE_TRIPLE_D4,
-    BASIS_LISTING_D4_YY,
     WEAK_TRIPLE_D4_LEFTOVER,
     strong_five_d8,
     strong_triple_d4,
@@ -45,7 +44,12 @@ from mubforge.unextendible import (
     theorem4_census,
     verify_no_weak_4set_d4,
 )
-from oracles import assert_same_basis, enumerate_classes_in, random_state
+from oracles import (
+    BASIS_LISTING_D4_YY,
+    assert_same_basis,
+    enumerate_classes_in,
+    random_state,
+)
 
 
 def _report(tag: str, detail: str, started: float, budget: float) -> None:

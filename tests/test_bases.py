@@ -23,14 +23,15 @@ from mubforge.classes import (
     class_from_mask,
     class_from_strings,
 )
-from mubforge.named_sets import (
-    BASIS_LISTING_D4_YY,
-    BASIS_LISTING_D4_YZXXZY,
-    strong_five_d8,
-)
+from mubforge.named_sets import strong_five_d8
 from mubforge.pauli import pauli_from_string
 from mubforge.search import all_maximal_classes
-from oracles import assert_same_basis, matrix_from_letters
+from oracles import (
+    BASIS_LISTING_D4_YY,
+    BASIS_LISTING_D4_YZXXZY,
+    assert_same_basis,
+    matrix_from_letters,
+)
 
 TOL = 1e-12
 

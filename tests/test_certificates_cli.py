@@ -824,6 +824,45 @@ def test_strong_search_runs_without_scipy(tmp_path):
     assert load(out_file)["verified"] is True
 
 
+LAYERS = (
+    "pauli", "search", "classes", "unextendible", "bases", "analysis",
+    "certificates", "cli",
+)
+
+
+def test_cli_import_loads_every_layer_but_not_numpy():
+    # every layer module is loaded, so code that patches or traces them
+    # finds them all, while numpy waits for the first numeric command
+    code = (
+        "import sys, mubforge.cli\n"
+        f"print(all('mubforge.' + m in sys.modules for m in {LAYERS!r}),"
+        " 'numpy' in sys.modules)"
+    )
+    assert _python(code) == "True False"
+
+
+def test_census_commands_run_with_numpy_unimportable(tmp_path):
+    # the combinatorial commands emit and every output checks, all in one
+    # interpreter in which importing numpy raises ImportError
+    code = f"""
+import glob, os, sys
+sys.modules["numpy"] = None
+from mubforge.cli import main
+os.chdir({str(tmp_path)!r})
+codes = [
+    main(["complete-set", "-n", "4", "-o", "complete.json"]),
+    main(["find-unextendible", "-n", "3", "--all", "-o", "unext"]),
+    main(["scan", "-n", "4", "--all", "-o", "scan.json"]),
+]
+outputs = ["complete.json", "scan.json"] + sorted(glob.glob("unext/*.json"))
+codes.append(main(["check"] + outputs))
+print("codes", codes)
+"""
+    out = _python(code).splitlines()
+    assert out[-1] == "codes [0, 0, 0, 0]"
+    assert sum(line.endswith(": verified") for line in out) == 128
+
+
 # One certificate of each deterministic payload kind, each re-verified by
 # rebuilding its whole payload from the inputs it declares.
 DETERMINISTIC_COMMANDS = {

@@ -334,6 +334,16 @@ class TestClassFamily:
         with pytest.raises(ValueError, match="non-negative"):
             keys_of_mask(-1)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_classes_within_mask_rejects_masks_outside_the_operators(self, n):
+        # -1 would read as every operator and a bit past key 4**n - 1 as
+        # none; both are malformed universes, not answers
+        full = full_mask(n)
+        assert classes_within_mask(n, full) == list(all_maximal_classes(n))
+        for bad in (-1, -full - 1, full + 1, 1 << full.bit_length()):
+            with pytest.raises(ValueError, match="universe mask"):
+                classes_within_mask(n, bad)
+
 
 def test_alternate_triple_fixture_is_made_of_valid_classes():
     for group in ALTERNATE_TRIPLE_D4:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-import numpy as np
 import pytest
 
 from mubforge.classes import (
@@ -24,6 +23,7 @@ from mubforge import search
 from mubforge.search import (
     classes_fit_in_union_minus,
     classes_within_mask,
+    extras_within,
     owner_census,
 )
 from mubforge.unextendible import (
@@ -300,15 +300,44 @@ def _oracle_counts(n, part_masks, subset):
     return len(within), len(spanning)
 
 
+def _direct_owners(n, part_masks):
+    """The owner of every family member, by a direct OR over the class masks."""
+    return [
+        sum(1 << j for j, part in enumerate(part_masks) if cls & part)
+        for cls in search.all_maximal_classes(n)
+    ]
+
+
 def _assert_engine_matches_oracle(n, complete, subsets):
     masks = tuple(c.mask for c in complete)
-    census = owner_census(n, masks)
+    owners = _direct_owners(n, masks)
+    extras = extras_within(owner_census(n, masks), subsets)
+    assert set(extras) == set(subsets)
     for subset in subsets:
-        got = (int(census.within[subset]), int(census.spanning[subset]))
-        assert got == _oracle_counts(n, masks, subset), bin(subset)
+        found = extras[subset]
+        # brute force: every extra class whose owner lies inside the subset
+        assert found == [
+            i for i, o in enumerate(owners) if not o & ~subset and o & (o - 1)
+        ], bin(subset)
+        spanning = sum(owners[i] == subset for i in found)
+        assert (len(found), spanning) == _oracle_counts(n, masks, subset), bin(subset)
+
+
+def _sampled_four_qubit_subsets():
+    rng = random.Random(40)
+    subsets = []
+    for size in [0, 1, 2, 3, 5, 8, 9, 9, 10, 13, 16, 17] + [
+        rng.randrange(18) for _ in range(28)
+    ]:
+        subsets.append(sum(1 << i for i in rng.sample(range(17), size)))
+    assert len(subsets) == 40
+    return subsets
 
 
 class TestOwnerCensus:
+    def test_every_subset_of_the_canonical_two_qubit_set(self):
+        _assert_engine_matches_oracle(2, canonical_complete_set(2), range(1 << 5))
+
     def test_every_subset_of_the_canonical_three_qubit_set(self):
         _assert_engine_matches_oracle(3, canonical_complete_set(3), range(1 << 9))
 
@@ -320,34 +349,29 @@ class TestOwnerCensus:
         _assert_engine_matches_oracle(3, other, range(1 << 9))
 
     def test_sampled_subsets_at_four_qubits(self):
-        rng = random.Random(40)
-        subsets = []
-        for size in [0, 1, 2, 3, 5, 8, 9, 9, 10, 13, 16, 17] + [
-            rng.randrange(18) for _ in range(28)
-        ]:
-            subsets.append(sum(1 << i for i in rng.sample(range(17), size)))
-        assert len(subsets) == 40
+        subsets = _sampled_four_qubit_subsets()
         _assert_engine_matches_oracle(4, canonical_complete_set(4), subsets)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_owners_match_a_direct_computation_from_the_masks(self, n):
         masks = tuple(c.mask for c in canonical_complete_set(n))
-        want = [
-            sum(1 << j for j, part in enumerate(masks) if cls & part)
-            for cls in search.all_maximal_classes(n)
-        ]
-        assert owner_census(n, masks).owners.tolist() == want
+        census = owner_census(n, masks)
+        assert census.owners == tuple(_direct_owners(n, masks))
+        assert census.parts == masks
 
-    def test_arrays_are_small_and_read_only(self):
+    def test_answers_do_not_depend_on_the_other_subsets_asked(self):
+        # each subset's answer is the same asked alone, among the samples of
+        # every size, or among all 24310 nine-class choices
         census = owner_census(4, tuple(c.mask for c in canonical_complete_set(4)))
-        assert census.within.shape == census.spanning.shape == (1 << 17,)
-        assert census.owners.shape == (2295,)
-        for arr in (census.owners, census.within, census.spanning):
-            assert arr.dtype == np.int32
-            assert not arr.flags.writeable
-        keys, member = search._family(4)
-        assert keys.shape == (2295, 15) and member.shape == (2295, 256)
-        assert not keys.flags.writeable and not member.flags.writeable
+        subsets = _sampled_four_qubit_subsets()
+        together = extras_within(census, subsets)
+        nines = [sum(1 << i for i in c) for c in combinations(range(17), 9)]
+        among_nines = extras_within(census, nines)
+        for subset in subsets:
+            alone = extras_within(census, [subset])
+            assert alone == {subset: together[subset]}
+            if subset.bit_count() == 9:
+                assert among_nines[subset] == alone[subset]
 
     def test_rejects_masks_that_are_not_a_partition(self):
         masks = tuple(c.mask for c in canonical_complete_set(3))
@@ -401,20 +425,21 @@ class TestConjectureScan:
 def _one_spanning_choices():
     """Every nine-class choice of the canonical n = 4 set with one spanning class.
 
-    Returns the census, the class masks, the choice masks and, per choice,
-    the family index of its spanning class.
+    Returns the census, the class masks, the choice masks, the extras
+    inside each choice and, per choice, the family index of its spanning
+    class.
     """
     masks = tuple(c.mask for c in canonical_complete_set(4))
     census = owner_census(4, masks)
-    choices = np.array(
-        [sum(1 << i for i in combo) for combo in combinations(range(17), 9)],
-        dtype=np.int32,
-    )
-    choices = choices[census.spanning[choices] == 1]
-    spanning = np.array(
-        [np.flatnonzero(census.owners == c)[0] for c in choices], dtype=np.intp
-    )
-    return census, masks, choices, spanning
+    owned = {}
+    for i, owner in enumerate(census.owners):
+        owned.setdefault(owner, []).append(i)
+    choices = [
+        c for c in (sum(1 << i for i in combo) for combo in combinations(range(17), 9))
+        if len(owned.get(c, ())) == 1
+    ]
+    spanning = [owned[c][0] for c in choices]
+    return census, masks, choices, extras_within(census, choices), spanning
 
 
 def _fits_by_filter(masks, choice, removed_mask):
@@ -428,37 +453,37 @@ def _fits_by_filter(masks, choice, removed_mask):
 
 def _lowest_chosen_class(family, masks, choices):
     """Family index of the lowest-numbered complete-set class of each choice."""
-    lowest = [(int(c) & -int(c)).bit_length() - 1 for c in choices]
-    return np.array([family.index(masks[i]) for i in lowest], dtype=np.intp)
+    lowest = [(c & -c).bit_length() - 1 for c in choices]
+    return [family.index(masks[i]) for i in lowest]
 
 
 class TestSwapCheckFromCensus:
-    def test_census_route_matches_the_filter_on_every_choice(self, monkeypatch):
-        census, masks, choices, spanning = _one_spanning_choices()
+    def test_census_route_matches_the_filter_on_every_choice(self):
+        census, masks, choices, extras, spanning = _one_spanning_choices()
         assert len(choices) == 1870
         family = search.all_maximal_classes(4)
         # the true spanning class, a chosen complete-set class and an
         # unrelated family member, so both verdicts occur
         lowest = _lowest_chosen_class(family, masks, choices)
+        unrelated = [(s + 7) % len(family) for s in spanning]
         verdicts = set()
-        for removed in (spanning, lowest, (spanning + 7) % len(family)):
+        for removed in (spanning, lowest, unrelated):
             want = [
-                _fits_by_filter(masks, int(c), family[r])
-                for c, r in zip(choices, removed)
+                _fits_by_filter(masks, c, family[r]) for c, r in zip(choices, removed)
             ]
-            for chunk in (1, 64, 5000):  # the block size must not matter
-                monkeypatch.setattr(search, "_FIT_CHUNK", chunk)
-                got = classes_fit_in_union_minus(4, census, choices, removed)
-                assert got.tolist() == want
+            assert classes_fit_in_union_minus(census, choices, extras, removed) == want
             verdicts.update(want)
         assert verdicts == {True, False}
 
     def test_a_wrong_spanning_class_is_reported_as_a_failure(self):
-        census, masks, choices, spanning = _one_spanning_choices()
+        census, masks, choices, extras, spanning = _one_spanning_choices()
         family = search.all_maximal_classes(4)
+
+        def fits(removed):
+            return classes_fit_in_union_minus(census, choices, extras, removed)
+
+        assert not any(fits(spanning))
         # removing one chosen complete-set class leaves the other eight
-        lowest = _lowest_chosen_class(family, masks, choices)
-        assert classes_fit_in_union_minus(4, census, choices, lowest).all()
+        assert all(fits(_lowest_chosen_class(family, masks, choices)))
         for shift in (1, 7, 1000):
-            wrong = (spanning + shift) % len(family)
-            assert classes_fit_in_union_minus(4, census, choices, wrong).any()
+            assert any(fits([(s + shift) % len(family) for s in spanning]))
