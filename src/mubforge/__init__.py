@@ -43,7 +43,6 @@ from mubforge.classes import (
 )
 from mubforge.pauli import (
     PauliOperator,
-    ProjectivePauli,
     commutes,
     enumerate_nonidentity,
     independent,
@@ -74,7 +73,6 @@ __all__ = [
     "KsReport",
     "MubBasis",
     "PauliOperator",
-    "ProjectivePauli",
     "SearchOutcome",
     "SignedGroup",
     "UnbiasedVectorProblem",

@@ -26,17 +26,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from mubforge.bases import MubBasis, eigenbasis, unbiasedness_deviation
 from mubforge.classes import ClassSet, CommutingClass, class_from_mask
-from mubforge.pauli import ProjectivePauli, multiply, pauli_from_string
+from mubforge.pauli import PauliOperator, multiply, pauli_from_string
 from mubforge.search import mask_of_keys
-from mubforge.unextendible import (
-    UnextendibleSet,
-    extendibility_check,
-    extra_classes_within_union,
-)
+from mubforge.unextendible import extendibility_check, extra_classes_within_union
 
 SATURATION_TOL = 1e-12
 WITNESS_THRESHOLD = 1e-10
@@ -91,7 +87,6 @@ class UnbiasedVectorProblem:
     basis, so that <c_a|psi> = offset_a + sum_j conditions_aj e^(i t_j).
     """
 
-    bases: tuple[MubBasis, ...]
     d: int
     frame: np.ndarray  # rows of the first basis; maps torus vectors back
     offset: np.ndarray  # (m,) first condition column over sqrt(d)
@@ -128,7 +123,7 @@ class UnbiasedVectorProblem:
         )
         for t in tables:
             t.flags.writeable = False
-        return cls(tuple(bases), d, bases[0].vectors, *tables)
+        return cls(d, bases[0].vectors, *tables)
 
     def torus_vector(self, theta: np.ndarray) -> np.ndarray:
         import numpy as np
@@ -455,7 +450,7 @@ class KsContextSet:
     """Two partitions of one operator set into maximal commuting contexts."""
 
     n: int
-    operators: tuple[ProjectivePauli, ...]
+    operators: tuple[PauliOperator, ...]
     original: tuple[CommutingClass, ...]
     alternate: tuple[CommutingClass, ...]
 
@@ -477,7 +472,7 @@ def _context_sign(context: CommutingClass) -> int:
     Members commute, so the outcome is order independent; that is asserted
     against the reversed ordering rather than assumed.
     """
-    ordered = [p.hermitian() for p in context.sorted_elements]
+    ordered = context.sorted_elements
     prod = ordered[0]
     for op in ordered[1:]:
         prod = multiply(prod, op)
@@ -491,15 +486,12 @@ def _context_sign(context: CommutingClass) -> int:
     return 1 if prod.phase == 0 else -1
 
 
-def ks_alternate_partition(
-    triple: Union[UnextendibleSet, ClassSet]
-) -> KsContextSet:
+def ks_alternate_partition(cs: ClassSet) -> KsContextSet:
     """Second partition of an unextendible two-qubit triple's nine operators.
 
     Each new context takes one commuting operator from each original class.
     Extendible triples do not admit such a partition and are rejected.
     """
-    cs = triple.classes if isinstance(triple, UnextendibleSet) else triple
     if cs.n != 2 or len(cs) != 3:
         raise ValueError("expected a triple of two-qubit classes")
     if not extendibility_check(cs).is_empty:

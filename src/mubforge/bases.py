@@ -92,8 +92,7 @@ class SignedGroup:
     def hermitian_sign(self, t: int) -> int:
         """Sign of member t relative to the standard Hermitian representative."""
         member = self.members[t]
-        herm = member.projective().hermitian()
-        return 1 if member.phase == herm.phase else -1
+        return 1 if member == member.hermitian() else -1
 
 
 def _label_bits(n: int) -> np.ndarray:

@@ -8,7 +8,9 @@ their joint eigenbases form a full family of mutually unbiased bases.
 
 A class stores its generators and one bit mask of its elements (bit
 ``key - 1`` per element, as in mubforge.search); every element view, the
-equality test and the disjointness test read that mask. ``class_from_mask``
+equality test and the disjointness test read that mask. Elements are
+operators modulo phase, so the views return each as its standard Hermitian
+``PauliOperator`` and membership reads only the key. ``class_from_mask``
 turns any mask, such as a member of the search family, back into a class
 with canonical generators.
 
@@ -27,9 +29,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from mubforge.pauli import (
-    PauliLike,
     PauliOperator,
-    ProjectivePauli,
     commutes,
     independent,
     pauli_from_string,
@@ -66,10 +66,6 @@ CANONICAL_D8_GENERATORS = (
 )
 
 
-def _as_projective(op: PauliLike) -> ProjectivePauli:
-    return op.projective() if isinstance(op, PauliOperator) else op
-
-
 @dataclass(frozen=True, eq=False)
 class CommutingClass:
     """A maximal commuting class: n generators plus the mask of their closure.
@@ -84,21 +80,22 @@ class CommutingClass:
     mask: int
 
     @property
-    def sorted_elements(self) -> tuple[ProjectivePauli, ...]:
+    def sorted_elements(self) -> tuple[PauliOperator, ...]:
         return tuple(
-            ProjectivePauli.from_key(self.n, k) for k in keys_of_mask(self.mask)
+            PauliOperator.from_key(self.n, k) for k in keys_of_mask(self.mask)
         )
 
     @property
-    def elements(self) -> frozenset[ProjectivePauli]:
+    def elements(self) -> frozenset[PauliOperator]:
         return frozenset(self.sorted_elements)
 
     def letters(self) -> tuple[str, ...]:
         return _mask_letters(self.n, self.mask)
 
-    def __contains__(self, op: PauliLike) -> bool:
-        p = _as_projective(op)
-        return p.n == self.n and p.key > 0 and (self.mask >> (p.key - 1)) & 1 == 1
+    def __contains__(self, op: PauliOperator) -> bool:
+        """Membership modulo phase: reads the key, never the phase."""
+        k = op.key
+        return op.n == self.n and k > 0 and (self.mask >> (k - 1)) & 1 == 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CommutingClass):
@@ -114,7 +111,7 @@ class CommutingClass:
 
 @lru_cache(maxsize=4096)  # certificates spell the same classes many times
 def _mask_letters(n: int, mask: int) -> tuple[str, ...]:
-    return tuple(ProjectivePauli.from_key(n, k).to_string() for k in keys_of_mask(mask))
+    return tuple(PauliOperator.from_key(n, k).to_string() for k in keys_of_mask(mask))
 
 
 def class_from_generators(gens: Sequence[PauliOperator]) -> CommutingClass:
@@ -158,25 +155,23 @@ def class_from_mask(n: int, mask: int) -> CommutingClass:
         if k not in span:
             gen_keys.append(k)
             span |= {s ^ k for s in span}
-    cls = class_from_generators(
-        [ProjectivePauli.from_key(n, k).hermitian() for k in gen_keys]
-    )
+    cls = class_from_generators([PauliOperator.from_key(n, k) for k in gen_keys])
     if cls.mask != mask:
         raise ValueError("element set is not closed under products")
     return cls
 
 
-def class_from_elements(elements: Iterable[PauliLike]) -> CommutingClass:
-    """Rebuild a class from its element set; see ``class_from_mask``."""
-    projs = {_as_projective(p) for p in elements}
-    if not projs:
+def class_from_elements(elements: Iterable[PauliOperator]) -> CommutingClass:
+    """Rebuild a class from its elements (modulo phase); see ``class_from_mask``."""
+    ops = list(elements)
+    if not ops:
         raise ValueError("empty element set")
-    n = next(iter(projs)).n
-    if any(p.n != n for p in projs):
+    n = ops[0].n
+    if any(p.n != n for p in ops):
         raise ValueError("elements act on different qubit counts")
-    if any(p.is_identity for p in projs):
+    if any(p.is_projective_identity for p in ops):
         raise ValueError("element set is not closed under products")
-    return class_from_mask(n, mask_of_keys(p.key for p in projs))
+    return class_from_mask(n, mask_of_keys(p.key for p in ops))
 
 
 def class_from_strings(letters: Iterable[str]) -> CommutingClass:
@@ -190,18 +185,17 @@ def disjoint(c1: CommutingClass, c2: CommutingClass) -> bool:
     return not (c1.mask & c2.mask)
 
 
-def commuting_overlap(p: PauliLike, c: CommutingClass) -> frozenset[ProjectivePauli]:
+def commuting_overlap(p: PauliOperator, c: CommutingClass) -> frozenset[PauliOperator]:
     """The subset of class elements commuting with ``p``.
 
     For a maximal class in a disjoint position this has exactly
     2**(n-1) - 1 members.
     """
-    proj = _as_projective(p)
-    if proj.is_identity:
+    if p.is_projective_identity:
         raise ValueError("identity has no meaningful commuting overlap")
-    if proj in c:
+    if p in c:
         raise ValueError("operator lies in the class; overlap is degenerate")
-    return frozenset(e for e in c.elements if commutes(proj, e))
+    return frozenset(e for e in c.elements if commutes(p, e))
 
 
 @dataclass(frozen=True)
@@ -245,9 +239,9 @@ class ClassSet:
             union |= c.mask
         return union
 
-    def operators(self) -> tuple[ProjectivePauli, ...]:
+    def operators(self) -> tuple[PauliOperator, ...]:
         return tuple(
-            ProjectivePauli.from_key(self.n, k) for k in keys_of_mask(self.union_mask)
+            PauliOperator.from_key(self.n, k) for k in keys_of_mask(self.union_mask)
         )
 
 

@@ -142,8 +142,6 @@ def _unextendible_certificate(n: int, chosen: tuple[int, ...], seed: int) -> dic
 
 
 def _cmd_find_unextendible(args: argparse.Namespace) -> int:
-    if args.dim not in (2, 3):
-        raise ValueError("find-unextendible supports n in {2, 3}")
     size = (1 << (args.dim - 1)) + 1
     if args.all:
         from itertools import combinations
@@ -160,8 +158,6 @@ def _cmd_find_unextendible(args: argparse.Namespace) -> int:
         if outdir:
             print(f"wrote {count} certificates to {outdir}")
         return EXIT_OK
-    if not args.choose:
-        raise ValueError("give --choose indices or --all")
     chosen = _parse_indices(args.choose)
     certificate = _unextendible_certificate(args.dim, chosen, args.seed)
     _emit(certificate, args.output, args.table)
@@ -239,10 +235,7 @@ def _cmd_ks(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    budget = None if args.all else args.budget
-    if budget is None and not args.all:
-        raise ValueError("give --budget N or --all")
-    content = cert.scan_content(args.dim, budget, args.seed)
+    content = cert.scan_content(args.dim, args.budget, args.seed)
     certificate = cert.make_certificate("scan", *content)
     _emit(certificate, args.output, args.table)
     return EXIT_OK
@@ -276,8 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
         "find-unextendible", help="build an unextendible set from chosen classes"
     )
     add_common(p, dim_choices=(2, 3))
-    p.add_argument("--choose", help="comma-separated class indices, e.g. 0,1,2")
-    p.add_argument(
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--choose", help="comma-separated class indices, e.g. 0,1,2")
+    which.add_argument(
         "--all", action="store_true", help="enumerate every choice of indices"
     )
     p.set_defaults(func=_cmd_find_unextendible)
@@ -308,8 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="four-qubit conjecture evidence scan")
     add_common(p, dim_choices=(4,))
-    p.add_argument("--budget", type=int, help="number of sampled subsets")
-    p.add_argument("--all", action="store_true", help="scan every subset")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--budget", type=int, help="number of sampled subsets")
+    which.add_argument("--all", action="store_true", help="scan every subset")
     p.set_defaults(func=_cmd_scan)
 
     return parser

@@ -6,6 +6,11 @@ of the Z factor on every qubit. Qubit 0 is the leftmost letter of the string
 form and the most significant bit of each mask, so integer order on the
 concatenated key ``x||z`` coincides with lexicographic order on bit strings.
 
+An operator modulo phase, the unit of class membership, is its standard
+Hermitian representative: phase exponent |x & z| mod 4, one factor of i per
+Y letter, as ``from_key`` and ``hermitian()`` build it. Operators order by
+(n, x, z, phase), which is key order among Hermitian representatives.
+
 Everything here is exact integer arithmetic; dense matrices never appear in
 this module.
 """
@@ -13,7 +18,7 @@ this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 MAX_QUBITS = 8
 
@@ -33,41 +38,6 @@ def _letters(n: int, x: int, z: int) -> str:
 
 
 @dataclass(frozen=True, order=True)
-class ProjectivePauli:
-    """A Pauli operator modulo global phase; the unit of class membership."""
-
-    n: int
-    x: int
-    z: int
-
-    def __post_init__(self) -> None:
-        _check_qubits(self.n)
-        top = 1 << self.n
-        if not (0 <= self.x < top and 0 <= self.z < top):
-            raise ValueError("x/z masks out of range for qubit count")
-
-    @property
-    def key(self) -> int:
-        """Canonical sort key: the 2n-bit string x||z read as an integer."""
-        return (self.x << self.n) | self.z
-
-    @property
-    def is_identity(self) -> bool:
-        return self.x == 0 and self.z == 0
-
-    def to_string(self) -> str:
-        return _letters(self.n, self.x, self.z)
-
-    def hermitian(self) -> "PauliOperator":
-        """Standard Hermitian representative (one factor of i per Y letter)."""
-        return PauliOperator(self.n, self.x, self.z, (self.x & self.z).bit_count() % 4)
-
-    @classmethod
-    def from_key(cls, n: int, key: int) -> "ProjectivePauli":
-        return cls(n, key >> n, key & ((1 << n) - 1))
-
-
-@dataclass(frozen=True)
 class PauliOperator:
     """A phase-tracked Pauli operator ``i**phase * X^x Z^z``.
 
@@ -88,6 +58,7 @@ class PauliOperator:
 
     @property
     def key(self) -> int:
+        """Canonical sort key: the 2n-bit string x||z read as an integer."""
         return (self.x << self.n) | self.z
 
     @property
@@ -103,15 +74,19 @@ class PauliOperator:
     def is_hermitian(self) -> bool:
         return (self.phase - (self.x & self.z).bit_count()) % 2 == 0
 
-    def projective(self) -> ProjectivePauli:
-        return ProjectivePauli(self.n, self.x, self.z)
+    def hermitian(self) -> "PauliOperator":
+        """Standard Hermitian representative (one factor of i per Y letter)."""
+        return PauliOperator.from_key(self.n, self.key)
+
+    @classmethod
+    def from_key(cls, n: int, key: int) -> "PauliOperator":
+        """The standard Hermitian operator with symplectic key ``key``."""
+        x, z = key >> n, key & ((1 << n) - 1)
+        return cls(n, x, z, (x & z).bit_count() % 4)
 
     def to_string(self) -> str:
         """Letter form of the projective part; the phase is not encoded."""
         return _letters(self.n, self.x, self.z)
-
-
-PauliLike = Union[PauliOperator, ProjectivePauli]
 
 
 def identity(n: int) -> PauliOperator:
@@ -129,7 +104,7 @@ def pauli_from_string(s: str) -> PauliOperator:
         raise ValueError("empty Pauli string")
     if len(s) > MAX_QUBITS:
         raise ValueError(f"Pauli string longer than {MAX_QUBITS} qubits: {s!r}")
-    x = z = ys = 0
+    x = z = 0
     for ch in s:
         try:
             xb, zb = _LETTER_XZ[ch]
@@ -137,11 +112,10 @@ def pauli_from_string(s: str) -> PauliOperator:
             raise ValueError(f"invalid Pauli letter {ch!r} in {s!r}") from None
         x = (x << 1) | xb
         z = (z << 1) | zb
-        ys += xb & zb
-    return PauliOperator(len(s), x, z, ys % 4)
+    return PauliOperator.from_key(len(s), (x << len(s)) | z)
 
 
-def _require_same_n(a: PauliLike, b: PauliLike) -> None:
+def _require_same_n(a: PauliOperator, b: PauliOperator) -> None:
     if a.n != b.n:
         raise ValueError(f"qubit counts differ: {a.n} vs {b.n}")
 
@@ -158,20 +132,20 @@ def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:
     return PauliOperator(a.n, a.x ^ b.x, a.z ^ b.z, phase)
 
 
-def commutes(a: PauliLike, b: PauliLike) -> bool:
+def commutes(a: PauliOperator, b: PauliOperator) -> bool:
     """True iff the symplectic form x_a.z_b + x_b.z_a vanishes mod 2."""
     _require_same_n(a, b)
     return (((a.x & b.z).bit_count() + (b.x & a.z).bit_count()) & 1) == 0
 
 
-def enumerate_nonidentity(n: int) -> list[ProjectivePauli]:
-    """All 4**n - 1 nonidentity projective operators in canonical key order."""
+def enumerate_nonidentity(n: int) -> list[PauliOperator]:
+    """All 4**n - 1 nonidentity operators modulo phase, as their standard
+    Hermitian representatives in canonical key order."""
     _check_qubits(n)
-    mask = (1 << n) - 1
-    return [ProjectivePauli(n, key >> n, key & mask) for key in range(1, 1 << (2 * n))]
+    return [PauliOperator.from_key(n, key) for key in range(1, 1 << (2 * n))]
 
 
-def independent(ops: Sequence[PauliLike]) -> bool:
+def independent(ops: Sequence[PauliOperator]) -> bool:
     """GF(2) linear independence of the symplectic vectors (x||z).
 
     Equivalently: no nonempty sub-product of ``ops`` is projectively the

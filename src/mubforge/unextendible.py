@@ -32,7 +32,7 @@ from mubforge.classes import (
     class_from_mask,
     disjoint,
 )
-from mubforge.pauli import ProjectivePauli
+from mubforge.pauli import PauliOperator
 from mubforge.search import (
     classes_fit_in_union_minus,
     classes_within_mask,
@@ -64,10 +64,10 @@ class ExtensionReport:
             return union
         return full_mask(self.input.n) & ~union
 
-    def universe_operators(self) -> tuple[ProjectivePauli, ...]:
+    def universe_operators(self) -> tuple[PauliOperator, ...]:
         n = self.input.n
         return tuple(
-            ProjectivePauli.from_key(n, k) for k in keys_of_mask(self.universe_mask)
+            PauliOperator.from_key(n, k) for k in keys_of_mask(self.universe_mask)
         )
 
     @property

@@ -352,7 +352,7 @@ class TestKsContexts:
         cs = canonical_complete_set(2)
         for picks in combinations(range(5), 3):
             us = build_unextendible_set(cs, picks)
-            report = ks_sign_verify(ks_alternate_partition(us))
+            report = ks_sign_verify(ks_alternate_partition(us.classes))
             assert report.parity_odd
 
     def test_extendible_triple_rejected(self):

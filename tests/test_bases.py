@@ -46,7 +46,7 @@ class TestSignedGroup:
         assert len(group.members) == 4
         for t, member in enumerate(group.members):
             assert member.is_hermitian
-            herm = member.projective().hermitian()
+            herm = member.hermitian()
             assert (member.phase - herm.phase) % 4 in (0, 2)
             assert group.hermitian_sign(t) in (-1, 1)
 

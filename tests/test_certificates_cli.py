@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from mubforge.certificates import _payload_hash, verify_certificate
-from mubforge.cli import MALFORMED_ERRORS, main
+from mubforge.cli import MALFORMED_ERRORS, build_parser, main
 from mubforge.named_sets import (
     NAMED_CLASS_SETS,
     STRONG_FIVE_D8,
@@ -156,7 +156,46 @@ class TestFindUnextendible:
     def test_bad_indices_exit_two(self):
         assert run(["find-unextendible", "-n", "2", "--choose", "0,1"]) == 2
         assert run(["find-unextendible", "-n", "2", "--choose", "0,1,9"]) == 2
-        assert run(["find-unextendible", "-n", "2"]) == 2
+        assert usage_exit(["find-unextendible", "-n", "2"]) == 2
+
+
+def usage_exit(argv: list[str]) -> int:
+    """The exit status of an argument list that argparse refuses."""
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    return exc.value.code
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["scan", "-n", "4", "--all", "--budget", "5"],
+         "argument --budget: not allowed with argument --all"),
+        (["scan", "-n", "4"], "one of the arguments --budget --all is required"),
+        (["find-unextendible", "-n", "2", "--all", "--choose", "0,1,2"],
+         "argument --choose: not allowed with argument --all"),
+    ],
+    ids=["scan-all-and-budget", "scan-neither", "find-all-and-choose"],
+)
+def test_conflicting_or_missing_selection_exits_two_with_usage(argv, message, capsys):
+    assert usage_exit(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: mubforge {argv[0]} ")
+    assert captured.err.rstrip().endswith(message)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "-n", "4", "--all", "--seed", "7"],
+        ["find-unextendible", "-n", "3", "--all", "--seed", "7"],
+    ],
+    ids=["scan", "find-unextendible"],
+)
+def test_all_alone_is_accepted(argv):
+    args = build_parser().parse_args(argv)
+    assert args.all and args.seed == 7
 
 
 class TestCheckCommand:

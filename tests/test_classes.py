@@ -30,7 +30,7 @@ from mubforge.named_sets import (
     weak_triple_d4,
 )
 from mubforge.pauli import (
-    ProjectivePauli,
+    PauliOperator,
     commutes,
     enumerate_nonidentity,
     pauli_from_string,
@@ -124,7 +124,7 @@ class TestDisjointAndOverlap:
     def test_overlap_rejects_identity_and_members(self):
         c = class_from_strings(("ZI", "IZ", "ZZ"))
         with pytest.raises(ValueError):
-            commuting_overlap(ProjectivePauli(2, 0, 0), c)
+            commuting_overlap(PauliOperator(2, 0, 0), c)
         with pytest.raises(ValueError):
             commuting_overlap(pauli_from_string("ZZ"), c)
 
@@ -296,6 +296,23 @@ class TestClassFamily:
                 cls = class_from_mask(n, rec)
                 assert cls.mask == rec
                 assert len(cls.elements) == (1 << n) - 1
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_elements_are_the_hermitian_letter_operators(self, n):
+        # an element modulo phase is its standard Hermitian representative
+        for rec in all_maximal_classes(n):
+            c = class_from_mask(n, rec)
+            assert list(c.sorted_elements) == [pauli_from_string(s) for s in c.letters()]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_membership_ignores_the_phase(self, n):
+        low = (1 << n) - 1
+        for rec in all_maximal_classes(n):
+            c = class_from_mask(n, rec)
+            keys = set(keys_of_mask(rec))
+            for key in range(1 << (2 * n)):
+                answers = {PauliOperator(n, key >> n, key & low, p) in c for p in range(4)}
+                assert answers == {key in keys}
 
     def test_restricted_enumeration_agrees_with_family_filter(self):
         # the oracle's in-universe search and the family filter must agree

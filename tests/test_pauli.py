@@ -9,7 +9,6 @@ import pytest
 
 from mubforge.pauli import (
     PauliOperator,
-    ProjectivePauli,
     commutes,
     enumerate_nonidentity,
     identity,
@@ -213,4 +212,12 @@ class TestEnumerateAndIndependence:
 def test_projective_ordering_matches_key():
     ops = enumerate_nonidentity(2)
     assert ops == sorted(ops)
-    assert [ProjectivePauli.from_key(2, p.key) for p in ops] == ops
+    assert [PauliOperator.from_key(2, p.key) for p in ops] == ops
+
+
+def test_every_public_name_resolves():
+    import mubforge
+
+    assert len(set(mubforge.__all__)) == len(mubforge.__all__)
+    for name in mubforge.__all__:
+        assert getattr(mubforge, name) is not None, name
