@@ -51,7 +51,6 @@ from mubforge.pauli import (
 )
 from mubforge.unextendible import (
     ConjectureScanReport,
-    ExtensionReport,
     UnextendibleSet,
     build_unextendible_set,
     conjecture_scan,
@@ -68,7 +67,6 @@ __all__ = [
     "CommutingClass",
     "ConjectureScanReport",
     "EurReport",
-    "ExtensionReport",
     "KsContextSet",
     "KsReport",
     "MubBasis",

@@ -403,8 +403,6 @@ class EurReport:
 
     bound: float
     states: tuple[EurStateRecord, ...]
-    classes: ClassSet
-    extra_class: CommutingClass
 
     @property
     def saturated(self) -> bool:
@@ -435,7 +433,7 @@ def eur_check(classes: ClassSet, extra: CommutingClass) -> EurReport:
         records.append(
             EurStateRecord(states.labels[k], values, sum(values) / len(values))
         )
-    report = EurReport(bound, tuple(records), classes, extra)
+    report = EurReport(bound, tuple(records))
     if not report.saturated:
         worst = max(abs(s.average - bound) for s in records)
         raise ValueError(
@@ -494,10 +492,10 @@ def ks_alternate_partition(cs: ClassSet) -> KsContextSet:
     """
     if cs.n != 2 or len(cs) != 3:
         raise ValueError("expected a triple of two-qubit classes")
-    if not extendibility_check(cs).is_empty:
+    if extendibility_check(cs):
         raise ValueError("triple is extendible; no alternate partition exists")
     union = cs.union_mask
-    fresh = extra_classes_within_union(cs).found
+    fresh = extra_classes_within_union(cs)
     cover = 0
     for c in fresh:
         cover |= c.mask

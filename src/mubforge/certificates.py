@@ -57,8 +57,10 @@ from mubforge.classes import (
     classes_to_json,
     class_from_json,
     class_to_json,
+    mask_letters,
 )
 from mubforge.named_sets import NAMED_CLASS_SETS, named_class_set
+from mubforge.search import full_mask
 from mubforge.unextendible import build_unextendible_set, conjecture_scan
 
 SCHEMA_VERSION = "1"
@@ -152,25 +154,29 @@ def unextendible_content(
     complete: ClassSet, chosen: Sequence[int], seed: int
 ) -> tuple[dict, dict]:
     us = build_unextendible_set(complete, chosen)
-    ext = us.extendibility
+    n = us.classes.n
     payload = {
         "kind": "unextendible_set",
         "classes": classes_to_json(us.classes),
         "extra_class": class_to_json(us.extra_class),
+        # build_unextendible_set refuses a set whose leftover operators form a
+        # class, so the exhaustive search recorded here never finds one
         "extendibility": {
             "kind": "extension_report",
-            "input": classes_to_json(ext.input),
-            "universe": ext.universe,
-            "universe_operators": [p.to_string() for p in ext.universe_operators()],
-            "found": [class_to_json(c) for c in ext.found],
-            "exhaustive": ext.exhaustive,
+            "input": classes_to_json(us.classes),
+            "universe": "remaining-operators",
+            "universe_operators": list(
+                mask_letters(n, full_mask(n) & ~us.classes.union_mask)
+            ),
+            "found": [],
+            "exhaustive": True,
         },
         "provenance": {
-            "complete_set": classes_to_json(us.provenance.complete),
-            "chosen": list(us.provenance.chosen),
+            "complete_set": classes_to_json(us.complete),
+            "chosen": list(us.chosen),
         },
     }
-    return {"n": complete.n, "chosen": list(us.provenance.chosen), "seed": seed}, payload
+    return {"n": n, "chosen": list(us.chosen), "seed": seed}, payload
 
 
 def eur_content(
@@ -184,8 +190,8 @@ def eur_content(
     }
     payload = {
         "kind": "eur_report",
-        "classes": classes_to_json(report.classes),
-        "extra_class": class_to_json(report.extra_class),
+        "classes": classes_to_json(cs),
+        "extra_class": class_to_json(extra),
         "bound": report.bound,
         "states": [
             {

@@ -90,7 +90,7 @@ class CommutingClass:
         return frozenset(self.sorted_elements)
 
     def letters(self) -> tuple[str, ...]:
-        return _mask_letters(self.n, self.mask)
+        return mask_letters(self.n, self.mask)
 
     def __contains__(self, op: PauliOperator) -> bool:
         """Membership modulo phase: reads the key, never the phase."""
@@ -110,7 +110,8 @@ class CommutingClass:
 
 
 @lru_cache(maxsize=4096)  # certificates spell the same classes many times
-def _mask_letters(n: int, mask: int) -> tuple[str, ...]:
+def mask_letters(n: int, mask: int) -> tuple[str, ...]:
+    """The letters of the operators in ``mask``, in key order."""
     return tuple(PauliOperator.from_key(n, k).to_string() for k in keys_of_mask(mask))
 
 

@@ -131,7 +131,7 @@ def _cmd_complete_set(args: argparse.Namespace) -> int:
 
 def _parse_indices(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(",") if part.strip() != "")
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"bad index list {text!r}; expected e.g. 0,1,2") from None
 
@@ -211,12 +211,12 @@ def _cmd_strong(args: argparse.Namespace) -> int:
 
 def _cmd_eur(args: argparse.Namespace) -> int:
     cs = _resolve_source(args.source)
-    report = extra_classes_within_union(cs)
-    if not report.found:
+    extras = extra_classes_within_union(cs)
+    if not extras:
         raise ValueError("no extra class exists inside the source triple")
     certificates = [
         cert.make_certificate("eur", *cert.eur_content(args.source, cs, extra))
-        for extra in report.found
+        for extra in extras
     ]
     base = Path(args.output) if args.output else None
     for i, certificate in enumerate(certificates):
@@ -311,11 +311,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; every outcome, a usage error included, is an exit code."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage line
+        return exc.code
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
 

@@ -4,7 +4,9 @@ A set of disjoint maximal commuting classes is (weakly) unextendible when no
 further maximal class can be formed from the operators outside the set. The
 searches here are exhaustive: every maximal commuting class on n qubits is
 known (see mubforge.search). Every "which classes fit inside this
-universe" query is one filter of that family. The census and the scanner,
+universe" query is one filter of that family and answers with the classes
+it found, so an empty answer from ``extendibility_check`` is the
+weak-unextendibility certificate. The census and the scanner,
 which ask the same question of many sub-collections of one complete set,
 read every answer from that set's owner-mask census instead: which
 complete-set classes each maximal class draws from, lifted to the
@@ -23,7 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Literal, Optional, Sequence
+from typing import Optional, Sequence
 
 from mubforge.classes import (
     ClassSet,
@@ -32,94 +34,51 @@ from mubforge.classes import (
     class_from_mask,
     disjoint,
 )
-from mubforge.pauli import PauliOperator
 from mubforge.search import (
     classes_fit_in_union_minus,
     classes_within_mask,
     extras_within,
     full_mask,
-    keys_of_mask,
     owner_census,
 )
-
-UniverseTag = Literal["within-union", "remaining-operators"]
-
-WITHIN_UNION: UniverseTag = "within-union"
-REMAINING_OPERATORS: UniverseTag = "remaining-operators"
-
-
-@dataclass(frozen=True)
-class ExtensionReport:
-    """Outcome of an exhaustive extra-class search over a declared universe."""
-
-    input: ClassSet
-    universe: UniverseTag
-    found: tuple[CommutingClass, ...]
-    exhaustive: bool
-
-    @property
-    def universe_mask(self) -> int:
-        union = self.input.union_mask
-        if self.universe == WITHIN_UNION:
-            return union
-        return full_mask(self.input.n) & ~union
-
-    def universe_operators(self) -> tuple[PauliOperator, ...]:
-        n = self.input.n
-        return tuple(
-            PauliOperator.from_key(n, k) for k in keys_of_mask(self.universe_mask)
-        )
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.found
-
-
-@dataclass(frozen=True)
-class Provenance:
-    """Where an unextendible set came from: a complete set and chosen indices."""
-
-    complete: ClassSet
-    chosen: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class UnextendibleSet:
-    """A class set certified unextendible by an empty extendibility report."""
+    """A class set no further maximal class can be formed beside.
+
+    ``classes`` are the unchosen classes of the complete set ``complete``
+    plus ``extra_class``, the one extra class the ``chosen`` ones support.
+    """
 
     classes: ClassSet
-    provenance: Provenance
+    complete: ClassSet
+    chosen: tuple[int, ...]
     extra_class: CommutingClass
-    extendibility: ExtensionReport
 
 
-def _classes_within(
-    n: int, universe_mask: int, exclude_masks: frozenset[int] = frozenset()
-) -> tuple[CommutingClass, ...]:
-    return tuple(
-        class_from_mask(n, mask)
-        for mask in classes_within_mask(n, universe_mask)
-        if mask not in exclude_masks
-    )
-
-
-def extra_classes_within_union(cs: ClassSet) -> ExtensionReport:
+def extra_classes_within_union(cs: ClassSet) -> tuple[CommutingClass, ...]:
     """All maximal commuting classes formable from the union of ``cs``.
 
     The input classes themselves are excluded.
     """
-    found = _classes_within(cs.n, cs.union_mask, frozenset(c.mask for c in cs))
-    return ExtensionReport(cs, WITHIN_UNION, found, exhaustive=True)
+    own = {c.mask for c in cs}
+    return tuple(
+        class_from_mask(cs.n, mask)
+        for mask in classes_within_mask(cs.n, cs.union_mask)
+        if mask not in own
+    )
 
 
-def extendibility_check(cs: ClassSet) -> ExtensionReport:
+def extendibility_check(cs: ClassSet) -> tuple[CommutingClass, ...]:
     """All maximal classes formable from the operators outside ``cs``.
 
-    An empty report is the weak-unextendibility certificate for ``cs``.
+    An empty answer is the weak-unextendibility certificate for ``cs``.
     """
-    universe = full_mask(cs.n) & ~cs.union_mask
-    found = _classes_within(cs.n, universe)
-    return ExtensionReport(cs, REMAINING_OPERATORS, found, exhaustive=True)
+    leftover = full_mask(cs.n) & ~cs.union_mask
+    return tuple(
+        class_from_mask(cs.n, mask) for mask in classes_within_mask(cs.n, leftover)
+    )
 
 
 def build_unextendible_set(
@@ -132,7 +91,7 @@ def build_unextendible_set(
     unextendible set, which is certified here by an extendibility check.
     """
     if not complete.complete:
-        raise ValueError("provenance requires a complete class set")
+        raise ValueError("requires a complete class set")
     n = complete.n
     expected = (1 << (n - 1)) + 1
     chosen = tuple(chosen)
@@ -145,19 +104,17 @@ def build_unextendible_set(
             f"need exactly {expected} chosen classes at n={n}, got {len(chosen)}"
         )
     sub = ClassSet(n, tuple(complete[i] for i in chosen))
-    report = extra_classes_within_union(sub)
-    if len(report.found) != 1:
+    found = extra_classes_within_union(sub)
+    if len(found) != 1:
         raise RuntimeError(
-            f"expected exactly one extra class, found {len(report.found)}; "
+            f"expected exactly one extra class, found {len(found)}; "
             "the construction's uniqueness guarantee is violated"
         )
-    extra = report.found[0]
     rest = tuple(c for i, c in enumerate(complete) if i not in chosen)
-    result = ClassSet(n, rest + (extra,))
-    ext = extendibility_check(result)
-    if not ext.is_empty:
+    result = ClassSet(n, rest + found)
+    if extendibility_check(result):
         raise RuntimeError("constructed set is extendible; construction is broken")
-    return UnextendibleSet(result, Provenance(complete, chosen), extra, ext)
+    return UnextendibleSet(result, complete, chosen, found[0])
 
 
 def _weak4_candidates(complete: ClassSet, i: int, j: int) -> list[CommutingClass]:
@@ -168,8 +125,7 @@ def _weak4_candidates(complete: ClassSet, i: int, j: int) -> list[CommutingClass
     supports.
     """
     others = tuple(c for k, c in enumerate(complete) if k not in (i, j))
-    report = extra_classes_within_union(ClassSet(complete.n, others))
-    return list(others) + list(report.found)
+    return list(others + extra_classes_within_union(ClassSet(complete.n, others)))
 
 
 def verify_no_weak_4set_d4(complete: ClassSet) -> bool:
@@ -189,7 +145,7 @@ def verify_no_weak_4set_d4(complete: ClassSet) -> bool:
                 continue
             four = ClassSet(2, (complete[i], complete[j], ca, cb))
             examined += 1
-            if extendibility_check(four).is_empty:
+            if not extendibility_check(four):
                 return False
         if examined == 0:
             raise RuntimeError("vacuous search: no disjoint candidate pair examined")

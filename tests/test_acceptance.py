@@ -26,6 +26,7 @@ from mubforge.classes import (
     canonical_complete_set,
     class_from_mask,
     class_from_strings,
+    mask_letters,
 )
 from mubforge.named_sets import (
     ALTERNATE_FIVE_D8,
@@ -35,7 +36,7 @@ from mubforge.named_sets import (
     strong_triple_d4,
     weak_triple_d4,
 )
-from mubforge.search import all_maximal_classes
+from mubforge.search import all_maximal_classes, full_mask
 from mubforge.unextendible import (
     _weak4_candidates,
     conjecture_scan,
@@ -73,19 +74,19 @@ def test_a01_unique_extra_class_for_every_triple():
     started = time.perf_counter()
     cs = canonical_complete_set(2)
     for picks in combinations(range(5), 3):
-        report = extra_classes_within_union(ClassSet(2, tuple(cs[i] for i in picks)))
-        assert len(report.found) == 1
+        found = extra_classes_within_union(ClassSet(2, tuple(cs[i] for i in picks)))
+        assert len(found) == 1
     first = extra_classes_within_union(ClassSet(2, cs.classes[:3]))
-    assert set(first.found[0].letters()) == {"XI", "IZ", "XZ"}
+    assert set(first[0].letters()) == {"XI", "IZ", "XZ"}
     _report("A1", "unique extra class for all 10 triples, pinned class exact", started, 1.0)
 
 
 def test_a02_weak_triple_unextendible_with_exact_leftover():
     started = time.perf_counter()
-    report = extendibility_check(weak_triple_d4())
-    assert report.is_empty and report.exhaustive
-    leftover = {p.to_string() for p in report.universe_operators()}
-    assert leftover == set(WEAK_TRIPLE_D4_LEFTOVER)
+    weak = weak_triple_d4()
+    assert extendibility_check(weak) == ()
+    leftover = mask_letters(2, full_mask(2) & ~weak.union_mask)
+    assert set(leftover) == set(WEAK_TRIPLE_D4_LEFTOVER)
     _report("A2", "weak triple leaves no class; leftover operators exact", started, 1.0)
 
 
@@ -160,7 +161,7 @@ def test_a07_collision_entropy_saturation():
     assert len(triples) == 80
     pairs = 0
     for triple in triples:
-        for extra in extra_classes_within_union(triple).found:
+        for extra in extra_classes_within_union(triple):
             report = eur_check(triple, extra)
             assert report.bound == 1.0
             for state in report.states:

@@ -248,7 +248,7 @@ class TestCollisionEntropy:
 
     def test_extra_class_eigenstate_gives_exactly_one_bit(self):
         weak = weak_triple_d4()
-        extra = extra_classes_within_union(weak).found[0]
+        extra = extra_classes_within_union(weak)[0]
         states = eigenbasis(extra)
         for c in weak:
             b = eigenbasis(c)
@@ -262,7 +262,7 @@ class TestEur:
 
     def test_weak_triple_saturates_for_every_extra_class(self):
         weak = weak_triple_d4()
-        for extra in extra_classes_within_union(weak).found:
+        for extra in extra_classes_within_union(weak):
             report = eur_check(weak, extra)
             assert report.saturated
             for state in report.states:
@@ -272,7 +272,7 @@ class TestEur:
     def test_complete_set_triples_saturate(self):
         cs = canonical_complete_set(2)
         triple = ClassSet(2, cs.classes[:3])
-        extra = extra_classes_within_union(triple).found[0]
+        extra = extra_classes_within_union(triple)[0]
         report = eur_check(triple, extra)
         assert report.saturated and report.bound == 1.0
 

@@ -156,14 +156,21 @@ class TestFindUnextendible:
     def test_bad_indices_exit_two(self):
         assert run(["find-unextendible", "-n", "2", "--choose", "0,1"]) == 2
         assert run(["find-unextendible", "-n", "2", "--choose", "0,1,9"]) == 2
-        assert usage_exit(["find-unextendible", "-n", "2"]) == 2
+        assert run(["find-unextendible", "-n", "2"]) == 2
 
-
-def usage_exit(argv: list[str]) -> int:
-    """The exit status of an argument list that argparse refuses."""
-    with pytest.raises(SystemExit) as exc:
-        run(argv)
-    return exc.value.code
+    @pytest.mark.parametrize(
+        "choose",
+        ["0,,1,2,", "0,x,2", ",0,1,2", ""],
+        ids=["empty-parts", "letter", "leading-comma", "empty"],
+    )
+    def test_malformed_index_list_exits_two(self, capsys, choose):
+        # an empty part is a mistyped list, not a part to skip
+        assert run(["find-unextendible", "-n", "2", "--choose", choose]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: bad index list {choose!r}; expected e.g. 0,1,2\n"
+        )
 
 
 @pytest.mark.parametrize(
@@ -178,7 +185,7 @@ def usage_exit(argv: list[str]) -> int:
     ids=["scan-all-and-budget", "scan-neither", "find-all-and-choose"],
 )
 def test_conflicting_or_missing_selection_exits_two_with_usage(argv, message, capsys):
-    assert usage_exit(argv) == 2
+    assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"usage: mubforge {argv[0]} ")
@@ -233,6 +240,12 @@ class TestCheckCommand:
 
     def test_missing_file_exits_two(self, tmp_path):
         assert run(["check", str(tmp_path / "nope.json")]) == 2
+
+    def test_json_array_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "array.json"
+        out.write_text("[1, 2]", encoding="utf-8")
+        assert run(["check", str(out)]) == 2
+        assert capsys.readouterr().out == f"{out}: malformed (not a JSON object)\n"
 
     def test_verify_certificate_reports_problems(self, tmp_path):
         out = tmp_path / "c.json"
@@ -718,6 +731,29 @@ class TestAnalysisCommands:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_strong_from_a_scan_certificate_is_malformed(self, tmp_path, capsys):
+        source = tmp_path / "scan.json"
+        assert run(["scan", "-n", "4", "--budget", "5", "-o", str(source)]) == 0
+        assert run(["strong", str(source), "--starts", "5"]) == 2
+        assert capsys.readouterr().err == (
+            "error: certificate payload kind 'scan_report' does not carry classes\n"
+        )
+
+    def test_eur_on_two_classes_has_no_extra_class(self, tmp_path, capsys):
+        # two classes of a complete set support no further class in their union
+        source = tmp_path / "complete.json"
+        assert run(["complete-set", "-n", "2", "-o", str(source)]) == 0
+        cert = load(source)
+        class_set = cert["payload"]["class_set"]
+        class_set["classes"], class_set["complete"] = class_set["classes"][:2], False
+        source.write_text(json.dumps(cert), encoding="utf-8")
+        out = tmp_path / "eur.json"
+        assert run(["eur", str(source), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: no extra class exists inside the source triple\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_strong_rejects_a_non_finite_stop_below(self, tmp_path, capsys, value):
         out = tmp_path / "strong.json"
@@ -733,13 +769,27 @@ class TestAnalysisCommands:
 
 class TestArgumentValidation:
     def test_unsupported_qubit_count_is_a_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            run(["complete-set", "-n", "5"])
-        assert exc.value.code == 2
+        assert run(["complete-set", "-n", "5"]) == 2
 
     def test_missing_subcommand_is_a_usage_error(self):
-        with pytest.raises(SystemExit):
-            run([])
+        assert run([]) == 2
+
+    def test_output_in_a_missing_directory_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        assert run(["complete-set", "-n", "2", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 2] No such file or directory: ")
+        assert err.count("\n") == 1
+
+    def test_output_directory_that_is_a_file_exits_two(self, tmp_path, capsys):
+        # --all writes a directory of certificates; a file there is refused
+        out = tmp_path / "taken"
+        out.write_text("keep me\n", encoding="utf-8")
+        assert run(["find-unextendible", "-n", "2", "--all", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 17] File exists: ")
+        assert err.count("\n") == 1
+        assert out.read_text(encoding="utf-8") == "keep me\n"
 
     def test_eur_single_report_respects_output_path(self, tmp_path):
         # a triple taken from a complete set admits exactly one extra class,
@@ -768,9 +818,7 @@ class TestArgumentValidation:
 @pytest.mark.parametrize("command", ["eur", "ks"])
 def test_eur_and_ks_take_no_seed(command, capsys):
     # neither command draws random numbers, so a seed would be a dead knob
-    with pytest.raises(SystemExit) as exc:
-        run([command, "paper-d4-weak", "--seed", "1"])
-    assert exc.value.code == 2
+    assert run([command, "paper-d4-weak", "--seed", "1"]) == 2
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
@@ -810,6 +858,72 @@ def test_four_qubit_hashes_are_pinned(tmp_path, argv, sha256):
     assert load(out)["payload_sha256"] == sha256
 
 
+@pytest.mark.parametrize(
+    "n, sha256",
+    [
+        (2, "fdab700009b37b27e7e3520fae3f0639cc3e119bed15c285c76aabee9b38bcc5"),
+        (3, "4426026d92491a73dc108979f1718f77ed84f023449a160a1da5a637e683702d"),
+    ],
+    ids=["n2", "n3"],
+)
+def test_complete_set_hashes_are_pinned(tmp_path, n, sha256):
+    out = tmp_path / "cert.json"
+    assert run(["complete-set", "-n", str(n), "--output", str(out)]) == 0
+    assert load(out)["payload_sha256"] == sha256
+
+
+@pytest.mark.parametrize(
+    "n, count, sha256",
+    [
+        (2, 10, "c380022b3faea6eff117d97d7da49cc338cc232e1fde36a4476bacf3150ad0f0"),
+        (3, 126, "67ed5f51950af9d03a3a3198df5469d8d3be5a5ab099e6ad8dc27d8c0b8ea4de"),
+    ],
+    ids=["n2", "n3"],
+)
+def test_find_unextendible_hashes_are_pinned(tmp_path, n, count, sha256):
+    # one sha256 over the sorted "<file name> <payload_sha256>" lines, so a
+    # change to any certificate of the listing, or to its names, fails here
+    import hashlib
+
+    outdir = tmp_path / "all"
+    assert run(["find-unextendible", "-n", str(n), "--all", "--output", str(outdir)]) == 0
+    pairs = sorted((p.name, load(p)["payload_sha256"]) for p in outdir.glob("*.json"))
+    assert len(pairs) == count
+    listing = "".join(f"{name} {digest}\n" for name, digest in pairs)
+    assert hashlib.sha256(listing.encode("utf-8")).hexdigest() == sha256
+
+
+def _not_exhaustive(payload):
+    payload["extendibility"]["exhaustive"] = False
+
+
+def _within_union(payload):
+    payload["extendibility"]["universe"] = "within-union"
+
+
+def _found_a_class(payload):
+    payload["extendibility"]["found"] = [payload["extra_class"]]
+
+
+@pytest.mark.parametrize(
+    "mutate, where",
+    [
+        (_not_exhaustive, "payload.extendibility.exhaustive"),
+        (_within_union, "payload.extendibility.universe"),
+        (_found_a_class, "payload.extendibility.found"),
+    ],
+    ids=["not-exhaustive", "within-union", "found-a-class"],
+)
+def test_fixed_extendibility_fields_are_enforced(tmp_path, capsys, mutate, where):
+    # every unextendible certificate searched the leftover operators
+    # exhaustively and found nothing; a re-hashed file that says otherwise
+    # is refuted at the changed field
+    good = tmp_path / "w.json"
+    assert run(["find-unextendible", "-n", "3", "--choose", "0,2,4,6,8", "-o", str(good)]) == 0
+    problems = _refuted_then_verified(tmp_path, capsys, good, mutate)
+    assert len(problems) == 1 and problems[0].startswith(f"  - {where} does not reproduce: ")
+
+
 def test_strong_hash_does_not_depend_on_the_environment(tmp_path, monkeypatch):
     # the same strong run must hash the same on every machine; a worker
     # count taken from the environment or the core count must not reach
@@ -847,6 +961,16 @@ def _python(code: str) -> str:
 def test_cli_import_does_not_load_scipy():
     # importing the CLI for a combinatorial command must not pay for scipy
     assert _python("import sys, mubforge.cli; print('scipy' in sys.modules)") == "False"
+
+
+def test_readme_library_example_runs():
+    # the python block under "Library use" runs as written and prints what
+    # its comments say
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1]
+    printed = _python(block.split("```", 1)[0]).splitlines()
+    assert printed[0] == "('IZ', 'XI', 'XZ')"
+    assert printed[-1] == "1.0 True"
 
 
 def test_strong_search_runs_without_scipy(tmp_path):

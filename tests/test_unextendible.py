@@ -12,6 +12,7 @@ from mubforge.classes import (
     canonical_complete_set,
     class_from_strings,
     complete_set_from_two,
+    mask_letters,
 )
 from mubforge.named_sets import (
     WEAK_TRIPLE_D4_LEFTOVER,
@@ -24,6 +25,7 @@ from mubforge.search import (
     classes_fit_in_union_minus,
     classes_within_mask,
     extras_within,
+    full_mask,
     owner_census,
 )
 from mubforge.unextendible import (
@@ -41,17 +43,15 @@ from oracles import enumerate_classes_in
 class TestExtraClassesWithinUnion:
     def test_unique_extra_class_for_first_triple(self):
         cs = canonical_complete_set(2)
-        report = extra_classes_within_union(ClassSet(2, cs.classes[:3]))
-        assert report.exhaustive
-        assert len(report.found) == 1
-        assert set(report.found[0].letters()) == {"XI", "IZ", "XZ"}
+        found = extra_classes_within_union(ClassSet(2, cs.classes[:3]))
+        assert len(found) == 1
+        assert set(found[0].letters()) == {"XI", "IZ", "XZ"}
 
     def test_every_triple_of_the_complete_set_has_exactly_one(self):
         cs = canonical_complete_set(2)
         for picks in combinations(range(5), 3):
             sub = ClassSet(2, tuple(cs[i] for i in picks))
-            report = extra_classes_within_union(sub)
-            assert len(report.found) == 1
+            assert len(extra_classes_within_union(sub)) == 1
 
     def test_extra_class_structure(self):
         # the extra class takes one element from each input class; its two
@@ -60,7 +60,7 @@ class TestExtraClassesWithinUnion:
         cs = canonical_complete_set(2)
         for picks in combinations(range(5), 3):
             sub = ClassSet(2, tuple(cs[i] for i in picks))
-            extra = extra_classes_within_union(sub).found[0]
+            extra = extra_classes_within_union(sub)[0]
             per_class = [extra.elements & cs[i].elements for i in picks]
             assert all(len(part) == 1 for part in per_class)
             w1, w2, w3 = (next(iter(part)) for part in per_class)
@@ -77,34 +77,32 @@ class TestExtraClassesWithinUnion:
             oracle = [
                 r for r in enumerate_classes_in(2, sub.union_mask) if r not in own
             ]
-            found = extra_classes_within_union(sub).found
+            found = extra_classes_within_union(sub)
             assert [c.mask for c in found] == oracle
         for picks in combinations(range(5), 2):
             sub = ClassSet(2, tuple(cs[i] for i in picks))
-            report = extendibility_check(sub)
-            oracle = enumerate_classes_in(2, report.universe_mask)
-            assert [c.mask for c in report.found] == oracle
+            oracle = enumerate_classes_in(2, full_mask(2) & ~sub.union_mask)
+            assert [c.mask for c in extendibility_check(sub)] == oracle
 
     def test_five_class_subsets_at_d8(self):
         cs = canonical_complete_set(3)
         for picks in [(0, 1, 2, 3, 4), (4, 5, 6, 7, 8), (0, 2, 4, 6, 8)]:
             sub = ClassSet(3, tuple(cs[i] for i in picks))
-            report = extra_classes_within_union(sub)
-            assert len(report.found) == 1
+            assert len(extra_classes_within_union(sub)) == 1
 
     def test_four_class_subsets_have_none(self):
         cs = canonical_complete_set(3)
         for picks in [(0, 1, 2, 3), (5, 6, 7, 8), (0, 3, 5, 7)]:
             sub = ClassSet(3, tuple(cs[i] for i in picks))
-            assert extra_classes_within_union(sub).found == ()
+            assert extra_classes_within_union(sub) == ()
 
 
 class TestExtendibilityCheck:
     def test_weak_triple_is_unextendible_with_pinned_leftover(self):
-        report = extendibility_check(weak_triple_d4())
-        assert report.is_empty and report.exhaustive
-        leftover = {p.to_string() for p in report.universe_operators()}
-        assert leftover == set(WEAK_TRIPLE_D4_LEFTOVER)
+        weak = weak_triple_d4()
+        assert extendibility_check(weak) == ()
+        leftover = mask_letters(2, full_mask(2) & ~weak.union_mask)
+        assert set(leftover) == set(WEAK_TRIPLE_D4_LEFTOVER)
 
     def test_two_classes_leave_the_remaining_three_plus_their_extra(self):
         # the nine leftover operators carry the three remaining classes of
@@ -112,22 +110,20 @@ class TestExtendibilityCheck:
         # class of that remaining triple); these four are the candidate
         # third classes in the no-weak-four-set argument
         cs = canonical_complete_set(2)
-        report = extendibility_check(ClassSet(2, cs.classes[:2]))
-        found = {c.mask for c in report.found}
+        found = {c.mask for c in extendibility_check(ClassSet(2, cs.classes[:2]))}
         remaining = {c.mask for c in cs.classes[2:]}
         assert remaining <= found
         assert len(found) == 4
         extra = extra_classes_within_union(ClassSet(2, cs.classes[2:]))
-        assert found - remaining == {extra.found[0].mask}
+        assert found - remaining == {extra[0].mask}
 
     def test_full_complete_set_leaves_nothing(self):
         cs = canonical_complete_set(2)
-        report = extendibility_check(cs)
-        assert report.is_empty
-        assert report.universe_operators() == ()
+        assert extendibility_check(cs) == ()
+        assert full_mask(2) & ~cs.union_mask == 0
 
     def test_named_five_is_unextendible(self):
-        assert extendibility_check(strong_five_d8()).is_empty
+        assert extendibility_check(strong_five_d8()) == ()
 
 
 class TestBuildUnextendibleSet:
@@ -137,21 +133,21 @@ class TestBuildUnextendibleSet:
         got = {frozenset(c.letters()) for c in us.classes}
         want = {frozenset(g) for g in (("YY", "IY", "YI"), ("YZ", "ZX", "XY"), ("XI", "IZ", "XZ"))}
         assert got == want
-        assert us.extendibility.is_empty
+        assert extendibility_check(us.classes) == ()
         assert set(us.extra_class.letters()) == {"XI", "IZ", "XZ"}
 
     def test_every_choice_of_three_works(self):
         cs = canonical_complete_set(2)
         for picks in combinations(range(5), 3):
             us = build_unextendible_set(cs, picks)
-            assert us.extendibility.is_empty
+            assert extendibility_check(us.classes) == ()
             assert len(us.classes) == 3
 
     def test_three_qubit_construction(self):
         cs = canonical_complete_set(3)
         us = build_unextendible_set(cs, (0, 1, 2, 3, 4))
         assert len(us.classes) == 5
-        assert us.extendibility.is_empty
+        assert extendibility_check(us.classes) == ()
 
     def test_wrong_sizes_rejected(self):
         cs = canonical_complete_set(2)
