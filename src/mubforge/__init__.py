@@ -8,17 +8,14 @@ JSON certificates along the way.
 """
 
 from mubforge.analysis import (
-    EurReport,
     UnbiasedVectorProblem,
-    KsContextSet,
-    KsReport,
     SearchOutcome,
     collision_entropy,
+    context_sign,
     d8_double_partition_verify,
     eur_bound,
     eur_check,
     ks_alternate_partition,
-    ks_sign_verify,
     residual,
     strong_unext_search,
 )
@@ -51,7 +48,6 @@ from mubforge.pauli import (
 )
 from mubforge.unextendible import (
     ConjectureScanReport,
-    UnextendibleSet,
     build_unextendible_set,
     conjecture_scan,
     extendibility_check,
@@ -66,15 +62,11 @@ __all__ = [
     "ClassSet",
     "CommutingClass",
     "ConjectureScanReport",
-    "EurReport",
-    "KsContextSet",
-    "KsReport",
     "MubBasis",
     "PauliOperator",
     "SearchOutcome",
     "SignedGroup",
     "UnbiasedVectorProblem",
-    "UnextendibleSet",
     "build_unextendible_set",
     "canonical_complete_set",
     "class_from_elements",
@@ -86,6 +78,7 @@ __all__ = [
     "commuting_overlap",
     "complete_set_from_two",
     "conjecture_scan",
+    "context_sign",
     "d8_double_partition_verify",
     "disjoint",
     "eigenbasis",
@@ -96,7 +89,6 @@ __all__ = [
     "extra_classes_within_union",
     "independent",
     "ks_alternate_partition",
-    "ks_sign_verify",
     "labels_hamming_check",
     "multiply",
     "pauli_from_string",

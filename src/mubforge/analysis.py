@@ -19,18 +19,26 @@ it across all starts is evidence (not proof) of strong unextendibility. The
 search is calibrated in both directions by the test suite. numpy is imported
 by the functions that compute with arrays, so importing this module does not
 load it.
+
+Each call returns only what it computed: the search its best residual,
+vector and start counts, ``eur_check`` the per-basis collision entropies of
+each eigenstate (or an error when one misses the bound), and
+``ks_alternate_partition`` the three alternate contexts, whose signs
+``context_sign`` gives one by one. The settings a search ran with, the bound
+and the sign parity are written into the certificates by
+mubforge.certificates.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from mubforge.bases import MubBasis, eigenbasis, unbiasedness_deviation
 from mubforge.classes import ClassSet, CommutingClass, class_from_mask
-from mubforge.pauli import PauliOperator, multiply, pauli_from_string
+from mubforge.pauli import multiply, pauli_from_string
 from mubforge.search import mask_of_keys
 from mubforge.unextendible import extendibility_check, extra_classes_within_union
 
@@ -186,14 +194,18 @@ class UnbiasedVectorProblem:
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """Best result of a multistart unbiased-vector search."""
+    """Best result of a multistart unbiased-vector search.
+
+    ``starts`` counts the starts made, fewer than requested when
+    ``stop_below`` ended the search early; ``best_start_index`` is the start
+    that reached ``min_residual``.
+    """
 
     min_residual: float
     best_vector: np.ndarray
     starts: int
-    seed: int
     converged_starts: int
-    config: dict = field(default_factory=dict)
+    best_start_index: int
 
 
 def check_max_iterations(max_iterations) -> None:
@@ -271,21 +283,12 @@ def strong_unext_search(
     )
     best_index = int(np.argmin(final_f))
     best_vector = problem.vector(final_theta[best_index])
-    config = {
-        "starts_requested": starts,
-        "stop_below": stop_below,
-        "max_iterations": max_iterations,
-        "f_tol": f_tol,
-        "gradient_tol": GRADIENT_TOL,
-        "best_start_index": best_index,
-    }
     return SearchOutcome(
         min_residual=residual(best_vector, bases),
         best_vector=best_vector,
         starts=len(final_f),
-        seed=seed,
         converged_starts=int(np.count_nonzero(converged)),
-        config=config,
+        best_start_index=best_index,
     )
 
 
@@ -390,32 +393,18 @@ def eur_bound(num_bases: int, d: int) -> float:
     return -math.log2((num_bases + d - 1) / (d * num_bases))
 
 
-@dataclass(frozen=True)
-class EurStateRecord:
-    label: str
-    per_basis: tuple[float, ...]
-    average: float
-
-
-@dataclass(frozen=True)
-class EurReport:
-    """Saturation record: every eigenstate of the extra class meets the bound."""
-
-    bound: float
-    states: tuple[EurStateRecord, ...]
-
-    @property
-    def saturated(self) -> bool:
-        return all(abs(s.average - self.bound) <= SATURATION_TOL for s in self.states)
-
-
-def eur_check(classes: ClassSet, extra: CommutingClass) -> EurReport:
+def eur_check(
+    classes: ClassSet, extra: CommutingClass
+) -> dict[str, tuple[float, ...]]:
     """Verify collision-entropy saturation for the eigenstates of ``extra``.
 
     ``classes`` holds three two-qubit classes; ``extra`` must be a maximal
     class built from one element of each. Every joint eigenstate of the
     extra class then has collision entropy exactly one bit in each of the
-    three eigenbases, saturating the bound.
+    three eigenbases, so its average meets ``eur_bound(3, 4)``. Returns each
+    eigenstate's label, in eigenbasis order, with its per-basis entropies;
+    raises ValueError unless every average is within SATURATION_TOL of the
+    bound.
     """
     if classes.n != 2 or len(classes) != 3:
         raise ValueError("expected three two-qubit classes")
@@ -427,44 +416,20 @@ def eur_check(classes: ClassSet, extra: CommutingClass) -> EurReport:
     bound = eur_bound(len(classes), 1 << classes.n)
     bases = [eigenbasis(c) for c in classes]
     states = eigenbasis(extra)
-    records = []
-    for k in range(states.d):
-        values = tuple(collision_entropy(b, states.vectors[k]) for b in bases)
-        records.append(
-            EurStateRecord(states.labels[k], values, sum(values) / len(values))
-        )
-    report = EurReport(bound, tuple(records))
-    if not report.saturated:
-        worst = max(abs(s.average - bound) for s in records)
+    entropies = {
+        states.labels[k]: tuple(collision_entropy(b, states.vectors[k]) for b in bases)
+        for k in range(states.d)
+    }
+    worst = max(abs(sum(h) / len(h) - bound) for h in entropies.values())
+    if worst > SATURATION_TOL:
         raise ValueError(
             f"saturation failed: worst average deviation {worst:.3e} "
             f"exceeds {SATURATION_TOL}"
         )
-    return report
+    return entropies
 
 
-@dataclass(frozen=True)
-class KsContextSet:
-    """Two partitions of one operator set into maximal commuting contexts."""
-
-    n: int
-    operators: tuple[PauliOperator, ...]
-    original: tuple[CommutingClass, ...]
-    alternate: tuple[CommutingClass, ...]
-
-    @property
-    def contexts(self) -> tuple[CommutingClass, ...]:
-        return self.original + self.alternate
-
-
-@dataclass(frozen=True)
-class KsReport:
-    signs: tuple[int, ...]
-    minus_identity_count: int
-    parity_odd: bool
-
-
-def _context_sign(context: CommutingClass) -> int:
+def context_sign(context: CommutingClass) -> int:
     """Ordered product of the Hermitian representatives as +/- identity.
 
     Members commute, so the outcome is order independent; that is asserted
@@ -484,10 +449,11 @@ def _context_sign(context: CommutingClass) -> int:
     return 1 if prod.phase == 0 else -1
 
 
-def ks_alternate_partition(cs: ClassSet) -> KsContextSet:
+def ks_alternate_partition(cs: ClassSet) -> tuple[CommutingClass, ...]:
     """Second partition of an unextendible two-qubit triple's nine operators.
 
-    Each new context takes one commuting operator from each original class.
+    Each of the three new contexts takes one commuting operator from each
+    original class; they come ordered by their lowest operator key.
     Extendible triples do not admit such a partition and are rejected.
     """
     if cs.n != 2 or len(cs) != 3:
@@ -505,21 +471,7 @@ def ks_alternate_partition(cs: ClassSet) -> KsContextSet:
         for orig in cs:
             if (new.mask & orig.mask).bit_count() != 1:
                 raise ValueError("alternate context does not cross all classes")
-    alternate = tuple(sorted(fresh, key=lambda c: c.mask & -c.mask))
-    return KsContextSet(2, cs.operators(), tuple(cs.classes), alternate)
-
-
-def ks_sign_verify(ctx: KsContextSet) -> KsReport:
-    """Recompute all context signs and check the odd-parity contradiction."""
-    if ctx.n != 2:
-        raise ValueError("sign verification applies to two-qubit context sets")
-    signs = tuple(_context_sign(c) for c in ctx.contexts)
-    minus = sum(1 for s in signs if s < 0)
-    return KsReport(
-        signs=signs,
-        minus_identity_count=minus,
-        parity_odd=minus % 2 == 1,
-    )
+    return tuple(sorted(fresh, key=lambda c: c.mask & -c.mask))
 
 
 def _partition_masks(part) -> tuple[list[int], bool]:

@@ -8,9 +8,11 @@ and when one is re-checked later from the file alone.
 
 The deterministic kinds (class_set, unextendible_set, eur_report, ks_report,
 scan_report) verify by re-emission. One ``*_content`` function per kind runs
-the domain call and returns the config and payload the CLI writes; ``check``
-feeds it the inputs the payload declares and requires the whole config and
-payload back (floats within REBUILD_FLOAT_TOL, all else as identical JSON).
+the domain call, which returns only what it computed, and writes that result
+beside the inputs it was given as the config and payload the CLI writes;
+``check`` feeds it the inputs the payload declares and requires the whole
+config and payload back (floats within REBUILD_FLOAT_TOL, all else as
+identical JSON).
 Declared classes that do not rebuild refute the claim. A ``source`` that is
 a built-in name stands for that set, which is rebuilt in place of the
 payload's classes; any other ``source`` string, and the find-unextendible
@@ -18,9 +20,10 @@ payload's classes; any other ``source`` string, and the find-unextendible
 
 Strong-search outcomes keep their own route, since files from earlier
 optimizers must still verify: the payload carries exactly the keys every
-optimizer has written, the numbers must be finite and consistent, the
-vector must give the recorded residual, and a bounded spot re-run must not
-beat it.
+optimizer has written, the seed and start counts are JSON integers and the
+vector parts lists of d numbers, the numbers must be finite and consistent,
+the vector must give the recorded residual, and a bounded spot re-run must
+not beat it.
 
 The payload hash covers the schema version, command, config and payload in
 canonical JSON; the creation timestamp sits outside the hashed region so
@@ -37,19 +40,20 @@ from contextlib import contextmanager
 from typing import Callable, Optional, Sequence
 
 from mubforge.analysis import (
+    DEFAULT_F_TOL,
     DEFAULT_MAX_ITERATIONS,
     GRADIENT_TOL,
     SATURATION_TOL,
-    SearchOutcome,
     check_max_iterations,
     check_stop_below,
+    context_sign,
+    eur_bound,
     eur_check,
     ks_alternate_partition,
-    ks_sign_verify,
     residual,
     strong_unext_search,
 )
-from mubforge.bases import eigenbasis, unbiasedness_deviation
+from mubforge.bases import eigenbasis
 from mubforge.classes import (
     ClassSet,
     CommutingClass,
@@ -102,29 +106,53 @@ def _vector_to_json(v: np.ndarray) -> dict:
     return {"re": [float(a.real) for a in v], "im": [float(a.imag) for a in v]}
 
 
-def _vector_from_json(data: dict) -> np.ndarray:
+def _vector_from_json(data: dict, d: int) -> np.ndarray:
+    """The vector of ``_vector_to_json``; each part must list d numbers."""
     import numpy as np
 
+    for part in ("re", "im"):
+        values = data[part]
+        if not (
+            isinstance(values, list)
+            and len(values) == d
+            and all(type(a) in (int, float) for a in values)
+        ):
+            raise ValueError(f"best_vector.{part} is not a list of {d} numbers")
     return np.array(data["re"], dtype=float) + 1j * np.array(data["im"], dtype=float)
 
 
-# One function per command returns the (config, payload) pair the CLI writes.
-# The deterministic ones run the domain call themselves, and ``check`` calls
-# them again on the inputs the payload declares.
+def _check_int(value, where: str) -> None:
+    """Raise ValueError unless ``value`` is a JSON integer (a bool is not)."""
+    if type(value) is not int:
+        raise ValueError(f"{where} must be an integer, got {value!r}")
+
+
+# One function per command runs the domain call and returns the (config,
+# payload) pair the CLI writes; ``check`` calls the deterministic ones again
+# on the inputs the payload declares.
 
 
 def strong_content(
-    source: str, cs: ClassSet, outcome: SearchOutcome
+    source: str, cs: ClassSet, starts: int, seed: int, stop_below: Optional[float]
 ) -> tuple[dict, dict]:
+    bases = [eigenbasis(c) for c in cs]
+    outcome = strong_unext_search(bases, starts, seed, stop_below=stop_below)
     payload = {
         "kind": "search_outcome",
         "classes": classes_to_json(cs),
         "min_residual": outcome.min_residual,
         "best_vector": _vector_to_json(outcome.best_vector),
         "starts": outcome.starts,
-        "seed": outcome.seed,
+        "seed": seed,
         "converged_starts": outcome.converged_starts,
-        "config": outcome.config,
+        "config": {
+            "starts_requested": starts,
+            "stop_below": stop_below,
+            "max_iterations": DEFAULT_MAX_ITERATIONS,
+            "f_tol": DEFAULT_F_TOL,
+            "gradient_tol": GRADIENT_TOL,
+            "best_start_index": outcome.best_start_index,
+        },
     }
     return _strong_config(source, payload), payload
 
@@ -153,36 +181,37 @@ def complete_set_content(cs: ClassSet) -> tuple[dict, dict]:
 def unextendible_content(
     complete: ClassSet, chosen: Sequence[int], seed: int
 ) -> tuple[dict, dict]:
-    us = build_unextendible_set(complete, chosen)
-    n = us.classes.n
+    chosen = list(chosen)
+    unext = build_unextendible_set(complete, chosen)
+    n = unext.n
     payload = {
         "kind": "unextendible_set",
-        "classes": classes_to_json(us.classes),
-        "extra_class": class_to_json(us.extra_class),
+        "classes": classes_to_json(unext),
+        "extra_class": class_to_json(unext[-1]),
         # build_unextendible_set refuses a set whose leftover operators form a
         # class, so the exhaustive search recorded here never finds one
         "extendibility": {
             "kind": "extension_report",
-            "input": classes_to_json(us.classes),
+            "input": classes_to_json(unext),
             "universe": "remaining-operators",
             "universe_operators": list(
-                mask_letters(n, full_mask(n) & ~us.classes.union_mask)
+                mask_letters(n, full_mask(n) & ~unext.union_mask)
             ),
             "found": [],
             "exhaustive": True,
         },
         "provenance": {
-            "complete_set": classes_to_json(us.complete),
-            "chosen": list(us.chosen),
+            "complete_set": classes_to_json(complete),
+            "chosen": chosen,
         },
     }
-    return {"n": n, "chosen": list(us.chosen), "seed": seed}, payload
+    return {"n": n, "chosen": chosen, "seed": seed}, payload
 
 
 def eur_content(
     source: str, cs: ClassSet, extra: CommutingClass
 ) -> tuple[dict, dict]:
-    report = eur_check(cs, extra)
+    entropies = eur_check(cs, extra)
     config = {
         "source": source,
         "extra": " ".join(extra.letters()),
@@ -192,42 +221,41 @@ def eur_content(
         "kind": "eur_report",
         "classes": classes_to_json(cs),
         "extra_class": class_to_json(extra),
-        "bound": report.bound,
+        "bound": eur_bound(3, 4),
         "states": [
-            {
-                "label": s.label,
-                "per_basis": list(s.per_basis),
-                "average": s.average,
-            }
-            for s in report.states
+            {"label": label, "per_basis": list(h), "average": sum(h) / len(h)}
+            for label, h in entropies.items()
         ],
-        "saturated": report.saturated,
+        "saturated": True,  # eur_check raises otherwise
     }
     return config, payload
 
 
 def ks_content(source: str, cs: ClassSet) -> tuple[dict, dict]:
-    ctx = ks_alternate_partition(cs)
-    report = ks_sign_verify(ctx)
+    alternate = ks_alternate_partition(cs)
+    signs = [context_sign(c) for c in (*cs, *alternate)]
+    minus = signs.count(-1)
     payload = {
         "kind": "ks_report",
-        "operators": [p.to_string() for p in ctx.operators],
-        "original": [class_to_json(c) for c in ctx.original],
-        "alternate": [class_to_json(c) for c in ctx.alternate],
-        "signs": list(report.signs),
-        "minus_identity_count": report.minus_identity_count,
-        "parity_odd": report.parity_odd,
+        "operators": list(mask_letters(cs.n, cs.union_mask)),
+        "original": [class_to_json(c) for c in cs],
+        "alternate": [class_to_json(c) for c in alternate],
+        "signs": signs,
+        "minus_identity_count": minus,
+        "parity_odd": minus % 2 == 1,
     }
     return {"source": source}, payload
 
 
 def scan_content(n: int, budget: Optional[int], seed: int) -> tuple[dict, dict]:
-    report = conjecture_scan(n=n, budget=budget, seed=seed)
+    if n != 4:
+        raise ValueError("the scanner targets four qubits")
+    report = conjecture_scan(budget=budget, seed=seed)
     payload = {
         "kind": "scan_report",
-        "n": report.n,
-        "seed": report.seed,
-        "budget": report.budget,
+        "n": n,
+        "seed": seed,
+        "budget": budget,
         "exhaustive": report.exhaustive,
         "subsets_scanned": report.subsets_scanned,
         "within_union_distribution": {
@@ -355,10 +383,12 @@ def _verify_search_outcome(payload: dict, config: dict) -> list[str]:
     """Re-check a strong-search outcome from the file alone.
 
     The payload, its optimizer config and its vector carry exactly the keys
-    of _OUTCOME_KEYS. The recorded numbers must be finite and agree with
-    each other and with the config, and ``gradient_tol`` must be
-    GRADIENT_TOL. The recorded vector must give the recorded residual, and a
-    spot re-run of the first starts must not beat it. The re-run's cost does
+    of _OUTCOME_KEYS. The seed, the start counts and the best start index
+    must be JSON integers, and each vector part a list of d numbers. The
+    recorded numbers must be finite and agree with each other and with the
+    config, and ``gradient_tol`` must be GRADIENT_TOL. The recorded vector
+    must give the recorded residual, and a spot re-run of the first starts
+    must not beat it. The re-run's cost does
     not grow with what the file claims: at most RECHECK_STARTS starts of at
     most DEFAULT_MAX_ITERATIONS steps each, so at most RECHECK_STARTS x
     (DEFAULT_MAX_ITERATIONS + 1) single-start evaluations of the residual
@@ -367,9 +397,9 @@ def _verify_search_outcome(payload: dict, config: dict) -> list[str]:
     complex multiply-adds and each step one (d-1) x (d-1) solve per start;
     a start in flight holds O(m + (d-1)^2) numbers, never an m x (d-1)
     Jacobian. A shorter re-run can only end higher, so capping it never
-    refutes a true claim. Optimizer settings the search rejects (a
-    non-finite ``stop_below`` among them), and missing keys, raise
-    ValueError or KeyError (malformed).
+    refutes a true claim. Values of the wrong type, optimizer settings the
+    search rejects (a non-finite ``stop_below`` among them), and missing
+    keys raise ValueError or KeyError (malformed).
     """
     import numpy as np
 
@@ -388,11 +418,15 @@ def _verify_search_outcome(payload: dict, config: dict) -> list[str]:
             for key in sorted(set(node) - _OUTCOME_KEYS[path])
         ]
     check_stop_below(settings["stop_below"])
+    for key in ("seed", "starts", "converged_starts"):
+        _check_int(payload[key], f"payload.{key}")
+    for key in ("starts_requested", "best_start_index"):
+        _check_int(settings[key], f"payload.config.{key}")
     cs = classes_from_json(payload["classes"])
     source, named = _source(config, cs)
     problems += _differences(payload["classes"], classes_to_json(named), "payload.classes")
     starts = payload["starts"]
-    vec = _vector_from_json(payload["best_vector"])
+    vec = _vector_from_json(payload["best_vector"], 1 << cs.n)
     if not (math.isfinite(payload["min_residual"]) and np.isfinite(vec).all()):
         return problems + ["recorded residual or best vector is not finite"]
     if not 0 <= payload["converged_starts"] <= starts:
@@ -406,10 +440,6 @@ def _verify_search_outcome(payload: dict, config: dict) -> list[str]:
         problems.append(f"payload.config.gradient_tol is not {GRADIENT_TOL}")
     problems += _differences(config, _strong_config(source, payload), "config")
     bases = [eigenbasis(c) for c in cs]
-    for i in range(len(bases)):
-        for j in range(i + 1, len(bases)):
-            if unbiasedness_deviation(bases[i], bases[j]) > 1e-9:
-                problems.append("embedded classes do not give mutually unbiased bases")
     if abs(np.linalg.norm(vec) - 1.0) > 1e-9:
         problems.append("best vector is not unit norm")
         return problems

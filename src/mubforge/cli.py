@@ -20,8 +20,6 @@ from pathlib import Path
 from typing import Optional
 
 from mubforge import certificates as cert
-from mubforge.analysis import strong_unext_search
-from mubforge.bases import eigenbasis
 from mubforge.classes import ClassSet, canonical_complete_set, classes_from_json
 from mubforge.named_sets import NAMED_CLASS_SETS, named_class_set
 from mubforge.unextendible import extra_classes_within_union
@@ -196,14 +194,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_strong(args: argparse.Namespace) -> int:
     cs = _resolve_source(args.source)
-    bases = [eigenbasis(c) for c in cs]
-    outcome = strong_unext_search(
-        bases,
-        starts=args.starts,
-        seed=args.seed,
-        stop_below=args.stop_below,
-    )
-    content = cert.strong_content(args.source, cs, outcome)
+    content = cert.strong_content(args.source, cs, args.starts, args.seed, args.stop_below)
     certificate = cert.make_certificate("strong", *content)
     _emit(certificate, args.output, args.table)
     return EXIT_OK

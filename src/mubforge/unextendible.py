@@ -18,6 +18,11 @@ qubits, five classes admit exactly one extra class while every other count
 admits none. The four-qubit scanner gathers evidence for the analogous
 statement, which is an open conjecture; its report never claims more than
 the counts it observed.
+
+Each call returns only what it computed: ``build_unextendible_set`` the
+unextendible class set itself, the unchosen classes in their order and the
+extra class last, and ``conjecture_scan`` the counts, not the budget or
+seed it was given. The certificates record those inputs beside the result.
 """
 
 from __future__ import annotations
@@ -41,20 +46,6 @@ from mubforge.search import (
     full_mask,
     owner_census,
 )
-
-
-@dataclass(frozen=True)
-class UnextendibleSet:
-    """A class set no further maximal class can be formed beside.
-
-    ``classes`` are the unchosen classes of the complete set ``complete``
-    plus ``extra_class``, the one extra class the ``chosen`` ones support.
-    """
-
-    classes: ClassSet
-    complete: ClassSet
-    chosen: tuple[int, ...]
-    extra_class: CommutingClass
 
 
 def extra_classes_within_union(cs: ClassSet) -> tuple[CommutingClass, ...]:
@@ -81,14 +72,13 @@ def extendibility_check(cs: ClassSet) -> tuple[CommutingClass, ...]:
     )
 
 
-def build_unextendible_set(
-    complete: ClassSet, chosen: Sequence[int]
-) -> UnextendibleSet:
+def build_unextendible_set(complete: ClassSet, chosen: Sequence[int]) -> ClassSet:
     """Trade the chosen half of a complete set for its unique extra class.
 
     ``chosen`` selects 2**(n-1) + 1 classes. Their union supports exactly one
-    further maximal class S; S together with the unchosen classes is an
-    unextendible set, which is certified here by an extendibility check.
+    further maximal class S; the unchosen classes in their order, then S last,
+    form an unextendible set, which is certified here by an extendibility
+    check.
     """
     if not complete.complete:
         raise ValueError("requires a complete class set")
@@ -114,7 +104,7 @@ def build_unextendible_set(
     result = ClassSet(n, rest + found)
     if extendibility_check(result):
         raise RuntimeError("constructed set is extendible; construction is broken")
-    return UnextendibleSet(result, complete, chosen, found[0])
+    return result
 
 
 def _weak4_candidates(complete: ClassSet, i: int, j: int) -> list[CommutingClass]:
@@ -193,9 +183,6 @@ class ConjectureScanReport:
     themselves, are all the candidates.
     """
 
-    n: int
-    seed: int
-    budget: Optional[int]
     exhaustive: bool
     subsets_scanned: int
     within_union_distribution: dict[int, int]
@@ -213,7 +200,7 @@ class ConjectureScanReport:
 
 
 def conjecture_scan(
-    n: int = 4, budget: Optional[int] = None, seed: int = 0
+    budget: Optional[int] = None, seed: int = 0
 ) -> ConjectureScanReport:
     """Scan nine-class choices from the canonical four-qubit complete set.
 
@@ -221,8 +208,6 @@ def conjecture_scan(
     choices are sampled deterministically from ``seed``. The report carries
     full count distributions and never asserts the conjectured value.
     """
-    if n != 4:
-        raise ValueError("the scanner targets four qubits")
     if budget is not None and budget < 1:
         raise ValueError("budget must be at least 1")
     complete = canonical_complete_set(4)
@@ -259,9 +244,6 @@ def conjecture_scan(
         if fit
     ]
     return ConjectureScanReport(
-        n=4,
-        seed=seed,
-        budget=budget,
         exhaustive=exhaustive,
         subsets_scanned=len(subsets),
         within_union_distribution=_distribution([len(extras[c]) for c in subsets]),

@@ -13,10 +13,11 @@ import numpy as np
 
 from mubforge.analysis import (
     collision_entropy,
+    context_sign,
     d8_double_partition_verify,
+    eur_bound,
     eur_check,
     ks_alternate_partition,
-    ks_sign_verify,
     residual,
     strong_unext_search,
 )
@@ -159,14 +160,15 @@ def test_a07_collision_entropy_saturation():
     started = time.perf_counter()
     triples = _all_disjoint_triples_d4()
     assert len(triples) == 80
+    assert eur_bound(3, 4) == 1.0
     pairs = 0
     for triple in triples:
         for extra in extra_classes_within_union(triple):
-            report = eur_check(triple, extra)
-            assert report.bound == 1.0
-            for state in report.states:
-                assert all(abs(h - 1.0) <= 1e-12 for h in state.per_basis)
-                assert abs(state.average - 1.0) <= 1e-12
+            entropies = eur_check(triple, extra)
+            assert len(entropies) == 4
+            for per_basis in entropies.values():
+                assert all(abs(h - 1.0) <= 1e-12 for h in per_basis)
+                assert abs(sum(per_basis) / len(per_basis) - 1.0) <= 1e-12
             pairs += 1
     assert pairs >= 10
     # random states never beat the bound
@@ -181,12 +183,14 @@ def test_a07_collision_entropy_saturation():
 
 def test_a08_ks_contexts_and_d8_double_partition():
     started = time.perf_counter()
-    ctx = ks_alternate_partition(weak_triple_d4())
-    got = {frozenset(c.letters()) for c in ctx.alternate}
+    triple = weak_triple_d4()
+    alternate = ks_alternate_partition(triple)
+    got = {frozenset(c.letters()) for c in alternate}
     assert got == {frozenset(g) for g in ALTERNATE_TRIPLE_D4}
-    report = ks_sign_verify(ctx)
-    assert report.minus_identity_count == 1 and report.parity_odd
-    minus_context = ctx.contexts[report.signs.index(-1)]
+    contexts = (*triple, *alternate)
+    signs = [context_sign(c) for c in contexts]
+    assert signs.count(-1) == 1  # one -identity context: odd parity
+    minus_context = contexts[signs.index(-1)]
     assert set(minus_context.letters()) == {"YZ", "ZX", "XY"}
     assert d8_double_partition_verify(strong_five_d8(), ALTERNATE_FIVE_D8)
     _report("A8", "alternate contexts exact; one -identity context; d=8 double partition verified", started, 1.0)
@@ -202,13 +206,13 @@ def test_a09_label_columns_have_weight_two():
 
 def test_a10_exhaustive_conjecture_scan():
     started = time.perf_counter()
-    report = conjecture_scan(n=4, budget=None, seed=0)
+    report = conjecture_scan(budget=None, seed=0)
     assert report.exhaustive and report.subsets_scanned == 24310
     assert sum(report.within_union_distribution.values()) == 24310
     assert sum(report.spanning_distribution.values()) == 24310
     # determinism of the sampled mode against itself
-    again = conjecture_scan(n=4, budget=64, seed=12)
-    assert again == conjecture_scan(n=4, budget=64, seed=12)
+    again = conjecture_scan(budget=64, seed=12)
+    assert again == conjecture_scan(budget=64, seed=12)
     detail = (
         f"within-union {report.within_union_distribution}, "
         f"spanning {report.spanning_distribution}, "

@@ -11,15 +11,16 @@ from mubforge import analysis
 from mubforge.analysis import (
     UnbiasedVectorProblem,
     collision_entropy,
+    context_sign,
     d8_double_partition_verify,
     eur_bound,
     eur_check,
     ks_alternate_partition,
-    ks_sign_verify,
     residual,
     strong_unext_search,
 )
 from mubforge.bases import eigenbasis
+from mubforge.certificates import strong_content
 from mubforge.classes import ClassSet, canonical_complete_set, class_from_strings
 from mubforge.named_sets import (
     ALTERNATE_FIVE_D8,
@@ -36,6 +37,11 @@ from oracles import matrix_from_letters, random_state, residual_jacobian
 
 def triple_bases(cs):
     return [eigenbasis(c) for c in cs]
+
+
+def ks_contexts(cs):
+    """The classes of ``cs``, then the alternate partition of their operators."""
+    return (*cs, *ks_alternate_partition(cs))
 
 
 class TestResidual:
@@ -170,8 +176,8 @@ class TestStrongSearch:
         assert stopped.min_residual == short.min_residual
         assert np.array_equal(stopped.best_vector, short.best_vector)
         assert stopped.converged_starts == short.converged_starts
-        assert stopped.config["best_start_index"] == stopped.starts - 1
-        assert short.config["best_start_index"] == stopped.starts - 1
+        assert stopped.best_start_index == stopped.starts - 1
+        assert short.best_start_index == stopped.starts - 1
 
     def test_rejects_biased_inputs_and_zero_starts(self):
         cs = canonical_complete_set(2)
@@ -225,14 +231,23 @@ class TestStrongSearch:
             assert np.array_equal(out.best_vector, first.best_vector)
             assert out.starts == first.starts
             assert out.converged_starts == first.converged_starts
-            assert out.config == first.config
+            assert out.best_start_index == first.best_start_index
 
     def test_outcome_records_configuration(self):
+        # the search returns what it computed; the certificate content
+        # records the settings it ran the search with
         bases = triple_bases(strong_triple_d4())
         out = strong_unext_search(bases, starts=8, seed=2)
-        assert out.seed == 2
-        assert out.config["starts_requested"] == 8
-        assert out.converged_starts <= out.starts
+        assert out.converged_starts <= out.starts == 8
+        assert 0 <= out.best_start_index < out.starts
+        config, payload = strong_content("paper-d4-strong", strong_triple_d4(), 8, 2, None)
+        assert config == {
+            "source": "paper-d4-strong", "starts": 8, "seed": 2, "stop_below": None,
+        }
+        assert payload["seed"] == 2
+        assert payload["config"]["starts_requested"] == 8
+        assert payload["starts"] == out.starts
+        assert payload["config"]["best_start_index"] == out.best_start_index
 
 
 class TestCollisionEntropy:
@@ -263,18 +278,20 @@ class TestEur:
     def test_weak_triple_saturates_for_every_extra_class(self):
         weak = weak_triple_d4()
         for extra in extra_classes_within_union(weak):
-            report = eur_check(weak, extra)
-            assert report.saturated
-            for state in report.states:
-                assert all(abs(h - 1.0) <= 1e-12 for h in state.per_basis)
-                assert abs(state.average - report.bound) <= 1e-12
+            entropies = eur_check(weak, extra)
+            assert list(entropies) == ["00", "01", "10", "11"]
+            for per_basis in entropies.values():
+                assert all(abs(h - 1.0) <= 1e-12 for h in per_basis)
+                assert abs(sum(per_basis) / len(per_basis) - eur_bound(3, 4)) <= 1e-12
 
     def test_complete_set_triples_saturate(self):
         cs = canonical_complete_set(2)
         triple = ClassSet(2, cs.classes[:3])
         extra = extra_classes_within_union(triple)[0]
-        report = eur_check(triple, extra)
-        assert report.saturated and report.bound == 1.0
+        entropies = eur_check(triple, extra)  # raises unless saturated
+        assert len(entropies) == 4
+        for per_basis in entropies.values():
+            assert abs(sum(per_basis) / len(per_basis) - 1.0) <= 1e-12
 
     def test_random_states_respect_the_bound(self):
         weak = weak_triple_d4()
@@ -293,38 +310,39 @@ class TestEur:
 
 class TestKsContexts:
     def test_alternate_partition_matches_published_classes(self):
-        ctx = ks_alternate_partition(weak_triple_d4())
-        got = {frozenset(c.letters()) for c in ctx.alternate}
+        weak = weak_triple_d4()
+        alternate = ks_alternate_partition(weak)
+        got = {frozenset(c.letters()) for c in alternate}
         want = {frozenset(group) for group in ALTERNATE_TRIPLE_D4}
         assert got == want
-        assert len(ctx.operators) == 9
+        # the alternate contexts cover the same nine operators
+        assert ClassSet(2, alternate).union_mask == weak.union_mask
+        assert len(weak.operators()) == 9
 
     def test_every_operator_sits_in_exactly_two_contexts(self):
-        ctx = ks_alternate_partition(weak_triple_d4())
-        for op in ctx.operators:
-            holders = [c for c in ctx.contexts if op in c]
+        weak = weak_triple_d4()
+        contexts = ks_contexts(weak)
+        for op in weak.operators():
+            holders = [c for c in contexts if op in c]
             assert len(holders) == 2
 
     def test_sign_pattern_and_parity(self):
-        ctx = ks_alternate_partition(weak_triple_d4())
-        report = ks_sign_verify(ctx)
-        assert report.minus_identity_count == 1
-        assert report.parity_odd
-        minus_context = ctx.contexts[report.signs.index(-1)]
+        contexts = ks_contexts(weak_triple_d4())
+        signs = [context_sign(c) for c in contexts]
+        assert signs.count(-1) == 1  # so the parity is odd
+        minus_context = contexts[signs.index(-1)]
         assert set(minus_context.letters()) == {"YZ", "ZX", "XY"}
 
     def test_signs_against_dense_matrix_oracle(self):
-        ctx = ks_alternate_partition(weak_triple_d4())
-        report = ks_sign_verify(ctx)
-        for context, sign in zip(ctx.contexts, report.signs):
+        for context in ks_contexts(weak_triple_d4()):
+            sign = context_sign(context)
             m = np.eye(4, dtype=complex)
             for p in context.sorted_elements:
                 m = m @ matrix_from_letters(p.to_string())
             assert np.allclose(m, sign * np.eye(4), atol=1e-12)
 
     def test_context_products_are_order_independent(self):
-        ctx = ks_alternate_partition(weak_triple_d4())
-        for context in ctx.contexts:
+        for context in ks_contexts(weak_triple_d4()):
             ops = [p.hermitian() for p in context.sorted_elements]
             results = set()
             for perm in permutations(ops):
@@ -336,24 +354,22 @@ class TestKsContexts:
 
     def test_squared_slot_product_is_plus_identity(self):
         # multiplying every operator twice, copies adjacent, gives +identity
-        ctx = ks_alternate_partition(weak_triple_d4())
         m = np.eye(4, dtype=complex)
-        for op in ctx.operators:
+        for op in weak_triple_d4().operators():
             mat = matrix_from_letters(op.to_string())
             m = m @ mat @ mat
         assert np.allclose(m, np.eye(4), atol=1e-12)
 
     def test_strong_triple_also_has_an_alternate_partition(self):
-        ctx = ks_alternate_partition(strong_triple_d4())
-        report = ks_sign_verify(ctx)
-        assert report.parity_odd
+        signs = [context_sign(c) for c in ks_contexts(strong_triple_d4())]
+        assert signs.count(-1) % 2 == 1
 
     def test_all_constructed_triples_have_odd_parity(self):
         cs = canonical_complete_set(2)
         for picks in combinations(range(5), 3):
             us = build_unextendible_set(cs, picks)
-            report = ks_sign_verify(ks_alternate_partition(us.classes))
-            assert report.parity_odd
+            signs = [context_sign(c) for c in ks_contexts(us)]
+            assert signs.count(-1) % 2 == 1
 
     def test_extendible_triple_rejected(self):
         cs = canonical_complete_set(2)

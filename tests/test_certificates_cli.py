@@ -314,6 +314,19 @@ class TestCheckMalformedInput:
         assert run(["check", str(out)]) == 2
         assert capsys.readouterr().out.startswith(f"{out}: malformed (ValueError: ")
 
+    def test_scan_for_another_qubit_count_is_malformed(self, tmp_path, capsys):
+        out = tmp_path / "scan.json"
+        assert run(["scan", "-n", "4", "--budget", "5", "--output", str(out)]) == 0
+        cert = load(out)
+        cert["config"]["n"] = cert["payload"]["n"] = 5
+        _rehash(cert)
+        out.write_text(json.dumps(cert), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["check", str(out)]) == 2
+        assert capsys.readouterr().out == (
+            f"{out}: malformed (ValueError: the scanner targets four qubits)\n"
+        )
+
     def test_bad_file_does_not_stop_the_next(self, tmp_path, strong_cert, capsys):
         cert = load(strong_cert)
         _drop_classes(cert)
@@ -528,10 +541,9 @@ def test_strong_residual_worse_than_a_rerun_is_refuted(tmp_path, capsys):
 
     triple = ClassSet(2, canonical_complete_set(2).classes[:3])
     bases = [eigenbasis(c) for c in triple]
-    outcome = strong_unext_search(bases, starts=10, seed=1)
-    assert outcome.min_residual < 1e-12  # the triple is extendible
+    assert strong_unext_search(bases, starts=10, seed=1).min_residual < 1e-12  # extendible
     good = tmp_path / "strong.json"
-    content = cert.strong_content("extendible-triple", triple, outcome)
+    content = cert.strong_content("extendible-triple", triple, 10, 1, None)
     good.write_text(json.dumps(cert.make_certificate("strong", *content)), encoding="utf-8")
     e0 = np.eye(4)[0]
 
@@ -561,6 +573,81 @@ def test_strong_key_sets_are_closed(tmp_path, capsys, path):
     where = ".".join(("payload",) + path)
     lines = _refuted_then_verified(tmp_path, capsys, good, add_key)
     assert lines == [f"  - {where}.note is not a search outcome field"]
+
+
+@pytest.fixture(scope="module")
+def strong_files(tmp_path_factory):
+    out = tmp_path_factory.mktemp("strong-files")
+    for name, argv in (
+        ("s1000", ["paper-d4-strong", "--starts", "1000", "--seed", "500"]),
+        ("s30", ["paper-d4-strong", "--starts", "30", "--seed", "4"]),
+    ):
+        assert main(["strong", *argv, "-o", str(out / f"{name}.json")]) == 0
+    return out
+
+
+def _float_converged(cert):
+    cert["payload"]["converged_starts"] = float(cert["payload"]["converged_starts"])
+
+
+def _float_best_index(cert):
+    settings = cert["payload"]["config"]
+    settings["best_start_index"] = float(settings["best_start_index"])
+
+
+def _float_requested(cert):
+    cert["config"]["starts"] = cert["payload"]["config"]["starts_requested"] = 1000.0
+
+
+def _bool_strong_seed(cert):
+    cert["config"]["seed"] = cert["payload"]["seed"] = True
+
+
+def _float_starts(cert):
+    cert["payload"]["starts"] = 30.0
+
+
+def _short_imaginary_part(cert):
+    # numpy would broadcast the one-number im list over |+0>
+    import numpy as np
+
+    from mubforge.analysis import residual
+    from mubforge.bases import eigenbasis
+    from mubforge.named_sets import named_class_set
+
+    plus_zero = np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2)
+    bases = [eigenbasis(c) for c in named_class_set("paper-d4-strong")]
+    cert["payload"]["best_vector"] = {"re": plus_zero.tolist(), "im": [0.0]}
+    cert["payload"]["min_residual"] = residual(plus_zero, bases)
+
+
+@pytest.mark.parametrize(
+    "name, mutate",
+    [
+        ("s1000", _float_converged),
+        ("s1000", _float_best_index),
+        ("s1000", _float_requested),
+        ("s30", _bool_strong_seed),
+        ("s30", _float_starts),
+        ("s30", _short_imaginary_part),
+    ],
+    ids=["float-converged", "float-best-index", "float-requested", "bool-seed",
+         "float-starts", "short-imaginary-part"],
+)
+def test_strong_counts_are_json_ints_and_the_vector_has_d_entries(
+    tmp_path, capsys, strong_files, name, mutate
+):
+    # each mutant equals the emitted file in value, but not in what the
+    # search writes: an int where it counts, d numbers per vector part
+    cert = load(strong_files / f"{name}.json")
+    mutate(cert)
+    _rehash(cert)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cert), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["check", str(bad)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"{bad}: malformed (ValueError: ")
 
 
 class TestUntrustedOptimizerSettings:
@@ -836,6 +923,57 @@ def test_eur_and_ks_content_is_unchanged_without_the_seed_option(tmp_path):
         {"source": "paper-d4-weak", "extra": extra, "saturation_tol": 1e-12}
         for extra in ("IZ YI YZ", "IY XI XY", "ZX XZ YY")
     ]
+
+
+def test_strong_content_beside_the_floats_is_pinned(tmp_path):
+    # another BLAS may round a strong run's floats, and so the start it
+    # ends on, differently, so its hash is not pinned; the rest of it is
+    out = tmp_path / "strong.json"
+    assert run([
+        "strong", "paper-d4-strong", "--starts", "40", "--seed", "3", "-o", str(out),
+    ]) == 0
+    cert = load(out)
+    assert cert["config"] == {
+        "source": "paper-d4-strong", "starts": 40, "seed": 3, "stop_below": None,
+    }
+    payload = cert["payload"]
+    assert (payload["seed"], payload["starts"]) == (3, 40)
+    settings = {k: v for k, v in payload["config"].items() if k != "best_start_index"}
+    assert settings == {
+        "starts_requested": 40, "stop_below": None, "max_iterations": 500,
+        "f_tol": 1e-14, "gradient_tol": 1e-12,
+    }
+    out = tmp_path / "weak.json"
+    assert run([
+        "strong", "paper-d4-weak", "--starts", "50", "--seed", "2",
+        "--stop-below", "1e-12", "-o", str(out),
+    ]) == 0
+    assert load(out)["config"] == {
+        "source": "paper-d4-weak", "starts": 50, "seed": 2, "stop_below": 1e-12,
+    }
+
+
+def test_eur_content_beside_the_entropies_is_pinned(tmp_path):
+    assert run(["eur", "paper-d4-weak", "-o", str(tmp_path / "eur.json")]) == 0
+    weak = {
+        "n": 2, "complete": False,
+        "classes": [
+            {"n": 2, "elements": ["IY", "YI", "YY"], "generators": ["IY", "YI"]},
+            {"n": 2, "elements": ["ZX", "YZ", "XY"], "generators": ["ZX", "YZ"]},
+            {"n": 2, "elements": ["IZ", "XI", "XZ"], "generators": ["IZ", "XI"]},
+        ],
+    }
+    extras = [
+        {"n": 2, "elements": ["IZ", "YI", "YZ"], "generators": ["IZ", "YI"]},
+        {"n": 2, "elements": ["IY", "XI", "XY"], "generators": ["IY", "XI"]},
+        {"n": 2, "elements": ["ZX", "XZ", "YY"], "generators": ["ZX", "XZ"]},
+    ]
+    payloads = [load(p)["payload"] for p in sorted(tmp_path.glob("eur-*.json"))]
+    assert [p["extra_class"] for p in payloads] == extras
+    for payload in payloads:
+        assert payload["classes"] == weak
+        assert (payload["bound"], payload["saturated"]) == (1.0, True)
+        assert [s["label"] for s in payload["states"]] == ["00", "01", "10", "11"]
 
 
 @pytest.mark.parametrize(

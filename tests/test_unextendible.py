@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+from mubforge.certificates import scan_content
 from mubforge.classes import (
     ClassSet,
     canonical_complete_set,
@@ -130,24 +131,26 @@ class TestBuildUnextendibleSet:
     def test_two_qubit_construction_matches_named_triple(self):
         cs = canonical_complete_set(2)
         us = build_unextendible_set(cs, (0, 1, 2))
-        got = {frozenset(c.letters()) for c in us.classes}
+        got = {frozenset(c.letters()) for c in us}
         want = {frozenset(g) for g in (("YY", "IY", "YI"), ("YZ", "ZX", "XY"), ("XI", "IZ", "XZ"))}
         assert got == want
-        assert extendibility_check(us.classes) == ()
-        assert set(us.extra_class.letters()) == {"XI", "IZ", "XZ"}
+        assert extendibility_check(us) == ()
+        # the unchosen classes in their order, then the extra class
+        assert us.classes[:-1] == cs.classes[3:]
+        assert set(us[-1].letters()) == {"XI", "IZ", "XZ"}
 
     def test_every_choice_of_three_works(self):
         cs = canonical_complete_set(2)
         for picks in combinations(range(5), 3):
             us = build_unextendible_set(cs, picks)
-            assert extendibility_check(us.classes) == ()
-            assert len(us.classes) == 3
+            assert extendibility_check(us) == ()
+            assert len(us) == 3
 
     def test_three_qubit_construction(self):
         cs = canonical_complete_set(3)
         us = build_unextendible_set(cs, (0, 1, 2, 3, 4))
-        assert len(us.classes) == 5
-        assert extendibility_check(us.classes) == ()
+        assert len(us) == 5
+        assert extendibility_check(us) == ()
 
     def test_wrong_sizes_rejected(self):
         cs = canonical_complete_set(2)
@@ -381,8 +384,9 @@ class TestConjectureScan:
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             conjecture_scan(budget=0)
-        with pytest.raises(ValueError):
-            conjecture_scan(n=3)
+        # the scanner itself knows only four qubits; the certificate refuses others
+        with pytest.raises(ValueError, match="four qubits"):
+            scan_content(3, None, 0)
 
     def test_deterministic_given_seed(self):
         a = conjecture_scan(budget=40, seed=123)
