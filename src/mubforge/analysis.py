@@ -11,9 +11,12 @@ is minimized over the (d-1)-torus of phases from many seeded starts. F is
 a sum of squared residuals, so each start runs Levenberg-Marquardt (damped
 Gauss-Newton) on its normal equations: one kernel returns the residuals,
 J^T r and J^T J straight from fixed tables of condition-column products,
-and the Jacobian J itself is never formed. All starts in flight advance
-together as one numpy batch whose rows never interact; see
-``strong_unext_search`` for the stopping rules. A residual below the
+and the Jacobian J itself is never formed. Once a start has settled, the
+same kernel call returns the full Hessian in place of J^T J, because
+Gauss-Newton converges only linearly where the residual stays large, as it
+does at the floors. All starts in flight advance together as one numpy
+batch whose rows never interact; see ``strong_unext_search`` for the
+switch and the stopping rules. A residual below the
 witness threshold is a constructive extension witness; a floor well above
 it across all starts is evidence (not proof) of strong unextendibility. The
 search is calibrated in both directions by the test suite. numpy is imported
@@ -59,6 +62,9 @@ _LAMBDA_DOWN = 0.1
 _LAMBDA_UP = 10.0
 _LAMBDA_MIN = 1e-12
 _LAMBDA_CEILING = 1e16
+# a trial point whose damping will be at most this once its step is kept
+# gets the full Hessian in place of J^T J (three kept steps after the start)
+_LAMBDA_NEWTON = 1e-6
 _BATCH_CAP = 1024  # the most starts in flight at once
 
 
@@ -149,7 +155,7 @@ class UnbiasedVectorProblem:
         return v / np.linalg.norm(v)
 
     def residual_and_gradient(
-        self, theta: np.ndarray
+        self, theta: np.ndarray, newton: bool | np.ndarray = False
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Residuals and the normal-equation terms at a batch of torus points.
 
@@ -162,20 +168,29 @@ class UnbiasedVectorProblem:
             g = -2 Im(e * ((u r) C)),
             H = 2 Re[(w P) * e e^H - (u^2 Q) * e e^T],
 
-        so J itself is never formed. Every contraction is a stack of
-        one-row products, which BLAS rounds the same way whatever the batch
-        size (a plain batch product does not), so a row's result does not
-        depend on the rest of the batch.
+        so J itself is never formed. ``newton`` flags rows (a bool, or one
+        per row) whose H is instead the full Hessian of F/2, the Jacobian of
+        g: J^T J + sum_a r_a Hess(r_a), which is the same contraction with
+        w + r in place of w, less diag(2 Re(e * ((u r) C))), a product that
+        g already forms. An unflagged row is exactly the Gauss-Newton
+        result. Every contraction is a stack of one-row products, which BLAS
+        rounds the same way whatever the batch size (a plain batch product
+        does not), so a row's result does not depend on the rest of the
+        batch.
         """
         import numpy as np
 
         theta = np.asarray(theta, dtype=float)
+        lead = theta.shape[:-1]
         n = self.d - 1
+        rows = np.flatnonzero(np.broadcast_to(newton, lead))
         e = np.exp(1j * theta.reshape(-1, 1, n))
         u = (self.offset + (e @ self.conditions.T)[:, 0]).conj()
         w = u.real**2 + u.imag**2
         r = w - 1.0 / self.d
-        g = -2.0 * (e[:, 0] * ((u * r)[:, None, :] @ self.conditions)[:, 0]).imag
+        s = e[:, 0] * ((u * r)[:, None, :] @ self.conditions)[:, 0]
+        g = -2.0 * s.imag
+        w[rows] += r[rows]
         # w is real, so it meets P's (re, im) pairs as one real table; the
         # phase products are then applied in place
         h = (w[:, None, :] @ self.pair_conj.view(float)).view(complex).reshape(-1, n, n)
@@ -184,11 +199,13 @@ class UnbiasedVectorProblem:
         uq *= e
         h -= uq
         h *= e.transpose(0, 2, 1)
-        lead = theta.shape[:-1]
+        hess = 2.0 * h.real
+        diag = np.arange(n)
+        hess[rows[:, None], diag, diag] -= 2.0 * s.real[rows]
         return (
             r.reshape(lead + (-1,)),
             g.reshape(theta.shape),
-            (2.0 * h.real).reshape(lead + (n, n)),
+            hess.reshape(lead + (n, n)),
         )
 
 
@@ -253,15 +270,25 @@ def strong_unext_search(
     passes _LAMBDA_CEILING or after ``max_iterations`` steps.
 
     The step runs on the normal equations alone: each start in flight keeps
-    J^T r and the (d-1) x (d-1) matrix J^T J, which
+    J^T r and a (d-1) x (d-1) matrix, which
     ``UnbiasedVectorProblem.residual_and_gradient`` computes without a
     Jacobian tensor, so what a start keeps between steps does not grow with
-    the number of condition rows.
+    the number of condition rows. The matrix is J^T J until the start has
+    settled: a trial point whose lambda will be at most _LAMBDA_NEWTON once
+    its step is kept (three kept steps after the start) gets the full
+    Hessian of F/2, J^T J + sum_a r_a Hess(r_a), instead. The floors of the
+    strong sets are degenerate minima with F far from zero, where
+    Gauss-Newton only creeps (a few percent of starts ran to
+    ``max_iterations``) and the damped full-Newton step converges fast;
+    switching while lambda is still large costs witnesses on extendible
+    sets instead. A singular damped system, possible only in the Newton
+    phase, counts as a rejected step for its start alone.
 
     All starts in flight are iterated as one batch whose rows never
-    interact, so every start's result is the same whatever else shares its
-    batch, and a run that stops early after k starts matches a run of k
-    starts. ``stop_below`` ends the search at the first start (by index)
+    interact, and each row's mode depends only on its own lambda, so every
+    start's result is the same whatever else shares its batch, and a run
+    that stops early after k starts matches a run of k starts.
+    ``stop_below`` ends the search at the first start (by index)
     whose residual falls under the threshold, which is enough when only a
     witness is wanted; it must be None or a finite number.
 
@@ -307,6 +334,11 @@ def _multistart(
     slow start never holds the next ones back. Once a start ends below
     ``stop_below``, later starts are dropped and only the earlier ones run
     on; the starts counted are those up to the first one below it.
+
+    Each row keeps the (g, H) of its current point. A trial point is
+    evaluated in Newton mode exactly when the lambda it would bring,
+    max(lambda * _LAMBDA_DOWN, _LAMBDA_MIN), is at most _LAMBDA_NEWTON; a
+    rejected trial leaves the row's (g, H) as they were.
     """
     import numpy as np
 
@@ -322,7 +354,7 @@ def _multistart(
     index = np.empty(0, dtype=np.intp)
     theta = np.empty((0, n))
     grad = np.empty((0, n))
-    gauss = np.empty((0, n, n))  # J^T J of each row
+    hess = np.empty((0, n, n))  # J^T J of each row, or its full Hessian
     f = np.empty(0)
     lam = np.empty(0)
     steps = np.empty(0, dtype=np.intp)
@@ -334,11 +366,11 @@ def _multistart(
                 np.random.default_rng([seed, k]).uniform(0.0, 2.0 * math.pi, n)
                 for k in new
             ])
-            r0, grad0, gauss0 = problem.residual_and_gradient(theta0)
+            r0, grad0, hess0 = problem.residual_and_gradient(theta0)
             index = np.concatenate([index, new])
             theta = np.concatenate([theta, theta0])
             grad = np.concatenate([grad, grad0])
-            gauss = np.concatenate([gauss, gauss0])
+            hess = np.concatenate([hess, hess0])
             f = np.concatenate([f, np.einsum("bm,bm->b", r0, r0)])
             lam = np.concatenate([lam, np.full(room, _LAMBDA_START)])
             steps = np.concatenate([steps, np.zeros(room, dtype=np.intp)])
@@ -346,17 +378,20 @@ def _multistart(
             block *= 2
 
         flat = np.max(np.abs(2.0 * grad), axis=1) <= GRADIENT_TOL
-        normal = gauss + lam[:, None, None] * identity
-        trial = theta + np.linalg.solve(normal, -grad[..., None])[..., 0]
-        r_trial, grad_trial, gauss_trial = problem.residual_and_gradient(trial)
+        step, solved = _solve_rows(hess + lam[:, None, None] * identity, -grad)
+        trial = theta + step
+        lam_kept = np.maximum(lam * _LAMBDA_DOWN, _LAMBDA_MIN)
+        r_trial, grad_trial, hess_trial = problem.residual_and_gradient(
+            trial, lam_kept <= _LAMBDA_NEWTON
+        )
         f_trial = np.einsum("bm,bm->b", r_trial, r_trial)
-        better = (f_trial < f) & ~flat
+        better = (f_trial < f) & ~flat & solved
         settled = better & (f - f_trial <= f_tol * np.maximum(f, 1.0))
         theta[better] = trial[better]
         grad[better] = grad_trial[better]
-        gauss[better] = gauss_trial[better]
+        hess[better] = hess_trial[better]
         f = np.where(better, f_trial, f)
-        lam = np.where(better, np.maximum(lam * _LAMBDA_DOWN, _LAMBDA_MIN), lam * _LAMBDA_UP)
+        lam = np.where(better, lam_kept, lam * _LAMBDA_UP)
         steps += 1
 
         done_converged = flat | settled
@@ -372,10 +407,36 @@ def _multistart(
             if hits.size:
                 limit = min(limit, int(hits.min()) + 1)
         keep = ~done & (index < limit)
-        index, theta, grad, gauss, f, lam, steps = (
-            a[keep] for a in (index, theta, grad, gauss, f, lam, steps)
+        index, theta, grad, hess, f, lam, steps = (
+            a[keep] for a in (index, theta, grad, hess, f, lam, steps)
         )
     return final_f[:limit], final_theta[:limit], converged[:limit]
+
+
+def _solve_rows(normal: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve each system of a (B, k, k) stack for its (B, k) right-hand side.
+
+    Returns the solutions and whether each system was solved. A stacked
+    solve fails as a whole when any one system is singular; the stack is
+    then solved one system at a time, and a singular one gets a zero
+    solution and False. Each system is solved on its own either way, so no
+    row depends on the others.
+    """
+    import numpy as np
+
+    try:
+        return np.linalg.solve(normal, rhs[..., None])[..., 0], np.ones(len(rhs), bool)
+    except np.linalg.LinAlgError:
+        pass
+    out = np.zeros_like(rhs)
+    solved = np.zeros(len(rhs), bool)
+    for i in range(len(rhs)):
+        try:
+            out[i] = np.linalg.solve(normal[i : i + 1], rhs[i : i + 1, :, None])[0, :, 0]
+        except np.linalg.LinAlgError:
+            continue
+        solved[i] = True
+    return out, solved
 
 
 def collision_entropy(b: MubBasis, psi: np.ndarray) -> float:

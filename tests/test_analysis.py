@@ -21,7 +21,12 @@ from mubforge.analysis import (
 )
 from mubforge.bases import eigenbasis
 from mubforge.certificates import strong_content
-from mubforge.classes import ClassSet, canonical_complete_set, class_from_strings
+from mubforge.classes import (
+    ClassSet,
+    canonical_complete_set,
+    class_from_mask,
+    class_from_strings,
+)
 from mubforge.named_sets import (
     ALTERNATE_FIVE_D8,
     ALTERNATE_TRIPLE_D4,
@@ -31,7 +36,12 @@ from mubforge.named_sets import (
     weak_triple_d4,
 )
 from mubforge.pauli import multiply
-from mubforge.unextendible import build_unextendible_set, extra_classes_within_union
+from mubforge.search import all_maximal_classes
+from mubforge.unextendible import (
+    build_unextendible_set,
+    extendibility_check,
+    extra_classes_within_union,
+)
 from oracles import matrix_from_letters, random_state, residual_jacobian
 
 
@@ -104,9 +114,39 @@ class TestUnbiasedVectorProblem:
                 scale = np.maximum(1.0, np.abs(numeric))
                 assert np.all(np.abs(2.0 * g[:, j] - numeric) / scale < 1e-6)
 
+    def test_newton_hessian_matches_central_differences_of_the_gradient(self):
+        # in Newton mode H is the Jacobian of g = J^T r, half the Hessian of F
+        h = 1e-5
+        for sets in (strong_triple_d4(), strong_five_d8()):
+            problem = UnbiasedVectorProblem.from_bases(triple_bases(sets))
+            n = problem.d - 1
+            theta = np.random.default_rng(21).uniform(0, 2 * np.pi, (40, n))
+            _, _, hess = problem.residual_and_gradient(theta, True)
+            for j in range(n):
+                step = np.zeros(n)
+                step[j] = h
+                _, g_plus, _ = problem.residual_and_gradient(theta + step)
+                _, g_minus, _ = problem.residual_and_gradient(theta - step)
+                assert np.max(np.abs(hess[:, :, j] - (g_plus - g_minus) / (2 * h))) < 1e-6
+
+    def test_unflagged_rows_are_the_gauss_newton_call(self):
+        for sets in (canonical_complete_set(2).classes[:3], strong_five_d8()):
+            problem = UnbiasedVectorProblem.from_bases(triple_bases(sets))
+            theta = np.random.default_rng(5).uniform(0, 2 * np.pi, (33, problem.d - 1))
+            plain = problem.residual_and_gradient(theta)
+            for flags in (False, np.zeros(33, dtype=bool)):
+                for a, b in zip(plain, problem.residual_and_gradient(theta, flags)):
+                    assert a.tobytes() == b.tobytes()
+            # the Newton term changes H alone
+            r, g, hess = problem.residual_and_gradient(theta, True)
+            assert r.tobytes() == plain[0].tobytes()
+            assert g.tobytes() == plain[1].tobytes()
+            assert not np.array_equal(hess, plain[2])
+
     def test_batch_rows_equal_single_point_calls(self):
-        # each row of a batch is computed on its own: exactly the 1-row call,
-        # whatever the batch size
+        # each row of a batch is computed on its own, in its own mode:
+        # exactly the 1-row call, whatever the batch size and the other
+        # rows' modes
         for sets in (canonical_complete_set(2).classes[:3], strong_five_d8()):
             problem = UnbiasedVectorProblem.from_bases(triple_bases(sets))
             n = problem.d - 1
@@ -114,14 +154,18 @@ class TestUnbiasedVectorProblem:
             rng = np.random.default_rng(4)
             for size in (1, 2, 3, 17, 64, 1000):
                 theta = rng.uniform(0, 2 * np.pi, (size, n))
-                batch = problem.residual_and_gradient(theta)
-                assert [a.shape for a in batch] == [(size, m), (size, n), (size, n, n)]
-                for b in range(size):
-                    single = problem.residual_and_gradient(theta[b])
-                    row = problem.residual_and_gradient(theta[b : b + 1])
-                    for whole, one, first in zip(batch, single, row):
-                        assert np.array_equal(one, whole[b])
-                        assert np.array_equal(first[0], whole[b])
+                for newton in (False, rng.random(size) < 0.5):
+                    batch = problem.residual_and_gradient(theta, newton)
+                    assert [a.shape for a in batch] == [(size, m), (size, n), (size, n, n)]
+                    flags = np.broadcast_to(newton, size)
+                    for b in range(size):
+                        single = problem.residual_and_gradient(theta[b], flags[b])
+                        row = problem.residual_and_gradient(
+                            theta[b : b + 1], flags[b : b + 1]
+                        )
+                        for whole, one, first in zip(batch, single, row):
+                            assert np.array_equal(one, whole[b])
+                            assert np.array_equal(first[0], whole[b])
 
     def test_candidates_are_unbiased_to_the_first_basis(self):
         cs = canonical_complete_set(2)
@@ -157,6 +201,58 @@ class TestStrongSearch:
                 for b in rest
             )
             assert overlap > 1 - 1e-4
+
+    def test_every_start_on_an_extendible_triple_reaches_a_witness(self):
+        # the switch to the full Hessian must not cost witnesses: every one
+        # of the 60 extendible disjoint d = 4 triples, from each of 50 starts
+        classes = [class_from_mask(2, rec) for rec in all_maximal_classes(2)]
+        extendible = 0
+        for trio in combinations(classes, 3):
+            masks = [c.mask for c in trio]
+            if (masks[0] & masks[1]) | (masks[0] & masks[2]) | (masks[1] & masks[2]):
+                continue
+            cs = ClassSet(2, trio)
+            if not extendibility_check(cs):
+                continue
+            extendible += 1
+            problem = UnbiasedVectorProblem.from_bases(triple_bases(cs))
+            final_f, _, _ = analysis._multistart(
+                problem, 50, 3, None, analysis.DEFAULT_MAX_ITERATIONS, analysis.DEFAULT_F_TOL
+            )
+            assert np.max(final_f) < 1e-10
+        assert extendible == 60
+
+    @pytest.mark.parametrize(
+        "sets, floor", [(strong_triple_d4, 0.25), (strong_five_d8, 0.125)], ids=["d4", "d8"]
+    )
+    def test_floors_hold_and_almost_every_start_converges(self, sets, floor):
+        # the calibrated floors over twenty seeds at the default 1000
+        # starts; at most 2% of starts may end unconverged, so a tail of
+        # starts crawling to max_iterations cannot return unnoticed
+        bases = triple_bases(sets())
+        for seed in range(500, 520):
+            out = strong_unext_search(bases, seed=seed)
+            assert out.starts == 1000
+            assert abs(out.min_residual - floor) < 1e-9
+            assert out.converged_starts >= 980
+
+    def test_a_singular_system_fails_only_its_own_row(self):
+        rng = np.random.default_rng(6)
+        a = rng.normal(size=(5, 4, 4))
+        normal = a @ a.transpose(0, 2, 1) + np.eye(4)
+        normal[2] = [[1.0, 2.0, 0, 0], [2.0, 4.0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 1.0]]
+        rhs = rng.normal(size=(5, 4))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(normal, rhs[..., None])
+        step, solved = analysis._solve_rows(normal, rhs)
+        assert solved.tolist() == [True, True, False, True, True]
+        assert not step[2].any()
+        for i in (0, 1, 3, 4):
+            alone = np.linalg.solve(normal[i : i + 1], rhs[i : i + 1, :, None])
+            assert np.array_equal(step[i], alone[0, :, 0])
+        whole, all_solved = analysis._solve_rows(normal[[0, 1, 3, 4]], rhs[[0, 1, 3, 4]])
+        assert all_solved.all()
+        assert np.array_equal(whole, step[[0, 1, 3, 4]])
 
     def test_strong_triple_has_a_high_floor_quick(self):
         bases = triple_bases(strong_triple_d4())

@@ -734,6 +734,18 @@ def test_certificates_from_the_lbfgs_search_still_verify(path, capsys):
     assert capsys.readouterr().out == f"{path}: verified\n"
 
 
+LM_CERTIFICATES = sorted((Path(__file__).parent / "data" / "lm_strong").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", LM_CERTIFICATES, ids=lambda p: p.stem)
+def test_certificates_from_the_gauss_newton_search_still_verify(path, capsys):
+    # the same three commands run when every Levenberg-Marquardt step used
+    # J^T J alone, before settled starts switched to the full Hessian
+    assert len(LM_CERTIFICATES) == 3
+    assert run(["check", str(path)]) == 0
+    assert capsys.readouterr().out == f"{path}: verified\n"
+
+
 class TestAnalysisCommands:
     def test_strong_on_builtin_name(self, tmp_path):
         out = tmp_path / "s.json"
