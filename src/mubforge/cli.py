@@ -1,10 +1,10 @@
 """Command-line surface: run constructions and searches, emit certificates.
 
 Every command writes a self-contained JSON certificate (stdout by default,
-``--output`` to a file) whose claims were re-derived by the independent
-checker before the ``verified`` flag was set. ``mubforge check`` re-verifies
-a certificate from the file alone and exits 0 (verified), 1 (refuted, with a
-diff report) or 2 (malformed input).
+``--output`` to a file) whose claims were checked by the code that computed
+them; emitting runs no second verifier. ``mubforge check`` is the one
+verifier: it re-derives a certificate from the file alone and exits 0
+(verified), 1 (refuted, with a diff report) or 2 (malformed input).
 
 Sources for the analysis commands are either paths to class-set
 certificates or one of the built-in names: paper-d4-weak, paper-d4-strong,
@@ -102,6 +102,8 @@ def _resolve_source(source: str) -> ClassSet:
         data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ValueError(f"source {source!r} cannot be read ({exc.strerror})") from None
+    except RecursionError:
+        raise ValueError(f"source {source!r} is nested too deeply to read") from None
     payload = data.get("payload", data) if isinstance(data, dict) else data
     if not isinstance(payload, dict):
         raise ValueError(f"source {source!r} does not hold a payload object")
@@ -167,12 +169,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
     for path in args.certificates:
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+            if not isinstance(data, dict):
+                raise ValueError("not a JSON object")
+        # ValueError covers bad JSON, non-UTF-8 bytes and over-long integers
+        except (OSError, ValueError, RecursionError) as exc:
             print(f"{path}: malformed ({exc})")
-            worst = max(worst, EXIT_MALFORMED)
-            continue
-        if not isinstance(data, dict):
-            print(f"{path}: malformed (not a JSON object)")
             worst = max(worst, EXIT_MALFORMED)
             continue
         try:

@@ -73,15 +73,6 @@ class TestCompleteSetCommand:
         assert set(cls) == {"n", "generators", "elements"}
         assert cls["elements"] == ["IZ", "ZI", "ZZ"]
 
-    def test_determinism_modulo_timestamp(self, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        run(["complete-set", "-n", "2", "--output", str(a)])
-        run(["complete-set", "-n", "2", "--output", str(b)])
-        ca, cb = load(a), load(b)
-        ca.pop("created_utc")
-        cb.pop("created_utc")
-        assert json.dumps(ca, sort_keys=True) == json.dumps(cb, sort_keys=True)
-
     def test_table_mode(self, tmp_path, capsys):
         run(["complete-set", "-n", "2", "--table"])
         out = capsys.readouterr().out
@@ -327,11 +318,18 @@ class TestCheckMalformedInput:
             f"{out}: malformed (ValueError: the scanner targets four qubits)\n"
         )
 
-    def test_bad_file_does_not_stop_the_next(self, tmp_path, strong_cert, capsys):
-        cert = load(strong_cert)
-        _drop_classes(cert)
+    @pytest.mark.parametrize(
+        "raw",
+        [None, b"\xff\xfe", b"1" * 5000, b"[" * 100000],
+        ids=["missing-classes", "not-utf8", "long-integer", "deep-nesting"],
+    )
+    def test_bad_file_does_not_stop_the_next(self, tmp_path, strong_cert, raw, capsys):
+        if raw is None:
+            cert = load(strong_cert)
+            _drop_classes(cert)
+            raw = json.dumps(cert).encode("utf-8")
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(cert), encoding="utf-8")
+        bad.write_bytes(raw)
         capsys.readouterr()
         assert run(["check", str(bad), str(strong_cert)]) == 2
         lines = capsys.readouterr().out.splitlines()
@@ -810,21 +808,23 @@ class TestAnalysisCommands:
     @pytest.mark.parametrize(
         "command, content",
         [
-            ("strong", []),
-            ("eur", {"payload": []}),
+            ("strong", b"[]"),
+            ("eur", b'{"payload": []}'),
             ("strong", None),  # the source is a directory
-            ("ks", {"payload": {"kind": "class_set", "class_set": {"n": 2}}}),
-            ("strong", {"kind": "class_set", "class_set": {"n": 2, "complete": False}}),
+            ("ks", b'{"payload": {"kind": "class_set", "class_set": {"n": 2}}}'),
+            ("strong", b'{"kind": "class_set", "class_set": {"n": 2, "complete": false}}'),
+            ("eur", b"\xff\xfe"),
+            ("strong", b"[" * 100000),
         ],
         ids=["json-array", "payload-array", "directory", "ks-no-classes",
-             "strong-no-classes"],
+             "strong-no-classes", "not-utf8", "deep-nesting"],
     )
     def test_unreadable_source_is_malformed(self, tmp_path, capsys, command, content):
         source = tmp_path / "source.json"
         if content is None:
             source.mkdir()
         else:
-            source.write_text(json.dumps(content), encoding="utf-8")
+            source.write_bytes(content)
         assert run([command, str(source)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -1074,22 +1074,6 @@ def test_fixed_extendibility_fields_are_enforced(tmp_path, capsys, mutate, where
     assert len(problems) == 1 and problems[0].startswith(f"  - {where} does not reproduce: ")
 
 
-def test_strong_hash_does_not_depend_on_the_environment(tmp_path, monkeypatch):
-    # the same strong run must hash the same on every machine; a worker
-    # count taken from the environment or the core count must not reach
-    # the hashed config
-    hashes = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("MUBFORGE_THREADS", threads)
-        out = tmp_path / f"strong-{threads}.json"
-        assert run([
-            "strong", "paper-d4-strong", "--starts", "40", "--seed", "3",
-            "--output", str(out),
-        ]) == 0
-        hashes.append(load(out)["payload_sha256"])
-    assert hashes[0] == hashes[1]
-
-
 def _python(code: str) -> str:
     """Stdout of ``code`` run in a fresh interpreter that imports this package."""
     import os
@@ -1124,8 +1108,7 @@ def test_readme_library_example_runs():
 
 
 def test_strong_search_runs_without_scipy(tmp_path):
-    # the multistart is plain numpy: a whole strong run, self-check
-    # included, never imports scipy
+    # the multistart is plain numpy: a whole strong run never imports scipy
     out_file = tmp_path / "strong.json"
     code = (
         "import sys, mubforge.cli\n"
@@ -1185,6 +1168,39 @@ DETERMINISTIC_COMMANDS = {
     "ks_report": ["ks", "paper-d4-weak"],
     "scan_report": ["scan", "-n", "4", "--budget", "64", "--seed", "12"],
 }
+
+
+# Emitting runs no verifier: each command's output is the same on every
+# emission, and ``check`` verifies it.
+EMITTING_COMMANDS = [
+    *DETERMINISTIC_COMMANDS.values(),
+    ["strong", "paper-d4-strong", "--starts", "40", "--seed", "3"],
+]
+
+
+@pytest.mark.parametrize("command", EMITTING_COMMANDS, ids=lambda c: c[0])
+def test_determinism_modulo_timestamp(tmp_path, command):
+    emissions = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        assert main(command + ["--output", str(tmp_path / name / "cert.json")]) == 0
+        # eur writes one file per extra class
+        emissions.append([load(p) for p in sorted((tmp_path / name).iterdir())])
+    for cert in emissions[0]:
+        assert verify_certificate(cert) == []
+    for certs in emissions:
+        for cert in certs:
+            cert.pop("created_utc")
+    assert json.dumps(emissions[0], sort_keys=True) == json.dumps(emissions[1], sort_keys=True)
+
+
+def test_emitting_does_not_run_the_checker(tmp_path, monkeypatch):
+    def checker(*args):
+        raise AssertionError("the checker ran while emitting")
+
+    monkeypatch.setattr("mubforge.certificates.verify_payload", checker)
+    for i, command in enumerate(EMITTING_COMMANDS):
+        assert main(command + ["--output", str(tmp_path / f"{i}.json")]) == 0
 
 
 @pytest.fixture(scope="module")
