@@ -36,8 +36,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from mubforge.bases import MubBasis, eigenbasis, unbiasedness_deviation
 from mubforge.classes import ClassSet, CommutingClass, class_from_mask
@@ -89,8 +88,7 @@ def residual(psi: np.ndarray, bases: Sequence[MubBasis]) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class UnbiasedVectorProblem:
+class UnbiasedVectorProblem(NamedTuple):
     """Torus-parameterized search for a vector unbiased to a basis set.
 
     After a frame rotation taking the first basis to the computational one,
@@ -209,8 +207,7 @@ class UnbiasedVectorProblem:
         )
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     """Best result of a multistart unbiased-vector search.
 
     ``starts`` counts the starts made, fewer than requested when

@@ -26,9 +26,8 @@ load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from mubforge.classes import CommutingClass
 from mubforge.pauli import PauliOperator, identity, multiply
@@ -62,8 +61,7 @@ def operator_matrix(op: PauliOperator) -> np.ndarray:
     return (1j ** op.phase) * m
 
 
-@dataclass(frozen=True)
-class SignedGroup:
+class SignedGroup(NamedTuple):
     """The 2**n signed Hermitian products of a class's generators.
 
     ``members[t]`` is the exact product over the generator subset with bit
@@ -110,8 +108,7 @@ def _label_bits(n: int) -> np.ndarray:
     return (label @ subset.T) & 1
 
 
-@dataclass(frozen=True)
-class MubBasis:
+class MubBasis(NamedTuple):
     """An orthonormal joint eigenbasis, vectors ordered by their n-bit label.
 
     ``vectors[k]`` is the eigenvector labeled ``labels[k]``, k written as an

@@ -23,7 +23,6 @@ and generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -66,8 +65,24 @@ CANONICAL_D8_GENERATORS = (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class CommutingClass:
+class _Frozen:
+    """Slots set once, in ``__init__`` from the arguments of the same names;
+    assigning or deleting one afterwards raises AttributeError, as for any
+    field of an immutable value."""
+
+    __slots__ = ()
+
+    def __reduce__(self):  # copy and pickle call __init__ again
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class CommutingClass(_Frozen):
     """A maximal commuting class: n generators plus the mask of their closure.
 
     Bit ``key - 1`` of ``mask`` is set for each nonidentity element (see
@@ -75,9 +90,15 @@ class CommutingClass:
     reached through different generator choices compares equal.
     """
 
+    __slots__ = ("n", "generators", "mask")
     n: int
     generators: tuple[PauliOperator, ...]
     mask: int
+
+    def __init__(self, n: int, generators: tuple[PauliOperator, ...], mask: int) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "mask", mask)
 
     @property
     def sorted_elements(self) -> tuple[PauliOperator, ...]:
@@ -199,30 +220,53 @@ def commuting_overlap(p: PauliOperator, c: CommutingClass) -> frozenset[PauliOpe
     return frozenset(e for e in c.elements if commutes(p, e))
 
 
-@dataclass(frozen=True)
-class ClassSet:
-    """An ordered collection of mutually disjoint maximal commuting classes."""
+class ClassSet(_Frozen):
+    """An ordered collection of mutually disjoint maximal commuting classes.
 
+    Construction checks disjointness, and with ``complete`` that the classes
+    partition all 4**n - 1 operators. Two sets are equal when n, the classes
+    in order and the ``complete`` flag are.
+    """
+
+    __slots__ = ("n", "classes", "complete")
     n: int
     classes: tuple[CommutingClass, ...]
-    complete: bool = False
+    complete: bool
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, n: int, classes: tuple[CommutingClass, ...], complete: bool = False
+    ) -> None:
         union = 0
-        for c in self.classes:
-            if c.n != self.n:
+        for c in classes:
+            if c.n != n:
                 raise ValueError("class qubit count does not match the set")
             if union & c.mask:
                 raise ValueError("classes are not pairwise disjoint")
             union |= c.mask
-        if self.complete:
-            expected = (1 << self.n) + 1
-            if len(self.classes) != expected:
+        if complete:
+            expected = (1 << n) + 1
+            if len(classes) != expected:
                 raise ValueError(
-                    f"complete set needs {expected} classes, got {len(self.classes)}"
+                    f"complete set needs {expected} classes, got {len(classes)}"
                 )
-            if union != full_mask(self.n):
+            if union != full_mask(n):
                 raise ValueError("complete set does not cover all operators")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "complete", complete)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ClassSet):
+            return NotImplemented
+        return (self.n, self.classes, self.complete) == (
+            other.n, other.classes, other.complete
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.classes, self.complete))
+
+    def __repr__(self) -> str:
+        return f"ClassSet(n={self.n}, classes={self.classes!r}, complete={self.complete})"
 
     def __iter__(self) -> Iterator[CommutingClass]:
         return iter(self.classes)

@@ -4,7 +4,9 @@ Every command writes a self-contained JSON certificate (stdout by default,
 ``--output`` to a file) whose claims were checked by the code that computed
 them; emitting runs no second verifier. ``mubforge check`` is the one
 verifier: it re-derives a certificate from the file alone and exits 0
-(verified), 1 (refuted, with a diff report) or 2 (malformed input).
+(verified), 1 (refuted, with a diff report) or 2 (malformed input, or a
+file whose kind needs numpy when numpy cannot be imported). A command
+that needs numpy without it exits 2 with one ``error:`` line.
 
 Sources for the analysis commands are either paths to class-set
 certificates or one of the built-in names: paper-d4-weak, paper-d4-strong,
@@ -183,6 +185,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
             print(f"{path}: malformed ({type(exc).__name__}: {reason})")
             worst = max(worst, EXIT_MALFORMED)
             continue
+        except ImportError as exc:  # the numeric kinds need numpy
+            kind = data["payload"].get("kind")
+            print(f"{path}: not checked ({_missing(exc)} is required for {kind} payloads)")
+            worst = max(worst, EXIT_MALFORMED)
+            continue
         if problems:
             print(f"{path}: REFUTED")
             for p in problems:
@@ -191,6 +198,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
         else:
             print(f"{path}: verified")
     return worst
+
+
+def _missing(exc: ImportError) -> str:
+    return exc.name or "a module that cannot be imported"
 
 
 def _cmd_strong(args: argparse.Namespace) -> int:
@@ -240,27 +251,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, dim_choices=None, seed=True) -> None:
+    def add_common(
+        p: argparse.ArgumentParser, dim_choices=None, seed="deterministic seed"
+    ) -> None:
+        """Add the shared options; ``seed`` is the --seed help, None for none."""
         if dim_choices:
             p.add_argument(
                 "--dim", "-n", type=int, required=True, choices=dim_choices,
                 help="number of qubits (Hilbert dimension 2**n)",
             )
         if seed:
-            p.add_argument("--seed", type=int, default=0, help="deterministic seed")
+            p.add_argument("--seed", type=int, default=0, help=seed)
         p.add_argument("--output", "-o", help="write the certificate here")
         p.add_argument(
             "--table", action="store_true", help="print a human-readable summary"
         )
 
     p = sub.add_parser("complete-set", help="emit a canonical complete class set")
-    add_common(p, dim_choices=(2, 3, 4))
+    add_common(p, (2, 3, 4), "accepted and ignored: the canonical set takes no seed")
     p.set_defaults(func=_cmd_complete_set)
 
     p = sub.add_parser(
         "find-unextendible", help="build an unextendible set from chosen classes"
     )
-    add_common(p, dim_choices=(2, 3))
+    add_common(p, (2, 3), "recorded in the certificate, unused by the construction")
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--choose", help="comma-separated class indices, e.g. 0,1,2")
     which.add_argument(
@@ -284,12 +298,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eur", help="collision-entropy saturation report")
     p.add_argument("source", help="built-in name or class-set certificate path")
-    add_common(p, seed=False)
+    add_common(p, seed=None)
     p.set_defaults(func=_cmd_eur)
 
     p = sub.add_parser("ks", help="double-context partition and sign parity")
     p.add_argument("source", help="built-in name or class-set certificate path")
-    add_common(p, seed=False)
+    add_common(p, seed=None)
     p.set_defaults(func=_cmd_ks)
 
     p = sub.add_parser("scan", help="four-qubit conjecture evidence scan")
@@ -312,6 +326,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MALFORMED
+    except ImportError as exc:
+        print(f"error: {_missing(exc)} is required for {args.command}", file=sys.stderr)
         return EXIT_MALFORMED
 
 

@@ -17,8 +17,7 @@ this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 MAX_QUBITS = 8
 
@@ -37,24 +36,32 @@ def _letters(n: int, x: int, z: int) -> str:
     )
 
 
-@dataclass(frozen=True, order=True)
-class PauliOperator:
-    """A phase-tracked Pauli operator ``i**phase * X^x Z^z``.
-
-    Instances are immutable values and all operations on them are pure.
-    """
-
+class _PauliFields(NamedTuple):
     n: int
     x: int
     z: int
     phase: int = 0
 
-    def __post_init__(self) -> None:
-        _check_qubits(self.n)
-        top = 1 << self.n
-        if not (0 <= self.x < top and 0 <= self.z < top):
+
+class PauliOperator(_PauliFields):
+    """A phase-tracked Pauli operator ``i**phase * X^x Z^z``.
+
+    Instances are immutable values and all operations on them are pure.
+    Equality, hashing and order are those of the tuple (n, x, z, phase).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, x: int, z: int, phase: int = 0) -> "PauliOperator":
+        _check_qubits(n)
+        top = 1 << n
+        if not (0 <= x < top and 0 <= z < top):
             raise ValueError("x/z masks out of range for qubit count")
-        object.__setattr__(self, "phase", self.phase % 4)
+        return tuple.__new__(cls, (n, x, z, phase % 4))
+
+    @classmethod
+    def _make(cls, fields) -> "PauliOperator":  # so that _replace validates too
+        return cls(*fields)
 
     @property
     def key(self) -> int:

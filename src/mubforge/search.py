@@ -33,10 +33,9 @@ independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 MAX_SEARCH_QUBITS = 4
 
@@ -140,8 +139,7 @@ def classes_within_mask(n: int, universe_mask: int) -> list[int]:
     return [m for m in family if m & universe_mask == m]
 
 
-@dataclass(frozen=True)
-class OwnerCensus:
+class OwnerCensus(NamedTuple):
     """Owner masks of the class family with respect to one complete set.
 
     ``parts`` are the complete-set class masks, and ``owners[i]`` is the

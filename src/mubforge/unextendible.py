@@ -28,9 +28,8 @@ seed it was given. The certificates record those inputs beside the result.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from mubforge.classes import (
     ClassSet,
@@ -163,8 +162,7 @@ def theorem4_census(complete: ClassSet, k: int) -> int:
     return max(Counter(o for o in owners if o.bit_count() == k).values(), default=0)
 
 
-@dataclass(frozen=True)
-class ConjectureScanReport:
+class ConjectureScanReport(NamedTuple):
     """Evidence-only census of extra classes over nine-class choices at n=4.
 
     The underlying statement is an open conjecture; this report records what

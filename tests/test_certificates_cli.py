@@ -1128,20 +1128,24 @@ LAYERS = (
 
 def test_cli_import_loads_every_layer_but_not_numpy():
     # every layer module is loaded, so code that patches or traces them
-    # finds them all, while numpy waits for the first numeric command
+    # finds them all, while numpy waits for the first numeric command; no
+    # layer defines its records with dataclasses, which would pull in inspect
     code = (
         "import sys, mubforge.cli\n"
         f"print(all('mubforge.' + m in sys.modules for m in {LAYERS!r}),"
-        " 'numpy' in sys.modules)"
+        " [m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules])"
     )
-    assert _python(code) == "True False"
+    assert _python(code) == "True []"
 
 
 def test_census_commands_run_with_numpy_unimportable(tmp_path):
     # the combinatorial commands emit and every output checks, all in one
-    # interpreter in which importing numpy raises ImportError
+    # interpreter in which importing numpy raises ImportError; a numeric
+    # command, or a file whose kind needs numpy, gets one line and exit 2,
+    # and checking goes on to the next file
+    strong_file = str(LM_CERTIFICATES[0])
     code = f"""
-import glob, os, sys
+import contextlib, glob, io, os, sys
 sys.modules["numpy"] = None
 from mubforge.cli import main
 os.chdir({str(tmp_path)!r})
@@ -1152,11 +1156,28 @@ codes = [
 ]
 outputs = ["complete.json", "scan.json"] + sorted(glob.glob("unext/*.json"))
 codes.append(main(["check"] + outputs))
+codes.append(main(["check", {strong_file!r}, "complete.json"]))
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    for argv in (
+        ["strong", "paper-d4-strong", "--starts", "5"],
+        ["eur", "paper-d4-weak"],
+        ["scan", "-n", "4", "--budget", "10"],
+    ):
+        codes.append(main(argv))
+print("stderr", err.getvalue().splitlines())
 print("codes", codes)
 """
     out = _python(code).splitlines()
-    assert out[-1] == "codes [0, 0, 0, 0]"
-    assert sum(line.endswith(": verified") for line in out) == 128
+    assert out[-1] == "codes [0, 0, 0, 0, 2, 2, 2, 2]"
+    assert out[-2] == "stderr " + repr([
+        f"error: numpy is required for {command}" for command in ("strong", "eur", "scan")
+    ])
+    assert out[-4:-2] == [
+        f"{strong_file}: not checked (numpy is required for search_outcome payloads)",
+        "complete.json: verified",
+    ]
+    assert sum(line.endswith(": verified") for line in out) == 129
 
 
 # One certificate of each deterministic payload kind, each re-verified by

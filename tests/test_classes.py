@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
+import pickle
 from itertools import combinations
 
 import pytest
 
+from mubforge.analysis import SearchOutcome
 from mubforge.classes import (
     CANONICAL_D4_COMPLETE,
     ClassSet,
+    CommutingClass,
     canonical_complete_set,
     class_from_elements,
     class_from_generators,
@@ -72,13 +76,17 @@ class TestClassConstruction:
     def test_generator_choice_invariance(self):
         cls = class_from_generators(gens("ZII", "IZZ", "IIZ"))
         elems = cls.sorted_elements
+        choices = set()
         for trio in combinations(elems, 3):
             try:
                 other = class_from_generators([p.hermitian() for p in trio])
             except ValueError:
                 continue  # dependent choice
-            assert other == cls
+            assert other == cls and not other != cls
+            assert hash(other) == hash(cls)
             assert other.elements == cls.elements
+            choices.add(other.generators)
+        assert len(choices) == 28  # the independent triples of seven elements
 
     def test_class_from_elements_requires_closure(self):
         with pytest.raises(ValueError, match="closed"):
@@ -161,6 +169,55 @@ class TestClassSet:
         rebuilt = classes_from_json(classes_to_json(cs))
         assert set(rebuilt) == set(cs)
         assert rebuilt.complete
+
+    def test_equality_goes_by_the_classes_in_order_and_the_flag(self):
+        cs = canonical_complete_set(2)
+        same = ClassSet(2, tuple(class_from_strings(c.letters()) for c in cs), True)
+        assert same == cs and hash(same) == hash(cs)
+        assert ClassSet(2, cs.classes) != cs
+        assert ClassSet(2, cs.classes[::-1], complete=True) != cs
+        assert ClassSet(2, cs.classes[:2]) != cs.classes[:2]
+
+    @pytest.mark.parametrize(
+        "classes, complete, message",
+        [
+            (lambda cs: cs.classes + cs.classes[:1], False, "pairwise disjoint"),
+            (lambda cs: cs.classes[:1] + canonical_complete_set(3).classes[:1],
+             False, "qubit count"),
+            (lambda cs: cs.classes[:4], True, "needs 5 classes, got 4"),
+            # five disjoint one-operator masks pass the count, not the cover
+            (lambda cs: tuple(CommutingClass(2, (), 1 << i) for i in range(5)),
+             True, "does not cover"),
+        ],
+        ids=["repeated-class", "other-qubit-count", "too-few", "uncovered"],
+    )
+    def test_construction_errors(self, classes, complete, message):
+        with pytest.raises(ValueError, match=message):
+            ClassSet(2, classes(canonical_complete_set(2)), complete)
+
+
+# One value of each record that used to be a frozen dataclass, and a field.
+VALUES = {
+    "operator": (lambda: pauli_from_string("XY"), "phase"),
+    "class": (lambda: canonical_complete_set(2)[0], "mask"),
+    "class-set": (lambda: canonical_complete_set(2), "complete"),
+    "search-outcome": (lambda: SearchOutcome(0.25, None, 3, 2, 1), "starts"),
+}
+
+
+@pytest.mark.parametrize("kind", VALUES)
+def test_values_are_immutable_and_survive_copy_and_pickle(kind):
+    make, field = VALUES[kind]
+    value = make()
+    with pytest.raises(AttributeError):
+        setattr(value, field, 0)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.extra = 0
+    for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(clone) is type(value)
+        assert clone == value and hash(clone) == hash(value)
 
 
 class TestCompleteSets:

@@ -213,6 +213,29 @@ def test_projective_ordering_matches_key():
     ops = enumerate_nonidentity(2)
     assert ops == sorted(ops)
     assert [PauliOperator.from_key(2, p.key) for p in ops] == ops
+    # across qubit counts and phases the order is that of (n, x, z, phase)
+    want = [(1, 1, 1, 0), (2, 0, 3, 0), (2, 1, 0, 1), (2, 1, 0, 3), (2, 2, 0, 0)]
+    ops = [PauliOperator(*fields) for fields in reversed(want)]
+    assert [(op.n, op.x, op.z, op.phase) for op in sorted(ops)] == want
+
+
+@pytest.mark.parametrize(
+    "fields, phase", [((2, 1, 0, 5), 1), ((2, 1, 0, -1), 3), ((2, 1, 0), 0)]
+)
+def test_phase_is_reduced_mod_four(fields, phase):
+    assert PauliOperator(*fields).phase == phase
+    assert PauliOperator._make(fields).phase == phase
+    assert identity(2)._replace(**dict(zip(PauliOperator._fields, fields))).phase == phase
+
+
+@pytest.mark.parametrize(
+    "fields", [(2, 4, 0), (2, 0, 4), (2, -1, 0), (2, 0, -1), (0, 0, 0), (9, 0, 0)]
+)
+def test_out_of_range_operators_are_rejected(fields):
+    with pytest.raises(ValueError):
+        PauliOperator(*fields)
+    with pytest.raises(ValueError):
+        identity(2)._replace(n=fields[0], x=fields[1], z=fields[2])
 
 
 def test_every_public_name_resolves():
