@@ -49,9 +49,13 @@ WITNESS_THRESHOLD = 1e-10
 MUTUAL_UNBIASED_TOL = 1e-9
 
 DEFAULT_STARTS = 1000
-DEFAULT_MAX_ITERATIONS = 500
-DEFAULT_F_TOL = 1e-14
+MAX_ITERATIONS = 500
+F_TOL = 1e-14
 GRADIENT_TOL = 1e-12
+# the settings every search runs with, as strong certificates record them
+SEARCH_SETTINGS = {
+    "max_iterations": MAX_ITERATIONS, "f_tol": F_TOL, "gradient_tol": GRADIENT_TOL,
+}
 
 # Levenberg-Marquardt damping: start, shrink and growth factors, the floor
 # that keeps J^T J + lambda I invertible, and the ceiling past which a start
@@ -222,18 +226,6 @@ class SearchOutcome(NamedTuple):
     best_start_index: int
 
 
-def check_max_iterations(max_iterations) -> None:
-    """Raise ValueError unless the step cap is an integer of at least 1."""
-    if (
-        isinstance(max_iterations, bool)
-        or not isinstance(max_iterations, numbers.Integral)
-        or max_iterations < 1
-    ):
-        raise ValueError(
-            f"max_iterations must be an integer of at least 1, got {max_iterations!r}"
-        )
-
-
 def check_stop_below(stop_below) -> None:
     """Raise ValueError unless the early-stop bar is None or a finite number."""
     if stop_below is not None and (
@@ -252,8 +244,6 @@ def strong_unext_search(
     seed: int = 0,
     *,
     stop_below: Optional[float] = None,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    f_tol: float = DEFAULT_F_TOL,
 ) -> SearchOutcome:
     """Seeded multistart minimization of the unbiasedness residual.
 
@@ -261,10 +251,15 @@ def strong_unext_search(
     (seed, start index) and runs its own Levenberg-Marquardt iteration: the
     damped Gauss-Newton step (J^T J + lambda I) delta = -J^T r is kept when
     it lowers F, after which lambda shrinks; otherwise lambda grows. A start
-    has converged when an accepted step lowers F by at most ``f_tol``
-    relative to max(F, 1), or when its gradient 2 J^T r is at most
-    GRADIENT_TOL in every component; it also stops, unconverged, when lambda
-    passes _LAMBDA_CEILING or after ``max_iterations`` steps.
+    has converged when an accepted step lowers F by at most F_TOL relative
+    to max(F, 1), or when its gradient 2 J^T r is at most GRADIENT_TOL in
+    every component; it also stops, unconverged, when lambda passes
+    _LAMBDA_CEILING or after MAX_ITERATIONS steps. These are constants,
+    read at call time. A start evaluates the residual kernel at most
+    MAX_ITERATIONS + 1 times (its start point and one trial per step), so
+    the spot re-run of ``check``, at most RECHECK_STARTS starts, costs at
+    most RECHECK_STARTS x (MAX_ITERATIONS + 1) kernel rows, whatever the
+    file says.
 
     The step runs on the normal equations alone: each start in flight keeps
     J^T r and a (d-1) x (d-1) matrix, which
@@ -276,7 +271,7 @@ def strong_unext_search(
     Hessian of F/2, J^T J + sum_a r_a Hess(r_a), instead. The floors of the
     strong sets are degenerate minima with F far from zero, where
     Gauss-Newton only creeps (a few percent of starts ran to
-    ``max_iterations``) and the damped full-Newton step converges fast;
+    MAX_ITERATIONS) and the damped full-Newton step converges fast;
     switching while lambda is still large costs witnesses on extendible
     sets instead. A singular damped system, possible only in the Newton
     phase, counts as a rejected step for its start alone.
@@ -297,14 +292,9 @@ def strong_unext_search(
 
     if starts < 1:
         raise ValueError("need at least one start")
-    check_max_iterations(max_iterations)
     check_stop_below(stop_below)
-    if not (math.isfinite(f_tol) and f_tol >= 0):
-        raise ValueError(f"f_tol must be finite and non-negative, got {f_tol!r}")
     problem = UnbiasedVectorProblem.from_bases(bases)
-    final_f, final_theta, converged = _multistart(
-        problem, starts, seed, stop_below, max_iterations, f_tol
-    )
+    final_f, final_theta, converged = _multistart(problem, starts, seed, stop_below)
     best_index = int(np.argmin(final_f))
     best_vector = problem.vector(final_theta[best_index])
     return SearchOutcome(
@@ -321,8 +311,6 @@ def _multistart(
     starts: int,
     seed: int,
     stop_below: Optional[float],
-    max_iterations: int,
-    f_tol: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Final F, angles and converged flag of each counted start.
 
@@ -383,7 +371,7 @@ def _multistart(
         )
         f_trial = np.einsum("bm,bm->b", r_trial, r_trial)
         better = (f_trial < f) & ~flat & solved
-        settled = better & (f - f_trial <= f_tol * np.maximum(f, 1.0))
+        settled = better & (f - f_trial <= F_TOL * np.maximum(f, 1.0))
         theta[better] = trial[better]
         grad[better] = grad_trial[better]
         hess[better] = hess_trial[better]
@@ -392,7 +380,7 @@ def _multistart(
         steps += 1
 
         done_converged = flat | settled
-        done = done_converged | (lam > _LAMBDA_CEILING) | (steps >= max_iterations)
+        done = done_converged | (lam > _LAMBDA_CEILING) | (steps >= MAX_ITERATIONS)
         if not done.any():
             continue
         ended = index[done]

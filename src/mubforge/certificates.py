@@ -23,8 +23,12 @@ Strong-search outcomes keep their own route, since files from earlier
 optimizers must still verify: the payload carries exactly the keys every
 optimizer has written, the seed and start counts are JSON integers and the
 vector parts lists of d numbers, the numbers must be finite and consistent,
-the vector must give the recorded residual, and a bounded spot re-run must
-not beat it.
+the search settings must be the fixed ones every search runs with, the
+vector must give the recorded residual, and a spot re-run of the first
+RECHECK_STARTS starts must not beat it. The re-run takes only its seed and
+start count from the file, so it costs at most RECHECK_STARTS x
+(analysis.MAX_ITERATIONS + 1) evaluations of the residual kernel, whatever
+the file says.
 
 The payload hash covers the schema version, command, config and payload in
 canonical JSON; the creation timestamp sits outside the hashed region so
@@ -41,11 +45,8 @@ from contextlib import contextmanager
 from typing import Callable, Optional, Sequence
 
 from mubforge.analysis import (
-    DEFAULT_F_TOL,
-    DEFAULT_MAX_ITERATIONS,
-    GRADIENT_TOL,
     SATURATION_TOL,
-    check_max_iterations,
+    SEARCH_SETTINGS,
     check_stop_below,
     context_sign,
     eur_bound,
@@ -149,9 +150,7 @@ def strong_content(
         "config": {
             "starts_requested": starts,
             "stop_below": stop_below,
-            "max_iterations": DEFAULT_MAX_ITERATIONS,
-            "f_tol": DEFAULT_F_TOL,
-            "gradient_tol": GRADIENT_TOL,
+            **SEARCH_SETTINGS,
             "best_start_index": outcome.best_start_index,
         },
     }
@@ -384,20 +383,16 @@ def _verify_search_outcome(payload: dict, config: dict) -> list[str]:
     of _OUTCOME_KEYS. The seed, the start counts and the best start index
     must be JSON integers, and each vector part a list of d numbers. The
     recorded numbers must be finite and agree with each other and with the
-    config, and ``gradient_tol`` must be GRADIENT_TOL. The recorded vector
-    must give the recorded residual, and a spot re-run of the first starts
-    must not beat it. The re-run's cost does
-    not grow with what the file claims: at most RECHECK_STARTS starts of at
-    most DEFAULT_MAX_ITERATIONS steps each, so at most RECHECK_STARTS x
-    (DEFAULT_MAX_ITERATIONS + 1) single-start evaluations of the residual
-    kernel, made in about DEFAULT_MAX_ITERATIONS batched calls. Over m
-    condition rows at dimension d, each evaluation costs about 2 m (d-1)^2
+    config, and each setting of SEARCH_SETTINGS must be there with its JSON
+    type. The recorded vector must give the recorded residual, and a spot
+    re-run of the first starts must not beat it: at most RECHECK_STARTS x
+    (MAX_ITERATIONS + 1) single-start evaluations of the residual kernel,
+    made in about MAX_ITERATIONS batched calls. Over m condition rows at dimension d, each evaluation costs about 2 m (d-1)^2
     complex multiply-adds and each step one (d-1) x (d-1) solve per start;
     a start in flight holds O(m + (d-1)^2) numbers, never an m x (d-1)
-    Jacobian. A shorter re-run can only end higher, so capping it never
-    refutes a true claim. Values of the wrong type, optimizer settings the
-    search rejects (a non-finite ``stop_below`` among them), and missing
-    keys raise ValueError or KeyError (malformed).
+    Jacobian. Values of the wrong type, a ``stop_below`` the search rejects
+    (a non-finite one), and missing keys raise ValueError or KeyError
+    (malformed).
     """
     import numpy as np
 
@@ -434,8 +429,9 @@ def _verify_search_outcome(payload: dict, config: dict) -> list[str]:
     requested = settings["starts_requested"]
     if starts > requested or (settings["stop_below"] is None and starts != requested):
         problems.append("starts made do not match the starts requested")
-    if settings["gradient_tol"] != GRADIENT_TOL:  # what every optimizer used
-        problems.append(f"payload.config.gradient_tol is not {GRADIENT_TOL}")
+    for key, value in SEARCH_SETTINGS.items():  # what every optimizer used
+        if type(settings[key]) is not type(value) or settings[key] != value:
+            problems.append(f"payload.config.{key} is not {value}")
     problems += _differences(config, _strong_config(source, payload), "config")
     bases = [eigenbasis(c) for c in cs]
     if abs(np.linalg.norm(vec) - 1.0) > 1e-9:
@@ -449,14 +445,7 @@ def _verify_search_outcome(payload: dict, config: dict) -> list[str]:
         )
     # Deterministic spot re-run: the first few starts can never beat the
     # recorded optimum of the full run.
-    check_max_iterations(settings["max_iterations"])  # before the cap hides it
-    rerun = strong_unext_search(
-        bases,
-        starts=min(starts, RECHECK_STARTS),
-        seed=payload["seed"],
-        max_iterations=min(settings["max_iterations"], DEFAULT_MAX_ITERATIONS),
-        f_tol=settings["f_tol"],
-    )
+    rerun = strong_unext_search(bases, min(starts, RECHECK_STARTS), payload["seed"])
     if payload["min_residual"] > rerun.min_residual + RESIDUAL_RECHECK_TOL:
         problems.append("recorded residual is worse than a deterministic re-run")
     return problems

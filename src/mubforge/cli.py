@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Optional
 
 from mubforge import certificates as cert
+from mubforge.analysis import DEFAULT_STARTS
 from mubforge.classes import ClassSet, canonical_complete_set, classes_from_json
 from mubforge.named_sets import NAMED_CLASS_SETS, named_class_set
 from mubforge.unextendible import extra_classes_within_union
@@ -289,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("strong", help="multistart search for an unbiased vector")
     p.add_argument("source", help="built-in name or class-set certificate path")
     add_common(p)
-    p.add_argument("--starts", type=int, default=1000, help="number of starts")
+    p.add_argument("--starts", type=int, default=DEFAULT_STARTS, help="number of starts")
     p.add_argument(
         "--stop-below", type=float, default=None,
         help="stop early once a residual below this is found",

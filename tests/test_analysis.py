@@ -216,9 +216,7 @@ class TestStrongSearch:
                 continue
             extendible += 1
             problem = UnbiasedVectorProblem.from_bases(triple_bases(cs))
-            final_f, _, _ = analysis._multistart(
-                problem, 50, 3, None, analysis.DEFAULT_MAX_ITERATIONS, analysis.DEFAULT_F_TOL
-            )
+            final_f, _, _ = analysis._multistart(problem, 50, 3, None)
             assert np.max(final_f) < 1e-10
         assert extendible == 60
 
@@ -260,15 +258,15 @@ class TestStrongSearch:
         assert out.min_residual > 1e-3
         assert out.starts == 60
 
-    def test_early_stop_equals_the_shorter_run(self):
+    def test_early_stop_equals_the_shorter_run(self, monkeypatch):
         # a run that stop_below ends after k starts is the run of k starts;
         # one iteration per start keeps the first starts above the bar
         cs = canonical_complete_set(2)
         bases = triple_bases([cs[0], cs[1], cs[2]])
-        opts = {"seed": 9, "max_iterations": 1}
-        stopped = strong_unext_search(bases, starts=50, stop_below=1e-3, **opts)
+        monkeypatch.setattr(analysis, "MAX_ITERATIONS", 1)
+        stopped = strong_unext_search(bases, starts=50, seed=9, stop_below=1e-3)
         assert 1 < stopped.starts < 50
-        short = strong_unext_search(bases, starts=stopped.starts, **opts)
+        short = strong_unext_search(bases, starts=stopped.starts, seed=9)
         assert stopped.min_residual == short.min_residual
         assert np.array_equal(stopped.best_vector, short.best_vector)
         assert stopped.converged_starts == short.converged_starts
@@ -285,33 +283,39 @@ class TestStrongSearch:
             strong_unext_search(triple_bases(cs.classes[:3]), starts=0, seed=0)
 
     @pytest.mark.parametrize(
-        "opts",
-        [{"max_iterations": 0}, {"max_iterations": -3}, {"f_tol": -1.0},
-         {"f_tol": float("nan")}, {"f_tol": float("inf")},
-         {"max_iterations": float("nan")}, {"max_iterations": 2.5},
-         {"max_iterations": 3.0}, {"max_iterations": True},
-         {"stop_below": float("nan")}, {"stop_below": float("inf")},
-         {"stop_below": float("-inf")}],
+        "opts, error",
+        [({"max_iterations": 0}, TypeError), ({"max_iterations": -3}, TypeError),
+         ({"f_tol": -1.0}, TypeError), ({"f_tol": float("nan")}, TypeError),
+         ({"f_tol": float("inf")}, TypeError), ({"max_iterations": float("nan")}, TypeError),
+         ({"max_iterations": 2.5}, TypeError), ({"max_iterations": 3.0}, TypeError),
+         ({"max_iterations": True}, TypeError), ({"stop_below": float("nan")}, ValueError),
+         ({"stop_below": float("inf")}, ValueError),
+         ({"stop_below": float("-inf")}, ValueError)],
         ids=["zero-iterations", "negative-iterations", "negative-f-tol",
              "nan-f-tol", "infinite-f-tol", "nan-iterations",
              "fractional-iterations", "float-iterations", "bool-iterations",
              "nan-stop-below", "infinite-stop-below", "minus-infinite-stop-below"],
     )
-    def test_rejects_unusable_optimizer_settings(self, opts):
+    def test_rejects_unusable_optimizer_settings(self, opts, error):
+        # the step cap and f_tol are constants, not options, so the search
+        # takes no value for them; stop_below must be None or finite
         bases = triple_bases(canonical_complete_set(2).classes[:3])
-        with pytest.raises(ValueError):
+        with pytest.raises(error):
             strong_unext_search(bases, starts=5, seed=0, **opts)
 
     @pytest.mark.parametrize(
         "source, opts",
         [("d4-strong", {"starts": 300, "seed": 11}),
          ("d8-strong", {"starts": 120, "seed": 4}),
-         ("d4-extendible", {"starts": 50, "seed": 9, "max_iterations": 1,
-                            "stop_below": 1e-3})],
+         ("d4-extendible", {"starts": 50, "seed": 9, "stop_below": 1e-3})],
     )
     def test_batch_split_does_not_change_results(self, monkeypatch, source, opts):
         # every start's result is its own: how the starts are batched
-        # together, down to one at a time, changes nothing
+        # together, down to one at a time, changes nothing; on the
+        # extendible triple, one iteration per start keeps the first starts
+        # above the bar, so stop_below ends the run part-way
+        if source == "d4-extendible":
+            monkeypatch.setattr(analysis, "MAX_ITERATIONS", 1)
         bases = triple_bases({
             "d4-strong": strong_triple_d4(),
             "d8-strong": strong_five_d8(),

@@ -649,8 +649,10 @@ def test_strong_counts_are_json_ints_and_the_vector_has_d_entries(
 
 
 class TestUntrustedOptimizerSettings:
-    # the spot re-run takes its optimizer settings from the file; a
-    # re-hashed certificate must not make it misbehave or run unbounded
+    # every search runs with the same fixed settings, and the spot re-run
+    # reads none of them from the file; a re-hashed certificate that states
+    # other settings is refuted, and cannot make the re-run misbehave or run
+    # unbounded
     @pytest.fixture
     def strong_cert(self, tmp_path):
         out = tmp_path / "strong.json"
@@ -668,14 +670,18 @@ class TestUntrustedOptimizerSettings:
              "fractional-iterations", "bool-iterations", "huge-float-iterations"],
     )
     def test_unusable_setting_is_malformed(self, tmp_path, strong_cert, key, value, capsys):
+        # once malformed (exit 2); now a refuted claim with one named reason
         cert = load(strong_cert)
         cert["payload"]["config"][key] = value
         _rehash(cert)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(cert), encoding="utf-8")
         capsys.readouterr()
-        assert run(["check", str(bad)]) == 2
-        assert capsys.readouterr().out.startswith(f"{bad}: malformed (ValueError: ")
+        assert run(["check", str(bad)]) == 1
+        pinned = {"max_iterations": 500, "f_tol": 1e-14}[key]
+        assert capsys.readouterr().out.splitlines() == [
+            f"{bad}: REFUTED", f"  - payload.config.{key} is not {pinned}",
+        ]
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
     def test_non_finite_stop_below_is_malformed(self, tmp_path, strong_cert, value, capsys):
@@ -695,17 +701,17 @@ class TestUntrustedOptimizerSettings:
     def test_huge_iteration_count_is_capped(self, tmp_path, strong_cert, capsys, monkeypatch):
         import time
 
-        from mubforge import certificates
-        from mubforge.analysis import DEFAULT_MAX_ITERATIONS
+        from mubforge.analysis import MAX_ITERATIONS, UnbiasedVectorProblem
+        from mubforge.certificates import RECHECK_STARTS
 
-        seen = []
-        search = certificates.strong_unext_search
+        rows = []
+        kernel = UnbiasedVectorProblem.residual_and_gradient
 
-        def spy(*args, **kwargs):
-            seen.append(kwargs["max_iterations"])
-            return search(*args, **kwargs)
+        def spy(self, theta, newton=False):
+            rows.append(len(theta))
+            return kernel(self, theta, newton)
 
-        monkeypatch.setattr(certificates, "strong_unext_search", spy)
+        monkeypatch.setattr(UnbiasedVectorProblem, "residual_and_gradient", spy)
         cert = load(strong_cert)
         cert["payload"]["config"]["max_iterations"] = 10**9
         _rehash(cert)
@@ -715,9 +721,12 @@ class TestUntrustedOptimizerSettings:
         start = time.perf_counter()
         code = run(["check", str(big)])
         assert time.perf_counter() - start < 5.0
-        assert code == 0
-        assert capsys.readouterr().out == f"{big}: verified\n"
-        assert seen == [DEFAULT_MAX_ITERATIONS]
+        assert code == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"{big}: REFUTED", "  - payload.config.max_iterations is not 500",
+        ]
+        # the re-run's bound, whatever the file says
+        assert 0 < sum(rows) <= RECHECK_STARTS * (MAX_ITERATIONS + 1)
 
 
 LBFGS_CERTIFICATES = sorted((Path(__file__).parent / "data" / "lbfgs_strong").glob("*.json"))
@@ -1284,15 +1293,88 @@ def strong_text(tmp_path_factory):
     return out.read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("how", sorted(MUTATIONS))
-def test_strong_gradient_tol_is_pinned(strong_text, how):
-    # every optimizer wrote the search's 1e-12, the L-BFGS-B files included
+# every optimizer wrote the search's fixed settings, the L-BFGS-B files
+# included; each is pinned in JSON type and value
+PINNED_SETTINGS = {"max_iterations": 500, "f_tol": 1e-14, "gradient_tol": 1e-12}
+
+
+def _pinned_setting_problems(strong_text, key, mutate):
     cert = json.loads(strong_text)
     optimizer = cert["payload"]["config"]
-    assert optimizer["gradient_tol"] == 1e-12
-    optimizer["gradient_tol"] = MUTATIONS[how](optimizer["gradient_tol"])
+    assert optimizer[key] == PINNED_SETTINGS[key]
+    optimizer[key] = mutate(optimizer[key])
     _rehash(cert)
-    assert verify_certificate(cert) == ["payload.config.gradient_tol is not 1e-12"]
+    return verify_certificate(cert)
+
+
+@pytest.mark.parametrize("how", sorted(MUTATIONS))
+def test_strong_gradient_tol_is_pinned(strong_text, how):
+    assert _pinned_setting_problems(strong_text, "gradient_tol", MUTATIONS[how]) == [
+        "payload.config.gradient_tol is not 1e-12"
+    ]
+
+
+@pytest.mark.parametrize(
+    "key, mutate",
+    [(key, MUTATIONS[how]) for key in ("max_iterations", "f_tol") for how in sorted(MUTATIONS)]
+    + [("max_iterations", lambda value: 500.0), ("max_iterations", lambda value: True)],
+    ids=[f"{key}-{how}" for key in ("max_iterations", "f_tol") for how in sorted(MUTATIONS)]
+    + ["max_iterations-float", "max_iterations-bool"],
+)
+def test_strong_step_settings_are_pinned(strong_text, key, mutate):
+    assert _pinned_setting_problems(strong_text, key, mutate) == [
+        f"payload.config.{key} is not {PINNED_SETTINGS[key]}"
+    ]
+
+
+def _strong_sweep(cert):
+    """Every single-field mutant of a certificate's hashed content.
+
+    Each leaf is deleted or takes each of MUTATIONS, and each object gains
+    one key; yields (path, mutation, mutant).
+    """
+    for path in _hashed_paths(cert):
+        node = cert
+        for key in path:
+            node = node[key]
+        if isinstance(node, list):
+            continue
+        for how in ["add-key"] if isinstance(node, dict) else ["delete", *MUTATIONS]:
+            mutant = json.loads(json.dumps(cert))
+            parent = mutant
+            for key in path[:-1]:
+                parent = parent[key]
+            if how == "add-key":
+                parent[path[-1]]["extra"] = 0
+            elif how == "delete":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = MUTATIONS[how](parent[path[-1]])
+            yield path, how, mutant
+
+
+def test_strong_single_field_mutants_verify_only_where_labels_allow(strong_text):
+    # a deterministic sweep of `strong paper-d4-strong --starts 20 --seed 3`;
+    # every re-hashed mutant is refuted or malformed except a relabelled
+    # source and another best start index among the starts made, which the
+    # file alone cannot tell from the one the search found
+    cert = json.loads(strong_text)
+    survivors, count = set(), 0
+    for path, how, mutant in _strong_sweep(cert):
+        count += 1
+        _rehash(mutant)
+        try:
+            problems = verify_certificate(mutant)
+        except MALFORMED_ERRORS:
+            continue
+        if not problems:
+            survivors.add((".".join(map(str, path)), how))
+    expected = {("config.source", "string"), ("config.source", "bump")}
+    settings = cert["payload"]["config"]
+    if settings["best_start_index"] + 1 < cert["payload"]["starts"]:
+        expected.add(("payload.config.best_start_index", "bump"))
+    assert count == 278
+    assert survivors == expected
 
 
 def _is_label(kind, path, value):
