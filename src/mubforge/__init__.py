@@ -12,7 +12,6 @@ from mubforge.analysis import (
     SearchOutcome,
     collision_entropy,
     context_sign,
-    d8_double_partition_verify,
     eur_bound,
     eur_check,
     ks_alternate_partition,
@@ -23,7 +22,6 @@ from mubforge.bases import (
     MubBasis,
     SignedGroup,
     eigenbasis,
-    labels_hamming_check,
     unbiasedness_deviation,
 )
 from mubforge.classes import (
@@ -53,7 +51,6 @@ from mubforge.unextendible import (
     extendibility_check,
     extra_classes_within_union,
     theorem4_census,
-    verify_no_weak_4set_d4,
 )
 
 __version__ = "0.1.0"
@@ -79,7 +76,6 @@ __all__ = [
     "complete_set_from_two",
     "conjecture_scan",
     "context_sign",
-    "d8_double_partition_verify",
     "disjoint",
     "eigenbasis",
     "enumerate_nonidentity",
@@ -89,12 +85,10 @@ __all__ = [
     "extra_classes_within_union",
     "independent",
     "ks_alternate_partition",
-    "labels_hamming_check",
     "multiply",
     "pauli_from_string",
     "residual",
     "strong_unext_search",
     "theorem4_census",
     "unbiasedness_deviation",
-    "verify_no_weak_4set_d4",
 ]

@@ -29,7 +29,9 @@ each eigenstate (or an error when one misses the bound), and
 ``ks_alternate_partition`` the three alternate contexts, whose signs
 ``context_sign`` gives one by one. The settings a search ran with, the bound
 and the sign parity are written into the certificates by
-mubforge.certificates.
+mubforge.certificates. No command needs the paper's d = 8 double contexts,
+so only the tests check them, as the extra classes within the five-class
+set's union.
 """
 
 from __future__ import annotations
@@ -39,9 +41,8 @@ import numbers
 from typing import NamedTuple, Optional, Sequence
 
 from mubforge.bases import MubBasis, eigenbasis, unbiasedness_deviation
-from mubforge.classes import ClassSet, CommutingClass, class_from_mask
-from mubforge.pauli import multiply, pauli_from_string
-from mubforge.search import mask_of_keys
+from mubforge.classes import ClassSet, CommutingClass
+from mubforge.pauli import multiply
 from mubforge.unextendible import extendibility_check, extra_classes_within_union
 
 SATURATION_TOL = 1e-12
@@ -518,58 +519,3 @@ def ks_alternate_partition(cs: ClassSet) -> tuple[CommutingClass, ...]:
             if (new.mask & orig.mask).bit_count() != 1:
                 raise ValueError("alternate context does not cross all classes")
     return tuple(sorted(fresh, key=lambda c: c.mask & -c.mask))
-
-
-def _partition_masks(part) -> tuple[list[int], bool]:
-    """Element masks of a ClassSet or of raw element collections.
-
-    No validity is assumed. The flag tells whether any collection names the
-    identity, which no class contains and no mask can hold.
-    """
-    if isinstance(part, ClassSet):
-        return [c.mask for c in part], False
-    masks, identity = [], False
-    for group in part:
-        keys = {
-            pauli_from_string(i).key if isinstance(i, str) else i.key for i in group
-        }
-        identity |= 0 in keys
-        masks.append(mask_of_keys(keys - {0}))
-    return masks, identity
-
-
-def d8_double_partition_verify(first, second) -> bool:
-    """Check that two five-class partitions of 35 operators form double contexts.
-
-    Both collections must be genuine disjoint commuting-class partitions of
-    the same operator set, and the i-th classes must share three operators
-    (as the meet of two classes, a closed triple {u, v, uv}) while every
-    cross intersection has exactly one operator. Raises only when the two
-    operator sets differ; any structural failure returns False.
-    """
-    a, a_identity = _partition_masks(first)
-    b, b_identity = _partition_masks(second)
-    ops_a = ops_b = 0
-    for m in a:
-        ops_a |= m
-    for m in b:
-        ops_b |= m
-    if (ops_a, a_identity) != (ops_b, b_identity):
-        raise ValueError("the two partitions cover different operator sets")
-    if a_identity or len(a) != 5 or len(b) != 5:
-        return False
-    for part in (a, b):
-        if sum(m.bit_count() for m in part) != ops_a.bit_count() or any(
-            m.bit_count() != 7 for m in part
-        ):
-            return False
-        try:
-            for m in part:
-                class_from_mask(3, m)
-        except ValueError:
-            return False
-    return all(
-        (a[i] & b[j]).bit_count() == (3 if i == j else 1)
-        for i in range(5)
-        for j in range(5)
-    )

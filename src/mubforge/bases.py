@@ -14,9 +14,11 @@ correct without choosing a sign convention for the class.
 
 The label contract: character i of a label (the i-th letter of its bit
 string) is the eigenvalue sign of signed generator i. ``_label_bits`` is the
-one place that pairs string positions with generator subsets; the bases and
-the per-element labels are both read from it, and every basis is checked
-against its label strings before it is returned.
+one place that pairs string positions with generator subsets, and every
+basis is checked against its label strings before it is returned. No
+command reads the sign columns of the other class elements; the tests read
+them off the vectors, and check there that each has weight two on two
+qubits, as the paper's label lemma says.
 
 Dense complex matrices are confined to this module and to the analysis
 layer; everything upstream is exact GF(2) arithmetic. numpy is imported by
@@ -27,7 +29,7 @@ load it.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from mubforge.classes import CommutingClass
 from mubforge.pauli import PauliOperator, identity, multiply
@@ -87,11 +89,6 @@ class SignedGroup(NamedTuple):
                 raise ValueError("dependent generators: product collapses to identity")
         return cls(c.n, tuple(members))
 
-    def hermitian_sign(self, t: int) -> int:
-        """Sign of member t relative to the standard Hermitian representative."""
-        member = self.members[t]
-        return 1 if member == member.hermitian() else -1
-
 
 def _label_bits(n: int) -> np.ndarray:
     """The label convention: ``bits[e, t] = 1`` when signed member t flips vector e.
@@ -122,7 +119,6 @@ class MubBasis(NamedTuple):
     d: int
     labels: tuple[str, ...]
     vectors: np.ndarray
-    source: CommutingClass
 
 
 def eigenbasis(c: CommutingClass) -> MubBasis:
@@ -161,7 +157,7 @@ def eigenbasis(c: CommutingClass) -> MubBasis:
     gram = vectors.conj() @ vectors.T
     if not np.all(np.abs(gram - np.eye(d)) <= UNITARY_TOL):
         raise ValueError("eigenbasis is not orthonormal")
-    return MubBasis(n, d, labels, vectors, c)
+    return MubBasis(n, d, labels, vectors)
 
 
 def unbiasedness_deviation(b1: MubBasis, b2: MubBasis) -> float:
@@ -172,37 +168,3 @@ def unbiasedness_deviation(b1: MubBasis, b2: MubBasis) -> float:
         raise ValueError("bases have different dimensions")
     overlaps = np.abs(b1.vectors.conj() @ b2.vectors.T) ** 2
     return float(np.max(np.abs(overlaps - 1.0 / b1.d)))
-
-
-def element_sign_labels(b: MubBasis) -> dict[str, str]:
-    """Per-element eigenvalue labels: element letters -> bits across vectors.
-
-    Bit k of the string for element sigma is 0 when the standard Hermitian
-    representative of sigma fixes vector k and 1 when it flips its sign.
-    Read exactly from the label table and the signed group, no floating
-    point involved; elements come in ascending key order.
-    """
-    group = SignedGroup.from_class(b.source)
-    bits = _label_bits(b.n)
-    out: dict[str, str] = {}
-    for t in sorted(range(1, b.d), key=lambda t: group.members[t].key):
-        flip = int(group.hermitian_sign(t) < 0)
-        column = "".join(str(bit ^ flip) for bit in bits[:, t])
-        out[group.members[t].to_string()] = column
-    return out
-
-
-def labels_have_hamming_weight_two(columns: Sequence[str]) -> bool:
-    """True iff every bit string has exactly two ones."""
-    return all(col.count("1") == 2 for col in columns)
-
-
-def labels_hamming_check(b: MubBasis) -> bool:
-    """Two-qubit label lemma: each element's sign column has weight two.
-
-    Equivalently, the per-element label strings of any two basis vectors are
-    at Hamming distance two.
-    """
-    if b.n != 2:
-        raise ValueError("the label lemma check applies to two-qubit bases")
-    return labels_have_hamming_weight_two(list(element_sign_labels(b).values()))

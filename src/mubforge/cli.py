@@ -31,8 +31,10 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_MALFORMED = 2
 
-# what ``check`` reports as malformed input rather than a refuted claim
-MALFORMED_ERRORS = (KeyError, TypeError, AttributeError, ValueError)
+# what ``check`` reports as malformed input rather than a refuted claim; a
+# file nested just under the JSON decoder's limit parses, then overflows the
+# stack when it is hashed
+MALFORMED_ERRORS = (KeyError, TypeError, AttributeError, ValueError, RecursionError)
 
 
 def _emit(certificate: dict, output: str | Path | None, table: bool) -> None:

@@ -13,11 +13,12 @@ complete-set classes each maximal class draws from, lifted to the
 sub-collections whose union holds it.
 
 On two qubits, any three classes of a complete set admit exactly one extra
-class inside their union, and no unextendible four-set exists. On three
-qubits, five classes admit exactly one extra class while every other count
-admits none. The four-qubit scanner gathers evidence for the analogous
-statement, which is an open conjecture; its report never claims more than
-the counts it observed.
+class inside their union, and no weakly unextendible four-set exists; the
+tests confirm the latter by direct enumeration, since no command needs it.
+On three qubits, five classes admit exactly one extra class while every
+other count admits none. The four-qubit scanner gathers evidence for the
+analogous statement, which is an open conjecture; its report never claims
+more than the counts it observed.
 
 Each call returns only what it computed: ``build_unextendible_set`` the
 unextendible class set itself, the unchosen classes in their order and the
@@ -36,7 +37,6 @@ from mubforge.classes import (
     CommutingClass,
     canonical_complete_set,
     class_from_mask,
-    disjoint,
 )
 from mubforge.search import (
     classes_fit_in_union_minus,
@@ -106,41 +106,6 @@ def build_unextendible_set(complete: ClassSet, chosen: Sequence[int]) -> ClassSe
     return result
 
 
-def _weak4_candidates(complete: ClassSet, i: int, j: int) -> list[CommutingClass]:
-    """Candidate third classes disjoint from classes i and j.
-
-    This mirrors the uniqueness argument: candidates are the three remaining
-    classes of the complete set plus the single extra class their union
-    supports.
-    """
-    others = tuple(c for k, c in enumerate(complete) if k not in (i, j))
-    return list(others + extra_classes_within_union(ClassSet(complete.n, others)))
-
-
-def verify_no_weak_4set_d4(complete: ClassSet) -> bool:
-    """Exhaustively confirm that no four-class set is weakly unextendible.
-
-    For every pair of classes from the complete two-qubit set, every pair of
-    disjoint maximal classes formable from the remaining operators must leave
-    an extendible four-set (adding its extra class recovers a complete set).
-    """
-    if complete.n != 2 or not complete.complete:
-        raise ValueError("requires a complete two-qubit class set")
-    for i, j in combinations(range(len(complete)), 2):
-        candidates = _weak4_candidates(complete, i, j)
-        examined = 0
-        for ca, cb in combinations(candidates, 2):
-            if not disjoint(ca, cb):
-                continue
-            four = ClassSet(2, (complete[i], complete[j], ca, cb))
-            examined += 1
-            if not extendibility_check(four):
-                return False
-        if examined == 0:
-            raise RuntimeError("vacuous search: no disjoint candidate pair examined")
-    return True
-
-
 def _distribution(counts: Sequence[int]) -> dict[int, int]:
     return dict(sorted(Counter(counts).items()))
 
@@ -187,14 +152,6 @@ class ConjectureScanReport(NamedTuple):
     spanning_distribution: dict[int, int]
     swap_passes: int
     swap_failures: tuple[tuple[int, ...], ...]
-
-    @property
-    def conjecture_consistent(self) -> bool:
-        """True only if every scanned choice behaved as conjectured."""
-        return (
-            self.spanning_distribution == {1: self.subsets_scanned}
-            and not self.swap_failures
-        )
 
 
 def conjecture_scan(

@@ -8,8 +8,10 @@ maximal commuting classes inside a universe by a depth-first search over
 generator chains, a different route from the package's closed-form
 family. ``residual_jacobian`` forms the strong search's residuals and their
 full Jacobian by broadcasting, the route the package's normal-equation
-kernel avoids. ``BASIS_LISTING_*`` are the published eigenbases of two
-dimension-4 classes, as reference data for the synthesized ones.
+kernel avoids. ``sign_columns`` reads each class element's eigenvalue
+signs off a basis through those dense matrices. ``BASIS_LISTING_*`` are the
+published eigenbases of two dimension-4 classes, as reference data for the
+synthesized ones.
 """
 
 from __future__ import annotations
@@ -54,6 +56,23 @@ def matrix_from_letters(s: str) -> np.ndarray:
     for ch in s:
         m = np.kron(m, LETTER_MATS[ch])
     return m
+
+
+def sign_columns(vectors: np.ndarray, letters) -> dict[str, str]:
+    """Each element's sign column over a basis, read off the vectors.
+
+    ``vectors`` holds the basis vectors as rows. Bit k of the column for the
+    letter string s is 1 when <v_k|M|v_k> = -1 and 0 when it is +1, M being
+    the dense matrix of s; every vector must be an eigenvector of every M.
+    """
+    columns = {}
+    for s in letters:
+        moved = vectors @ matrix_from_letters(s).T  # row k is M|v_k>
+        signs = np.sum(vectors.conj() * moved, axis=1).real
+        assert np.allclose(np.abs(signs), 1.0, atol=1e-12)
+        assert np.allclose(moved, signs[:, None] * vectors, atol=1e-12)
+        columns[s] = "".join("1" if sign < 0 else "0" for sign in signs)
+    return columns
 
 
 def matrices_commute(a: np.ndarray, b: np.ndarray) -> bool:

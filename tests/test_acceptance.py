@@ -12,16 +12,16 @@ from itertools import combinations
 import numpy as np
 
 from mubforge.analysis import (
+    WITNESS_THRESHOLD,
     collision_entropy,
     context_sign,
-    d8_double_partition_verify,
     eur_bound,
     eur_check,
     ks_alternate_partition,
     residual,
     strong_unext_search,
 )
-from mubforge.bases import eigenbasis, labels_hamming_check
+from mubforge.bases import eigenbasis
 from mubforge.classes import (
     ClassSet,
     canonical_complete_set,
@@ -39,18 +39,17 @@ from mubforge.named_sets import (
 )
 from mubforge.search import all_maximal_classes, full_mask
 from mubforge.unextendible import (
-    _weak4_candidates,
     conjecture_scan,
     extendibility_check,
     extra_classes_within_union,
     theorem4_census,
-    verify_no_weak_4set_d4,
 )
 from oracles import (
     BASIS_LISTING_D4_YY,
     assert_same_basis,
     enumerate_classes_in,
     random_state,
+    sign_columns,
 )
 
 
@@ -92,18 +91,21 @@ def test_a02_weak_triple_unextendible_with_exact_leftover():
 
 
 def test_a03_no_weakly_unextendible_four_set():
+    # beside any two classes of the complete set, every pair of disjoint
+    # classes formable from the other nine operators leaves a class outside,
+    # all found by the direct enumeration
     started = time.perf_counter()
     cs = canonical_complete_set(2)
-    assert verify_no_weak_4set_d4(cs) is True
-    # the candidates the verdict rests on, against the direct enumeration
+    full = full_mask(2)
+    examined = 0
     for i, j in combinations(range(5), 2):
-        union = 0
-        for k in range(5):
-            if k not in (i, j):
-                union |= cs[k].mask
-        brute = set(enumerate_classes_in(2, union))
-        assert {c.mask for c in _weak4_candidates(cs, i, j)} == brute
-    _report("A3", "every formable four-set is extendible; candidates match direct enumeration", started, 10.0)
+        others = full & ~(cs[i].mask | cs[j].mask)
+        for a, b in combinations(enumerate_classes_in(2, others), 2):
+            if not a & b:
+                examined += 1
+                assert enumerate_classes_in(2, others & ~(a | b))
+    assert examined == 30  # three disjoint pairs beside each of the ten pairs
+    _report("A3", f"all {examined} formable four-sets are extendible, by direct enumeration", started, 10.0)
 
 
 def test_a04_census_over_all_subsets_d8():
@@ -145,15 +147,15 @@ def test_a06_strong_unextendibility_two_sided():
     for picks in combinations(range(5), 3):
         bases = [eigenbasis(complete[i]) for i in picks]
         outcome = strong_unext_search(bases, starts=1000, seed=7, stop_below=1e-12)
-        assert outcome.min_residual < 1e-10
+        assert outcome.min_residual < WITNESS_THRESHOLD
         rest = [eigenbasis(complete[i]) for i in range(5) if i not in picks]
         overlap = max(
             float(np.max(np.abs(b.vectors.conj() @ outcome.best_vector)))
             for b in rest
         )
         assert overlap > 1 - 1e-4, "witness does not match a fourth-basis vector"
-        assert residual(outcome.best_vector, bases) < 1e-10
-    _report("A6", "strong floors 0.25 (d=4) and 0.125 (d=8) within 1e-9; extendible triples witness < 1e-10", started, 120.0)
+        assert residual(outcome.best_vector, bases) < WITNESS_THRESHOLD
+    _report("A6", f"strong floors 0.25 (d=4) and 0.125 (d=8) within 1e-9; extendible triples witness < {WITNESS_THRESHOLD:g}", started, 120.0)
 
 
 def test_a07_collision_entropy_saturation():
@@ -192,16 +194,24 @@ def test_a08_ks_contexts_and_d8_double_partition():
     assert signs.count(-1) == 1  # one -identity context: odd parity
     minus_context = contexts[signs.index(-1)]
     assert set(minus_context.letters()) == {"YZ", "ZX", "XY"}
-    assert d8_double_partition_verify(strong_five_d8(), ALTERNATE_FIVE_D8)
-    _report("A8", "alternate contexts exact; one -identity context; d=8 double partition verified", started, 1.0)
+    # d = 8: the published second partition is every class within the union
+    # beyond the five, meeting class i in 3 operators and the others in 1
+    first = strong_five_d8()
+    second = ClassSet(3, tuple(class_from_strings(g) for g in ALTERNATE_FIVE_D8))
+    assert second.union_mask == first.union_mask
+    assert set(extra_classes_within_union(first)) == set(second)
+    meets = [[(a.mask & b.mask).bit_count() for b in second] for a in first]
+    assert meets == [[3 if i == j else 1 for j in range(5)] for i in range(5)]
+    _report("A8", "alternate contexts exact; one -identity context; d=8 double partition is the union's extra classes", started, 1.0)
 
 
 def test_a09_label_columns_have_weight_two():
     started = time.perf_counter()
     for rec in all_maximal_classes(2):
         cls = class_from_mask(2, rec)
-        assert labels_hamming_check(eigenbasis(cls))
-    _report("A9", "label columns of all 15 two-qubit eigenbases have weight two", started, 1.0)
+        columns = sign_columns(eigenbasis(cls).vectors, cls.letters())
+        assert [column.count("1") for column in columns.values()] == [2, 2, 2]
+    _report("A9", "sign columns read off all 15 two-qubit eigenbases have weight two", started, 1.0)
 
 
 def test_a10_exhaustive_conjecture_scan():

@@ -12,7 +12,6 @@ from mubforge.analysis import (
     UnbiasedVectorProblem,
     collision_entropy,
     context_sign,
-    d8_double_partition_verify,
     eur_bound,
     eur_check,
     ks_alternate_partition,
@@ -30,7 +29,6 @@ from mubforge.classes import (
 from mubforge.named_sets import (
     ALTERNATE_FIVE_D8,
     ALTERNATE_TRIPLE_D4,
-    STRONG_FIVE_D8,
     strong_five_d8,
     strong_triple_d4,
     weak_triple_d4,
@@ -194,7 +192,7 @@ class TestStrongSearch:
         for picks in combinations(range(5), 3):
             bases = triple_bases([cs[i] for i in picks])
             out = strong_unext_search(bases, starts=50, seed=3, stop_below=1e-12)
-            assert out.min_residual < 1e-10
+            assert out.min_residual < analysis.WITNESS_THRESHOLD
             rest = [eigenbasis(cs[i]) for i in range(5) if i not in picks]
             overlap = max(
                 float(np.max(np.abs(b.vectors.conj() @ out.best_vector)))
@@ -217,7 +215,7 @@ class TestStrongSearch:
             extendible += 1
             problem = UnbiasedVectorProblem.from_bases(triple_bases(cs))
             final_f, _, _ = analysis._multistart(problem, 50, 3, None)
-            assert np.max(final_f) < 1e-10
+            assert np.max(final_f) < analysis.WITNESS_THRESHOLD
         assert extendible == 60
 
     @pytest.mark.parametrize(
@@ -479,18 +477,12 @@ class TestKsContexts:
 
 class TestD8DoublePartition:
     def test_published_double_partition_verifies(self):
-        assert d8_double_partition_verify(strong_five_d8(), ALTERNATE_FIVE_D8)
-
-    def test_first_against_itself_fails(self):
-        assert not d8_double_partition_verify(strong_five_d8(), STRONG_FIVE_D8)
-
-    def test_swapped_operator_fails(self):
-        tampered = [list(group) for group in ALTERNATE_FIVE_D8]
-        tampered[0][3], tampered[1][3] = tampered[1][3], tampered[0][3]
-        assert not d8_double_partition_verify(strong_five_d8(), tampered)
-
-    def test_different_operator_sets_raise(self):
-        altered = [list(group) for group in ALTERNATE_FIVE_D8]
-        altered[0][0] = "XXZ"  # not among the 35 operators
-        with pytest.raises(ValueError):
-            d8_double_partition_verify(strong_five_d8(), altered)
+        # the published second partition is every class within the union
+        # beyond the five, and class i of each partition meets class j of
+        # the other in a closed triple when i = j and one operator otherwise
+        first = strong_five_d8()
+        second = ClassSet(3, tuple(class_from_strings(g) for g in ALTERNATE_FIVE_D8))
+        assert second.union_mask == first.union_mask
+        assert set(extra_classes_within_union(first)) == set(second)
+        meets = [[(a.mask & b.mask).bit_count() for b in second] for a in first]
+        assert meets == [[3 if i == j else 1 for j in range(5)] for i in range(5)]

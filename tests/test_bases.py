@@ -11,9 +11,6 @@ from mubforge.bases import (
     MubBasis,
     SignedGroup,
     eigenbasis,
-    element_sign_labels,
-    labels_hamming_check,
-    labels_have_hamming_weight_two,
     operator_matrix,
     unbiasedness_deviation,
 )
@@ -31,6 +28,7 @@ from oracles import (
     BASIS_LISTING_D4_YZXXZY,
     assert_same_basis,
     matrix_from_letters,
+    sign_columns,
 )
 
 TOL = 1e-12
@@ -44,11 +42,10 @@ class TestSignedGroup:
     def test_members_are_signed_hermitian_representatives(self):
         group = SignedGroup.from_class(class_from_strings(("YY", "IY", "YI")))
         assert len(group.members) == 4
-        for t, member in enumerate(group.members):
+        for member in group.members:
             assert member.is_hermitian
             herm = member.hermitian()
             assert (member.phase - herm.phase) % 4 in (0, 2)
-            assert group.hermitian_sign(t) in (-1, 1)
 
     def test_identity_is_positive(self):
         group = SignedGroup.from_class(class_from_strings(("ZI", "IZ", "ZZ")))
@@ -80,19 +77,23 @@ class TestEigenbasis:
         assert_same_basis(b.vectors, np.eye(2, dtype=complex))
 
     def test_vectors_are_joint_eigenvectors_with_character_signs(self):
+        # the product of the generators in subset t, as dense matrices, acts
+        # on each vector by the product of their label signs
         for n in (2, 3):
             for c in canonical_complete_set(n):
                 b = eigenbasis(c)
-                signs = element_sign_labels(b)
-                for elem in c.sorted_elements:
-                    mat = matrix_from_letters(elem.to_string())
-                    bits = signs[elem.to_string()]
-                    for k in range(b.d):
-                        expected = -1.0 if bits[k] == "1" else 1.0
-                        residual_norm = np.linalg.norm(
-                            mat @ b.vectors[k] - expected * b.vectors[k]
-                        )
-                        assert residual_norm < TOL
+                gens = [matrix_from_letters(g.to_string()) for g in c.generators]
+                for t in range(1, b.d):
+                    product = np.eye(b.d, dtype=complex)
+                    for i in range(n):
+                        if t >> i & 1:
+                            product = product @ gens[i]
+                    signs = np.array([
+                        (-1.0) ** sum(int(label[i]) for i in range(n) if t >> i & 1)
+                        for label in b.labels
+                    ])
+                    moved = b.vectors @ product.T  # row k is product |b_k>
+                    assert np.max(np.abs(moved - signs[:, None] * b.vectors)) < TOL
 
     def test_generators_act_by_their_label_signs(self):
         for n in (2, 3):
@@ -170,29 +171,31 @@ class TestUnbiasedness:
             unbiasedness_deviation(b2, b3)
 
 
+def label_weights(c) -> list[int]:
+    """Weights of the sign columns of a class's elements over its eigenbasis."""
+    columns = sign_columns(eigenbasis(c).vectors, c.letters())
+    return [column.count("1") for column in columns.values()]
+
+
 class TestLabelLemma:
     def test_all_two_qubit_classes_satisfy_the_lemma(self):
         for rec in all_maximal_classes(2):
-            cls = class_from_mask(2, rec)
-            assert labels_hamming_check(eigenbasis(cls))
+            assert label_weights(class_from_mask(2, rec)) == [2, 2, 2]
 
     def test_canonical_complete_set_classes(self):
         for c in canonical_complete_set(2):
-            assert labels_hamming_check(eigenbasis(c))
-
-    def test_hand_built_counterexample(self):
-        # columns of consecutive counting labels have weights 0, 2 and 2
-        assert not labels_have_hamming_weight_two(["0000", "0011", "0101"])
+            assert label_weights(c) == [2, 2, 2]
 
     def test_label_pairs_at_hamming_distance_two(self):
         b = basis_of("YY", "IY", "YI")
-        columns = list(element_sign_labels(b).values())
+        columns = list(sign_columns(b.vectors, ("YY", "IY", "YI")).values())
         words = ["".join(col[k] for col in columns) for k in range(b.d)]
         for w1, w2 in combinations(words, 2):
             dist = sum(ch1 != ch2 for ch1, ch2 in zip(w1, w2))
             assert dist == 2
 
     def test_wrong_size_rejected(self):
-        b = eigenbasis(canonical_complete_set(3)[0])
-        with pytest.raises(ValueError):
-            labels_hamming_check(b)
+        # the lemma is a two-qubit statement: each element flips half of
+        # the d vectors, so at three qubits every column has weight four
+        for c in canonical_complete_set(3):
+            assert label_weights(c) == [4] * 7

@@ -268,6 +268,11 @@ def _non_numeric_vector(cert):
     cert["payload"]["best_vector"]["re"][0] = "not a number"
 
 
+def _one_class(cert):
+    classes = cert["payload"]["classes"]
+    classes["classes"] = classes["classes"][:1]
+
+
 class TestCheckMalformedInput:
     @pytest.fixture
     def strong_cert(self, tmp_path):
@@ -278,22 +283,26 @@ class TestCheckMalformedInput:
         return out
 
     @pytest.mark.parametrize(
-        "mutate",
-        [_drop_classes, _payload_as_string, _drop_max_iterations, _non_numeric_vector,
-         _drop_gradient_tol],
+        "mutate, reason",
+        [
+            (_drop_classes, "KeyError: 'payload.classes'"),
+            (_payload_as_string, "AttributeError: 'str' object has no attribute 'get'"),
+            (_drop_max_iterations, "KeyError: 'payload.config.max_iterations'"),
+            (_non_numeric_vector, "ValueError: best_vector.re is not a list of 4 numbers"),
+            (_drop_gradient_tol, "KeyError: 'payload.config.gradient_tol'"),
+            (_one_class, "ValueError: need at least two bases"),
+        ],
         ids=["missing-classes", "payload-string", "missing-max-iterations",
-             "non-numeric-vector", "missing-gradient-tol"],
+             "non-numeric-vector", "missing-gradient-tol", "one-class"],
     )
-    def test_probe_is_malformed(self, tmp_path, strong_cert, mutate, capsys):
+    def test_probe_is_malformed(self, tmp_path, strong_cert, mutate, reason, capsys):
         cert = load(strong_cert)
         mutate(cert)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(cert), encoding="utf-8")
         capsys.readouterr()
         assert run(["check", str(bad)]) == 2
-        lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith(f"{bad}: malformed (")
+        assert capsys.readouterr().out == f"{bad}: malformed ({reason})\n"
 
     def test_scan_with_zero_budget_is_malformed(self, tmp_path, capsys):
         out = tmp_path / "scan.json"
@@ -335,6 +344,33 @@ class TestCheckMalformedInput:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith(f"{bad}: malformed (")
         assert lines[1] == f"{strong_cert}: verified"
+
+    def test_nesting_near_the_recursion_limit_does_not_stop_the_next(self, tmp_path, capsys):
+        # a config nested just under the JSON decoder's limit parses, and
+        # then overflows the stack when the certificate is hashed
+        import sys
+
+        good = tmp_path / "good.json"
+        assert run(["complete-set", "-n", "2", "-o", str(good)]) == 0
+        cert = load(good)
+        cert["config"]["pad"] = "PAD"
+        text = json.dumps(cert)
+        limit = sys.getrecursionlimit()
+        deep = []
+        for depth in range(limit - 250, limit + 1):
+            path = tmp_path / f"deep-{depth}.json"
+            path.write_text(text.replace('"PAD"', "[" * depth + "]" * depth), encoding="utf-8")
+            deep.append(str(path))
+        capsys.readouterr()
+        assert run(["check", *deep, str(good)]) == 2
+        verdicts = [
+            line for line in capsys.readouterr().out.splitlines()
+            if not line.startswith("  - ")
+        ]
+        assert len(verdicts) == len(deep) + 1
+        for path, line in zip(deep, verdicts):
+            assert line == f"{path}: REFUTED" or line.startswith(f"{path}: malformed (")
+        assert verdicts[-1] == f"{good}: verified"
 
 
 def _refuted_then_verified(tmp_path, capsys, good, mutate):
@@ -454,16 +490,46 @@ def _drop_operators(payload):
     payload["operators"] = []
 
 
+def _two_classes(payload):
+    classes = payload["classes"]
+    classes["classes"] = classes["classes"][:2]
+
+
+def _three_qubit_extra(payload):
+    from mubforge.classes import canonical_complete_set, class_to_json
+
+    payload["extra_class"] = class_to_json(canonical_complete_set(3)[0])
+
+
 @pytest.mark.parametrize(
-    "command,mutate",
-    [("eur", _drop_states), ("eur", _unsaturated), ("ks", _drop_operators)],
-    ids=["eur-no-states", "eur-unsaturated", "ks-no-operators"],
+    "command, source, mutate, problem",
+    [
+        ("eur", "paper-d4-weak", _drop_states, "payload.states does not reproduce: "),
+        ("eur", "paper-d4-weak", _unsaturated, "payload.saturated does not reproduce: "),
+        ("ks", "paper-d4-weak", _drop_operators, "payload.operators does not reproduce: "),
+        ("eur", "triple.json", _two_classes,
+         "eur input does not rebuild: expected three two-qubit classes"),
+        ("eur", "paper-d4-weak", _three_qubit_extra,
+         "eur input does not rebuild: extra class acts on a different qubit count"),
+    ],
+    ids=["eur-no-states", "eur-unsaturated", "ks-no-operators",
+         "eur-label-source-two-classes", "eur-three-qubit-extra"],
 )
-def test_rehashed_report_tamper_is_refuted(tmp_path, capsys, command, mutate):
+def test_rehashed_report_tamper_is_refuted(tmp_path, capsys, command, source, mutate, problem):
+    if source == "triple.json":  # a file source is a label: the payload's classes count
+        from mubforge.classes import classes_to_json
+
+        class_set = classes_to_json(named_class_set("paper-d4-weak"))
+        source = str(tmp_path / source)
+        Path(source).write_text(
+            json.dumps({"payload": {"kind": "class_set", "class_set": class_set}}),
+            encoding="utf-8",
+        )
     out = tmp_path / "report.json"
-    assert run([command, "paper-d4-weak", "--output", str(out)]) == 0
+    assert run([command, source, "--output", str(out)]) == 0
     good = sorted(tmp_path.glob("report*.json"))[0]  # eur writes one file per extra class
-    assert _refuted_then_verified(tmp_path, capsys, good, mutate)
+    lines = _refuted_then_verified(tmp_path, capsys, good, mutate)
+    assert len(lines) == 1 and lines[0].startswith(f"  - {problem}")
 
 
 def _rehash(cert):
