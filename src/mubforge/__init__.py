@@ -32,14 +32,12 @@ from mubforge.classes import (
     class_from_generators,
     class_from_mask,
     class_from_strings,
-    commuting_overlap,
     complete_set_from_two,
     disjoint,
 )
 from mubforge.pauli import (
     PauliOperator,
     commutes,
-    enumerate_nonidentity,
     independent,
     multiply,
     pauli_from_string,
@@ -50,7 +48,6 @@ from mubforge.unextendible import (
     conjecture_scan,
     extendibility_check,
     extra_classes_within_union,
-    theorem4_census,
 )
 
 __version__ = "0.1.0"
@@ -72,13 +69,11 @@ __all__ = [
     "class_from_strings",
     "collision_entropy",
     "commutes",
-    "commuting_overlap",
     "complete_set_from_two",
     "conjecture_scan",
     "context_sign",
     "disjoint",
     "eigenbasis",
-    "enumerate_nonidentity",
     "eur_bound",
     "eur_check",
     "extendibility_check",
@@ -89,6 +84,5 @@ __all__ = [
     "pauli_from_string",
     "residual",
     "strong_unext_search",
-    "theorem4_census",
     "unbiasedness_deviation",
 ]

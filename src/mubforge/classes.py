@@ -207,19 +207,6 @@ def disjoint(c1: CommutingClass, c2: CommutingClass) -> bool:
     return not (c1.mask & c2.mask)
 
 
-def commuting_overlap(p: PauliOperator, c: CommutingClass) -> frozenset[PauliOperator]:
-    """The subset of class elements commuting with ``p``.
-
-    For a maximal class in a disjoint position this has exactly
-    2**(n-1) - 1 members.
-    """
-    if p.is_projective_identity:
-        raise ValueError("identity has no meaningful commuting overlap")
-    if p in c:
-        raise ValueError("operator lies in the class; overlap is degenerate")
-    return frozenset(e for e in c.elements if commutes(p, e))
-
-
 class ClassSet(_Frozen):
     """An ordered collection of mutually disjoint maximal commuting classes.
 

@@ -247,6 +247,17 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _generator_seed(text: str) -> int:
+    """A seed that drives a random generator: a non-negative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mubforge",
@@ -255,29 +266,40 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(
-        p: argparse.ArgumentParser, dim_choices=None, seed="deterministic seed"
+        p: argparse.ArgumentParser,
+        dim_choices=None,
+        seed="deterministic seed (a non-negative integer)",
+        seed_type=_generator_seed,
     ) -> None:
-        """Add the shared options; ``seed`` is the --seed help, None for none."""
+        """Add the shared options; ``seed`` is the --seed help, None for none.
+
+        A seed that drives a generator is refused below zero; a seed that is
+        only a label (``seed_type=int``) takes any integer.
+        """
         if dim_choices:
             p.add_argument(
                 "--dim", "-n", type=int, required=True, choices=dim_choices,
                 help="number of qubits (Hilbert dimension 2**n)",
             )
         if seed:
-            p.add_argument("--seed", type=int, default=0, help=seed)
+            p.add_argument("--seed", type=seed_type, default=0, help=seed)
         p.add_argument("--output", "-o", help="write the certificate here")
         p.add_argument(
             "--table", action="store_true", help="print a human-readable summary"
         )
 
     p = sub.add_parser("complete-set", help="emit a canonical complete class set")
-    add_common(p, (2, 3, 4), "accepted and ignored: the canonical set takes no seed")
+    add_common(
+        p, (2, 3, 4), "accepted and ignored: the canonical set takes no seed", int
+    )
     p.set_defaults(func=_cmd_complete_set)
 
     p = sub.add_parser(
         "find-unextendible", help="build an unextendible set from chosen classes"
     )
-    add_common(p, (2, 3), "recorded in the certificate, unused by the construction")
+    add_common(
+        p, (2, 3), "recorded in the certificate, unused by the construction", int
+    )
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--choose", help="comma-separated class indices, e.g. 0,1,2")
     which.add_argument(

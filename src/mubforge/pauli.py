@@ -17,6 +17,7 @@ this module.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 MAX_QUBITS = 8
@@ -30,6 +31,9 @@ def _check_qubits(n: int) -> None:
         raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
 
 
+# certificates spell the same few operators many times over; the keys are
+# bounded by MAX_QUBITS, so the cache is too (at most 4**8 per qubit count)
+@lru_cache(maxsize=None)
 def _letters(n: int, x: int, z: int) -> str:
     return "".join(
         _XZ_LETTER[(x >> (n - 1 - j)) & 1, (z >> (n - 1 - j)) & 1] for j in range(n)
@@ -143,13 +147,6 @@ def commutes(a: PauliOperator, b: PauliOperator) -> bool:
     """True iff the symplectic form x_a.z_b + x_b.z_a vanishes mod 2."""
     _require_same_n(a, b)
     return (((a.x & b.z).bit_count() + (b.x & a.z).bit_count()) & 1) == 0
-
-
-def enumerate_nonidentity(n: int) -> list[PauliOperator]:
-    """All 4**n - 1 nonidentity operators modulo phase, as their standard
-    Hermitian representatives in canonical key order."""
-    _check_qubits(n)
-    return [PauliOperator.from_key(n, key) for key in range(1, 1 << (2 * n))]
 
 
 def independent(ops: Sequence[PauliOperator]) -> bool:

@@ -12,15 +12,19 @@ this universe" is one AND per family member.
 Census queries over the sub-collections of a complete set use owner masks
 instead. Inside a fixed complete set every nonidentity operator belongs to
 exactly one class, so each maximal class has an owner mask: the set of
-complete-set classes its operators come from. A class lies inside the union
-of a sub-collection C iff its owner is a subset of C, and it draws from
-every class of C iff its owner equals C. ``extras_within`` lifts each owner
-to the supersets of the sizes asked for, so its cost follows the answers it
-finds, not the 2**(2**n + 1) possible sub-collections.
+complete-set classes its operators come from. A class lies inside the
+union of a sub-collection C iff its owner is a subset of C, and it draws
+from every class of C iff its owner equals C. Answers are counts in flat
+``array`` tables of 2**len(parts) entries indexed by the sub-collection
+mask: ``spanning_counts`` counts the classes each C owns, and
+``count_extras`` lifts each owner to its supersets of one size, so its
+cost follows the answers it finds, not the 2**(2**n + 1) possible
+sub-collections. At n = 4 a table is 2**17 16-bit counts, 256 KiB, where
+one Python list of family indices per nine-class choice took about 4.9 MiB.
 
-The same owners answer "does any class fit inside the union of C minus one
-class S": such a class has its owner inside C and no key in S
-(``classes_fit_in_union_minus``).
+The same pass answers "does any class fit inside the union of C minus one
+class S" for the choices it is given with their S: such a class has its
+owner inside C and no key in S.
 
 The family itself is built in closed form from the quadratic-form picture
 of stabilizer states (Dehaene and De Moor, quant-ph/0304125): the
@@ -33,9 +37,10 @@ independent oracle.
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Iterable, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 MAX_SEARCH_QUBITS = 4
 
@@ -176,54 +181,70 @@ def owner_census(n: int, part_masks: tuple[int, ...]) -> OwnerCensus:
     return OwnerCensus(n, part_masks, owners)
 
 
-def extras_within(census: OwnerCensus, subsets: Iterable[int]) -> dict[int, list[int]]:
-    """Family indices of the extra classes inside the union of each sub-collection.
+def spanning_counts(census: OwnerCensus) -> array:
+    """Number of extra classes owned by each sub-collection, as a flat table.
+
+    Entry C counts the extra classes whose owner is C: the ones drawing from
+    every class of C. The table has 2**len(parts) entries, one per
+    sub-collection mask; a count never passes the family size (2295 at
+    n = 4), so unsigned 16-bit entries hold it.
+    """
+    table = array("H", [0]) * (1 << len(census.parts))
+    for owner in census.owners:
+        if owner & (owner - 1):
+            table[owner] += 1
+    return table
+
+
+class ExtrasTable(NamedTuple):
+    """What ``count_extras`` found for the sub-collections of one size.
+
+    ``within[C]`` is the number of extra classes inside the union of C, for
+    every C of that size (other entries stay 0). ``fit_after_removal``
+    holds the sub-collections C asked about whose union, minus the class
+    removed from it, still holds a maximal class.
+    """
+
+    within: array
+    fit_after_removal: frozenset[int]
+
+
+def count_extras(
+    census: OwnerCensus, size: int, removed: Mapping[int, int]
+) -> ExtrasTable:
+    """Count the extra classes inside every union of ``size`` complete-set classes.
 
     An extra class lies inside the union of C exactly when its owner is a
-    subset of C. For each size s asked for, every extra owner of at most s
-    bits is lifted to its size-s supersets, and those that were asked for
-    collect it; indices come in ascending order. The cost is the number of
-    (class, sub-collection) pairs over the sizes asked for, however few
-    sub-collections of each size are asked for.
+    subset of C, so every extra owner of at most ``size`` bits is lifted to
+    its size-``size`` supersets and each lift adds one to a flat table
+    indexed by the sub-collection mask. The cost is the number of (class,
+    sub-collection) pairs, and the memory one table of 2**len(parts)
+    counts, however many sub-collections are read back.
+
+    ``removed`` maps sub-collections of that size to the family index of a
+    class taken out of their union. The classes whose owner lies inside C
+    are its extras and its complete-set classes, and one of them fits in
+    what is left exactly when it shares no operator with the removed class:
+    for a complete-set class, when the removed class's owner misses it. The
+    same pass tests each lift against the map.
     """
-    found = {c: [] for c in subsets}
-    sizes = {c.bit_count() for c in found}
-    bits = [1 << j for j in range(len(census.parts))]
-    for i, owner in enumerate(census.owners):
-        p = owner.bit_count()
-        if p < 2:
-            continue
-        free = [b for b in bits if not owner & b]
-        for s in sizes:
-            if s < p:
-                continue
-            # the added bits are free, so each sum is a union with the owner
-            for c in map(owner.__add__, map(sum, combinations(free, s - p))):
-                hit = found.get(c)
-                if hit is not None:
-                    hit.append(i)
-    return found
-
-
-def classes_fit_in_union_minus(
-    census: OwnerCensus,
-    choices: Sequence[int],
-    extras: dict[int, list[int]],
-    removed: Sequence[int],
-) -> list[bool]:
-    """Whether any maximal class fits in the union of ``choices[i]`` minus one class.
-
-    ``choices`` holds sub-collection masks, ``extras`` the family indices of
-    the extra classes inside the union of each (as ``extras_within`` gives
-    them) and ``removed`` the family index of the class taken out of each
-    union. The classes whose owner lies inside a choice are its extras and
-    its complete-set classes, and one of them fits exactly when it shares no
-    operator with the removed class: for a complete-set class, when the
-    removed class's owner misses it.
-    """
+    if any(c.bit_count() != size for c in removed):
+        raise ValueError(f"removal is asked for a sub-collection not of size {size}")
     family = all_maximal_classes(census.n)
-    return [
-        bool(choice & ~census.owners[r])
-        or any(not family[i] & family[r] for i in extras[choice])
-        for choice, r in zip(choices, removed)
-    ]
+    owners = census.owners
+    within = array("H", [0]) * (1 << len(census.parts))
+    fits = {c for c, r in removed.items() if c & ~owners[r]}
+    bits = [1 << j for j in range(len(census.parts))]
+    for i, owner in enumerate(owners):
+        p = owner.bit_count()
+        if not 2 <= p <= size:
+            continue
+        cls = family[i]
+        free = [b for b in bits if not owner & b]
+        # the added bits are free, so each sum is a union with the owner
+        for c in map(owner.__add__, map(sum, combinations(free, size - p))):
+            within[c] += 1
+            r = removed.get(c)
+            if r is not None and not cls & family[r]:
+                fits.add(c)
+    return ExtrasTable(within, frozenset(fits))

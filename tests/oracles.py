@@ -8,7 +8,9 @@ maximal commuting classes inside a universe by a depth-first search over
 generator chains, a different route from the package's closed-form
 family. ``residual_jacobian`` forms the strong search's residuals and their
 full Jacobian by broadcasting, the route the package's normal-equation
-kernel avoids. ``sign_columns`` reads each class element's eigenvalue
+kernel avoids. ``enumerate_nonidentity``, ``commuting_overlap`` and
+``theorem4_census`` are the operator listing, the commuting-overlap sets
+and the d = 8 spanning census, which only the tests ask for. ``sign_columns`` reads each class element's eigenvalue
 signs off a basis through those dense matrices. ``BASIS_LISTING_*`` are the
 published eigenbases of two dimension-4 classes, as reference data for the
 synthesized ones.
@@ -17,9 +19,14 @@ synthesized ones.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
+
+from mubforge.classes import ClassSet, CommutingClass
+from mubforge.pauli import MAX_QUBITS, PauliOperator, commutes
+from mubforge.search import owner_census
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -73,6 +80,44 @@ def sign_columns(vectors: np.ndarray, letters) -> dict[str, str]:
         assert np.allclose(moved, signs[:, None] * vectors, atol=1e-12)
         columns[s] = "".join("1" if sign < 0 else "0" for sign in signs)
     return columns
+
+
+def enumerate_nonidentity(n: int) -> list[PauliOperator]:
+    """All 4**n - 1 nonidentity operators modulo phase, as their standard
+    Hermitian representatives in canonical key order."""
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
+    return [PauliOperator.from_key(n, key) for key in range(1, 1 << (2 * n))]
+
+
+def commuting_overlap(p: PauliOperator, c: CommutingClass) -> frozenset[PauliOperator]:
+    """The subset of class elements commuting with ``p``.
+
+    For a maximal class in a disjoint position this has exactly
+    2**(n-1) - 1 members.
+    """
+    if p.is_projective_identity:
+        raise ValueError("identity has no meaningful commuting overlap")
+    if p in c:
+        raise ValueError("operator lies in the class; overlap is degenerate")
+    return frozenset(e for e in c.elements if commutes(p, e))
+
+
+def theorem4_census(complete: ClassSet, k: int) -> int:
+    """Max count of spanning extra classes over all k-subsets of a d=8 set.
+
+    A spanning extra class uses operators of every chosen class. Exactly one
+    exists for every choice of five classes, none for any other k: with
+    seven commuting slots to fill from k disjoint classes, the class-wise
+    intersection sizes must be 1 or 3, and only 3+1+1+1+1 adds up.
+    """
+    if complete.n != 3 or not complete.complete:
+        raise ValueError("requires a complete three-qubit class set")
+    if not 2 <= k <= 7:
+        raise ValueError(f"subset size must be in [2, 7], got {k}")
+    # the spanning classes of a choice C are those whose owner is C
+    owners = owner_census(3, tuple(c.mask for c in complete)).owners
+    return max(Counter(o for o in owners if o.bit_count() == k).values(), default=0)
 
 
 def matrices_commute(a: np.ndarray, b: np.ndarray) -> bool:

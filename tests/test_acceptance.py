@@ -42,7 +42,6 @@ from mubforge.unextendible import (
     conjecture_scan,
     extendibility_check,
     extra_classes_within_union,
-    theorem4_census,
 )
 from oracles import (
     BASIS_LISTING_D4_YY,
@@ -50,6 +49,7 @@ from oracles import (
     enumerate_classes_in,
     random_state,
     sign_columns,
+    theorem4_census,
 )
 
 

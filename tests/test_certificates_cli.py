@@ -8,7 +8,12 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from mubforge.certificates import _payload_hash, verify_certificate
+from mubforge.certificates import (
+    _payload_hash,
+    make_certificate,
+    scan_content,
+    verify_certificate,
+)
 from mubforge.cli import MALFORMED_ERRORS, build_parser, main
 from mubforge.named_sets import (
     NAMED_CLASS_SETS,
@@ -194,6 +199,45 @@ def test_conflicting_or_missing_selection_exits_two_with_usage(argv, message, ca
 def test_all_alone_is_accepted(argv):
     args = build_parser().parse_args(argv)
     assert args.all and args.seed == 7
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["strong", "paper-d4-strong", "--seed", "-1"],
+        ["scan", "-n", "4", "--budget", "5", "--seed", "-3"],
+        ["scan", "-n", "4", "--all", "--seed", "-3"],
+    ],
+    ids=["strong", "scan-budget", "scan-all"],
+)
+def test_negative_generator_seed_exits_two_with_usage(argv, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert run(argv + ["--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: mubforge {argv[0]} ")
+    assert captured.err.rstrip().endswith(
+        f"argument --seed: must be a non-negative integer, got {argv[-1]}"
+    )
+    assert not out.exists()
+
+
+def test_label_seeds_and_recorded_negative_scan_seeds_are_accepted(tmp_path, capsys):
+    # find-unextendible only records its seed, so any integer goes
+    labelled = tmp_path / "unext.json"
+    argv = ["find-unextendible", "-n", "2", "--choose", "0,1,2", "--seed", "-4"]
+    assert run(argv + ["--output", str(labelled)]) == 0
+    assert load(labelled)["config"]["seed"] == -4
+    # an exhaustive scan file written with a negative seed before the
+    # parser refused one still verifies
+    scan = tmp_path / "scan.json"
+    content = scan_content(4, None, -3)
+    scan.write_text(json.dumps(make_certificate("scan", *content)), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["check", str(labelled), str(scan)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"{labelled}: verified", f"{scan}: verified"
+    ]
 
 
 class TestCheckCommand:

@@ -23,7 +23,6 @@ from mubforge.classes import (
     class_to_json,
     classes_from_json,
     classes_to_json,
-    commuting_overlap,
     complete_set_from_two,
     disjoint,
 )
@@ -36,7 +35,6 @@ from mubforge.named_sets import (
 from mubforge.pauli import (
     PauliOperator,
     commutes,
-    enumerate_nonidentity,
     pauli_from_string,
 )
 from mubforge.search import (
@@ -45,7 +43,7 @@ from mubforge.search import (
     full_mask,
     keys_of_mask,
 )
-from oracles import enumerate_classes_in
+from oracles import commuting_overlap, enumerate_classes_in, enumerate_nonidentity
 
 
 def gens(*strings):

@@ -10,13 +10,17 @@ import pytest
 from mubforge.pauli import (
     PauliOperator,
     commutes,
-    enumerate_nonidentity,
     identity,
     independent,
     multiply,
     pauli_from_string,
 )
-from oracles import LETTER_MATS, matrices_commute, matrix_from_letters
+from oracles import (
+    LETTER_MATS,
+    enumerate_nonidentity,
+    matrices_commute,
+    matrix_from_letters,
+)
 
 
 def op_matrix(op: PauliOperator) -> np.ndarray:

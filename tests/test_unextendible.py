@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -23,20 +24,19 @@ from mubforge.named_sets import (
 from mubforge.pauli import commutes
 from mubforge import search
 from mubforge.search import (
-    classes_fit_in_union_minus,
     classes_within_mask,
-    extras_within,
+    count_extras,
     full_mask,
     owner_census,
+    spanning_counts,
 )
 from mubforge.unextendible import (
     build_unextendible_set,
     conjecture_scan,
     extendibility_check,
     extra_classes_within_union,
-    theorem4_census,
 )
-from oracles import enumerate_classes_in
+from oracles import enumerate_classes_in, theorem4_census
 
 
 class TestExtraClassesWithinUnion:
@@ -296,19 +296,53 @@ def _direct_owners(n, part_masks):
     ]
 
 
+def _union(part_masks, subset):
+    union = 0
+    for i, m in enumerate(part_masks):
+        if subset >> i & 1:
+            union |= m
+    return union
+
+
+def _fits_by_filter(n, masks, choice, removed_mask):
+    """Whether the containment filter finds a class in union(choice) minus a class."""
+    return bool(classes_within_mask(n, _union(masks, choice) & ~removed_mask))
+
+
+def _unrelated_class(family, subset):
+    """A family index that depends only on the subset, unrelated to it."""
+    return subset * 7919 % len(family)
+
+
 def _assert_engine_matches_oracle(n, complete, subsets):
     masks = tuple(c.mask for c in complete)
     owners = _direct_owners(n, masks)
-    extras = extras_within(owner_census(n, masks), subsets)
-    assert set(extras) == set(subsets)
+    census = owner_census(n, masks)
+    family = search.all_maximal_classes(n)
+    spanning = spanning_counts(census)
+    by_size = {}
     for subset in subsets:
-        found = extras[subset]
-        # brute force: every extra class whose owner lies inside the subset
-        assert found == [
-            i for i, o in enumerate(owners) if not o & ~subset and o & (o - 1)
-        ], bin(subset)
-        spanning = sum(owners[i] == subset for i in found)
-        assert (len(found), spanning) == _oracle_counts(n, masks, subset), bin(subset)
+        by_size.setdefault(subset.bit_count(), []).append(subset)
+    for size, asked in by_size.items():
+        removed = {c: _unrelated_class(family, c) for c in asked}
+        table = count_extras(census, size, removed)
+        for subset in asked:
+            within = table.within[subset]
+            # brute force: every extra class whose owner lies inside the subset
+            assert within == sum(
+                not o & ~subset and o & (o - 1) != 0 for o in owners
+            ), bin(subset)
+            assert (within, spanning[subset]) == _oracle_counts(n, masks, subset), bin(
+                subset
+            )
+            # the removal answer against the containment filter
+            assert (subset in table.fit_after_removal) == _fits_by_filter(
+                n, masks, subset, family[removed[subset]]
+            ), bin(subset)
+        if n < 4:  # a table holds counts for its own size only
+            assert all(
+                not count or c.bit_count() == size for c, count in enumerate(table.within)
+            )
 
 
 def _sampled_four_qubit_subsets():
@@ -349,17 +383,35 @@ class TestOwnerCensus:
 
     def test_answers_do_not_depend_on_the_other_subsets_asked(self):
         # each subset's answer is the same asked alone, among the samples of
-        # every size, or among all 24310 nine-class choices
+        # its size, or among all 24310 nine-class choices
         census = owner_census(4, tuple(c.mask for c in canonical_complete_set(4)))
+        family = search.all_maximal_classes(4)
         subsets = _sampled_four_qubit_subsets()
-        together = extras_within(census, subsets)
+
+        def ask(size, asked):
+            removed = {c: _unrelated_class(family, c) for c in asked}
+            return count_extras(census, size, removed)
+
         nines = [sum(1 << i for i in c) for c in combinations(range(17), 9)]
-        among_nines = extras_within(census, nines)
+        among_nines = ask(9, nines)
+        verdicts = set()
         for subset in subsets:
-            alone = extras_within(census, [subset])
-            assert alone == {subset: together[subset]}
-            if subset.bit_count() == 9:
-                assert among_nines[subset] == alone[subset]
+            size = subset.bit_count()
+            alone = ask(size, [subset])
+            together = ask(size, [c for c in subsets if c.bit_count() == size])
+            assert alone.within == together.within
+            fits = subset in alone.fit_after_removal
+            assert fits == (subset in together.fit_after_removal)
+            if size == 9:
+                assert among_nines.within == alone.within
+                assert fits == (subset in among_nines.fit_after_removal)
+            verdicts.add(fits)
+        assert verdicts == {True, False}
+
+    def test_removal_is_asked_only_of_the_lifted_size(self):
+        census = owner_census(3, tuple(c.mask for c in canonical_complete_set(3)))
+        with pytest.raises(ValueError, match="size 5"):
+            count_extras(census, 5, {0b1111: 0})
 
     def test_rejects_masks_that_are_not_a_partition(self):
         masks = tuple(c.mask for c in canonical_complete_set(3))
@@ -409,13 +461,27 @@ class TestConjectureScan:
         assert report.swap_passes == 1870
         assert report.swap_failures == ()
 
+    def test_exhaustive_scan_lifts_and_peak_memory(self):
+        # the family, the complete set and the owner census are cached
+        # before measuring; the scan itself keeps two flat count tables
+        masks = tuple(c.mask for c in canonical_complete_set(4))
+        census = owner_census(4, masks)
+        assert sum(count_extras(census, 9, {}).within) == 35530
+        tracemalloc.start()
+        try:
+            report = conjecture_scan()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.subsets_scanned == 24310
+        assert peak < 1 << 20, f"conjecture_scan peaked at {peak} bytes"
+
 
 def _one_spanning_choices():
     """Every nine-class choice of the canonical n = 4 set with one spanning class.
 
-    Returns the census, the class masks, the choice masks, the extras
-    inside each choice and, per choice, the family index of its spanning
-    class.
+    Returns the census, the class masks, the choice masks and, per choice,
+    the family index of its spanning class.
     """
     masks = tuple(c.mask for c in canonical_complete_set(4))
     census = owner_census(4, masks)
@@ -427,16 +493,13 @@ def _one_spanning_choices():
         if len(owned.get(c, ())) == 1
     ]
     spanning = [owned[c][0] for c in choices]
-    return census, masks, choices, extras_within(census, choices), spanning
+    return census, masks, choices, spanning
 
 
-def _fits_by_filter(masks, choice, removed_mask):
-    """Whether the containment filter finds a class in union(choice) minus a class."""
-    union = 0
-    for i, m in enumerate(masks):
-        if choice >> i & 1:
-            union |= m
-    return bool(classes_within_mask(4, union & ~removed_mask))
+def _fit_after_removal(census, choices, removed):
+    """The engine's answer for each choice, asked of all choices in one pass."""
+    table = count_extras(census, 9, dict(zip(choices, removed)))
+    return [c in table.fit_after_removal for c in choices]
 
 
 def _lowest_chosen_class(family, masks, choices):
@@ -447,7 +510,7 @@ def _lowest_chosen_class(family, masks, choices):
 
 class TestSwapCheckFromCensus:
     def test_census_route_matches_the_filter_on_every_choice(self):
-        census, masks, choices, extras, spanning = _one_spanning_choices()
+        census, masks, choices, spanning = _one_spanning_choices()
         assert len(choices) == 1870
         family = search.all_maximal_classes(4)
         # the true spanning class, a chosen complete-set class and an
@@ -457,18 +520,18 @@ class TestSwapCheckFromCensus:
         verdicts = set()
         for removed in (spanning, lowest, unrelated):
             want = [
-                _fits_by_filter(masks, c, family[r]) for c, r in zip(choices, removed)
+                _fits_by_filter(4, masks, c, family[r]) for c, r in zip(choices, removed)
             ]
-            assert classes_fit_in_union_minus(census, choices, extras, removed) == want
+            assert _fit_after_removal(census, choices, removed) == want
             verdicts.update(want)
         assert verdicts == {True, False}
 
     def test_a_wrong_spanning_class_is_reported_as_a_failure(self):
-        census, masks, choices, extras, spanning = _one_spanning_choices()
+        census, masks, choices, spanning = _one_spanning_choices()
         family = search.all_maximal_classes(4)
 
         def fits(removed):
-            return classes_fit_in_union_minus(census, choices, extras, removed)
+            return _fit_after_removal(census, choices, removed)
 
         assert not any(fits(spanning))
         # removing one chosen complete-set class leaves the other eight
