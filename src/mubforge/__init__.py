@@ -18,12 +18,7 @@ from mubforge.analysis import (
     residual,
     strong_unext_search,
 )
-from mubforge.bases import (
-    MubBasis,
-    SignedGroup,
-    eigenbasis,
-    unbiasedness_deviation,
-)
+from mubforge.bases import eigenbasis
 from mubforge.classes import (
     ClassSet,
     CommutingClass,
@@ -56,10 +51,8 @@ __all__ = [
     "ClassSet",
     "CommutingClass",
     "ConjectureScanReport",
-    "MubBasis",
     "PauliOperator",
     "SearchOutcome",
-    "SignedGroup",
     "UnbiasedVectorProblem",
     "build_unextendible_set",
     "canonical_complete_set",
@@ -84,5 +77,4 @@ __all__ = [
     "pauli_from_string",
     "residual",
     "strong_unext_search",
-    "unbiasedness_deviation",
 ]

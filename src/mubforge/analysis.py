@@ -40,14 +40,13 @@ import math
 import numbers
 from typing import NamedTuple, Optional, Sequence
 
-from mubforge.bases import MubBasis, eigenbasis, unbiasedness_deviation
+from mubforge.bases import eigenbasis
 from mubforge.classes import ClassSet, CommutingClass
 from mubforge.pauli import multiply
 from mubforge.unextendible import extendibility_check, extra_classes_within_union
 
 SATURATION_TOL = 1e-12
 WITNESS_THRESHOLD = 1e-10
-MUTUAL_UNBIASED_TOL = 1e-9
 
 DEFAULT_STARTS = 1000
 MAX_ITERATIONS = 500
@@ -81,23 +80,26 @@ def _check_unit(psi: np.ndarray) -> np.ndarray:
     return psi
 
 
-def residual(psi: np.ndarray, bases: Sequence[MubBasis]) -> float:
+def residual(psi: np.ndarray, bases: Sequence[np.ndarray]) -> float:
     """Sum of squared unbiasedness deviations of psi against all bases."""
     import numpy as np
 
     psi = _check_unit(psi)
     total = 0.0
     for b in bases:
-        probs = np.abs(b.vectors.conj() @ psi) ** 2
-        total += float(np.sum((probs - 1.0 / b.d) ** 2))
+        probs = np.abs(b.conj() @ psi) ** 2
+        total += float(np.sum((probs - 1.0 / len(b)) ** 2))
     return total
 
 
 class UnbiasedVectorProblem(NamedTuple):
-    """Torus-parameterized search for a vector unbiased to a basis set.
+    """Torus-parameterized search for a vector unbiased to a class set's bases.
 
-    After a frame rotation taking the first basis to the computational one,
-    every candidate has the form (1/sqrt(d)) (1, e^(i t_1), .., e^(i t_{d-1})),
+    The eigenbases of disjoint maximal classes are mutually unbiased by
+    construction, so a ``ClassSet`` is all the problem needs and nothing
+    re-measures that. After a frame rotation taking the first basis to the
+    computational one, every candidate has the form
+    (1/sqrt(d)) (1, e^(i t_1), .., e^(i t_{d-1})),
     which enforces unbiasedness to that basis exactly; the residual sums the
     squared unbiasedness deviations against the remaining bases. Row a of
     the m condition rows is the conjugated rotated vector c_a of another
@@ -105,32 +107,22 @@ class UnbiasedVectorProblem(NamedTuple):
     """
 
     d: int
-    frame: np.ndarray  # rows of the first basis; maps torus vectors back
+    bases: tuple[np.ndarray, ...]  # rows; the first maps torus vectors back
     offset: np.ndarray  # (m,) first condition column over sqrt(d)
     conditions: np.ndarray  # (m, d-1) C: the other condition columns over sqrt(d)
     pair_conj: np.ndarray  # (m, (d-1)^2) P[a, jk] = C_aj conj(C_ak)
     pair: np.ndarray  # (m, (d-1)^2) Q[a, jk] = C_aj C_ak
 
     @classmethod
-    def from_bases(cls, bases: Sequence[MubBasis]) -> "UnbiasedVectorProblem":
+    def from_classes(cls, cs: ClassSet) -> "UnbiasedVectorProblem":
         import numpy as np
 
-        if len(bases) < 2:
-            raise ValueError("need at least two bases")
-        d = bases[0].d
-        for b in bases:
-            if b.d != d:
-                raise ValueError("bases have different dimensions")
-        for i in range(len(bases)):
-            for j in range(i + 1, len(bases)):
-                dev = unbiasedness_deviation(bases[i], bases[j])
-                if dev > MUTUAL_UNBIASED_TOL:
-                    raise ValueError(
-                        f"input bases {i} and {j} are not mutually unbiased "
-                        f"(deviation {dev:.3e})"
-                    )
-        w = bases[0].vectors.conj()
-        rows = np.vstack([(b.vectors @ w.T).conj() for b in bases[1:]]) / math.sqrt(d)
+        if len(cs) < 2:
+            raise ValueError("need at least two classes")
+        bases = tuple(eigenbasis(c) for c in cs)
+        d = 1 << cs.n
+        w = bases[0].conj()
+        rows = np.vstack([(b @ w.T).conj() for b in bases[1:]]) / math.sqrt(d)
         c = rows[:, 1:]
         tables = (
             rows[:, 0],
@@ -140,7 +132,7 @@ class UnbiasedVectorProblem(NamedTuple):
         )
         for t in tables:
             t.flags.writeable = False
-        return cls(d, bases[0].vectors, *tables)
+        return cls(d, bases, *tables)
 
     def torus_vector(self, theta: np.ndarray) -> np.ndarray:
         import numpy as np
@@ -154,7 +146,7 @@ class UnbiasedVectorProblem(NamedTuple):
         """Candidate vector in the original frame, unit norm."""
         import numpy as np
 
-        v = self.frame.T @ self.torus_vector(theta)
+        v = self.bases[0].T @ self.torus_vector(theta)
         return v / np.linalg.norm(v)
 
     def residual_and_gradient(
@@ -240,13 +232,17 @@ def check_stop_below(stop_below) -> None:
 
 
 def strong_unext_search(
-    bases: Sequence[MubBasis],
+    cs: ClassSet,
     starts: int = DEFAULT_STARTS,
     seed: int = 0,
     *,
     stop_below: Optional[float] = None,
 ) -> SearchOutcome:
     """Seeded multistart minimization of the unbiasedness residual.
+
+    The residual is taken over the eigenbases of the classes of ``cs``,
+    which the search builds itself. The classes are disjoint, so the bases
+    are mutually unbiased, and no pair of them is measured first.
 
     Each start draws its initial phases from an independent stream keyed by
     (seed, start index) and runs its own Levenberg-Marquardt iteration: the
@@ -294,12 +290,12 @@ def strong_unext_search(
     if starts < 1:
         raise ValueError("need at least one start")
     check_stop_below(stop_below)
-    problem = UnbiasedVectorProblem.from_bases(bases)
+    problem = UnbiasedVectorProblem.from_classes(cs)
     final_f, final_theta, converged = _multistart(problem, starts, seed, stop_below)
     best_index = int(np.argmin(final_f))
     best_vector = problem.vector(final_theta[best_index])
     return SearchOutcome(
-        min_residual=residual(best_vector, bases),
+        min_residual=residual(best_vector, problem.bases),
         best_vector=best_vector,
         starts=len(final_f),
         converged_starts=int(np.count_nonzero(converged)),
@@ -425,12 +421,12 @@ def _solve_rows(normal: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.nda
     return out, solved
 
 
-def collision_entropy(b: MubBasis, psi: np.ndarray) -> float:
-    """Base-2 collision entropy of the outcome distribution of psi in b."""
+def collision_entropy(b: np.ndarray, psi: np.ndarray) -> float:
+    """Base-2 collision entropy of the outcome distribution of psi in basis b."""
     import numpy as np
 
     psi = _check_unit(psi)
-    probs = np.abs(b.vectors.conj() @ psi) ** 2
+    probs = np.abs(b.conj() @ psi) ** 2
     s = float(np.sum(probs**2))
     return max(0.0, -math.log2(min(s, 1.0)))
 
@@ -464,8 +460,8 @@ def eur_check(
     bases = [eigenbasis(c) for c in classes]
     states = eigenbasis(extra)
     entropies = {
-        states.labels[k]: tuple(collision_entropy(b, states.vectors[k]) for b in bases)
-        for k in range(states.d)
+        format(k, "02b"): tuple(collision_entropy(b, state) for b in bases)
+        for k, state in enumerate(states)
     }
     worst = max(abs(sum(h) / len(h) - bound) for h in entropies.values())
     if worst > SATURATION_TOL:
@@ -479,18 +475,12 @@ def eur_check(
 def context_sign(context: CommutingClass) -> int:
     """Ordered product of the Hermitian representatives as +/- identity.
 
-    Members commute, so the outcome is order independent; that is asserted
-    against the reversed ordering rather than assumed.
+    Members commute, so the outcome does not depend on the order.
     """
     ordered = context.sorted_elements
     prod = ordered[0]
     for op in ordered[1:]:
         prod = multiply(prod, op)
-    rev = ordered[-1]
-    for op in reversed(ordered[:-1]):
-        rev = multiply(rev, op)
-    if prod != rev:
-        raise ValueError("context product depends on ordering; not a context")
     if not prod.is_projective_identity or prod.phase % 2:
         raise ValueError("context product is not plus or minus identity")
     return 1 if prod.phase == 0 else -1

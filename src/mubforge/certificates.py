@@ -137,8 +137,7 @@ def _check_int(value, where: str) -> None:
 def strong_content(
     source: str, cs: ClassSet, starts: int, seed: int, stop_below: Optional[float]
 ) -> tuple[dict, dict]:
-    bases = [eigenbasis(c) for c in cs]
-    outcome = strong_unext_search(bases, starts, seed, stop_below=stop_below)
+    outcome = strong_unext_search(cs, starts, seed, stop_below=stop_below)
     payload = {
         "kind": "search_outcome",
         "classes": classes_to_json(cs),
@@ -445,7 +444,7 @@ def _verify_search_outcome(payload: dict, config: dict) -> list[str]:
         )
     # Deterministic spot re-run: the first few starts can never beat the
     # recorded optimum of the full run.
-    rerun = strong_unext_search(bases, min(starts, RECHECK_STARTS), payload["seed"])
+    rerun = strong_unext_search(cs, min(starts, RECHECK_STARTS), payload["seed"])
     if payload["min_residual"] > rerun.min_residual + RESIDUAL_RECHECK_TOL:
         problems.append("recorded residual is worse than a deterministic re-run")
     return problems

@@ -1,11 +1,11 @@
 """Built-in example sets exposed to the CLI under stable names.
 
 These pin the exact operator listings of the published example sets this
-library reproduces: the weakly unextendible two-qubit triple, the strongly
-unextendible triples and five-class set in dimensions 4 and 8, the
-alternate partitions giving two measurement contexts per operator. Every
-listing is letter strings; the published basis vectors of the dimension-4
-strong set, which only the tests compare against, live with the tests.
+library reproduces: the weakly unextendible two-qubit triple and the
+strongly unextendible triples and five-class set in dimensions 4 and 8.
+Every listing is letter strings. The published listings that only the tests
+compare against (the leftover operators, the alternate partitions and the
+basis vectors of the dimension-4 strong set) live with the tests.
 """
 
 from __future__ import annotations
@@ -13,20 +13,11 @@ from __future__ import annotations
 from mubforge.classes import ClassSet, class_from_strings
 
 # Weakly unextendible triple on two qubits; its nine operators admit a
-# second partition (ALTERNATE_TRIPLE_D4) giving two contexts per operator.
+# second partition giving two contexts per operator.
 WEAK_TRIPLE_D4 = (
     ("YY", "IY", "YI"),
     ("YZ", "ZX", "XY"),
     ("XI", "IZ", "XZ"),
-)
-
-# The six operators left over by WEAK_TRIPLE_D4.
-WEAK_TRIPLE_D4_LEFTOVER = ("IX", "XX", "YX", "ZI", "ZY", "ZZ")
-
-ALTERNATE_TRIPLE_D4 = (
-    ("YY", "ZX", "XZ"),
-    ("IY", "XY", "XI"),
-    ("YI", "YZ", "IZ"),
 )
 
 # Strongly unextendible triple on two qubits: no single unit vector is
@@ -46,15 +37,6 @@ STRONG_FIVE_D8 = (
     ("XIZ", "XYI", "IYZ", "ZXX", "YZX", "YXY", "ZZY"),
 )
 
-# Second partition of the 35 operators in STRONG_FIVE_D8: class i keeps a
-# commuting triple of class i and takes one operator from each other class.
-ALTERNATE_FIVE_D8 = (
-    ("IIY", "YYI", "YYY", "XXI", "ZZI", "XXY", "ZZY"),
-    ("IXI", "XIX", "XXX", "ZIZ", "ZXZ", "YXY", "YIY"),
-    ("ZII", "IZZ", "ZZZ", "ZYY", "ZXX", "IYY", "IXX"),
-    ("IZX", "YZI", "YIX", "YZX", "YII", "IIX", "IZI"),
-    ("XIZ", "XYI", "IYZ", "IYI", "XII", "IIZ", "XYZ"),
-)
 
 def _class_set(listing: tuple[tuple[str, ...], ...], n: int) -> ClassSet:
     return ClassSet(n, tuple(class_from_strings(group) for group in listing))

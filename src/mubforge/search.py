@@ -19,8 +19,7 @@ from every class of C iff its owner equals C. Answers are counts in flat
 mask: ``spanning_counts`` counts the classes each C owns, and
 ``count_extras`` lifts each owner to its supersets of one size, so its
 cost follows the answers it finds, not the 2**(2**n + 1) possible
-sub-collections. At n = 4 a table is 2**17 16-bit counts, 256 KiB, where
-one Python list of family indices per nine-class choice took about 4.9 MiB.
+sub-collections. At n = 4 a table is 2**17 16-bit counts, 256 KiB.
 
 The same pass answers "does any class fit inside the union of C minus one
 class S" for the choices it is given with their S: such a class has its

@@ -16,7 +16,7 @@ scan streams its 24,310 choices from ``combinations`` and reads two counts
 for each. Only a sampled scan lists the choices, because numpy's generator
 picks positions in that list. The scan's working set, measured with
 ``tracemalloc`` once the family and the census are cached, is about
-0.6 MiB, where one list of family indices per choice took 4.9 MiB.
+0.6 MiB.
 
 On two qubits, any three classes of a complete set admit exactly one extra
 class inside their union, and no weakly unextendible four-set exists; the

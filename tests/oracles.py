@@ -10,10 +10,14 @@ family. ``residual_jacobian`` forms the strong search's residuals and their
 full Jacobian by broadcasting, the route the package's normal-equation
 kernel avoids. ``enumerate_nonidentity``, ``commuting_overlap`` and
 ``theorem4_census`` are the operator listing, the commuting-overlap sets
-and the d = 8 spanning census, which only the tests ask for. ``sign_columns`` reads each class element's eigenvalue
-signs off a basis through those dense matrices. ``BASIS_LISTING_*`` are the
+and the d = 8 spanning census, which only the tests ask for.
+``sign_columns`` reads each class element's eigenvalue signs off a basis
+through those dense matrices, and ``unbiasedness_deviation`` measures how
+far two bases are from mutually unbiased. ``BASIS_LISTING_*`` are the
 published eigenbases of two dimension-4 classes, as reference data for the
-synthesized ones.
+synthesized ones; the other published listings that no command reads (the
+weak triple's leftover operators and the alternate partitions at d = 4 and
+d = 8) sit beside them.
 """
 
 from __future__ import annotations
@@ -58,6 +62,29 @@ BASIS_LISTING_D4_YZXXZY = 0.5 * np.array(
 )
 
 
+# The six operators left over by the weakly unextendible two-qubit triple.
+WEAK_TRIPLE_D4_LEFTOVER = ("IX", "XX", "YX", "ZI", "ZY", "ZZ")
+
+# Second partition of the weak triple's nine operators, giving two contexts
+# per operator.
+ALTERNATE_TRIPLE_D4 = (
+    ("YY", "ZX", "XZ"),
+    ("IY", "XY", "XI"),
+    ("YI", "YZ", "IZ"),
+)
+
+# Second partition of the 35 operators in the strong five-class set at
+# d = 8: class i keeps a commuting triple of class i and takes one operator
+# from each other class.
+ALTERNATE_FIVE_D8 = (
+    ("IIY", "YYI", "YYY", "XXI", "ZZI", "XXY", "ZZY"),
+    ("IXI", "XIX", "XXX", "ZIZ", "ZXZ", "YXY", "YIY"),
+    ("ZII", "IZZ", "ZZZ", "ZYY", "ZXX", "IYY", "IXX"),
+    ("IZX", "YZI", "YIX", "YZX", "YII", "IIX", "IZI"),
+    ("XIZ", "XYI", "IYZ", "IYI", "XII", "IIZ", "XYZ"),
+)
+
+
 def matrix_from_letters(s: str) -> np.ndarray:
     m = np.ones((1, 1), dtype=complex)
     for ch in s:
@@ -80,6 +107,14 @@ def sign_columns(vectors: np.ndarray, letters) -> dict[str, str]:
         assert np.allclose(moved, signs[:, None] * vectors, atol=1e-12)
         columns[s] = "".join("1" if sign < 0 else "0" for sign in signs)
     return columns
+
+
+def unbiasedness_deviation(b1: np.ndarray, b2: np.ndarray) -> float:
+    """Max over row pairs of | |<a|b>|^2 - 1/d |, for bases held as rows."""
+    if b1.shape != b2.shape:
+        raise ValueError("bases have different dimensions")
+    overlaps = np.abs(b1.conj() @ b2.T) ** 2
+    return float(np.max(np.abs(overlaps - 1.0 / len(b1))))
 
 
 def enumerate_nonidentity(n: int) -> list[PauliOperator]:
@@ -224,9 +259,9 @@ def residual_jacobian(bases, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     ``theta`` has shape (B, d-1); r has shape (B, m) and J the full
     (B, m, d-1) broadcast shape.
     """
-    d = bases[0].d
-    w = bases[0].vectors.conj()
-    conditions = np.vstack([(b.vectors @ w.T).conj() for b in bases[1:]])
+    d = len(bases[0])
+    w = bases[0].conj()
+    conditions = np.vstack([(b @ w.T).conj() for b in bases[1:]])
     scale = 1.0 / math.sqrt(d)
     terms = conditions[:, 1:] * (scale * np.exp(1j * np.asarray(theta)))[..., None, :]
     o = conditions[:, 0] * scale + terms.sum(axis=-1)

@@ -30,9 +30,6 @@ from mubforge.classes import (
     mask_letters,
 )
 from mubforge.named_sets import (
-    ALTERNATE_FIVE_D8,
-    ALTERNATE_TRIPLE_D4,
-    WEAK_TRIPLE_D4_LEFTOVER,
     strong_five_d8,
     strong_triple_d4,
     weak_triple_d4,
@@ -44,7 +41,10 @@ from mubforge.unextendible import (
     extra_classes_within_union,
 )
 from oracles import (
+    ALTERNATE_FIVE_D8,
+    ALTERNATE_TRIPLE_D4,
     BASIS_LISTING_D4_YY,
+    WEAK_TRIPLE_D4_LEFTOVER,
     assert_same_basis,
     enumerate_classes_in,
     random_state,
@@ -122,12 +122,12 @@ def test_a05_mub_property_and_pinned_bases():
     for n in (2, 3):
         bases = [eigenbasis(c) for c in canonical_complete_set(n)]
         for b1, b2 in combinations(bases, 2):
-            gram = np.abs(b1.vectors.conj() @ b2.vectors.T) ** 2
-            assert np.max(np.abs(gram - 1.0 / b1.d)) < 1e-12
+            gram = np.abs(b1.conj() @ b2.T) ** 2
+            assert np.max(np.abs(gram - 1.0 / len(b1))) < 1e-12
     comp = eigenbasis(class_from_strings(("ZI", "IZ", "ZZ")))
-    assert_same_basis(comp.vectors, np.eye(4, dtype=complex))
+    assert_same_basis(comp, np.eye(4, dtype=complex))
     yy = eigenbasis(class_from_strings(("YY", "IY", "YI")))
-    assert_same_basis(yy.vectors, BASIS_LISTING_D4_YY)
+    assert_same_basis(yy, BASIS_LISTING_D4_YY)
     _report("A5", "complete-set bases unbiased below 1e-12; pinned bases match", started, 5.0)
 
 
@@ -138,22 +138,22 @@ def test_a06_strong_unextendibility_two_sided():
         (strong_triple_d4(), 0.25, "d=4"),
         (strong_five_d8(), 0.125, "d=8"),
     ):
-        bases = [eigenbasis(c) for c in cs]
-        outcome = strong_unext_search(bases, starts=1000, seed=7)
+        outcome = strong_unext_search(cs, starts=1000, seed=7)
         assert abs(outcome.min_residual - floor) < 1e-9, f"{label} floor moved"
         assert outcome.starts == 1000
     # calibration side: every extendible triple yields an exact witness
     complete = canonical_complete_set(2)
     for picks in combinations(range(5), 3):
-        bases = [eigenbasis(complete[i]) for i in picks]
-        outcome = strong_unext_search(bases, starts=1000, seed=7, stop_below=1e-12)
+        triple = ClassSet(2, tuple(complete[i] for i in picks))
+        outcome = strong_unext_search(triple, starts=1000, seed=7, stop_below=1e-12)
         assert outcome.min_residual < WITNESS_THRESHOLD
         rest = [eigenbasis(complete[i]) for i in range(5) if i not in picks]
         overlap = max(
-            float(np.max(np.abs(b.vectors.conj() @ outcome.best_vector)))
+            float(np.max(np.abs(b.conj() @ outcome.best_vector)))
             for b in rest
         )
         assert overlap > 1 - 1e-4, "witness does not match a fourth-basis vector"
+        bases = [eigenbasis(c) for c in triple]
         assert residual(outcome.best_vector, bases) < WITNESS_THRESHOLD
     _report("A6", f"strong floors 0.25 (d=4) and 0.125 (d=8) within 1e-9; extendible triples witness < {WITNESS_THRESHOLD:g}", started, 120.0)
 
@@ -209,7 +209,7 @@ def test_a09_label_columns_have_weight_two():
     started = time.perf_counter()
     for rec in all_maximal_classes(2):
         cls = class_from_mask(2, rec)
-        columns = sign_columns(eigenbasis(cls).vectors, cls.letters())
+        columns = sign_columns(eigenbasis(cls), cls.letters())
         assert [column.count("1") for column in columns.values()] == [2, 2, 2]
     _report("A9", "sign columns read off all 15 two-qubit eigenbases have weight two", started, 1.0)
 

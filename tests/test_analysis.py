@@ -27,8 +27,6 @@ from mubforge.classes import (
     class_from_strings,
 )
 from mubforge.named_sets import (
-    ALTERNATE_FIVE_D8,
-    ALTERNATE_TRIPLE_D4,
     strong_five_d8,
     strong_triple_d4,
     weak_triple_d4,
@@ -40,11 +38,22 @@ from mubforge.unextendible import (
     extendibility_check,
     extra_classes_within_union,
 )
-from oracles import matrix_from_letters, random_state, residual_jacobian
+from oracles import (
+    ALTERNATE_FIVE_D8,
+    ALTERNATE_TRIPLE_D4,
+    matrix_from_letters,
+    random_state,
+    residual_jacobian,
+)
 
 
 def triple_bases(cs):
     return [eigenbasis(c) for c in cs]
+
+
+def first_three():
+    """The first three classes of the canonical two-qubit complete set."""
+    return ClassSet(2, canonical_complete_set(2).classes[:3])
 
 
 def ks_contexts(cs):
@@ -66,7 +75,7 @@ class TestResidual:
         cs = canonical_complete_set(2)
         bases = triple_bases(cs.classes[:3])
         fourth = eigenbasis(cs[3])
-        for vec in fourth.vectors:
+        for vec in fourth:
             assert residual(vec, bases) < 1e-14
 
     def test_invariant_under_global_phase(self):
@@ -89,9 +98,9 @@ class TestUnbiasedVectorProblem:
         # g = J^T r is half the gradient of F, and H = J^T J is the
         # Gauss-Newton matrix of the broadcast Jacobian oracle
         h = 1e-6
-        for sets in (canonical_complete_set(2).classes[:3], strong_five_d8()):
+        for sets in (first_three(), strong_five_d8()):
+            problem = UnbiasedVectorProblem.from_classes(sets)
             bases = triple_bases(sets)
-            problem = UnbiasedVectorProblem.from_bases(bases)
             n = problem.d - 1
             theta = np.random.default_rng(17).uniform(0, 2 * np.pi, (40, n))
             r, g, gauss = problem.residual_and_gradient(theta)
@@ -116,7 +125,7 @@ class TestUnbiasedVectorProblem:
         # in Newton mode H is the Jacobian of g = J^T r, half the Hessian of F
         h = 1e-5
         for sets in (strong_triple_d4(), strong_five_d8()):
-            problem = UnbiasedVectorProblem.from_bases(triple_bases(sets))
+            problem = UnbiasedVectorProblem.from_classes(sets)
             n = problem.d - 1
             theta = np.random.default_rng(21).uniform(0, 2 * np.pi, (40, n))
             _, _, hess = problem.residual_and_gradient(theta, True)
@@ -128,8 +137,8 @@ class TestUnbiasedVectorProblem:
                 assert np.max(np.abs(hess[:, :, j] - (g_plus - g_minus) / (2 * h))) < 1e-6
 
     def test_unflagged_rows_are_the_gauss_newton_call(self):
-        for sets in (canonical_complete_set(2).classes[:3], strong_five_d8()):
-            problem = UnbiasedVectorProblem.from_bases(triple_bases(sets))
+        for sets in (first_three(), strong_five_d8()):
+            problem = UnbiasedVectorProblem.from_classes(sets)
             theta = np.random.default_rng(5).uniform(0, 2 * np.pi, (33, problem.d - 1))
             plain = problem.residual_and_gradient(theta)
             for flags in (False, np.zeros(33, dtype=bool)):
@@ -145,8 +154,8 @@ class TestUnbiasedVectorProblem:
         # each row of a batch is computed on its own, in its own mode:
         # exactly the 1-row call, whatever the batch size and the other
         # rows' modes
-        for sets in (canonical_complete_set(2).classes[:3], strong_five_d8()):
-            problem = UnbiasedVectorProblem.from_bases(triple_bases(sets))
+        for sets in (first_three(), strong_five_d8()):
+            problem = UnbiasedVectorProblem.from_classes(sets)
             n = problem.d - 1
             m = len(problem.conditions)
             rng = np.random.default_rng(4)
@@ -167,19 +176,18 @@ class TestUnbiasedVectorProblem:
 
     def test_candidates_are_unbiased_to_the_first_basis(self):
         cs = canonical_complete_set(2)
-        bases = triple_bases(cs.classes[1:4])
-        problem = UnbiasedVectorProblem.from_bases(bases)
+        problem = UnbiasedVectorProblem.from_classes(ClassSet(2, cs.classes[1:4]))
         rng = np.random.default_rng(3)
         for _ in range(20):
             theta = rng.uniform(0, 2 * np.pi, 3)
             psi = problem.vector(theta)
-            probs = np.abs(bases[0].vectors.conj() @ psi) ** 2
+            probs = np.abs(eigenbasis(cs[1]).conj() @ psi) ** 2
             assert np.max(np.abs(probs - 0.25)) < 1e-12
 
     def test_problem_residual_matches_full_residual(self):
-        for cs in (canonical_complete_set(2).classes[:3], strong_five_d8()):
+        for cs in (first_three(), strong_five_d8()):
+            problem = UnbiasedVectorProblem.from_classes(cs)
             bases = triple_bases(cs)
-            problem = UnbiasedVectorProblem.from_bases(bases)
             theta = np.random.default_rng(8).uniform(0, 2 * np.pi, (10, problem.d - 1))
             r, _, _ = problem.residual_and_gradient(theta)
             for row, t in zip(r, theta):
@@ -190,12 +198,13 @@ class TestStrongSearch:
     def test_extendible_triples_always_yield_witnesses(self):
         cs = canonical_complete_set(2)
         for picks in combinations(range(5), 3):
-            bases = triple_bases([cs[i] for i in picks])
-            out = strong_unext_search(bases, starts=50, seed=3, stop_below=1e-12)
+            out = strong_unext_search(
+                ClassSet(2, tuple(cs[i] for i in picks)), starts=50, seed=3, stop_below=1e-12
+            )
             assert out.min_residual < analysis.WITNESS_THRESHOLD
             rest = [eigenbasis(cs[i]) for i in range(5) if i not in picks]
             overlap = max(
-                float(np.max(np.abs(b.vectors.conj() @ out.best_vector)))
+                float(np.max(np.abs(b.conj() @ out.best_vector)))
                 for b in rest
             )
             assert overlap > 1 - 1e-4
@@ -213,7 +222,7 @@ class TestStrongSearch:
             if not extendibility_check(cs):
                 continue
             extendible += 1
-            problem = UnbiasedVectorProblem.from_bases(triple_bases(cs))
+            problem = UnbiasedVectorProblem.from_classes(cs)
             final_f, _, _ = analysis._multistart(problem, 50, 3, None)
             assert np.max(final_f) < analysis.WITNESS_THRESHOLD
         assert extendible == 60
@@ -225,9 +234,9 @@ class TestStrongSearch:
         # the calibrated floors over twenty seeds at the default 1000
         # starts; at most 2% of starts may end unconverged, so a tail of
         # starts crawling to max_iterations cannot return unnoticed
-        bases = triple_bases(sets())
+        cs = sets()
         for seed in range(500, 520):
-            out = strong_unext_search(bases, seed=seed)
+            out = strong_unext_search(cs, seed=seed)
             assert out.starts == 1000
             assert abs(out.min_residual - floor) < 1e-9
             assert out.converged_starts >= 980
@@ -251,20 +260,18 @@ class TestStrongSearch:
         assert np.array_equal(whole, step[[0, 1, 3, 4]])
 
     def test_strong_triple_has_a_high_floor_quick(self):
-        bases = triple_bases(strong_triple_d4())
-        out = strong_unext_search(bases, starts=60, seed=5)
+        out = strong_unext_search(strong_triple_d4(), starts=60, seed=5)
         assert out.min_residual > 1e-3
         assert out.starts == 60
 
     def test_early_stop_equals_the_shorter_run(self, monkeypatch):
         # a run that stop_below ends after k starts is the run of k starts;
         # one iteration per start keeps the first starts above the bar
-        cs = canonical_complete_set(2)
-        bases = triple_bases([cs[0], cs[1], cs[2]])
+        cs = first_three()
         monkeypatch.setattr(analysis, "MAX_ITERATIONS", 1)
-        stopped = strong_unext_search(bases, starts=50, seed=9, stop_below=1e-3)
+        stopped = strong_unext_search(cs, starts=50, seed=9, stop_below=1e-3)
         assert 1 < stopped.starts < 50
-        short = strong_unext_search(bases, starts=stopped.starts, seed=9)
+        short = strong_unext_search(cs, starts=stopped.starts, seed=9)
         assert stopped.min_residual == short.min_residual
         assert np.array_equal(stopped.best_vector, short.best_vector)
         assert stopped.converged_starts == short.converged_starts
@@ -272,13 +279,15 @@ class TestStrongSearch:
         assert short.best_start_index == stopped.starts - 1
 
     def test_rejects_biased_inputs_and_zero_starts(self):
+        # the search takes a class set, whose classes are disjoint, so two
+        # copies of one class (whose bases are biased) never reach it
         cs = canonical_complete_set(2)
-        with pytest.raises(ValueError, match="unbiased"):
-            strong_unext_search(
-                [eigenbasis(cs[0]), eigenbasis(cs[0])], starts=5, seed=0
-            )
+        with pytest.raises(ValueError, match="not pairwise disjoint"):
+            ClassSet(2, (cs[0], cs[0]))
+        with pytest.raises(ValueError, match="need at least two classes"):
+            strong_unext_search(ClassSet(2, (cs[0],)), starts=5, seed=0)
         with pytest.raises(ValueError):
-            strong_unext_search(triple_bases(cs.classes[:3]), starts=0, seed=0)
+            strong_unext_search(first_three(), starts=0, seed=0)
 
     @pytest.mark.parametrize(
         "opts, error",
@@ -297,9 +306,8 @@ class TestStrongSearch:
     def test_rejects_unusable_optimizer_settings(self, opts, error):
         # the step cap and f_tol are constants, not options, so the search
         # takes no value for them; stop_below must be None or finite
-        bases = triple_bases(canonical_complete_set(2).classes[:3])
         with pytest.raises(error):
-            strong_unext_search(bases, starts=5, seed=0, **opts)
+            strong_unext_search(first_three(), starts=5, seed=0, **opts)
 
     @pytest.mark.parametrize(
         "source, opts",
@@ -314,15 +322,15 @@ class TestStrongSearch:
         # above the bar, so stop_below ends the run part-way
         if source == "d4-extendible":
             monkeypatch.setattr(analysis, "MAX_ITERATIONS", 1)
-        bases = triple_bases({
-            "d4-strong": strong_triple_d4(),
-            "d8-strong": strong_five_d8(),
-            "d4-extendible": canonical_complete_set(2).classes[:3],
-        }[source])
+        cs = {
+            "d4-strong": strong_triple_d4,
+            "d8-strong": strong_five_d8,
+            "d4-extendible": first_three,
+        }[source]()
         outcomes = []
         for cap in (1, 7, analysis._BATCH_CAP):
             monkeypatch.setattr(analysis, "_BATCH_CAP", cap)
-            outcomes.append(strong_unext_search(bases, **opts))
+            outcomes.append(strong_unext_search(cs, **opts))
         first = outcomes[0]
         for out in outcomes[1:]:
             assert out.min_residual == first.min_residual
@@ -334,8 +342,7 @@ class TestStrongSearch:
     def test_outcome_records_configuration(self):
         # the search returns what it computed; the certificate content
         # records the settings it ran the search with
-        bases = triple_bases(strong_triple_d4())
-        out = strong_unext_search(bases, starts=8, seed=2)
+        out = strong_unext_search(strong_triple_d4(), starts=8, seed=2)
         assert out.converged_starts <= out.starts == 8
         assert 0 <= out.best_start_index < out.starts
         config, payload = strong_content("paper-d4-strong", strong_triple_d4(), 8, 2, None)
@@ -351,13 +358,13 @@ class TestStrongSearch:
 class TestCollisionEntropy:
     def test_own_basis_vector_gives_zero(self):
         b = eigenbasis(canonical_complete_set(2)[0])
-        assert collision_entropy(b, b.vectors[2]) == 0.0
+        assert collision_entropy(b, b[2]) == 0.0
 
     def test_unbiased_vector_gives_log_d(self):
         cs = canonical_complete_set(2)
         b0 = eigenbasis(cs[0])
         other = eigenbasis(cs[1])
-        assert abs(collision_entropy(b0, other.vectors[0]) - 2.0) < 1e-12
+        assert abs(collision_entropy(b0, other[0]) - 2.0) < 1e-12
 
     def test_extra_class_eigenstate_gives_exactly_one_bit(self):
         weak = weak_triple_d4()
@@ -366,7 +373,7 @@ class TestCollisionEntropy:
         for c in weak:
             b = eigenbasis(c)
             for k in range(4):
-                assert abs(collision_entropy(b, states.vectors[k]) - 1.0) < 1e-12
+                assert abs(collision_entropy(b, states[k]) - 1.0) < 1e-12
 
 
 class TestEur:

@@ -7,21 +7,16 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from mubforge.bases import (
-    MubBasis,
-    SignedGroup,
-    eigenbasis,
-    operator_matrix,
-    unbiasedness_deviation,
-)
+from mubforge.bases import eigenbasis, operator_matrix, signed_group
 from mubforge.classes import (
+    CommutingClass,
     canonical_complete_set,
     class_from_elements,
     class_from_mask,
     class_from_strings,
 )
 from mubforge.named_sets import strong_five_d8
-from mubforge.pauli import pauli_from_string
+from mubforge.pauli import PauliOperator, pauli_from_string
 from mubforge.search import all_maximal_classes
 from oracles import (
     BASIS_LISTING_D4_YY,
@@ -29,31 +24,44 @@ from oracles import (
     assert_same_basis,
     matrix_from_letters,
     sign_columns,
+    unbiasedness_deviation,
 )
 
 TOL = 1e-12
 
 
-def basis_of(*letters: str) -> MubBasis:
+def basis_of(*letters: str) -> np.ndarray:
     return eigenbasis(class_from_strings(letters))
+
+
+class TestOperatorMatrix:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_the_kronecker_oracle(self, n):
+        # every operator, at every phase, against literal 2 x 2 factors
+        for key in range(1 << (2 * n)):
+            herm = PauliOperator.from_key(n, key)
+            want = matrix_from_letters(herm.to_string())
+            for turn in range(4):
+                op = herm._replace(phase=herm.phase + turn)
+                assert np.array_equal(operator_matrix(op), 1j**turn * want)
 
 
 class TestSignedGroup:
     def test_members_are_signed_hermitian_representatives(self):
-        group = SignedGroup.from_class(class_from_strings(("YY", "IY", "YI")))
-        assert len(group.members) == 4
-        for member in group.members:
+        group = signed_group(class_from_strings(("YY", "IY", "YI")))
+        assert len(group) == 4
+        for member in group:
             assert member.is_hermitian
             herm = member.hermitian()
             assert (member.phase - herm.phase) % 4 in (0, 2)
 
     def test_identity_is_positive(self):
-        group = SignedGroup.from_class(class_from_strings(("ZI", "IZ", "ZZ")))
-        assert group.members[0].is_identity
+        group = signed_group(class_from_strings(("ZI", "IZ", "ZZ")))
+        assert group[0].is_identity
 
     def test_closed_under_multiplication_as_matrices(self):
-        group = SignedGroup.from_class(class_from_strings(("YZ", "XX", "ZY")))
-        mats = [operator_matrix(m) for m in group.members]
+        group = signed_group(class_from_strings(("YZ", "XX", "ZY")))
+        mats = [operator_matrix(m) for m in group]
         for s in range(4):
             for t in range(4):
                 assert np.allclose(mats[s] @ mats[t], mats[s ^ t], atol=TOL)
@@ -62,19 +70,19 @@ class TestSignedGroup:
 class TestEigenbasis:
     def test_z_class_gives_computational_basis(self):
         b = basis_of("ZI", "IZ", "ZZ")
-        assert_same_basis(b.vectors, np.eye(4, dtype=complex))
+        assert_same_basis(b, np.eye(4, dtype=complex))
 
     def test_yy_class_matches_published_listing(self):
         b = basis_of("YY", "IY", "YI")
-        assert_same_basis(b.vectors, BASIS_LISTING_D4_YY)
+        assert_same_basis(b, BASIS_LISTING_D4_YY)
 
     def test_second_strong_class_matches_published_listing(self):
         b = basis_of("YZ", "XX", "ZY")
-        assert_same_basis(b.vectors, BASIS_LISTING_D4_YZXXZY)
+        assert_same_basis(b, BASIS_LISTING_D4_YZXXZY)
 
     def test_single_qubit_z(self):
         b = eigenbasis(class_from_elements([pauli_from_string("Z")]))
-        assert_same_basis(b.vectors, np.eye(2, dtype=complex))
+        assert_same_basis(b, np.eye(2, dtype=complex))
 
     def test_vectors_are_joint_eigenvectors_with_character_signs(self):
         # the product of the generators in subset t, as dense matrices, acts
@@ -83,17 +91,17 @@ class TestEigenbasis:
             for c in canonical_complete_set(n):
                 b = eigenbasis(c)
                 gens = [matrix_from_letters(g.to_string()) for g in c.generators]
-                for t in range(1, b.d):
-                    product = np.eye(b.d, dtype=complex)
+                for t in range(1, len(b)):
+                    product = np.eye(len(b), dtype=complex)
                     for i in range(n):
                         if t >> i & 1:
                             product = product @ gens[i]
                     signs = np.array([
                         (-1.0) ** sum(int(label[i]) for i in range(n) if t >> i & 1)
-                        for label in b.labels
+                        for label in [format(k, f"0{n}b") for k in range(len(b))]
                     ])
-                    moved = b.vectors @ product.T  # row k is product |b_k>
-                    assert np.max(np.abs(moved - signs[:, None] * b.vectors)) < TOL
+                    moved = b @ product.T  # row k is product |b_k>
+                    assert np.max(np.abs(moved - signs[:, None] * b)) < TOL
 
     def test_generators_act_by_their_label_signs(self):
         for n in (2, 3):
@@ -103,39 +111,63 @@ class TestEigenbasis:
                     # a pinned generator is the standard Hermitian form of its letters
                     assert gen == pauli_from_string(gen.to_string())
                     mat = matrix_from_letters(gen.to_string())
-                    for k, label in enumerate(b.labels):
+                    for k in range(len(b)):
+                        label = format(k, f"0{n}b")
                         expected = -1.0 if label[i] == "1" else 1.0
-                        residual_norm = np.linalg.norm(
-                            mat @ b.vectors[k] - expected * b.vectors[k]
-                        )
+                        residual_norm = np.linalg.norm(mat @ b[k] - expected * b[k])
                         assert residual_norm < TOL
 
     def test_orthonormal_and_phase_normalized(self):
         for c in canonical_complete_set(3):
             b = eigenbasis(c)
-            gram = b.vectors.conj() @ b.vectors.T
-            assert np.max(np.abs(gram - np.eye(b.d))) < TOL
-            for row in b.vectors:
+            gram = b.conj() @ b.T
+            assert np.max(np.abs(gram - np.eye(len(b)))) < TOL
+            for row in b:
                 first = row[np.flatnonzero(np.abs(row) > 1e-9)[0]]
                 assert abs(first.imag) < TOL and first.real > 0
 
     def test_labels_count_in_binary(self):
+        # generator i's sign on row k, read off the dense matrices, is
+        # character i of k written as an n-bit binary counter
+        for n in (2, 3):
+            for c in canonical_complete_set(n):
+                gens = [g.to_string() for g in c.generators]
+                columns = sign_columns(eigenbasis(c), gens)
+                words = ["".join(columns[g][k] for g in gens) for k in range(1 << n)]
+                assert words == [format(k, f"0{n}b") for k in range(1 << n)]
+
+    @pytest.mark.parametrize(
+        "letters, phase",
+        [(("ZI", "ZI"), 0), (("ZII", "IZI", "ZZI"), 0), (("ZI", "XI"), 0), (("ZI", "IZ"), 1)],
+        ids=["repeated", "dependent", "anticommuting", "non-hermitian"],
+    )
+    def test_generators_that_are_not_a_class_are_rejected(self, letters, phase):
+        # the eigenvector and orthonormality checks refuse what the class
+        # constructors never build; dependent generators leave empty
+        # projectors, whose NaN rows fail both checks
+        gens = [pauli_from_string(s) for s in letters]
+        gens[0] = gens[0]._replace(phase=gens[0].phase + phase)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            eigenbasis(CommutingClass(len(letters[0]), tuple(gens), 0))
+
+    def test_rows_are_read_only(self):
         b = basis_of("ZI", "IZ", "ZZ")
-        assert b.labels == ("00", "01", "10", "11")
+        with pytest.raises(ValueError):
+            b[0, 0] = 0.0
 
 
 class TestFourQubitBases:
     def test_sixteen_dimensional_synthesis(self):
         cs = canonical_complete_set(4)
         b0, b1 = eigenbasis(cs[0]), eigenbasis(cs[1])
-        assert b0.d == 16
-        gram = b0.vectors.conj() @ b0.vectors.T
+        assert len(b0) == 16
+        gram = b0.conj() @ b0.T
         assert np.max(np.abs(gram - np.eye(16))) < TOL
         assert unbiasedness_deviation(b0, b1) < TOL
         for elem in cs[0].sorted_elements:
             mat = matrix_from_letters(elem.to_string())
-            applied = b0.vectors @ mat.T  # row k holds sigma|b_k> transposed
-            overlap = np.abs(np.sum(applied * b0.vectors.conj(), axis=1))
+            applied = b0 @ mat.T  # row k holds sigma|b_k> transposed
+            overlap = np.abs(np.sum(applied * b0.conj(), axis=1))
             assert np.max(np.abs(overlap - 1.0)) < TOL
 
     def test_larger_sizes_rejected(self):
@@ -173,7 +205,7 @@ class TestUnbiasedness:
 
 def label_weights(c) -> list[int]:
     """Weights of the sign columns of a class's elements over its eigenbasis."""
-    columns = sign_columns(eigenbasis(c).vectors, c.letters())
+    columns = sign_columns(eigenbasis(c), c.letters())
     return [column.count("1") for column in columns.values()]
 
 
@@ -188,8 +220,8 @@ class TestLabelLemma:
 
     def test_label_pairs_at_hamming_distance_two(self):
         b = basis_of("YY", "IY", "YI")
-        columns = list(sign_columns(b.vectors, ("YY", "IY", "YI")).values())
-        words = ["".join(col[k] for col in columns) for k in range(b.d)]
+        columns = list(sign_columns(b, ("YY", "IY", "YI")).values())
+        words = ["".join(col[k] for col in columns) for k in range(len(b))]
         for w1, w2 in combinations(words, 2):
             dist = sum(ch1 != ch2 for ch1, ch2 in zip(w1, w2))
             assert dist == 2

@@ -334,7 +334,7 @@ class TestCheckMalformedInput:
             (_drop_max_iterations, "KeyError: 'payload.config.max_iterations'"),
             (_non_numeric_vector, "ValueError: best_vector.re is not a list of 4 numbers"),
             (_drop_gradient_tol, "KeyError: 'payload.config.gradient_tol'"),
-            (_one_class, "ValueError: need at least two bases"),
+            (_one_class, "ValueError: need at least two classes"),
         ],
         ids=["missing-classes", "payload-string", "missing-max-iterations",
              "non-numeric-vector", "missing-gradient-tol", "one-class"],
@@ -649,7 +649,7 @@ def test_strong_residual_worse_than_a_rerun_is_refuted(tmp_path, capsys):
 
     triple = ClassSet(2, canonical_complete_set(2).classes[:3])
     bases = [eigenbasis(c) for c in triple]
-    assert strong_unext_search(bases, starts=10, seed=1).min_residual < 1e-12  # extendible
+    assert strong_unext_search(triple, starts=10, seed=1).min_residual < 1e-12  # extendible
     good = tmp_path / "strong.json"
     content = cert.strong_content("extendible-triple", triple, 10, 1, None)
     good.write_text(json.dumps(cert.make_certificate("strong", *content)), encoding="utf-8")
@@ -1258,7 +1258,8 @@ def test_cli_import_loads_every_layer_but_not_numpy():
 
 
 def test_census_commands_run_with_numpy_unimportable(tmp_path):
-    # the combinatorial commands emit and every output checks, all in one
+    # the combinatorial commands (the census commands and ks) emit and
+    # every output checks, all in one
     # interpreter in which importing numpy raises ImportError; a numeric
     # command, or a file whose kind needs numpy, gets one line and exit 2,
     # and checking goes on to the next file
@@ -1272,8 +1273,9 @@ codes = [
     main(["complete-set", "-n", "4", "-o", "complete.json"]),
     main(["find-unextendible", "-n", "3", "--all", "-o", "unext"]),
     main(["scan", "-n", "4", "--all", "-o", "scan.json"]),
+    main(["ks", "paper-d4-weak", "-o", "ks.json"]),
 ]
-outputs = ["complete.json", "scan.json"] + sorted(glob.glob("unext/*.json"))
+outputs = ["complete.json", "scan.json", "ks.json"] + sorted(glob.glob("unext/*.json"))
 codes.append(main(["check"] + outputs))
 codes.append(main(["check", {strong_file!r}, "complete.json"]))
 err = io.StringIO()
@@ -1288,7 +1290,7 @@ print("stderr", err.getvalue().splitlines())
 print("codes", codes)
 """
     out = _python(code).splitlines()
-    assert out[-1] == "codes [0, 0, 0, 0, 2, 2, 2, 2]"
+    assert out[-1] == "codes [0, 0, 0, 0, 0, 2, 2, 2, 2]"
     assert out[-2] == "stderr " + repr([
         f"error: numpy is required for {command}" for command in ("strong", "eur", "scan")
     ])
@@ -1296,7 +1298,7 @@ print("codes", codes)
         f"{strong_file}: not checked (numpy is required for search_outcome payloads)",
         "complete.json: verified",
     ]
-    assert sum(line.endswith(": verified") for line in out) == 129
+    assert sum(line.endswith(": verified") for line in out) == 130
 
 
 # One certificate of each deterministic payload kind, each re-verified by

@@ -27,7 +27,6 @@ from mubforge.classes import (
     disjoint,
 )
 from mubforge.named_sets import (
-    ALTERNATE_TRIPLE_D4,
     STRONG_FIVE_D8,
     strong_five_d8,
     weak_triple_d4,
@@ -43,7 +42,12 @@ from mubforge.search import (
     full_mask,
     keys_of_mask,
 )
-from oracles import commuting_overlap, enumerate_classes_in, enumerate_nonidentity
+from oracles import (
+    ALTERNATE_TRIPLE_D4,
+    commuting_overlap,
+    enumerate_classes_in,
+    enumerate_nonidentity,
+)
 
 
 def gens(*strings):

@@ -17,7 +17,6 @@ from mubforge.classes import (
     mask_letters,
 )
 from mubforge.named_sets import (
-    WEAK_TRIPLE_D4_LEFTOVER,
     strong_five_d8,
     weak_triple_d4,
 )
@@ -36,7 +35,7 @@ from mubforge.unextendible import (
     extendibility_check,
     extra_classes_within_union,
 )
-from oracles import enumerate_classes_in, theorem4_census
+from oracles import WEAK_TRIPLE_D4_LEFTOVER, enumerate_classes_in, theorem4_census
 
 
 class TestExtraClassesWithinUnion:
