@@ -27,8 +27,7 @@ from mubforge.classes import (
     class_from_generators,
     class_from_mask,
     class_from_strings,
-    complete_set_from_two,
-    disjoint,
+    complete_set_from,
 )
 from mubforge.pauli import (
     PauliOperator,
@@ -62,10 +61,9 @@ __all__ = [
     "class_from_strings",
     "collision_entropy",
     "commutes",
-    "complete_set_from_two",
+    "complete_set_from",
     "conjecture_scan",
     "context_sign",
-    "disjoint",
     "eigenbasis",
     "eur_bound",
     "eur_check",

@@ -168,7 +168,7 @@ def _strong_config(source: str, payload: dict) -> dict:
 
 def complete_set_content(cs: ClassSet) -> tuple[dict, dict]:
     if not cs.complete:
-        raise ValueError("class set is not flagged complete")
+        raise ValueError("class set is not complete")
     payload = {
         "kind": "class_set",
         "class_set": classes_to_json(cs),
@@ -292,7 +292,7 @@ def _declared(what: str):
     """Declared inputs that fail to rebuild refute the claim they carry."""
     try:
         yield
-    except (KeyError, TypeError, ValueError, RuntimeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RuntimeError) as exc:
         raise _Refuted(f"{what} does not rebuild: {exc}") from None
 
 

@@ -1,4 +1,4 @@
-"""Maximal commuting classes, disjointness, and complete-set constructions.
+"""Maximal commuting classes, class sets, and complete-set constructions.
 
 A maximal commuting class on n qubits is an abelian subgroup of the
 projective Pauli group minus the identity: n independent commuting
@@ -14,11 +14,11 @@ operators modulo phase, so the views return each as its standard Hermitian
 turns any mask, such as a member of the search family, back into a class
 with canonical generators.
 
-Complete sets come from one exact-cover routine over the canonical class
-family, seeded with any disjoint classes (none for the canonical four-qubit
-set, two for ``complete_set_from_two``). The canonical two- and three-qubit
-sets are pinned listings, because certificates embed their exact classes
-and generators.
+Whether a ``ClassSet`` is complete is read off the union of its masks.
+``complete_set_from`` completes any set, the empty one included (the
+canonical four-qubit set), by one exact cover over the canonical class
+family. The canonical two- and three-qubit sets are pinned listings,
+because certificates embed their exact classes and generators.
 """
 
 from __future__ import annotations
@@ -200,29 +200,18 @@ def class_from_strings(letters: Iterable[str]) -> CommutingClass:
     return class_from_elements(pauli_from_string(s) for s in letters)
 
 
-def disjoint(c1: CommutingClass, c2: CommutingClass) -> bool:
-    """True iff the element sets do not intersect."""
-    if c1.n != c2.n:
-        raise ValueError("classes act on different qubit counts")
-    return not (c1.mask & c2.mask)
-
-
 class ClassSet(_Frozen):
     """An ordered collection of mutually disjoint maximal commuting classes.
 
-    Construction checks disjointness, and with ``complete`` that the classes
-    partition all 4**n - 1 operators. Two sets are equal when n, the classes
-    in order and the ``complete`` flag are.
+    Construction checks that the classes act on n qubits and are pairwise
+    disjoint. Two sets are equal when n and the classes in order are.
     """
 
-    __slots__ = ("n", "classes", "complete")
+    __slots__ = ("n", "classes")
     n: int
     classes: tuple[CommutingClass, ...]
-    complete: bool
 
-    def __init__(
-        self, n: int, classes: tuple[CommutingClass, ...], complete: bool = False
-    ) -> None:
+    def __init__(self, n: int, classes: tuple[CommutingClass, ...]) -> None:
         union = 0
         for c in classes:
             if c.n != n:
@@ -230,30 +219,19 @@ class ClassSet(_Frozen):
             if union & c.mask:
                 raise ValueError("classes are not pairwise disjoint")
             union |= c.mask
-        if complete:
-            expected = (1 << n) + 1
-            if len(classes) != expected:
-                raise ValueError(
-                    f"complete set needs {expected} classes, got {len(classes)}"
-                )
-            if union != full_mask(n):
-                raise ValueError("complete set does not cover all operators")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "complete", complete)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ClassSet):
             return NotImplemented
-        return (self.n, self.classes, self.complete) == (
-            other.n, other.classes, other.complete
-        )
+        return (self.n, self.classes) == (other.n, other.classes)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.classes, self.complete))
+        return hash((self.n, self.classes))
 
     def __repr__(self) -> str:
-        return f"ClassSet(n={self.n}, classes={self.classes!r}, complete={self.complete})"
+        return f"ClassSet(n={self.n}, classes={self.classes!r})"
 
     def __iter__(self) -> Iterator[CommutingClass]:
         return iter(self.classes)
@@ -271,20 +249,30 @@ class ClassSet(_Frozen):
             union |= c.mask
         return union
 
+    @property
+    def complete(self) -> bool:
+        """True when the classes cover all 4**n - 1 nonidentity operators."""
+        # the classes are disjoint, so counting their operators is the cover;
+        # without a class, n is unchecked (a file may give any) and nothing is covered
+        return bool(self.classes) and self.union_mask.bit_count() == (1 << 2 * self.n) - 1
+
     def operators(self) -> tuple[PauliOperator, ...]:
         return tuple(
             PauliOperator.from_key(self.n, k) for k in keys_of_mask(self.union_mask)
         )
 
 
-def _exact_cover(n: int, seeds: Sequence[CommutingClass]) -> ClassSet:
-    """Complete the seed classes to a complete set by exact-cover backtracking.
+def complete_set_from(seeds: ClassSet) -> ClassSet:
+    """Complete the seed classes (1 to 4 qubits) by exact-cover backtracking.
 
     The smallest uncovered operator is covered first, by the first class of
     the canonical family that fits (Knuth's Algorithm X without the dancing
     links); the first full partition found wins, so the result is
-    deterministic. The seeds come first in the returned order.
+    deterministic. The seeds come first in the returned order, then the
+    classes the cover chose. On two qubits the completion of two classes is
+    unique, on more qubits it is the first one in the cover's search order.
     """
+    n = seeds.n
     by_low: dict[int, list[int]] = {}  # family masks by their lowest set bit
     for mask in all_maximal_classes(n):
         by_low.setdefault(mask & -mask, []).append(mask)
@@ -302,27 +290,9 @@ def _exact_cover(n: int, seeds: Sequence[CommutingClass]) -> ClassSet:
             chosen.pop()
         return False
 
-    remaining = full_mask(n)
-    for c in seeds:
-        remaining &= ~c.mask
-    if not fill(remaining):
+    if not fill(full_mask(n) & ~seeds.union_mask):
         raise ValueError(f"no complete set on {n} qubits contains the seed classes")
-    rest = tuple(class_from_mask(n, mask) for mask in chosen)
-    return ClassSet(n, tuple(seeds) + rest, complete=True)
-
-
-def complete_set_from_two(c1: CommutingClass, c2: CommutingClass) -> ClassSet:
-    """Extend two disjoint maximal classes to a complete set (1 to 4 qubits).
-
-    The seeds stay first; the remaining classes come from the exact cover.
-    On two qubits the completion is unique, on more qubits it is the first
-    one in the cover's search order.
-    """
-    if c1.n != c2.n:
-        raise ValueError("classes act on different qubit counts")
-    if not disjoint(c1, c2):
-        raise ValueError("seed classes are not disjoint")
-    return _exact_cover(c1.n, (c1, c2))
+    return ClassSet(n, seeds.classes + tuple(class_from_mask(n, m) for m in chosen))
 
 
 @lru_cache(maxsize=None)
@@ -336,9 +306,7 @@ def canonical_complete_set(n: int) -> ClassSet:
     """
     if n == 2:
         return ClassSet(
-            2,
-            tuple(class_from_strings(group) for group in CANONICAL_D4_COMPLETE),
-            complete=True,
+            2, tuple(class_from_strings(group) for group in CANONICAL_D4_COMPLETE)
         )
     if n == 3:
         return ClassSet(
@@ -347,10 +315,9 @@ def canonical_complete_set(n: int) -> ClassSet:
                 class_from_generators([pauli_from_string(s) for s in gens])
                 for gens in CANONICAL_D8_GENERATORS
             ),
-            complete=True,
         )
     if n == 4:
-        return _exact_cover(4, ())
+        return complete_set_from(ClassSet(4, ()))
     raise ValueError("canonical complete sets cover 2, 3 or 4 qubits")
 
 
@@ -380,8 +347,10 @@ def class_from_json(data: dict) -> CommutingClass:
 
 
 def classes_from_json(data: dict) -> ClassSet:
-    return ClassSet(
-        int(data["n"]),
-        tuple(class_from_json(c) for c in data["classes"]),
-        complete=bool(data["complete"]),
-    )
+    """The class set of ``classes_to_json``; its ``"complete"`` must be the
+    JSON bool its classes give."""
+    cs = ClassSet(int(data["n"]), tuple(class_from_json(c) for c in data["classes"]))
+    if data["complete"] is not cs.complete:
+        want = "true" if cs.complete else "false"
+        raise ValueError(f'"complete" must be {want} for these classes')
+    return cs

@@ -33,8 +33,11 @@ EXIT_MALFORMED = 2
 
 # what ``check`` reports as malformed input rather than a refuted claim; a
 # file nested just under the JSON decoder's limit parses, then overflows the
-# stack when it is hashed
-MALFORMED_ERRORS = (KeyError, TypeError, AttributeError, ValueError, RecursionError)
+# stack when it is hashed, and int() of a number that parsed as infinity
+# (1e400) overflows
+MALFORMED_ERRORS = (
+    KeyError, TypeError, AttributeError, ValueError, OverflowError, RecursionError
+)
 
 
 def _emit(certificate: dict, output: str | Path | None, table: bool) -> None:
@@ -349,7 +352,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return exc.code
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     except ImportError as exc:

@@ -39,7 +39,10 @@ from __future__ import annotations
 from array import array
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Mapping, NamedTuple
+from typing import TYPE_CHECKING, Mapping, NamedTuple
+
+if TYPE_CHECKING:  # classes builds on this module
+    from mubforge.classes import ClassSet
 
 MAX_SEARCH_QUBITS = 4
 
@@ -146,11 +149,12 @@ def classes_within_mask(n: int, universe_mask: int) -> list[int]:
 class OwnerCensus(NamedTuple):
     """Owner masks of the class family with respect to one complete set.
 
-    ``parts`` are the complete-set class masks, and ``owners[i]`` is the
-    owner mask of ``all_maximal_classes(n)[i]``: bit j is set when the class
-    holds an operator of ``parts[j]``. A sub-collection of the complete set
-    is a mask C of the same kind. A single-bit owner marks a complete-set
-    class itself; every other class is an extra class.
+    ``parts`` are the class masks of the complete set, in its order, and
+    ``owners[i]`` is the owner mask of ``all_maximal_classes(n)[i]``: bit j
+    is set when the class holds an operator of ``parts[j]``. A
+    sub-collection of the complete set is a mask C of the same kind. A
+    single-bit owner marks a complete-set class itself; every other class
+    is an extra class.
     """
 
     n: int
@@ -159,25 +163,16 @@ class OwnerCensus(NamedTuple):
 
 
 @lru_cache(maxsize=16)
-def owner_census(n: int, part_masks: tuple[int, ...]) -> OwnerCensus:
-    """Owner census of the complete set whose class masks are given."""
-    size = (1 << n) - 1
-    union = 0
-    for m in part_masks:
-        union |= m
-    if (
-        len(part_masks) != size + 2
-        or any(m.bit_count() != size for m in part_masks)
-        or union != full_mask(n)
-    ):
-        raise ValueError(
-            f"part masks do not partition the operators into {size + 2} classes"
-        )
-    bits = [(1 << j, m) for j, m in enumerate(part_masks)]
+def owner_census(complete: ClassSet) -> OwnerCensus:
+    """Owner census of a complete class set; any other set is refused."""
+    if not complete.complete:
+        raise ValueError("an owner census needs a complete class set")
+    n, parts = complete.n, tuple(c.mask for c in complete)
+    bits = [(1 << j, m) for j, m in enumerate(parts)]
     owners = tuple(
         sum(bit for bit, m in bits if m & cls) for cls in all_maximal_classes(n)
     )
-    return OwnerCensus(n, part_masks, owners)
+    return OwnerCensus(n, parts, owners)
 
 
 def spanning_counts(census: OwnerCensus) -> array:

@@ -170,7 +170,7 @@ def conjecture_scan(
         subsets = [choices[i] for i in sorted(picks.tolist())]
         exhaustive = False
 
-    census = owner_census(4, tuple(c.mask for c in complete))
+    census = owner_census(complete)
     spanning = spanning_counts(census)
     # the spanning classes of a choice C are the classes C owns; with exactly
     # one, S, the swapped set is extendible exactly when some class fits in

@@ -151,7 +151,7 @@ def theorem4_census(complete: ClassSet, k: int) -> int:
     if not 2 <= k <= 7:
         raise ValueError(f"subset size must be in [2, 7], got {k}")
     # the spanning classes of a choice C are those whose owner is C
-    owners = owner_census(3, tuple(c.mask for c in complete)).owners
+    owners = owner_census(complete).owners
     return max(Counter(o for o in owners if o.bit_count() == k).values(), default=0)
 
 

@@ -485,6 +485,85 @@ def test_a_bool_does_not_stand_in_for_an_int(tmp_path, mutate):
     assert verify_certificate(cert)
 
 
+OVERFLOW = "cannot convert float infinity to integer"
+
+
+@pytest.mark.parametrize(
+    "argv, field, code, verdict",
+    [
+        (["complete-set", "-n", "2"], ("payload", "class_set", "n"), 1,
+         ["REFUTED", f"  - class set does not rebuild: {OVERFLOW}"]),
+        (["scan", "-n", "4", "--budget", "5"], ("payload", "seed"), 2,
+         [f"malformed (OverflowError: {OVERFLOW})"]),
+        (["find-unextendible", "-n", "2", "--choose", "0,1,2"],
+         ("payload", "provenance", "chosen", 0), 1,
+         ["REFUTED", f"  - provenance does not rebuild: {OVERFLOW}"]),
+    ],
+    ids=["class-set-n", "scan-seed", "provenance-chosen"],
+)
+def test_an_integer_field_that_overflows_does_not_stop_the_next(
+    tmp_path, capsys, argv, field, code, verdict
+):
+    # JSON reads 1e400 as infinity, and int() of infinity overflows
+    good = tmp_path / "good.json"
+    assert run(argv + ["-o", str(good)]) == 0
+    cert = load(good)
+    node = cert
+    for key in field[:-1]:
+        node = node[key]
+    node[field[-1]] = float("inf")
+    _rehash(cert)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cert).replace("Infinity", "1e400"), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["check", str(bad), str(good)]) == code
+    assert capsys.readouterr().out.splitlines() == [
+        f"{bad}: {verdict[0]}", *verdict[1:], f"{good}: verified"
+    ]
+
+
+@pytest.mark.parametrize(
+    "n, keep, declared, want",
+    [(2, 3, True, "false"), (2, 5, False, "true"), (2, 5, 1, "true"),
+     (2, 0, True, "false"), (0, 0, True, "false")],
+    ids=["true-on-three", "false-on-five", "int-one", "true-on-none", "true-on-n0"],
+)
+def test_a_complete_flag_its_classes_contradict_is_refused(
+    tmp_path, capsys, n, keep, declared, want
+):
+    # "complete" is derived from the classes, so a file may only repeat it
+    good = tmp_path / "c.json"
+    assert run(["complete-set", "-n", "2", "-o", str(good)]) == 0
+
+    def contradict(payload):
+        class_set = payload["class_set"]
+        class_set["n"] = n
+        class_set["classes"] = class_set["classes"][:keep]
+        class_set["complete"] = declared
+
+    message = f'"complete" must be {want} for these classes'
+    assert _refuted_then_verified(tmp_path, capsys, good, contradict) == [
+        f"  - class set does not rebuild: {message}"
+    ]
+    # the same file as the source of a search is malformed input
+    assert run(["strong", str(tmp_path / "bad.json"), "--starts", "5"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("n", [0, 2, 18, 10**18], ids=["n0", "n2", "n18", "huge-n"])
+def test_an_empty_class_set_is_refuted_without_building_its_cover(tmp_path, capsys, n):
+    # the file's n reaches no class, so the refusal must not cost 4**n - 1 bits
+    good = tmp_path / "c.json"
+    assert run(["complete-set", "-n", "2", "-o", str(good)]) == 0
+
+    def empty(payload):
+        payload["class_set"] = {"n": n, "classes": [], "complete": False}
+
+    assert _refuted_then_verified(tmp_path, capsys, good, empty) == [
+        "  - class set does not rebuild: class set is not complete"
+    ]
+
+
 def test_command_must_match_the_payload_kind(tmp_path, capsys):
     out = tmp_path / "c.json"
     assert run(["complete-set", "-n", "2", "-o", str(out)]) == 0
@@ -934,9 +1013,10 @@ class TestAnalysisCommands:
             ("strong", b'{"kind": "class_set", "class_set": {"n": 2, "complete": false}}'),
             ("eur", b"\xff\xfe"),
             ("strong", b"[" * 100000),
+            ("strong", b'{"kind": "class_set", "class_set": {"n": 1e400}}'),
         ],
         ids=["json-array", "payload-array", "directory", "ks-no-classes",
-             "strong-no-classes", "not-utf8", "deep-nesting"],
+             "strong-no-classes", "not-utf8", "deep-nesting", "overflowing-n"],
     )
     def test_unreadable_source_is_malformed(self, tmp_path, capsys, command, content):
         source = tmp_path / "source.json"

@@ -23,8 +23,7 @@ from mubforge.classes import (
     class_to_json,
     classes_from_json,
     classes_to_json,
-    complete_set_from_two,
-    disjoint,
+    complete_set_from,
 )
 from mubforge.named_sets import (
     STRONG_FIVE_D8,
@@ -109,16 +108,18 @@ class TestClassConstruction:
 class TestDisjointAndOverlap:
     def test_canonical_first_two_disjoint(self):
         cs = canonical_complete_set(2)
-        assert disjoint(cs[0], cs[1])
+        assert ClassSet(2, cs.classes[:2]).classes == cs.classes[:2]
 
     def test_class_not_disjoint_from_itself(self):
         cs = canonical_complete_set(2)
-        assert not disjoint(cs[0], cs[0])
+        with pytest.raises(ValueError, match="not pairwise disjoint"):
+            ClassSet(2, (cs[0], cs[0]))
 
     def test_shared_operator_breaks_disjointness(self):
         c1 = class_from_strings(("YY", "IY", "YI"))
         c1_alt = class_from_strings(("YY", "ZX", "XZ"))
-        assert not disjoint(c1, c1_alt)
+        with pytest.raises(ValueError, match="not pairwise disjoint"):
+            ClassSet(2, (c1, c1_alt))
 
     def test_overlap_size_two_qubits(self):
         p = pauli_from_string("YY")
@@ -163,8 +164,7 @@ class TestClassSet:
 
     def test_complete_flag_needs_full_cover(self):
         cs = canonical_complete_set(2)
-        with pytest.raises(ValueError):
-            ClassSet(2, cs.classes[:4], complete=True)
+        assert cs.complete and not ClassSet(2, cs.classes[:4]).complete
 
     def test_json_round_trip(self):
         cs = canonical_complete_set(2)
@@ -172,37 +172,68 @@ class TestClassSet:
         assert set(rebuilt) == set(cs)
         assert rebuilt.complete
 
-    def test_equality_goes_by_the_classes_in_order_and_the_flag(self):
+    @pytest.mark.parametrize(
+        "keep, declared",
+        [(3, True), (5, False), (5, 1), (3, 0)],
+        ids=["true-on-three", "false-on-five", "int-one", "int-zero"],
+    )
+    def test_json_complete_must_be_the_bool_the_classes_give(self, keep, declared):
+        data = classes_to_json(ClassSet(2, canonical_complete_set(2).classes[:keep]))
+        data["complete"] = declared
+        want = "false" if keep < 5 else "true"
+        with pytest.raises(ValueError, match=f'^"complete" must be {want} for these'):
+            classes_from_json(data)
+
+    def test_equality_goes_by_the_classes_in_order(self):
         cs = canonical_complete_set(2)
-        same = ClassSet(2, tuple(class_from_strings(c.letters()) for c in cs), True)
+        same = ClassSet(2, tuple(class_from_strings(c.letters()) for c in cs))
         assert same == cs and hash(same) == hash(cs)
-        assert ClassSet(2, cs.classes) != cs
-        assert ClassSet(2, cs.classes[::-1], complete=True) != cs
+        assert ClassSet(2, cs.classes[::-1]) != cs
+        assert ClassSet(2, cs.classes[:4]) != cs
         assert ClassSet(2, cs.classes[:2]) != cs.classes[:2]
+        assert repr(ClassSet(2, cs.classes[:1])) == (
+            "ClassSet(n=2, classes=(CommutingClass(IZ+ZI+ZZ),))"
+        )
 
     @pytest.mark.parametrize(
-        "classes, complete, message",
+        "classes, message",
         [
-            (lambda cs: cs.classes + cs.classes[:1], False, "pairwise disjoint"),
+            (lambda cs: cs.classes + cs.classes[:1], "pairwise disjoint"),
             (lambda cs: cs.classes[:1] + canonical_complete_set(3).classes[:1],
-             False, "qubit count"),
-            (lambda cs: cs.classes[:4], True, "needs 5 classes, got 4"),
-            # five disjoint one-operator masks pass the count, not the cover
-            (lambda cs: tuple(CommutingClass(2, (), 1 << i) for i in range(5)),
-             True, "does not cover"),
+             "qubit count"),
         ],
-        ids=["repeated-class", "other-qubit-count", "too-few", "uncovered"],
+        ids=["repeated-class", "other-qubit-count"],
     )
-    def test_construction_errors(self, classes, complete, message):
+    def test_construction_errors(self, classes, message):
         with pytest.raises(ValueError, match=message):
-            ClassSet(2, classes(canonical_complete_set(2)), complete)
+            ClassSet(2, classes(canonical_complete_set(2)))
+
+    @pytest.mark.parametrize(
+        "n, classes, complete",
+        [
+            (2, lambda cs: cs.classes, True),
+            (2, lambda cs: cs.classes[::-1], True),
+            (2, lambda cs: cs.classes[:4], False),
+            # five disjoint one-operator masks have the count, not the cover
+            (2, lambda cs: tuple(CommutingClass(2, (), 1 << i) for i in range(5)), False),
+            (2, lambda cs: (), False),
+            # no operator is left to cover at n = 0, yet no set of classes is complete
+            (0, lambda cs: (), False),
+            # an empty set reads its n unchecked; 4**n - 1 bits are never built
+            (10**18, lambda cs: (), False),
+        ],
+        ids=["canonical", "reversed", "too-few", "uncovered", "empty",
+             "empty-n0", "empty-huge-n"],
+    )
+    def test_complete_is_derived_from_the_cover(self, n, classes, complete):
+        assert ClassSet(n, classes(canonical_complete_set(2))).complete is complete
 
 
 # One value of each record that used to be a frozen dataclass, and a field.
 VALUES = {
     "operator": (lambda: pauli_from_string("XY"), "phase"),
     "class": (lambda: canonical_complete_set(2)[0], "mask"),
-    "class-set": (lambda: canonical_complete_set(2), "complete"),
+    "class-set": (lambda: canonical_complete_set(2), "classes"),
     "search-outcome": (lambda: SearchOutcome(0.25, None, 3, 2, 1), "starts"),
 }
 
@@ -265,7 +296,7 @@ class TestCompleteSets:
         # any two classes of the complete set regenerate the same partition
         cs = canonical_complete_set(2)
         for i, j in combinations(range(5), 2):
-            rebuilt = complete_set_from_two(cs[i], cs[j])
+            rebuilt = complete_set_from(ClassSet(2, (cs[i], cs[j])))
             assert rebuilt.complete
             assert set(rebuilt) == set(cs)
 
@@ -274,7 +305,7 @@ class TestCompleteSets:
         # valid completion; since the five are unextendible as a set, no
         # complete set can contain them all, so at most four can reappear
         five = strong_five_d8()
-        rebuilt = complete_set_from_two(five[2], five[1])
+        rebuilt = complete_set_from(ClassSet(3, (five[2], five[1])))
         assert rebuilt.complete and len(rebuilt) == 9
         built = {c.mask for c in rebuilt.classes}
         assert five[1].mask in built and five[2].mask in built
@@ -290,7 +321,7 @@ class TestCompleteSets:
         ]
         assert len(pairs) == 60
         for a, b in pairs:
-            cs = complete_set_from_two(a, b)
+            cs = complete_set_from(ClassSet(2, (a, b)))
             assert cs.complete
             assert cs[0] == a and cs[1] == b
 
@@ -304,25 +335,42 @@ class TestCompleteSets:
             i, j = rng.integers(len(classes), size=2)
             if i == j or (classes[i].mask & classes[j].mask):
                 continue
-            assert complete_set_from_two(classes[i], classes[j]).complete
+            assert complete_set_from(ClassSet(3, (classes[i], classes[j]))).complete
             built += 1
 
     def test_from_two_rejects_overlapping_seeds(self):
+        # the seeds are a ClassSet, which refuses overlapping classes and
+        # mixed qubit counts before any cover starts
         c1 = class_from_strings(("YY", "IY", "YI"))
         c2 = class_from_strings(("YY", "ZX", "XZ"))
-        with pytest.raises(ValueError):
-            complete_set_from_two(c1, c2)
+        with pytest.raises(ValueError, match="not pairwise disjoint"):
+            complete_set_from(ClassSet(2, (c1, c2)))
+        with pytest.raises(ValueError, match="qubit count"):
+            complete_set_from(ClassSet(2, (c1, canonical_complete_set(3)[0])))
 
     def test_four_qubit_completion_reproduces_the_canonical_set(self):
         cs = canonical_complete_set(4)
-        rebuilt = complete_set_from_two(cs[0], cs[1])
+        rebuilt = complete_set_from(ClassSet(4, cs.classes[:2]))
         assert rebuilt.complete
         assert set(rebuilt) == set(cs)
+        assert complete_set_from(ClassSet(4, ())) == cs
 
     def test_single_qubit_completion(self):
         z, x = class_from_strings(("Z",)), class_from_strings(("X",))
-        cs = complete_set_from_two(z, x)
+        cs = complete_set_from(ClassSet(1, (z, x)))
         assert [c.letters() for c in cs] == [("Z",), ("X",), ("Y",)]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_a_complete_set_completes_to_itself(self, n):
+        cs = canonical_complete_set(n)
+        assert complete_set_from(cs) == cs
+
+    def test_seeds_no_complete_set_contains_are_refused(self):
+        # the weakly unextendible triple leaves six operators that hold no class
+        with pytest.raises(
+            ValueError, match="no complete set on 2 qubits contains the seed classes"
+        ):
+            complete_set_from(weak_triple_d4())
 
 
 class TestClassFamily:

@@ -13,7 +13,7 @@ from mubforge.classes import (
     ClassSet,
     canonical_complete_set,
     class_from_strings,
-    complete_set_from_two,
+    complete_set_from,
     mask_letters,
 )
 from mubforge.named_sets import (
@@ -316,7 +316,7 @@ def _unrelated_class(family, subset):
 def _assert_engine_matches_oracle(n, complete, subsets):
     masks = tuple(c.mask for c in complete)
     owners = _direct_owners(n, masks)
-    census = owner_census(n, masks)
+    census = owner_census(complete)
     family = search.all_maximal_classes(n)
     spanning = spanning_counts(census)
     by_size = {}
@@ -365,7 +365,7 @@ class TestOwnerCensus:
     def test_every_subset_of_a_second_three_qubit_set(self):
         seed = class_from_strings(("IIX", "IXI", "IXX", "YII", "YIX", "YXI", "YXX"))
         z_class = canonical_complete_set(3)[0]
-        other = complete_set_from_two(seed, z_class)
+        other = complete_set_from(ClassSet(3, (seed, z_class)))
         assert set(other) != set(canonical_complete_set(3))
         _assert_engine_matches_oracle(3, other, range(1 << 9))
 
@@ -375,15 +375,17 @@ class TestOwnerCensus:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_owners_match_a_direct_computation_from_the_masks(self, n):
-        masks = tuple(c.mask for c in canonical_complete_set(n))
-        census = owner_census(n, masks)
+        complete = canonical_complete_set(n)
+        masks = tuple(c.mask for c in complete)
+        census = owner_census(complete)
+        assert census.n == n
         assert census.owners == tuple(_direct_owners(n, masks))
         assert census.parts == masks
 
     def test_answers_do_not_depend_on_the_other_subsets_asked(self):
         # each subset's answer is the same asked alone, among the samples of
         # its size, or among all 24310 nine-class choices
-        census = owner_census(4, tuple(c.mask for c in canonical_complete_set(4)))
+        census = owner_census(canonical_complete_set(4))
         family = search.all_maximal_classes(4)
         subsets = _sampled_four_qubit_subsets()
 
@@ -408,16 +410,18 @@ class TestOwnerCensus:
         assert verdicts == {True, False}
 
     def test_removal_is_asked_only_of_the_lifted_size(self):
-        census = owner_census(3, tuple(c.mask for c in canonical_complete_set(3)))
+        census = owner_census(canonical_complete_set(3))
         with pytest.raises(ValueError, match="size 5"):
             count_extras(census, 5, {0b1111: 0})
 
-    def test_rejects_masks_that_are_not_a_partition(self):
-        masks = tuple(c.mask for c in canonical_complete_set(3))
-        with pytest.raises(ValueError, match="partition"):
-            owner_census(3, masks[:-1])
-        with pytest.raises(ValueError, match="partition"):
-            owner_census(3, masks[:-1] + (masks[0],))
+    def test_rejects_a_class_set_that_is_not_complete(self):
+        classes = canonical_complete_set(3).classes
+        for incomplete in (ClassSet(3, classes[:-1]), ClassSet(3, ()), strong_five_d8()):
+            with pytest.raises(ValueError, match="needs a complete class set"):
+                owner_census(incomplete)
+        # a repeated class never reaches the census: the set itself is refused
+        with pytest.raises(ValueError, match="not pairwise disjoint"):
+            ClassSet(3, classes[:-1] + classes[:1])
 
 
 class TestConjectureScan:
@@ -463,8 +467,7 @@ class TestConjectureScan:
     def test_exhaustive_scan_lifts_and_peak_memory(self):
         # the family, the complete set and the owner census are cached
         # before measuring; the scan itself keeps two flat count tables
-        masks = tuple(c.mask for c in canonical_complete_set(4))
-        census = owner_census(4, masks)
+        census = owner_census(canonical_complete_set(4))
         assert sum(count_extras(census, 9, {}).within) == 35530
         tracemalloc.start()
         try:
@@ -482,8 +485,8 @@ def _one_spanning_choices():
     Returns the census, the class masks, the choice masks and, per choice,
     the family index of its spanning class.
     """
-    masks = tuple(c.mask for c in canonical_complete_set(4))
-    census = owner_census(4, masks)
+    census = owner_census(canonical_complete_set(4))
+    masks = census.parts
     owned = {}
     for i, owner in enumerate(census.owners):
         owned.setdefault(owner, []).append(i)
