@@ -183,15 +183,16 @@ def unextendible_content(
     chosen = list(chosen)
     unext = build_unextendible_set(complete, chosen)
     n = unext.n
+    classes = classes_to_json(unext)
     payload = {
         "kind": "unextendible_set",
-        "classes": classes_to_json(unext),
+        "classes": classes,
         "extra_class": class_to_json(unext[-1]),
         # build_unextendible_set refuses a set whose leftover operators form a
         # class, so the exhaustive search recorded here never finds one
         "extendibility": {
             "kind": "extension_report",
-            "input": classes_to_json(unext),
+            "input": classes,
             "universe": "remaining-operators",
             "universe_operators": list(
                 mask_letters(n, full_mask(n) & ~unext.union_mask)
@@ -386,12 +387,13 @@ def _verify_search_outcome(payload: dict, config: dict) -> list[str]:
     type. The recorded vector must give the recorded residual, and a spot
     re-run of the first starts must not beat it: at most RECHECK_STARTS x
     (MAX_ITERATIONS + 1) single-start evaluations of the residual kernel,
-    made in about MAX_ITERATIONS batched calls. Over m condition rows at dimension d, each evaluation costs about 2 m (d-1)^2
-    complex multiply-adds and each step one (d-1) x (d-1) solve per start;
-    a start in flight holds O(m + (d-1)^2) numbers, never an m x (d-1)
-    Jacobian. Values of the wrong type, a ``stop_below`` the search rejects
-    (a non-finite one), and missing keys raise ValueError or KeyError
-    (malformed).
+    made in about MAX_ITERATIONS batched calls. Over m condition rows at
+    dimension d, each evaluation costs about 2 m (d-1)^2 complex
+    multiply-adds and each step one (d-1) x (d-1) solve per start; a start
+    in flight holds O(m + (d-1)^2) numbers, never an m x (d-1) Jacobian.
+    Values of the wrong type, a ``stop_below`` the search rejects (a
+    non-finite one), a negative seed, which no generator takes, and missing
+    keys raise ValueError or KeyError (malformed).
     """
     import numpy as np
 

@@ -11,6 +11,8 @@ full Jacobian by broadcasting, the route the package's normal-equation
 kernel avoids. ``enumerate_nonidentity``, ``commuting_overlap`` and
 ``theorem4_census`` are the operator listing, the commuting-overlap sets
 and the d = 8 spanning census, which only the tests ask for.
+``start_angles`` draws the strong search's starting phases with one numpy
+generator per start, the route the package's block draw avoids.
 ``sign_columns`` reads each class element's eigenvalue signs off a basis
 through those dense matrices, and ``unbiasedness_deviation`` measures how
 far two bases are from mutually unbiased. ``BASIS_LISTING_*`` are the
@@ -267,3 +269,14 @@ def residual_jacobian(bases, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     o = conditions[:, 0] * scale + terms.sum(axis=-1)
     r = o.real**2 + o.imag**2 - 1.0 / d
     return r, -2.0 * (o.conj()[..., None] * terms).imag
+
+
+def start_angles(seed: int, ks, n: int) -> np.ndarray:
+    """The strong search's starting phases, drawn start by start with numpy.
+
+    Start k draws n phases from its own generator, default_rng([seed, k]),
+    as uniform(0, 2 pi); the rows come in the order of ``ks``.
+    """
+    return np.array(
+        [np.random.default_rng([seed, int(k)]).uniform(0.0, 2.0 * math.pi, n) for k in ks]
+    ).reshape(len(ks), n)

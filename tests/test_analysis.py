@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from itertools import combinations, permutations
 
 import numpy as np
@@ -44,6 +45,7 @@ from oracles import (
     matrix_from_letters,
     random_state,
     residual_jacobian,
+    start_angles,
 )
 
 
@@ -328,7 +330,7 @@ class TestStrongSearch:
             "d4-extendible": first_three,
         }[source]()
         outcomes = []
-        for cap in (1, 7, analysis._BATCH_CAP):
+        for cap in (1, 7, analysis._BATCH_CAP, 1024):
             monkeypatch.setattr(analysis, "_BATCH_CAP", cap)
             outcomes.append(strong_unext_search(cs, **opts))
         first = outcomes[0]
@@ -338,6 +340,20 @@ class TestStrongSearch:
             assert out.starts == first.starts
             assert out.converged_starts == first.converged_starts
             assert out.best_start_index == first.best_start_index
+
+    def test_search_peak_memory_is_bounded(self):
+        # at most _BATCH_CAP starts are in flight or drawn ahead at once;
+        # the problem tables and bases are built once before measuring
+        cs = strong_five_d8()
+        strong_unext_search(cs, starts=5, seed=1)
+        tracemalloc.start()
+        try:
+            out = strong_unext_search(cs, starts=1000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.starts == 1000
+        assert peak < 2 << 20, f"the d = 8 search peaked at {peak} bytes"
 
     def test_outcome_records_configuration(self):
         # the search returns what it computed; the certificate content
@@ -353,6 +369,62 @@ class TestStrongSearch:
         assert payload["config"]["starts_requested"] == 8
         assert payload["starts"] == out.starts
         assert payload["config"]["best_start_index"] == out.best_start_index
+
+
+class TestStartAngles:
+    # the search draws its starting phases a block of starts at a time; each
+    # start's row must be, bit for bit, what its own numpy generator draws
+    @pytest.mark.parametrize("n", [3, 7])
+    @pytest.mark.parametrize(
+        "seed", [0, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 9, 2**130 + 1],
+        ids=["0", "2^32-1", "2^32", "2^64+5", "2^100+9", "2^130+1"],
+    )
+    def test_block_draw_matches_a_generator_per_start(self, seed, n):
+        # start indices of one and of two 32-bit words, in one block
+        ks = np.concatenate([
+            np.arange(0, 5), np.arange(2**32 - 3, 2**32 + 3), [2**33 + 7],
+        ])
+        got = analysis._start_angles(seed, ks, n)
+        assert got.shape == (len(ks), n) and got.dtype == np.float64
+        assert got.tobytes() == start_angles(seed, ks, n).tobytes()
+
+    @pytest.mark.parametrize("cap", [1, 7, 256])
+    def test_the_search_starts_where_the_generators_do(self, monkeypatch, cap):
+        # a block of _BATCH_CAP starts is drawn only when admission runs
+        # past the starts already drawn, and the rows the search starts
+        # from are the per-start draws whatever the block boundaries
+        monkeypatch.setattr(analysis, "_BATCH_CAP", cap)
+        monkeypatch.setattr(analysis, "MAX_ITERATIONS", 1)
+        calls = []
+        draw = analysis._start_angles
+
+        def spy(seed, ks, n):
+            calls.append(ks.copy())
+            return draw(seed, ks, n)
+
+        starts = []
+        problem = UnbiasedVectorProblem.from_classes(strong_five_d8())
+        kernel = UnbiasedVectorProblem.residual_and_gradient
+
+        def first_points(self, theta, newton=False):
+            if newton is False:  # called only on admitted starts
+                starts.append(np.array(theta))
+            return kernel(self, theta, newton)
+
+        monkeypatch.setattr(analysis, "_start_angles", spy)
+        monkeypatch.setattr(UnbiasedVectorProblem, "residual_and_gradient", first_points)
+        analysis._multistart(problem, 600, 17, None)
+        assert [(int(k[0]), len(k)) for k in calls] == [
+            (first, min(cap, 600 - first)) for first in range(0, 600, cap)
+        ]
+        assert np.array_equal(np.concatenate(calls), np.arange(600))
+        assert np.concatenate(starts).tobytes() == start_angles(17, range(600), 7).tobytes()
+
+    def test_a_negative_seed_is_refused(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            analysis._start_angles(-1, np.arange(3), 3)
+        with pytest.raises(ValueError, match="non-negative"):
+            strong_unext_search(strong_triple_d4(), starts=5, seed=-1)
 
 
 class TestCollisionEntropy:

@@ -790,6 +790,11 @@ def _bool_strong_seed(cert):
     cert["config"]["seed"] = cert["payload"]["seed"] = True
 
 
+def _negative_strong_seed(cert):
+    # no generator takes a negative seed, so the spot re-run cannot start
+    cert["config"]["seed"] = cert["payload"]["seed"] = -1
+
+
 def _float_starts(cert):
     cert["payload"]["starts"] = 30.0
 
@@ -815,11 +820,12 @@ def _short_imaginary_part(cert):
         ("s1000", _float_best_index),
         ("s1000", _float_requested),
         ("s30", _bool_strong_seed),
+        ("s30", _negative_strong_seed),
         ("s30", _float_starts),
         ("s30", _short_imaginary_part),
     ],
     ids=["float-converged", "float-best-index", "float-requested", "bool-seed",
-         "float-starts", "short-imaginary-part"],
+         "negative-seed", "float-starts", "short-imaginary-part"],
 )
 def test_strong_counts_are_json_ints_and_the_vector_has_d_entries(
     tmp_path, capsys, strong_files, name, mutate
@@ -1294,6 +1300,27 @@ def _python(code: str) -> str:
 def test_cli_import_does_not_load_scipy():
     # importing the CLI for a combinatorial command must not pay for scipy
     assert _python("import sys, mubforge.cli; print('scipy' in sys.modules)") == "False"
+
+
+def test_strong_and_check_do_not_load_numpy_random(tmp_path):
+    # the search draws its starting phases without numpy's generators, so a
+    # strong run and the check of strong files never import numpy.random
+    if _python("import sys, numpy; print('numpy.random' in sys.modules)") == "True":
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    out = tmp_path / "strong.json"
+    data = Path(__file__).parent / "data"
+    files = [str(out), *map(str, sorted(data.glob("*_strong/*.json")))]
+    code = f"""
+import contextlib, io, sys
+from mubforge.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        main(["strong", "paper-d8-strong", "--starts", "20", "-o", {str(out)!r}]),
+        main(["check", *{files!r}]),
+    ]
+print(codes, "numpy.random" in sys.modules)
+"""
+    assert _python(code) == "[0, 0] False"
 
 
 def test_readme_library_example_runs():
