@@ -37,7 +37,6 @@ identical runs produce byte-identical hashed content.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import time
@@ -68,6 +67,16 @@ from mubforge.classes import (
 from mubforge.named_sets import NAMED_CLASS_SETS, named_class_set
 from mubforge.search import full_mask
 from mubforge.unextendible import build_unextendible_set, conjecture_scan
+
+# CPython's own SHA-256: importing hashlib loads OpenSSL's libcrypto, a few
+# MB and milliseconds in every process, for one digest per certificate
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:  # an interpreter built without either
+        from hashlib import sha256
 
 SCHEMA_VERSION = "1"
 
@@ -101,7 +110,7 @@ def _payload_hash(command: str, config: dict, payload: dict) -> str:
         "config": config,
         "payload": payload,
     }
-    return hashlib.sha256(canonical_json(body).encode("utf-8")).hexdigest()
+    return sha256(canonical_json(body).encode("utf-8")).hexdigest()
 
 
 def _vector_to_json(v: np.ndarray) -> dict:

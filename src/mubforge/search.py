@@ -46,6 +46,9 @@ if TYPE_CHECKING:  # classes builds on this module
 
 MAX_SEARCH_QUBITS = 4
 
+# byte b maps to b with its eight bits in reverse order
+_REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
 
 def full_mask(n: int) -> int:
     """Mask of all 4**n - 1 nonidentity operators on n searchable qubits."""
@@ -130,9 +133,14 @@ def all_maximal_classes(n: int) -> tuple[int, ...]:
         for graph in graphs:  # bit 0 is the identity, which no mask holds
             found.append(sum(coset[g & block] << (g & ~block) for g in graph) >> 1)
     # A precedes B in key-tuple order exactly when the lowest key in only
-    # one of them is in A, so the order is descending on bit-reversed masks
-    width = full_mask(n).bit_length()
-    found.sort(key=lambda m: int(f"{m:0{width}b}"[::-1], 2), reverse=True)
+    # one of them is in A, so the order is descending on bit-reversed masks.
+    # A mask's little-endian bytes, each with its bits reversed, are the
+    # big-endian bytes of its reversal, so as bytes they compare the same.
+    size = (full_mask(n).bit_length() + 7) // 8
+    found.sort(
+        key=lambda m: m.to_bytes(size, "little").translate(_REVERSED_BITS),
+        reverse=True,
+    )
     return tuple(found)
 
 

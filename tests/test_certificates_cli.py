@@ -14,7 +14,7 @@ from mubforge.certificates import (
     scan_content,
     verify_certificate,
 )
-from mubforge.cli import MALFORMED_ERRORS, build_parser, main
+from mubforge.cli import MALFORMED_ERRORS, _indented_json, build_parser, main
 from mubforge.named_sets import (
     NAMED_CLASS_SETS,
     STRONG_FIVE_D8,
@@ -1323,6 +1323,51 @@ print(codes, "numpy.random" in sys.modules)
     assert _python(code) == "[0, 0] False"
 
 
+def test_no_command_loads_openssl(tmp_path):
+    # the payload hash uses CPython's own SHA-256 module, so neither a
+    # command nor the check of its output imports hashlib, whose _hashlib
+    # loads OpenSSL's libcrypto
+    import importlib.util
+
+    if not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")):
+        pytest.skip("this interpreter has no built-in SHA-256 module")
+    if _python("import sys, numpy; print('_hashlib' in sys.modules)") == "True":
+        pytest.skip("this numpy loads hashlib with numpy itself")
+    code = f"""
+import contextlib, io, os, sys
+from mubforge.cli import main
+os.chdir({str(tmp_path)!r})
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        main(["complete-set", "-n", "2", "-o", "complete.json"]),
+        main(["scan", "-n", "4", "--all", "-o", "scan.json"]),
+        main(["strong", "paper-d4-strong", "--starts", "5", "-o", "strong.json"]),
+        main(["check", "complete.json", "scan.json", "strong.json"]),
+    ]
+print(codes, "_hashlib" in sys.modules)
+"""
+    assert _python(code) == "[0, 0, 0, 0] False"
+
+
+def test_payload_hash_falls_back_to_hashlib(tmp_path):
+    # an interpreter built without the built-in SHA-256 modules hashes with
+    # hashlib, to the hash test_complete_set_hashes_are_pinned pins
+    out = tmp_path / "complete.json"
+    code = f"""
+import sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None  # importing either fails
+import hashlib
+from mubforge import certificates
+from mubforge.cli import main
+print(main(["complete-set", "-n", "3", "-o", {str(out)!r}]),
+      certificates.sha256 is hashlib.sha256)
+"""
+    assert _python(code) == "0 True"
+    assert load(out)["payload_sha256"] == (
+        "4426026d92491a73dc108979f1718f77ed84f023449a160a1da5a637e683702d"
+    )
+
+
 def test_readme_library_example_runs():
     # the python block under "Library use" runs as written and prints what
     # its comments say
@@ -1635,3 +1680,73 @@ def test_rehashed_single_field_mutation_never_verifies(emitted, kind, data):
     if how != "delete" and _is_label(kind, path, node[path[-1]]):
         return
     assert problems, f"{how} at {path} still verifies"
+
+
+_SPECIAL_FLOATS = [-0.0, 1e-300, 1e16, float("nan"), float("inf"), float("-inf")]
+_JSON_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800'), st.characters()),
+    max_size=6,
+)
+_JSON_TREES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**400)
+    | st.floats()
+    | st.sampled_from(_SPECIAL_FLOATS)
+    | _JSON_TEXT
+    | st.lists(_JSON_TEXT, max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(_JSON_TEXT, children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(tree=_JSON_TREES)
+def test_indented_writer_matches_json_dumps(tree):
+    assert _indented_json(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("key", [1, 2**70, 1.5, True, None])
+def test_indented_writer_refuses_a_key_that_is_not_a_string(key):
+    # json.dumps would write such a key as a string; no payload has one
+    for tree in ({key: 0}, [{"a": [{key: "b"}]}]):
+        with pytest.raises(TypeError):
+            _indented_json(tree)
+
+
+def _documents(text: str) -> list:
+    """The JSON documents printed one after another in ``text``."""
+    decoder, docs, at = json.JSONDecoder(), [], 0
+    while at < len(text):
+        doc, at = decoder.raw_decode(text, at)
+        docs.append(doc)
+        at += 1  # the newline after each
+    return docs
+
+
+@pytest.mark.parametrize("command", EMITTING_COMMANDS, ids=lambda c: c[0])
+def test_emitted_text_and_hash_follow_the_stdlib(tmp_path, capsys, command):
+    # for one certificate of each payload kind: the text, to a file and to
+    # stdout, is json.dumps(indent=2, sort_keys=True) byte for byte, and
+    # the hash is hashlib's SHA-256 of the canonical JSON of the four
+    # hashed fields
+    import hashlib
+
+    assert main(command + ["--output", str(tmp_path / "cert.json")]) == 0
+    paths = sorted(tmp_path.iterdir())  # eur writes one file per extra class
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        cert = json.loads(text)
+        assert text == json.dumps(cert, indent=2, sort_keys=True) + "\n"
+        body = {k: cert[k] for k in ("schema_version", "command", "config", "payload")}
+        canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+        assert cert["payload_sha256"] == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    capsys.readouterr()
+    assert main(command) == 0
+    printed = capsys.readouterr().out
+    docs = _documents(printed)
+    assert len(docs) == len(paths)
+    assert printed == "".join(json.dumps(d, indent=2, sort_keys=True) + "\n" for d in docs)
