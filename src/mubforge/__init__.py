@@ -5,20 +5,19 @@ classes of n-qubit Pauli operators, constructs the unextendible subsets they
 contain, synthesizes the corresponding mutually unbiased bases, and verifies
 the collision-entropy and contextuality consequences, emitting re-checkable
 JSON certificates along the way.
+
+The numeric layer, ``mubforge.analysis`` and ``mubforge.bases``, loads on
+first use: importing the package puts both modules in ``sys.modules`` and
+on the package, through ``importlib.util.LazyLoader``, but neither is
+compiled or run until one of its attributes is first read. The
+combinatorial commands never read one, so a process that runs them without
+cached bytecode does not compile those modules. Their public names below
+are served by the module ``__getattr__``, which loads them.
 """
 
-from mubforge.analysis import (
-    UnbiasedVectorProblem,
-    SearchOutcome,
-    collision_entropy,
-    context_sign,
-    eur_bound,
-    eur_check,
-    ks_alternate_partition,
-    residual,
-    strong_unext_search,
-)
-from mubforge.bases import eigenbasis
+import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
+
 from mubforge.classes import (
     ClassSet,
     CommutingClass,
@@ -43,6 +42,39 @@ from mubforge.unextendible import (
     extendibility_check,
     extra_classes_within_union,
 )
+
+
+def _lazy(name: str):
+    """Register module ``name``, to be run when an attribute is first read."""
+    spec = find_spec(name)
+    spec.loader = LazyLoader(spec.loader)
+    module = module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+bases = _lazy("mubforge.bases")
+analysis = _lazy("mubforge.analysis")
+
+# the names the package re-exports from the numeric layer, read on first use
+_NUMERIC = {
+    **dict.fromkeys(
+        (
+            "SearchOutcome",
+            "UnbiasedVectorProblem",
+            "collision_entropy",
+            "context_sign",
+            "eur_bound",
+            "eur_check",
+            "ks_alternate_partition",
+            "residual",
+            "strong_unext_search",
+        ),
+        analysis,
+    ),
+    "eigenbasis": bases,
+}
 
 __version__ = "0.1.0"
 
@@ -76,3 +108,13 @@ __all__ = [
     "residual",
     "strong_unext_search",
 ]
+
+
+def __getattr__(name: str):
+    if name in _NUMERIC:
+        return getattr(_NUMERIC[name], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_NUMERIC})

@@ -21,7 +21,10 @@ witness threshold is a constructive extension witness; a floor well above
 it across all starts is evidence (not proof) of strong unextendibility. The
 search is calibrated in both directions by the test suite. numpy is imported
 by the functions that compute with arrays, so importing this module does not
-load it.
+load it. Nor does importing the package run this module or mubforge.bases:
+both load on first use (see mubforge/__init__.py), so the rest of the
+package reads their names as ``analysis.X`` when it runs, never with a
+``from`` import when it is imported.
 
 Each call returns only what it computed: the search its best residual,
 vector and start counts, ``eur_check`` the per-basis collision entropies of

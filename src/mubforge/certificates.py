@@ -43,18 +43,7 @@ import time
 from contextlib import contextmanager
 from typing import Callable, Optional, Sequence
 
-from mubforge.analysis import (
-    SATURATION_TOL,
-    SEARCH_SETTINGS,
-    check_stop_below,
-    context_sign,
-    eur_bound,
-    eur_check,
-    ks_alternate_partition,
-    residual,
-    strong_unext_search,
-)
-from mubforge.bases import eigenbasis
+from mubforge import analysis, bases
 from mubforge.classes import (
     ClassSet,
     CommutingClass,
@@ -146,7 +135,7 @@ def _check_int(value, where: str) -> None:
 def strong_content(
     source: str, cs: ClassSet, starts: int, seed: int, stop_below: Optional[float]
 ) -> tuple[dict, dict]:
-    outcome = strong_unext_search(cs, starts, seed, stop_below=stop_below)
+    outcome = analysis.strong_unext_search(cs, starts, seed, stop_below=stop_below)
     payload = {
         "kind": "search_outcome",
         "classes": classes_to_json(cs),
@@ -158,7 +147,7 @@ def strong_content(
         "config": {
             "starts_requested": starts,
             "stop_below": stop_below,
-            **SEARCH_SETTINGS,
+            **analysis.SEARCH_SETTINGS,
             "best_start_index": outcome.best_start_index,
         },
     }
@@ -220,17 +209,17 @@ def unextendible_content(
 def eur_content(
     source: str, cs: ClassSet, extra: CommutingClass
 ) -> tuple[dict, dict]:
-    entropies = eur_check(cs, extra)
+    entropies = analysis.eur_check(cs, extra)
     config = {
         "source": source,
         "extra": " ".join(extra.letters()),
-        "saturation_tol": SATURATION_TOL,
+        "saturation_tol": analysis.SATURATION_TOL,
     }
     payload = {
         "kind": "eur_report",
         "classes": classes_to_json(cs),
         "extra_class": class_to_json(extra),
-        "bound": eur_bound(3, 4),
+        "bound": analysis.eur_bound(3, 4),
         "states": [
             {"label": label, "per_basis": list(h), "average": sum(h) / len(h)}
             for label, h in entropies.items()
@@ -241,8 +230,8 @@ def eur_content(
 
 
 def ks_content(source: str, cs: ClassSet) -> tuple[dict, dict]:
-    alternate = ks_alternate_partition(cs)
-    signs = [context_sign(c) for c in (*cs, *alternate)]
+    alternate = analysis.ks_alternate_partition(cs)
+    signs = [analysis.context_sign(c) for c in (*cs, *alternate)]
     minus = signs.count(-1)
     payload = {
         "kind": "ks_report",
@@ -420,7 +409,7 @@ def _verify_search_outcome(payload: dict, config: dict) -> list[str]:
             f"{path}.{key} is not a search outcome field"
             for key in sorted(set(node) - _OUTCOME_KEYS[path])
         ]
-    check_stop_below(settings["stop_below"])
+    analysis.check_stop_below(settings["stop_below"])
     for key in ("seed", "starts", "converged_starts"):
         _check_int(payload[key], f"payload.{key}")
     for key in ("starts_requested", "best_start_index"):
@@ -439,15 +428,15 @@ def _verify_search_outcome(payload: dict, config: dict) -> list[str]:
     requested = settings["starts_requested"]
     if starts > requested or (settings["stop_below"] is None and starts != requested):
         problems.append("starts made do not match the starts requested")
-    for key, value in SEARCH_SETTINGS.items():  # what every optimizer used
+    for key, value in analysis.SEARCH_SETTINGS.items():  # what every optimizer used
         if type(settings[key]) is not type(value) or settings[key] != value:
             problems.append(f"payload.config.{key} is not {value}")
     problems += _differences(config, _strong_config(source, payload), "config")
-    bases = [eigenbasis(c) for c in cs]
+    eigenbases = [bases.eigenbasis(c) for c in cs]
     if abs(np.linalg.norm(vec) - 1.0) > 1e-9:
         problems.append("best vector is not unit norm")
         return problems
-    fresh = residual(vec, bases)
+    fresh = analysis.residual(vec, eigenbases)
     if abs(fresh - payload["min_residual"]) > RESIDUAL_RECHECK_TOL:
         problems.append(
             f"recomputed residual {fresh!r} disagrees with recorded "
@@ -455,7 +444,9 @@ def _verify_search_outcome(payload: dict, config: dict) -> list[str]:
         )
     # Deterministic spot re-run: the first few starts can never beat the
     # recorded optimum of the full run.
-    rerun = strong_unext_search(cs, min(starts, RECHECK_STARTS), payload["seed"])
+    rerun = analysis.strong_unext_search(
+        cs, min(starts, RECHECK_STARTS), payload["seed"]
+    )
     if payload["min_residual"] > rerun.min_residual + RESIDUAL_RECHECK_TOL:
         problems.append("recorded residual is worse than a deterministic re-run")
     return problems

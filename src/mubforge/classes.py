@@ -34,6 +34,7 @@ from mubforge.pauli import (
     pauli_from_string,
 )
 from mubforge.search import (
+    MAX_SEARCH_QUBITS,
     all_maximal_classes,
     full_mask,
     keys_of_mask,
@@ -348,8 +349,14 @@ def class_from_json(data: dict) -> CommutingClass:
 
 def classes_from_json(data: dict) -> ClassSet:
     """The class set of ``classes_to_json``; its ``"complete"`` must be the
-    JSON bool its classes give."""
-    cs = ClassSet(int(data["n"]), tuple(class_from_json(c) for c in data["classes"]))
+    JSON bool its classes give. A set on more qubits than the searches and
+    eigenbases support is refused here, with one message for every command."""
+    n = int(data["n"])
+    if n > MAX_SEARCH_QUBITS:
+        raise ValueError(
+            f"class sets are read for up to {MAX_SEARCH_QUBITS} qubits, got {n}"
+        )
+    cs = ClassSet(n, tuple(class_from_json(c) for c in data["classes"]))
     if data["complete"] is not cs.complete:
         want = "true" if cs.complete else "false"
         raise ValueError(f'"complete" must be {want} for these classes')

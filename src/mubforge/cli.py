@@ -22,8 +22,8 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from typing import Optional
 
+from mubforge import analysis
 from mubforge import certificates as cert
-from mubforge.analysis import DEFAULT_STARTS
 from mubforge.classes import ClassSet, canonical_complete_set, classes_from_json
 from mubforge.named_sets import NAMED_CLASS_SETS, named_class_set
 from mubforge.unextendible import extra_classes_within_union
@@ -247,7 +247,9 @@ def _missing(exc: ImportError) -> str:
 
 def _cmd_strong(args: argparse.Namespace) -> int:
     cs = _resolve_source(args.source)
-    content = cert.strong_content(args.source, cs, args.starts, args.seed, args.stop_below)
+    # the parser leaves the default unset, so building it loads no numeric code
+    starts = analysis.DEFAULT_STARTS if args.starts is None else args.starts
+    content = cert.strong_content(args.source, cs, starts, args.seed, args.stop_below)
     certificate = cert.make_certificate("strong", *content)
     _emit(certificate, args.output, args.table)
     return EXIT_OK
@@ -352,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("strong", help="multistart search for an unbiased vector")
     p.add_argument("source", help="built-in name or class-set certificate path")
     add_common(p)
-    p.add_argument("--starts", type=int, default=DEFAULT_STARTS, help="number of starts")
+    p.add_argument("--starts", type=int, help="number of starts")
     p.add_argument(
         "--stop-below", type=float, default=None,
         help="stop early once a residual below this is found",

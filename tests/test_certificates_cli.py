@@ -552,15 +552,52 @@ def test_a_complete_flag_its_classes_contradict_is_refused(
 
 @pytest.mark.parametrize("n", [0, 2, 18, 10**18], ids=["n0", "n2", "n18", "huge-n"])
 def test_an_empty_class_set_is_refuted_without_building_its_cover(tmp_path, capsys, n):
-    # the file's n reaches no class, so the refusal must not cost 4**n - 1 bits
+    # the file's n reaches no class, so the refusal must not cost 4**n - 1 bits;
+    # an n above the search bound is refused as it is read
     good = tmp_path / "c.json"
     assert run(["complete-set", "-n", "2", "-o", str(good)]) == 0
 
     def empty(payload):
         payload["class_set"] = {"n": n, "classes": [], "complete": False}
 
+    reason = "class set is not complete"
+    if n > 4:
+        reason = f"class sets are read for up to 4 qubits, got {n}"
     assert _refuted_then_verified(tmp_path, capsys, good, empty) == [
-        "  - class set does not rebuild: class set is not complete"
+        f"  - class set does not rebuild: {reason}"
+    ]
+
+
+def test_a_class_set_beyond_the_search_bound_is_refused_as_it_is_read(
+    tmp_path, capsys
+):
+    # two disjoint 5-qubit classes make a file that pauli's 8-qubit bound
+    # accepts; every command that reads it as a source refuses it with the
+    # same line, and check still refutes it (exit 1)
+    from mubforge.classes import ClassSet, class_from_generators, classes_to_json
+    from mubforge.pauli import pauli_from_string
+
+    def single_letters(letter):
+        return [
+            pauli_from_string("I" * i + letter + "I" * (4 - i)) for i in range(5)
+        ]
+
+    cs = ClassSet(5, tuple(class_from_generators(single_letters(p)) for p in "ZX"))
+    payload = {
+        "kind": "class_set",
+        "class_set": classes_to_json(cs),
+        "expected_complete": True,
+    }
+    path = tmp_path / "five.json"
+    path.write_text(json.dumps(make_certificate("complete-set", {"n": 5}, payload)))
+    message = "class sets are read for up to 4 qubits, got 5"
+    for command in ("strong", "eur", "ks"):
+        assert run([command, str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert run(["check", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"{path}: REFUTED",
+        f"  - class set does not rebuild: {message}",
     ]
 
 
@@ -1279,20 +1316,26 @@ def test_fixed_extendibility_fields_are_enforced(tmp_path, capsys, mutate, where
     assert len(problems) == 1 and problems[0].startswith(f"  - {where} does not reproduce: ")
 
 
-def _python(code: str) -> str:
-    """Stdout of ``code`` run in a fresh interpreter that imports this package."""
+def _package_env() -> dict:
+    """This environment, with this package first on PYTHONPATH."""
     import os
-    import subprocess
-    import sys
 
     import mubforge
 
     env = dict(os.environ)
     src = str(Path(mubforge.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _python(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter that imports this package."""
+    import subprocess
+    import sys
+
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True, timeout=60,
+        [sys.executable, "-c", code], env=_package_env(), capture_output=True,
+        text=True, check=True, timeout=60,
     )
     return out.stdout.strip()
 
@@ -1398,15 +1441,105 @@ LAYERS = (
 
 
 def test_cli_import_loads_every_layer_but_not_numpy():
-    # every layer module is loaded, so code that patches or traces them
-    # finds them all, while numpy waits for the first numeric command; no
-    # layer defines its records with dataclasses, which would pull in inspect
+    # every layer module is registered in sys.modules, so code that patches
+    # or traces them finds them all; the numeric layer (analysis, bases) runs
+    # on first use, and numpy waits for the first numeric command; no layer
+    # defines its records with dataclasses, which would pull in inspect
     code = (
         "import sys, mubforge.cli\n"
         f"print(all('mubforge.' + m in sys.modules for m in {LAYERS!r}),"
         " [m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules])"
     )
     assert _python(code) == "True []"
+
+
+# whether each numeric-layer module has run: a module that LazyLoader holds
+# back is not a plain ModuleType, and reading any attribute of it would run it
+NUMERIC_LAYER_RAN = (
+    "print([type(sys.modules['mubforge.' + m]) is types.ModuleType"
+    " for m in ('analysis', 'bases')])"
+)
+
+
+def test_census_commands_never_run_the_numeric_layer(tmp_path):
+    code = f"""
+import contextlib, glob, io, os, sys, types
+from mubforge.cli import main
+os.chdir({str(tmp_path)!r})
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        main(["complete-set", "-n", "4", "-o", "complete.json"]),
+        main(["find-unextendible", "-n", "3", "--all", "-o", "unext"]),
+        main(["scan", "-n", "4", "--all", "-o", "scan.json"]),
+    ]
+    outputs = ["complete.json", "scan.json"] + sorted(glob.glob("unext/*.json"))
+    codes.append(main(["check"] + outputs))
+print(codes, len(outputs))
+{NUMERIC_LAYER_RAN}
+"""
+    assert _python(code).splitlines() == ["[0, 0, 0, 0] 128", "[False, False]"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["ks", "paper-d4-weak"], ["strong", "paper-d4-strong", "--starts", "5"]],
+    ids=["ks", "strong"],
+)
+def test_numeric_commands_run_the_numeric_layer(argv):
+    code = f"""
+import contextlib, io, sys, types
+from mubforge.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main({argv!r})
+print(code)
+{NUMERIC_LAYER_RAN}
+"""
+    assert _python(code).splitlines() == ["0", "[True, True]"]
+
+
+def test_package_import_runs_no_numeric_layer_yet_lists_its_names():
+    code = f"""
+import sys, types, mubforge
+{NUMERIC_LAYER_RAN}
+print(sorted(set(mubforge.__all__) - set(dir(mubforge))))
+{NUMERIC_LAYER_RAN}
+print(mubforge.eigenbasis is sys.modules["mubforge.bases"].eigenbasis)
+"""
+    assert _python(code).splitlines() == [
+        "[False, False]", "[]", "[False, False]", "True"
+    ]
+
+
+def test_the_benchmark_tracer_sees_the_numeric_layer(tmp_path):
+    # the tracer patches the layer modules it finds in sys.modules when it
+    # installs; reading a lazily loaded module's attributes runs it first,
+    # so a traced strong run and its check still record the numeric layer
+    import subprocess
+    import sys
+
+    child = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    calls = {}
+    for name, argv in (
+        ("strong", ["strong", "paper-d4-strong", "--starts", "20", "-o", "x.json"]),
+        ("check", ["check", "x.json"]),
+    ):
+        subprocess.run(
+            [sys.executable, str(child), f"{name}.report", "--trace",
+             f"{name}.spans", "--", *argv],
+            cwd=tmp_path, env=_package_env(), check=True, capture_output=True,
+            timeout=120,
+        )
+        trace = json.loads((tmp_path / f"{name}.report").read_text())["trace"]
+        calls.update({f"{name}:{k}": v["calls"] for k, v in trace.items()})
+    for span in (
+        "strong:analysis.strong_unext_search",
+        "strong:analysis.objective",
+        "strong:bases.eigenbasis",
+        "check:certificates.verify_payload.search_outcome",
+        "check:analysis.strong_unext_search",
+        "check:bases.eigenbasis",
+    ):
+        assert calls.get(span, 0) > 0, span
 
 
 def test_census_commands_run_with_numpy_unimportable(tmp_path):
