@@ -291,7 +291,7 @@ def _declared(what: str):
     """Declared inputs that fail to rebuild refute the claim they carry."""
     try:
         yield
-    except (KeyError, TypeError, ValueError, OverflowError, RuntimeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise _Refuted(f"{what} does not rebuild: {exc}") from None
 
 

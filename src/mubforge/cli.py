@@ -26,7 +26,7 @@ from mubforge import analysis
 from mubforge import certificates as cert
 from mubforge.classes import ClassSet, canonical_complete_set, classes_from_json
 from mubforge.named_sets import NAMED_CLASS_SETS, named_class_set
-from mubforge.unextendible import extra_classes_within_union
+from mubforge.unextendible import extra_classes_within_union, swap_classes
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -185,21 +185,22 @@ def _unextendible_certificate(n: int, chosen: tuple[int, ...], seed: int) -> dic
 
 
 def _cmd_find_unextendible(args: argparse.Namespace) -> int:
-    size = (1 << (args.dim - 1)) + 1
     if args.all:
-        from itertools import combinations
-
+        complete = canonical_complete_set(args.dim)
+        # every valid swap's choice, in itertools.combinations order
+        choices = sorted(
+            tuple(i for i in range(len(complete)) if c >> i & 1)
+            for c in swap_classes(complete)
+        )
         outdir = Path(args.output) if args.output else None
         if outdir:
             outdir.mkdir(parents=True, exist_ok=True)
-        count = 0
-        for chosen in combinations(range((1 << args.dim) + 1), size):
+        for chosen in choices:
             certificate = _unextendible_certificate(args.dim, chosen, args.seed)
-            count += 1
             name = f"unextendible-n{args.dim}-" + "-".join(map(str, chosen)) + ".json"
             _emit(certificate, outdir / name if outdir else None, args.table)
         if outdir:
-            print(f"wrote {count} certificates to {outdir}")
+            print(f"wrote {len(choices)} certificates to {outdir}")
         return EXIT_OK
     chosen = _parse_indices(args.choose)
     certificate = _unextendible_certificate(args.dim, chosen, args.seed)
@@ -338,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         "find-unextendible", help="build an unextendible set from chosen classes"
     )
     add_common(
-        p, (2, 3), "recorded in the certificate, unused by the construction", int
+        p, (2, 3, 4), "recorded in the certificate, unused by the construction", int
     )
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--choose", help="comma-separated class indices, e.g. 0,1,2")

@@ -17,18 +17,28 @@ positions numpy's generator picks from it) and reads two counts for each.
 The scan's working set, measured with ``tracemalloc`` once the family and
 the census are cached, is about 0.7 MiB.
 
+The swap construction has one rule at every n, read from the same
+census: a choice C of 2**(n-1) + 1 classes of a complete set owns a maximal
+class when that class's owner mask equals C, and the swap of C is valid
+when C owns exactly one class (``swap_classes``). The construction trades
+C for that class, and the scanner counts and checks the same swaps.
+
 On two qubits, any three classes of a complete set admit exactly one extra
 class inside their union, and no weakly unextendible four-set exists; the
 tests confirm the latter by direct enumeration, since no command needs it.
 On three qubits, five classes admit exactly one extra class while every
-other count admits none; the tests count this from the owner census. The
-four-qubit scanner gathers evidence for the analogous statement, which is
-an open conjecture; its report never claims more than the counts it
-observed.
+other count admits none; the tests count this from the owner census. So at
+n <= 3 every choice is a valid swap and its owned class is the one extra
+class in its union, a tested fact rather than the rule. On four qubits a
+nine-class union also holds the extra classes of its smaller
+sub-collections, and 1870 of the 24,310 choices own exactly one class; the
+rest own none. The four-qubit scanner gathers evidence for the analogous
+statement, which is an open conjecture; its report never claims more than
+the counts it observed.
 
 Each call returns only what it computed: ``build_unextendible_set`` the
 unextendible class set itself, the unchosen classes in their order and the
-extra class last, and ``conjecture_scan`` the counts, not the budget or
+owned class last, and ``conjecture_scan`` the counts, not the budget or
 seed it was given. The certificates record those inputs beside the result.
 """
 
@@ -36,6 +46,7 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import NamedTuple, Optional, Sequence
@@ -47,6 +58,7 @@ from mubforge.classes import (
     class_from_mask,
 )
 from mubforge.search import (
+    all_maximal_classes,
     classes_within_mask,
     count_extras,
     full_mask,
@@ -79,38 +91,52 @@ def extendibility_check(cs: ClassSet) -> tuple[CommutingClass, ...]:
     )
 
 
-def build_unextendible_set(complete: ClassSet, chosen: Sequence[int]) -> ClassSet:
-    """Trade the chosen half of a complete set for its unique extra class.
+@lru_cache(maxsize=16)
+def swap_classes(complete: ClassSet) -> dict[int, int]:
+    """Every valid swap of a complete set, as choice mask -> family index.
 
-    ``chosen`` selects 2**(n-1) + 1 classes. Their union supports exactly one
-    further maximal class S; the unchosen classes in their order, then S last,
-    form an unextendible set, which is certified here by an extendibility
-    check.
+    A choice C of 2**(n-1) + 1 classes of ``complete`` owns a maximal class
+    when that class's owner mask in ``owner_census(complete)`` equals C: the
+    class draws from every chosen class and from no other. The swap of C is
+    valid when C owns exactly one class, the value mapped to C. A set that
+    is not complete is refused with ValueError.
     """
-    if not complete.complete:
-        raise ValueError("requires a complete class set")
+    census = owner_census(complete)
+    size = (1 << (complete.n - 1)) + 1
+    owned = spanning_counts(census)
+    return {
+        owner: i
+        for i, owner in enumerate(census.owners)
+        if owner.bit_count() == size and owned[owner] == 1
+    }
+
+
+def build_unextendible_set(complete: ClassSet, chosen: Sequence[int]) -> ClassSet:
+    """Trade the chosen classes of a complete set for the one class they own.
+
+    ``chosen`` selects 2**(n-1) + 1 classes, and the swap takes the class
+    ``swap_classes`` maps them to: the sole maximal class drawing from every
+    chosen class and from no other. The unchosen classes in their order,
+    then that class last, form an unextendible set, which is certified here
+    by an extendibility check. A choice that owns no class, or several, is
+    refused with ValueError, as is a result the check finds extendible.
+    """
     n = complete.n
     expected = (1 << (n - 1)) + 1
     chosen = tuple(chosen)
-    if len(set(chosen)) != len(chosen):
-        raise ValueError("chosen indices repeat")
-    if any(not 0 <= i < len(complete) for i in chosen):
-        raise ValueError("chosen index out of range")
+    if len(set(chosen)) != len(chosen) or any(not 0 <= i < len(complete) for i in chosen):
+        raise ValueError("chosen indices repeat or fall outside the complete set")
     if len(chosen) != expected:
         raise ValueError(
             f"need exactly {expected} chosen classes at n={n}, got {len(chosen)}"
         )
-    sub = ClassSet(n, tuple(complete[i] for i in chosen))
-    found = extra_classes_within_union(sub)
-    if len(found) != 1:
-        raise RuntimeError(
-            f"expected exactly one extra class, found {len(found)}; "
-            "the construction's uniqueness guarantee is violated"
-        )
+    owned = swap_classes(complete).get(sum(1 << i for i in chosen))
+    if owned is None:
+        raise ValueError("the chosen classes do not own exactly one spanning class")
     rest = tuple(c for i, c in enumerate(complete) if i not in chosen)
-    result = ClassSet(n, rest + found)
+    result = ClassSet(n, (*rest, class_from_mask(n, all_maximal_classes(n)[owned])))
     if extendibility_check(result):
-        raise RuntimeError("constructed set is extendible; construction is broken")
+        raise ValueError("the swapped set is extendible")
     return result
 
 
@@ -169,15 +195,9 @@ def conjecture_scan(
 
     census = owner_census(complete)
     spanning = spanning_counts(census)
-    # the spanning classes of a choice C are the classes C owns; with exactly
-    # one, S, the swapped set is extendible exactly when some class fits in
-    # the union of C minus S
-    sole = {
-        owner: i
-        for i, owner in enumerate(census.owners)
-        if owner.bit_count() == 9 and spanning[owner] == 1
-    }
-    table = count_extras(census, 9, sole)
+    # with one spanning class S, the swapped set is extendible exactly when
+    # some class fits in the union of the choice minus S
+    table = count_extras(census, 9, swap_classes(complete))
     within = Counter(map(table.within.__getitem__, subsets))
     owned = Counter(map(spanning.__getitem__, subsets))
     failures = [

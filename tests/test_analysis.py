@@ -243,6 +243,21 @@ class TestStrongSearch:
             assert abs(out.min_residual - floor) < 1e-9
             assert out.converged_starts >= 980
 
+    def test_sixteen_dimensional_calibration_both_ways(self):
+        # a four-qubit swap set ends at the floor 1/16, which is evidence,
+        # not proof, that no vector is unbiased to all nine bases; nine
+        # classes of the complete set, which its other eight extend, yield
+        # a witness
+        cs = canonical_complete_set(4)
+        out = strong_unext_search(build_unextendible_set(cs, range(9)), starts=200)
+        assert abs(out.min_residual - 1 / 16) < 1e-9
+        for picks in (range(9), range(8, 17), range(0, 17, 2)):
+            out = strong_unext_search(
+                ClassSet(4, tuple(cs[i] for i in picks)), starts=50,
+                stop_below=analysis.WITNESS_THRESHOLD,
+            )
+            assert out.min_residual < analysis.WITNESS_THRESHOLD
+
     def test_a_singular_system_fails_only_its_own_row(self):
         rng = np.random.default_rng(6)
         a = rng.normal(size=(5, 4, 4))

@@ -140,6 +140,26 @@ class TestFindUnextendible:
         assert cert["payload"]["extendibility"]["found"] == []
         assert run(["check", str(out)]) == 0
 
+    def test_four_qubit_choice(self, tmp_path, capsys):
+        # the union of classes 0..8 holds three extra classes, of which the
+        # choice owns one; 0..7 with 9 owns none and is refused
+        out = tmp_path / "u16.json"
+        assert run([
+            "find-unextendible", "-n", "4", "--choose", "0,1,2,3,4,5,6,7,8",
+            "--output", str(out),
+        ]) == 0
+        cert = load(out)
+        assert len(cert["payload"]["classes"]["classes"]) == 9
+        assert cert["payload"]["extendibility"]["found"] == []
+        assert run(["check", str(out)]) == 0
+        capsys.readouterr()
+        assert run(["find-unextendible", "-n", "4", "--choose", "0,1,2,3,4,5,6,7,9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the chosen classes do not own exactly one spanning class\n"
+        )
+
     def test_all_choices_write_ten_verified_certificates(self, tmp_path):
         outdir = tmp_path / "all"
         assert run([
@@ -256,15 +276,16 @@ class TestCheckCommand:
 
     def test_rehashed_tamper_still_refuted(self, tmp_path):
         # fixing the hash after editing the payload must not fool the checker
-        out = tmp_path / "c.json"
-        run(["find-unextendible", "-n", "2", "--choose", "0,1,2", "--output", str(out)])
-        cert = load(out)
-        cert["payload"]["extendibility"]["universe_operators"][0] = "IY"
-        cert["payload_sha256"] = _payload_hash(
-            cert["command"], cert["config"], cert["payload"]
-        )
-        out.write_text(json.dumps(cert), encoding="utf-8")
-        assert run(["check", str(out)]) == 1
+        for n, choose in ((2, "0,1,2"), (4, "0,1,2,3,4,5,6,7,8")):
+            out = tmp_path / f"c{n}.json"
+            run(["find-unextendible", "-n", str(n), "--choose", choose, "--output", str(out)])
+            cert = load(out)
+            cert["payload"]["extendibility"]["universe_operators"][0] = "I" * (n - 1) + "Y"
+            cert["payload_sha256"] = _payload_hash(
+                cert["command"], cert["config"], cert["payload"]
+            )
+            out.write_text(json.dumps(cert), encoding="utf-8")
+            assert run(["check", str(out)]) == 1
 
     def test_truncated_file_exits_two(self, tmp_path):
         out = tmp_path / "c.json"
@@ -439,16 +460,16 @@ def test_provenance_that_does_not_rebuild_is_refuted(tmp_path, capsys):
     assert run(["find-unextendible", "-n", "2", "--choose", "0,1,2", "-o", str(good)]) == 0
 
     def foreign_provenance(payload):
-        # nine classes of the four-qubit set span three extra classes, not one
+        # these nine classes of the four-qubit set own no spanning class
         payload["provenance"] = {
             "complete_set": classes_to_json(canonical_complete_set(4)),
-            "chosen": list(range(9)),
+            "chosen": [0, 1, 2, 3, 4, 5, 6, 7, 9],
         }
 
     problems = _refuted_then_verified(tmp_path, capsys, good, foreign_provenance)
     assert problems == [
-        "  - provenance does not rebuild: expected exactly one extra class, found 3; "
-        "the construction's uniqueness guarantee is violated"
+        "  - provenance does not rebuild: "
+        "the chosen classes do not own exactly one spanning class"
     ]
 
 
@@ -1285,6 +1306,29 @@ def test_find_unextendible_hashes_are_pinned(tmp_path, n, count, sha256):
     assert hashlib.sha256(listing.encode("utf-8")).hexdigest() == sha256
 
 
+def test_find_unextendible_all_emits_its_136_certificates_in_a_pinned_order(capsys):
+    # one sha256 over the payload_sha256 lines of every n = 2 and n = 3
+    # certificate in the order --all prints them, so a change to any
+    # certificate or to the order of the choices fails here
+    import hashlib
+
+    digests = []
+    decoder = json.JSONDecoder()
+    for n in (2, 3):
+        assert run(["find-unextendible", "-n", str(n), "--all"]) == 0
+        text = capsys.readouterr().out
+        pos = 0
+        while text[pos:].strip():
+            certificate, end = decoder.raw_decode(text, pos)
+            digests.append(certificate["payload_sha256"])
+            pos = end + 1  # each certificate ends with a newline
+    assert len(digests) == 136
+    listing = "".join(f"{digest}\n" for digest in digests)
+    assert hashlib.sha256(listing.encode("utf-8")).hexdigest() == (
+        "3d5d7579cc281ada5dc81fa781659e12f84676e420a3c64cd714de9334ef9b6f"
+    )
+
+
 def _not_exhaustive(payload):
     payload["extendibility"]["exhaustive"] = False
 
@@ -1310,10 +1354,12 @@ def test_fixed_extendibility_fields_are_enforced(tmp_path, capsys, mutate, where
     # every unextendible certificate searched the leftover operators
     # exhaustively and found nothing; a re-hashed file that says otherwise
     # is refuted at the changed field
-    good = tmp_path / "w.json"
-    assert run(["find-unextendible", "-n", "3", "--choose", "0,2,4,6,8", "-o", str(good)]) == 0
-    problems = _refuted_then_verified(tmp_path, capsys, good, mutate)
-    assert len(problems) == 1 and problems[0].startswith(f"  - {where} does not reproduce: ")
+    for n, choose in ((3, "0,2,4,6,8"), (4, "0,1,2,3,4,5,6,7,8")):
+        (tmp_path / str(n)).mkdir()
+        good = tmp_path / str(n) / "w.json"
+        assert run(["find-unextendible", "-n", str(n), "--choose", choose, "-o", str(good)]) == 0
+        problems = _refuted_then_verified(tmp_path / str(n), capsys, good, mutate)
+        assert len(problems) == 1 and problems[0].startswith(f"  - {where} does not reproduce: ")
 
 
 def _package_env() -> dict:
@@ -1557,10 +1603,11 @@ os.chdir({str(tmp_path)!r})
 codes = [
     main(["complete-set", "-n", "4", "-o", "complete.json"]),
     main(["find-unextendible", "-n", "3", "--all", "-o", "unext"]),
+    main(["find-unextendible", "-n", "4", "--choose", "0,1,2,3,4,5,6,7,8", "-o", "u16.json"]),
     main(["scan", "-n", "4", "--all", "-o", "scan.json"]),
     main(["ks", "paper-d4-weak", "-o", "ks.json"]),
 ]
-outputs = ["complete.json", "scan.json", "ks.json"] + sorted(glob.glob("unext/*.json"))
+outputs = ["complete.json", "u16.json", "scan.json", "ks.json"] + sorted(glob.glob("unext/*.json"))
 codes.append(main(["check"] + outputs))
 codes.append(main(["check", {strong_file!r}, "complete.json"]))
 err = io.StringIO()
@@ -1575,7 +1622,7 @@ print("stderr", err.getvalue().splitlines())
 print("codes", codes)
 """
     out = _python(code).splitlines()
-    assert out[-1] == "codes [0, 0, 0, 0, 0, 2, 2, 2, 2]"
+    assert out[-1] == "codes [0, 0, 0, 0, 0, 0, 2, 2, 2, 2]"
     assert out[-2] == "stderr " + repr([
         f"error: numpy is required for {command}" for command in ("strong", "eur", "scan")
     ])
@@ -1583,7 +1630,7 @@ print("codes", codes)
         f"{strong_file}: not checked (numpy is required for search_outcome payloads)",
         "complete.json: verified",
     ]
-    assert sum(line.endswith(": verified") for line in out) == 130
+    assert sum(line.endswith(": verified") for line in out) == 131
 
 
 # One certificate of each deterministic payload kind, each re-verified by

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -12,6 +13,7 @@ from mubforge.certificates import scan_content
 from mubforge.classes import (
     ClassSet,
     canonical_complete_set,
+    class_from_mask,
     class_from_strings,
     complete_set_from,
     mask_letters,
@@ -164,6 +166,40 @@ class TestBuildUnextendibleSet:
         triple = weak_triple_d4()
         with pytest.raises(ValueError):
             build_unextendible_set(triple, (0, 1, 2))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_below_four_qubits_the_owned_class_is_the_unions_only_extra(self, n):
+        # the one rule, a sole class owned by the choice, meets the older
+        # rule here: every choice's union holds exactly one extra class, and
+        # it is the class the construction swaps in
+        cs = canonical_complete_set(n)
+        for picks in combinations(range(len(cs)), (1 << (n - 1)) + 1):
+            extras = extra_classes_within_union(ClassSet(n, tuple(cs[i] for i in picks)))
+            assert extras == (build_unextendible_set(cs, picks)[-1],)
+
+    def test_four_qubit_construction_succeeds_exactly_for_the_scanned_swaps(self):
+        # over all C(17, 9) choices, the construction builds the 1870 that
+        # the scan counts as owning one spanning class, each passing the
+        # extendibility check inside it, and refuses the other 22,440
+        cs = canonical_complete_set(4)
+        _, _, choices, spanning = _one_spanning_choices()
+        owned = dict(zip(choices, spanning))
+        family = search.all_maximal_classes(4)
+        built, refusals = 0, Counter()
+        for picks in combinations(range(17), 9):
+            try:
+                us = build_unextendible_set(cs, picks)
+            except ValueError as exc:
+                refusals[str(exc)] += 1
+                continue
+            rest = tuple(c for i, c in enumerate(cs) if i not in picks)
+            swapped = owned[sum(1 << i for i in picks)]
+            assert us.classes == (*rest, class_from_mask(4, family[swapped]))
+            built += 1
+        [(message, refused)] = refusals.items()
+        assert message == "the chosen classes do not own exactly one spanning class"
+        scanned = conjecture_scan().spanning_distribution
+        assert (built, refused) == (scanned[1], scanned[0]) == (1870, 22440)
 
 
 def _brute_candidates(cs, i, j):
