@@ -11,8 +11,9 @@ first use: importing the package puts both modules in ``sys.modules`` and
 on the package, through ``importlib.util.LazyLoader``, but neither is
 compiled or run until one of its attributes is first read. The
 combinatorial commands never read one, so a process that runs them without
-cached bytecode does not compile those modules. Their public names below
-are served by the module ``__getattr__``, which loads them.
+cached bytecode does not compile those modules. Every name in ``__all__``
+not bound at import is theirs, served by the module ``__getattr__`` from
+``analysis``, which loads it.
 """
 
 import sys
@@ -57,25 +58,6 @@ def _lazy(name: str):
 bases = _lazy("mubforge.bases")
 analysis = _lazy("mubforge.analysis")
 
-# the names the package re-exports from the numeric layer, read on first use
-_NUMERIC = {
-    **dict.fromkeys(
-        (
-            "SearchOutcome",
-            "UnbiasedVectorProblem",
-            "collision_entropy",
-            "context_sign",
-            "eur_bound",
-            "eur_check",
-            "ks_alternate_partition",
-            "residual",
-            "strong_unext_search",
-        ),
-        analysis,
-    ),
-    "eigenbasis": bases,
-}
-
 __version__ = "0.1.0"
 
 __all__ = [
@@ -111,10 +93,11 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    if name in _NUMERIC:
-        return getattr(_NUMERIC[name], name)
+    # analysis binds every numeric name, eigenbasis from bases included
+    if name in __all__:
+        return getattr(analysis, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_NUMERIC})
+    return sorted({*globals(), *__all__})

@@ -26,7 +26,8 @@ from mubforge import analysis
 from mubforge import certificates as cert
 from mubforge.classes import ClassSet, canonical_complete_set, classes_from_json
 from mubforge.named_sets import NAMED_CLASS_SETS, named_class_set
-from mubforge.unextendible import extra_classes_within_union, swap_classes
+from mubforge.search import owner_census
+from mubforge.unextendible import extra_classes_within_union
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -147,6 +148,8 @@ def _resolve_source(source: str) -> ClassSet:
         raise ValueError(f"source {source!r} cannot be read ({exc.strerror})") from None
     except RecursionError:
         raise ValueError(f"source {source!r} is nested too deeply to read") from None
+    except ValueError as exc:  # not UTF-8, not JSON, or an over-long integer
+        raise ValueError(f"source {source!r} cannot be read as UTF-8 JSON ({exc})") from None
     payload = data.get("payload", data) if isinstance(data, dict) else data
     if not isinstance(payload, dict):
         raise ValueError(f"source {source!r} does not hold a payload object")
@@ -190,7 +193,7 @@ def _cmd_find_unextendible(args: argparse.Namespace) -> int:
         # every valid swap's choice, in itertools.combinations order
         choices = sorted(
             tuple(i for i in range(len(complete)) if c >> i & 1)
-            for c in swap_classes(complete)
+            for c in owner_census(complete).swaps
         )
         outdir = Path(args.output) if args.output else None
         if outdir:

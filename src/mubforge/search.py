@@ -16,10 +16,15 @@ complete-set classes its operators come from. A class lies inside the
 union of a sub-collection C iff its owner is a subset of C, and it draws
 from every class of C iff its owner equals C. Answers are counts in flat
 ``array`` tables of 2**len(parts) entries indexed by the sub-collection
-mask: ``spanning_counts`` counts the classes each C owns, and
+mask: the census's ``spanning`` table counts the classes each C owns, and
 ``count_extras`` lifts each owner to its supersets of one size, so its
 cost follows the answers it finds, not the 2**(2**n + 1) possible
 sub-collections. At n = 4 a table is 2**17 16-bit counts, 256 KiB.
+
+The census also carries the swap rule of the unextendible constructions,
+built once beside the owner masks it reads: a choice C of 2**(n-1) + 1
+classes owns a class when that class's owner equals C, and the swap of C
+is valid when C owns exactly one class (``OwnerCensus.swaps``).
 
 The same pass answers "does any class fit inside the union of C minus one
 class S" for the choices it is given with their S: such a class has its
@@ -39,6 +44,7 @@ from __future__ import annotations
 from array import array
 from functools import lru_cache
 from itertools import combinations, product
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 if TYPE_CHECKING:  # classes builds on this module
@@ -163,11 +169,22 @@ class OwnerCensus(NamedTuple):
     sub-collection of the complete set is a mask C of the same kind. A
     single-bit owner marks a complete-set class itself; every other class
     is an extra class.
+
+    ``spanning[C]`` counts the extra classes whose owner is C, the ones
+    that draw from every class of C: a flat table of 2**len(parts) unsigned
+    16-bit entries, since a count never passes the family size (2295 at
+    n = 4). C owns those classes. ``swaps`` maps each choice C of
+    ``swap_size`` = 2**(n-1) + 1 classes that owns exactly one class to
+    that class's family index: the swap of C trades it for that class.
+    Both are read-only, since every caller shares the cached census.
     """
 
     n: int
     parts: tuple[int, ...]
     owners: tuple[int, ...]
+    spanning: memoryview
+    swap_size: int
+    swaps: Mapping[int, int]
 
 
 @lru_cache(maxsize=16)
@@ -180,22 +197,20 @@ def owner_census(complete: ClassSet) -> OwnerCensus:
     owners = tuple(
         sum(bit for bit, m in bits if m & cls) for cls in all_maximal_classes(n)
     )
-    return OwnerCensus(n, parts, owners)
-
-
-def spanning_counts(census: OwnerCensus) -> array:
-    """Number of extra classes owned by each sub-collection, as a flat table.
-
-    Entry C counts the extra classes whose owner is C: the ones drawing from
-    every class of C. The table has 2**len(parts) entries, one per
-    sub-collection mask; a count never passes the family size (2295 at
-    n = 4), so unsigned 16-bit entries hold it.
-    """
-    table = array("H", [0]) * (1 << len(census.parts))
-    for owner in census.owners:
+    spanning = array("H", [0]) * (1 << len(parts))
+    for owner in owners:
         if owner & (owner - 1):
-            table[owner] += 1
-    return table
+            spanning[owner] += 1
+    size = (1 << (n - 1)) + 1
+    swaps = {
+        owner: i
+        for i, owner in enumerate(owners)
+        if owner.bit_count() == size and spanning[owner] == 1
+    }
+    return OwnerCensus(
+        n, parts, owners, memoryview(spanning).toreadonly(), size,
+        MappingProxyType(swaps),
+    )
 
 
 class ExtrasTable(NamedTuple):

@@ -20,8 +20,10 @@ the census are cached, is about 0.7 MiB.
 The swap construction has one rule at every n, read from the same
 census: a choice C of 2**(n-1) + 1 classes of a complete set owns a maximal
 class when that class's owner mask equals C, and the swap of C is valid
-when C owns exactly one class (``swap_classes``). The construction trades
-C for that class, and the scanner counts and checks the same swaps.
+when C owns exactly one class. The census holds that size as
+``swap_size`` and the valid swaps as ``swaps``, each choice mapped to the
+class it owns. The construction trades C for that class, and the scanner
+counts and checks the same swaps.
 
 On two qubits, any three classes of a complete set admit exactly one extra
 class inside their union, and no weakly unextendible four-set exists; the
@@ -46,7 +48,6 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import NamedTuple, Optional, Sequence
@@ -63,7 +64,6 @@ from mubforge.search import (
     count_extras,
     full_mask,
     owner_census,
-    spanning_counts,
 )
 
 
@@ -91,46 +91,27 @@ def extendibility_check(cs: ClassSet) -> tuple[CommutingClass, ...]:
     )
 
 
-@lru_cache(maxsize=16)
-def swap_classes(complete: ClassSet) -> dict[int, int]:
-    """Every valid swap of a complete set, as choice mask -> family index.
-
-    A choice C of 2**(n-1) + 1 classes of ``complete`` owns a maximal class
-    when that class's owner mask in ``owner_census(complete)`` equals C: the
-    class draws from every chosen class and from no other. The swap of C is
-    valid when C owns exactly one class, the value mapped to C. A set that
-    is not complete is refused with ValueError.
-    """
-    census = owner_census(complete)
-    size = (1 << (complete.n - 1)) + 1
-    owned = spanning_counts(census)
-    return {
-        owner: i
-        for i, owner in enumerate(census.owners)
-        if owner.bit_count() == size and owned[owner] == 1
-    }
-
-
 def build_unextendible_set(complete: ClassSet, chosen: Sequence[int]) -> ClassSet:
     """Trade the chosen classes of a complete set for the one class they own.
 
-    ``chosen`` selects 2**(n-1) + 1 classes, and the swap takes the class
-    ``swap_classes`` maps them to: the sole maximal class drawing from every
-    chosen class and from no other. The unchosen classes in their order,
-    then that class last, form an unextendible set, which is certified here
-    by an extendibility check. A choice that owns no class, or several, is
-    refused with ValueError, as is a result the check finds extendible.
+    ``chosen`` selects ``swap_size`` = 2**(n-1) + 1 classes, and the swap
+    takes the class the owner census's ``swaps`` maps them to: the sole
+    maximal class drawing from every chosen class and from no other. The
+    unchosen classes in their order, then that class last, form an
+    unextendible set, which is certified here by an extendibility check. A
+    choice that owns no class, or several, is refused with ValueError, as
+    is a result the check finds extendible or a set that is not complete.
     """
     n = complete.n
-    expected = (1 << (n - 1)) + 1
     chosen = tuple(chosen)
     if len(set(chosen)) != len(chosen) or any(not 0 <= i < len(complete) for i in chosen):
         raise ValueError("chosen indices repeat or fall outside the complete set")
-    if len(chosen) != expected:
+    census = owner_census(complete)
+    if len(chosen) != census.swap_size:
         raise ValueError(
-            f"need exactly {expected} chosen classes at n={n}, got {len(chosen)}"
+            f"need exactly {census.swap_size} chosen classes at n={n}, got {len(chosen)}"
         )
-    owned = swap_classes(complete).get(sum(1 << i for i in chosen))
+    owned = census.swaps.get(sum(1 << i for i in chosen))
     if owned is None:
         raise ValueError("the chosen classes do not own exactly one spanning class")
     rest = tuple(c for i, c in enumerate(complete) if i not in chosen)
@@ -173,19 +154,21 @@ def conjecture_scan(
 ) -> ConjectureScanReport:
     """Scan nine-class choices from the canonical four-qubit complete set.
 
-    ``budget=None`` scans all C(17, 9) choices; otherwise ``budget`` distinct
+    ``budget=None`` scans all 24,310 choices; otherwise ``budget`` distinct
     choices are sampled deterministically from ``seed``. The report carries
     full count distributions and never asserts the conjectured value.
     """
     if budget is not None and budget < 1:
         raise ValueError("budget must be at least 1")
     complete = canonical_complete_set(4)
-    # every nine-class choice as a bit mask, in itertools.combinations order
-    # (the bits are distinct, so their sum is their union)
+    census = owner_census(complete)
+    size = census.swap_size
+    # every choice as a bit mask, in itertools.combinations order (the bits
+    # are distinct, so their sum is their union)
     bits = [1 << i for i in range(len(complete))]
-    total = comb(len(bits), 9)
+    total = comb(len(bits), size)
     # 4 bytes per choice, read once by each count below
-    subsets = array("I", map(sum, combinations(bits, 9)))
+    subsets = array("I", map(sum, combinations(bits, size)))
     exhaustive = budget is None or budget >= total
     if not exhaustive:
         import numpy as np  # its generator fixes which choices a seed samples
@@ -193,13 +176,11 @@ def conjecture_scan(
         picks = np.random.default_rng(seed).choice(total, size=budget, replace=False)
         subsets = array("I", map(subsets.__getitem__, sorted(picks.tolist())))
 
-    census = owner_census(complete)
-    spanning = spanning_counts(census)
     # with one spanning class S, the swapped set is extendible exactly when
     # some class fits in the union of the choice minus S
-    table = count_extras(census, 9, swap_classes(complete))
+    table = count_extras(census, size, census.swaps)
     within = Counter(map(table.within.__getitem__, subsets))
-    owned = Counter(map(spanning.__getitem__, subsets))
+    owned = Counter(map(census.spanning.__getitem__, subsets))
     failures = [
         tuple(i for i in range(len(complete)) if c >> i & 1)
         for c in filter(table.fit_after_removal.__contains__, subsets)

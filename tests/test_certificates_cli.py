@@ -197,8 +197,13 @@ class TestFindUnextendible:
         (["scan", "-n", "4"], "one of the arguments --budget --all is required"),
         (["find-unextendible", "-n", "2", "--all", "--choose", "0,1,2"],
          "argument --choose: not allowed with argument --all"),
+        (["strong", "paper-d4-strong", "--seed", "abc"],
+         "argument --seed: invalid int value: 'abc'"),
+        (["scan", "-n", "4", "--all", "--seed", "abc"],
+         "argument --seed: invalid int value: 'abc'"),
     ],
-    ids=["scan-all-and-budget", "scan-neither", "find-all-and-choose"],
+    ids=["scan-all-and-budget", "scan-neither", "find-all-and-choose",
+         "strong-seed-not-int", "scan-seed-not-int"],
 )
 def test_conflicting_or_missing_selection_exits_two_with_usage(argv, message, capsys):
     assert run(argv) == 2
@@ -1078,9 +1083,11 @@ class TestAnalysisCommands:
             ("eur", b"\xff\xfe"),
             ("strong", b"[" * 100000),
             ("strong", b'{"kind": "class_set", "class_set": {"n": 1e400}}'),
+            ("strong", b"not json"),
         ],
         ids=["json-array", "payload-array", "directory", "ks-no-classes",
-             "strong-no-classes", "not-utf8", "deep-nesting", "overflowing-n"],
+             "strong-no-classes", "not-utf8", "deep-nesting", "overflowing-n",
+             "not-json"],
     )
     def test_unreadable_source_is_malformed(self, tmp_path, capsys, command, content):
         source = tmp_path / "source.json"
@@ -1092,6 +1099,8 @@ class TestAnalysisCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        if content in (b"\xff\xfe", b"not json"):  # the text does not decode
+            assert err.startswith(f"error: source {str(source)!r} cannot be read as UTF-8 JSON (")
 
     def test_strong_from_a_scan_certificate_is_malformed(self, tmp_path, capsys):
         source = tmp_path / "scan.json"

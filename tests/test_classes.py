@@ -70,6 +70,26 @@ class TestClassConstruction:
         with pytest.raises(ValueError, match="generators"):
             class_from_generators(gens("ZI", "IZ", "ZZ"))
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: class_from_generators(gens("ZI", "ZZZ")), "different qubit counts"),
+            # i times IZ squares to minus the identity
+            (lambda: class_from_generators([PauliOperator(2, 0, 1, 1), *gens("ZI")]),
+             "IZ is not Hermitian"),
+            (lambda: class_from_generators(gens("II", "ZI")), "identity cannot generate"),
+            (lambda: class_from_elements([]), "empty element set"),
+            (lambda: class_from_elements(gens("ZI", "ZZZ")), "different qubit counts"),
+            (lambda: class_from_elements(gens("II", "ZI", "IZ", "ZZ")), "not closed"),
+        ],
+        ids=["generators-mixed-qubits", "generator-not-hermitian",
+             "generator-identity", "no-elements", "elements-mixed-qubits",
+             "element-identity"],
+    )
+    def test_malformed_generators_and_elements_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_seven_element_three_qubit_class(self):
         cls = class_from_generators(gens("ZII", "IZZ", "IIZ"))
         assert set(cls.letters()) == {"ZII", "IZZ", "ZZZ", "IIZ", "IZI", "ZIZ", "ZZI"}
@@ -260,6 +280,11 @@ class TestCompleteSets:
         want = [frozenset(group) for group in CANONICAL_D4_COMPLETE]
         got = [frozenset(c.letters()) for c in cs.classes]
         assert got == want
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_canonical_sets_outside_two_to_four_qubits_are_refused(self, n):
+        with pytest.raises(ValueError, match="cover 2, 3 or 4 qubits"):
+            canonical_complete_set(n)
 
     @pytest.mark.parametrize("n,count,total", [(2, 5, 15), (3, 9, 63), (4, 17, 255)])
     def test_canonical_sets_partition_everything(self, n, count, total):

@@ -29,7 +29,6 @@ from mubforge.search import (
     count_extras,
     full_mask,
     owner_census,
-    spanning_counts,
 )
 from mubforge.unextendible import (
     build_unextendible_set,
@@ -354,7 +353,7 @@ def _assert_engine_matches_oracle(n, complete, subsets):
     owners = _direct_owners(n, masks)
     census = owner_census(complete)
     family = search.all_maximal_classes(n)
-    spanning = spanning_counts(census)
+    spanning = census.spanning
     by_size = {}
     for subset in subsets:
         by_size.setdefault(subset.bit_count(), []).append(subset)
@@ -417,6 +416,20 @@ class TestOwnerCensus:
         assert census.n == n
         assert census.owners == tuple(_direct_owners(n, masks))
         assert census.parts == masks
+
+    def test_the_census_is_read_only_and_built_once_for_its_readers(self):
+        census = owner_census(canonical_complete_set(4))
+        choice = next(iter(census.swaps))
+        with pytest.raises(TypeError):
+            census.swaps[choice] = 0
+        with pytest.raises(TypeError):
+            census.spanning[choice] = 0
+        assert census.spanning[choice] == 1 and census.swap_size == 9
+        # the scan and the construction share one census of the n = 4 set
+        owner_census.cache_clear()
+        conjecture_scan()
+        build_unextendible_set(canonical_complete_set(4), range(9))
+        assert owner_census.cache_info().misses == 1
 
     def test_answers_do_not_depend_on_the_other_subsets_asked(self):
         # each subset's answer is the same asked alone, among the samples of
