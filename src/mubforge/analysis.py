@@ -71,7 +71,11 @@ _LAMBDA_CEILING = 1e16
 # a trial point whose damping will be at most this once its step is kept
 # gets the full Hessian in place of J^T J (three kept steps after the start)
 _LAMBDA_NEWTON = 1e-6
-_BATCH_CAP = 256  # the most starts in flight at once, and the starts drawn at once
+# the starts in flight at once, and the starts drawn at once, are at least
+# _BATCH_ROWS, and more while their (d-1) x (d-1) float64 of state per row
+# fit in _BATCH_BYTES: 256 rows from d = 8 up, 1393 at d = 4
+_BATCH_ROWS = 256
+_BATCH_BYTES = 256 * 7 * 7 * 8
 
 # numpy's SeedSequence (hash and mix constants, uint32 words) and PCG64
 # (128-bit LCG multiplier, as 64-bit halves), which together draw the
@@ -288,13 +292,14 @@ def strong_unext_search(
     sets instead. A singular damped system, possible only in the Newton
     phase, counts as a rejected step for its start alone.
 
-    All starts in flight, at most _BATCH_CAP of them, are iterated as one
-    batch whose rows never interact, and each row's mode depends only on its
-    own lambda, so every start's result is the same whatever else shares its
-    batch, and a run that stops early after k starts matches a run of k
-    starts. ``stop_below`` ends the search at the first start (by index)
-    whose residual falls under the threshold, which is enough when only a
-    witness is wanted; it must be None or a finite number.
+    All starts in flight, at most max(_BATCH_ROWS, _BATCH_BYTES // (8
+    (d-1)^2)) of them, are iterated as one batch whose rows never interact,
+    and each row's mode depends only on its own lambda, so every start's
+    result is the same whatever else shares its batch, and a run that stops
+    early after k starts matches a run of k starts. ``stop_below`` ends the
+    search at the first start (by index) whose residual falls under the
+    threshold, which is enough when only a witness is wanted; it must be
+    None or a finite number.
 
     A result below WITNESS_THRESHOLD is a constructive extension witness; a
     floor far above it across all starts is evidence, not proof, that no
@@ -326,20 +331,25 @@ def _multistart(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Final F, angles and converged flag of each counted start.
 
-    Starts join the batch in index order, in blocks of 1, 2, 4, ... while
-    it holds fewer than _BATCH_CAP rows, and leave it when they stop, so a
-    slow start never holds the next ones back. Once a start ends below
-    ``stop_below``, later starts are dropped and only the earlier ones run
-    on; the starts counted are those up to the first one below it.
+    The batch holds at most cap = max(_BATCH_ROWS, _BATCH_BYTES // (8
+    (d-1)^2)) rows: small d, whose rows hold little state, gets more of
+    them, and from d = 8 up the cap is 256 rows. Starts join the batch in
+    index order, in blocks of 1, 2, 4, ... while it holds fewer than cap
+    rows, and leave it when they stop, so a slow start never holds the next
+    ones back. Once a start ends below ``stop_below``, later starts are
+    dropped and only the earlier ones run on; the starts counted are those
+    up to the first one below it.
 
     Start k begins at default_rng([seed, k]).uniform(0, 2 pi, d-1), which
-    ``_start_angles`` computes for the next _BATCH_CAP starts at once, and
-    only when admission runs past the starts already drawn. So at most
-    _BATCH_CAP rows are in flight and at most _BATCH_CAP starts drawn ahead,
-    whatever ``starts`` is. At 256 the d = 8 1000-start search peaks near
-    1.4 MiB under tracemalloc (5.2 MiB at 1024) and runs as fast as with 512
-    or 1024 rows; at d = 4 it makes more, smaller kernel calls and costs a
-    few milliseconds per 1000 starts.
+    ``_start_angles`` computes for the next cap starts at once, and only
+    when admission runs past the starts already drawn. So at most cap rows
+    are in flight and at most cap starts drawn ahead, whatever ``starts``
+    is. At d = 8 the 1000-start search peaks near 1.4 MiB under tracemalloc
+    (5.2 MiB at 1024 rows) and runs as fast as with 512 or 1024 rows; at d
+    = 16 the budget alone would allow 55 rows, which ran no faster than 256.
+    At d = 4 the cap is 1393 rows, more than a 1000-start search ever holds
+    (its blocks add up to 1023), and that search peaks near 1.3 MiB, where
+    256 rows cost it more, smaller kernel calls.
 
     Each row keeps the (g, H) of its current point. A trial point is
     evaluated in Newton mode exactly when the lambda it would bring,
@@ -349,6 +359,7 @@ def _multistart(
     import numpy as np
 
     n = problem.d - 1
+    cap = max(_BATCH_ROWS, _BATCH_BYTES // (8 * n * n))
     final_f = np.empty(starts)
     final_theta = np.empty((starts, n))
     converged = np.zeros(starts, dtype=bool)
@@ -366,11 +377,11 @@ def _multistart(
     steps = np.empty(0, dtype=np.intp)
     drawn = np.empty((0, n))  # the angles of starts admitted, admitted + 1, ..
     while admitted < limit or index.size:
-        room = min(block, _BATCH_CAP - index.size, limit - admitted)
+        room = min(block, cap - index.size, limit - admitted)
         if room > 0:
             if len(drawn) < room:
                 ahead = admitted + len(drawn)
-                ks = np.arange(ahead, min(ahead + _BATCH_CAP, limit))
+                ks = np.arange(ahead, min(ahead + cap, limit))
                 drawn = np.concatenate([drawn, _start_angles(seed, ks, n)])
             new = np.arange(admitted, admitted + room)
             theta0, drawn = drawn[:room], drawn[room:]

@@ -16,19 +16,19 @@ complete-set classes its operators come from. A class lies inside the
 union of a sub-collection C iff its owner is a subset of C, and it draws
 from every class of C iff its owner equals C. Answers are counts in flat
 ``array`` tables of 2**len(parts) entries indexed by the sub-collection
-mask: the census's ``spanning`` table counts the classes each C owns, and
-``count_extras`` lifts each owner to its supersets of one size, so its
-cost follows the answers it finds, not the 2**(2**n + 1) possible
-sub-collections. At n = 4 a table is 2**17 16-bit counts, 256 KiB.
+mask: the census's ``spanning`` table counts the classes each C owns. At
+n = 4 a table is 2**17 16-bit counts, 256 KiB.
 
 The census also carries the swap rule of the unextendible constructions,
-built once beside the owner masks it reads: a choice C of 2**(n-1) + 1
-classes owns a class when that class's owner equals C, and the swap of C
-is valid when C owns exactly one class (``OwnerCensus.swaps``).
-
-The same pass answers "does any class fit inside the union of C minus one
-class S" for the choices it is given with their S: such a class has its
-owner inside C and no key in S.
+built once beside the owner masks it reads: a choice C of ``swap_size`` =
+2**(n-1) + 1 classes owns a class when that class's owner equals C, and
+the swap of C is valid when C owns exactly one class
+(``OwnerCensus.swaps``). ``count_extras`` takes the census alone: it lifts
+each owner to its supersets of ``swap_size`` classes, so its cost follows
+the answers it finds, not the 2**(2**n + 1) possible sub-collections, and
+the same pass checks every swap, since a class fits inside the union of
+C minus the traded class S exactly when its owner lies inside C and it
+has no key in S.
 
 The family itself is built in closed form from the quadratic-form picture
 of stabilizer states (Dehaene and De Moor, quant-ph/0304125): the
@@ -113,11 +113,11 @@ def all_maximal_classes(n: int) -> tuple[int, ...]:
     of the graph element sum_l a_l (v_l, c_l) by a_i e(p_j) | a_j e(p_i), so
     the graphs of all forms come from doubling the graph of B = 0 once per
     entry. Each graph element (x, z) stands for the coset {(x, z + w) : w in
-    V-perp}, whose bits are the precomputed mask of z + V-perp shifted to
-    x's block of 2**n keys.
+    V-perp}, whose bits are the mask of z + V-perp shifted to x's block of
+    2**n keys. Those shifted masks are tabled once per x in V, and each
+    class is one sum over the table rows.
     """
     full_mask(n)
-    block = (1 << n) - 1
     found = []
     for pivots, rows in _echelon_bases(n):
         k = len(pivots)
@@ -126,9 +126,12 @@ def all_maximal_classes(n: int) -> tuple[int, ...]:
             if not any((w & v).bit_count() & 1 for v in rows)
         ]
         coset = [sum(1 << (z ^ w) for w in perp) for z in range(1 << n)]
-        graphs = [[0]]
+        xs = [0]
         for v in rows:
-            graphs[0] += [g ^ (v << n) for g in graphs[0]]
+            xs += [x ^ v for x in xs]
+        # row a: the coset of each z-part in the block of xs[a]
+        table = [[c << (x << n) for c in coset] for x in xs]
+        graphs = [[0] * len(xs)]  # the z-parts of each graph, in xs order
         for i in range(k):
             for j in range(i, k):
                 flip = [
@@ -137,7 +140,7 @@ def all_maximal_classes(n: int) -> tuple[int, ...]:
                 ]
                 graphs += [[g ^ f for g, f in zip(graph, flip)] for graph in graphs]
         for graph in graphs:  # bit 0 is the identity, which no mask holds
-            found.append(sum(coset[g & block] << (g & ~block) for g in graph) >> 1)
+            found.append(sum(map(list.__getitem__, table, graph)) >> 1)
     # A precedes B in key-tuple order exactly when the lowest key in only
     # one of them is in A, so the order is descending on bit-reversed masks.
     # A mask's little-endian bytes, each with its bits reversed, are the
@@ -214,54 +217,51 @@ def owner_census(complete: ClassSet) -> OwnerCensus:
 
 
 class ExtrasTable(NamedTuple):
-    """What ``count_extras`` found for the sub-collections of one size.
+    """What ``count_extras`` found for the swap-size sub-collections of a census.
 
     ``within[C]`` is the number of extra classes inside the union of C, for
-    every C of that size (other entries stay 0). ``fit_after_removal``
-    holds the sub-collections C asked about whose union, minus the class
-    removed from it, still holds a maximal class.
+    every C of ``swap_size`` classes (other entries stay 0).
+    ``failed_swaps`` holds the choices of ``swaps`` whose traded set is
+    extendible: the union of C, minus the class C is traded for, still
+    holds a maximal class.
     """
 
     within: array
-    fit_after_removal: frozenset[int]
+    failed_swaps: frozenset[int]
 
 
-def count_extras(
-    census: OwnerCensus, size: int, removed: Mapping[int, int]
-) -> ExtrasTable:
-    """Count the extra classes inside every union of ``size`` complete-set classes.
+def count_extras(census: OwnerCensus) -> ExtrasTable:
+    """Count the extra classes inside every union of ``swap_size`` classes.
 
     An extra class lies inside the union of C exactly when its owner is a
-    subset of C, so every extra owner of at most ``size`` bits is lifted to
-    its size-``size`` supersets and each lift adds one to a flat table
-    indexed by the sub-collection mask. The cost is the number of (class,
+    subset of C, so every extra owner of at most ``swap_size`` bits is
+    lifted to its supersets of that size and each lift adds one to a flat
+    table indexed by the sub-collection mask; an owner of ``swap_size`` bits
+    lifts only to itself. The cost is the number of (class,
     sub-collection) pairs, and the memory one table of 2**len(parts)
     counts, however many sub-collections are read back.
 
-    ``removed`` maps sub-collections of that size to the family index of a
-    class taken out of their union. The classes whose owner lies inside C
+    The same pass checks each swap. The classes whose owner lies inside C
     are its extras and its complete-set classes, and one of them fits in
-    what is left exactly when it shares no operator with the removed class:
-    for a complete-set class, when the removed class's owner misses it. The
-    same pass tests each lift against the map.
+    what is left of the union of C once the traded class is taken out
+    exactly when it shares no operator with that class: for a complete-set
+    class, when the traded class's owner misses it.
     """
-    if any(c.bit_count() != size for c in removed):
-        raise ValueError(f"removal is asked for a sub-collection not of size {size}")
     family = all_maximal_classes(census.n)
-    owners = census.owners
+    owners, size, swaps = census.owners, census.swap_size, census.swaps
     within = array("H", [0]) * (1 << len(census.parts))
-    fits = {c for c, r in removed.items() if c & ~owners[r]}
+    failed = {c for c, r in swaps.items() if c & ~owners[r]}
     bits = [1 << j for j in range(len(census.parts))]
     for i, owner in enumerate(owners):
         p = owner.bit_count()
         if not 2 <= p <= size:
             continue
         cls = family[i]
-        free = [b for b in bits if not owner & b]
+        free = [b for b in bits if not owner & b] if p < size else ()
         # the added bits are free, so each sum is a union with the owner
         for c in map(owner.__add__, map(sum, combinations(free, size - p))):
             within[c] += 1
-            r = removed.get(c)
+            r = swaps.get(c)
             if r is not None and not cls & family[r]:
-                fits.add(c)
-    return ExtrasTable(within, frozenset(fits))
+                failed.add(c)
+    return ExtrasTable(within, frozenset(failed))

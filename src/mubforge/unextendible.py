@@ -9,10 +9,12 @@ it found, so an empty answer from ``extendibility_check`` is the
 weak-unextendibility certificate. The scanner, which asks the same
 question of many sub-collections of one complete set, reads every answer
 from that set's owner-mask census instead: which complete-set classes each
-maximal class draws from, lifted to the sub-collections whose union holds
-it. The lifts are counted in one flat table indexed by the sub-collection
-mask, and the classes each choice owns in a second one, so the scan keeps
-its 24,310 choice masks in a 4-byte array (a sampled scan only the
+maximal class draws from, lifted to the sub-collections of the census's
+``swap_size`` whose union holds it. ``count_extras(census)`` counts the
+lifts in one flat table indexed by the sub-collection mask and, in the same
+pass, finds the swaps of the census whose traded set is extendible; the
+census counts the classes each choice owns in a second table. So the scan
+keeps its 24,310 choice masks in a 4-byte array (a sampled scan only the
 positions numpy's generator picks from it) and reads two counts for each.
 The scan's working set, measured with ``tracemalloc`` once the family and
 the census are cached, is about 0.7 MiB.
@@ -176,14 +178,12 @@ def conjecture_scan(
         picks = np.random.default_rng(seed).choice(total, size=budget, replace=False)
         subsets = array("I", map(subsets.__getitem__, sorted(picks.tolist())))
 
-    # with one spanning class S, the swapped set is extendible exactly when
-    # some class fits in the union of the choice minus S
-    table = count_extras(census, size, census.swaps)
+    table = count_extras(census)
     within = Counter(map(table.within.__getitem__, subsets))
     owned = Counter(map(census.spanning.__getitem__, subsets))
     failures = [
         tuple(i for i in range(len(complete)) if c >> i & 1)
-        for c in filter(table.fit_after_removal.__contains__, subsets)
+        for c in filter(table.failed_swaps.__contains__, subsets)
     ]
     return ConjectureScanReport(
         exhaustive=exhaustive,

@@ -334,9 +334,11 @@ class TestStrongSearch:
     )
     def test_batch_split_does_not_change_results(self, monkeypatch, source, opts):
         # every start's result is its own: how the starts are batched
-        # together, down to one at a time, changes nothing; on the
-        # extendible triple, one iteration per start keeps the first starts
-        # above the bar, so stop_below ends the run part-way
+        # together, down to one at a time, at the default cap (1393 rows at
+        # d = 4 from the byte budget, 256 at d = 8), or at 1024 rows,
+        # changes nothing; on the extendible triple, one iteration per start
+        # keeps the first starts above the bar, so stop_below ends the run
+        # part-way
         if source == "d4-extendible":
             monkeypatch.setattr(analysis, "MAX_ITERATIONS", 1)
         cs = {
@@ -345,8 +347,10 @@ class TestStrongSearch:
             "d4-extendible": first_three,
         }[source]()
         outcomes = []
-        for cap in (1, 7, analysis._BATCH_CAP, 1024):
-            monkeypatch.setattr(analysis, "_BATCH_CAP", cap)
+        default = (analysis._BATCH_ROWS, analysis._BATCH_BYTES)
+        for rows, budget in ((1, 0), (7, 0), default, (1024, 0)):
+            monkeypatch.setattr(analysis, "_BATCH_ROWS", rows)
+            monkeypatch.setattr(analysis, "_BATCH_BYTES", budget)
             outcomes.append(strong_unext_search(cs, **opts))
         first = outcomes[0]
         for out in outcomes[1:]:
@@ -357,9 +361,11 @@ class TestStrongSearch:
             assert out.best_start_index == first.best_start_index
 
     def test_search_peak_memory_is_bounded(self):
-        # at most _BATCH_CAP starts are in flight or drawn ahead at once;
-        # the problem tables and bases are built once before measuring
+        # at most 256 starts are in flight or drawn ahead at once at d = 8,
+        # where the byte budget allows no more than the row floor; the
+        # problem tables and bases are built once before measuring
         cs = strong_five_d8()
+        assert analysis._BATCH_BYTES // (8 * 7 * 7) == analysis._BATCH_ROWS == 256
         strong_unext_search(cs, starts=5, seed=1)
         tracemalloc.start()
         try:
@@ -405,10 +411,11 @@ class TestStartAngles:
 
     @pytest.mark.parametrize("cap", [1, 7, 256])
     def test_the_search_starts_where_the_generators_do(self, monkeypatch, cap):
-        # a block of _BATCH_CAP starts is drawn only when admission runs
-        # past the starts already drawn, and the rows the search starts
-        # from are the per-start draws whatever the block boundaries
-        monkeypatch.setattr(analysis, "_BATCH_CAP", cap)
+        # a block of cap starts is drawn only when admission runs past the
+        # starts already drawn, and the rows the search starts from are the
+        # per-start draws whatever the block boundaries
+        monkeypatch.setattr(analysis, "_BATCH_ROWS", cap)
+        monkeypatch.setattr(analysis, "_BATCH_BYTES", 0)
         monkeypatch.setattr(analysis, "MAX_ITERATIONS", 1)
         calls = []
         draw = analysis._start_angles

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import tracemalloc
 from collections import Counter
 from itertools import combinations
+from types import MappingProxyType
 
 import pytest
 
@@ -348,35 +350,47 @@ def _unrelated_class(family, subset):
     return subset * 7919 % len(family)
 
 
+def _traded_for(census, traded):
+    """The census with its swaps replaced by the given choice -> class map."""
+    return census._replace(swaps=MappingProxyType(traded))
+
+
 def _assert_engine_matches_oracle(n, complete, subsets):
     masks = tuple(c.mask for c in complete)
     owners = _direct_owners(n, masks)
     census = owner_census(complete)
     family = search.all_maximal_classes(n)
-    spanning = census.spanning
-    by_size = {}
+    size = census.swap_size
+    table = count_extras(census)
+    # the choices also traded for an unrelated class, judged by the filter too
+    choices = [c for c in subsets if c.bit_count() == size]
+    unrelated = count_extras(
+        _traded_for(census, {c: _unrelated_class(family, c) for c in choices})
+    )
+    assert unrelated.within == table.within
+    assert table.failed_swaps <= census.swaps.keys()
     for subset in subsets:
-        by_size.setdefault(subset.bit_count(), []).append(subset)
-    for size, asked in by_size.items():
-        removed = {c: _unrelated_class(family, c) for c in asked}
-        table = count_extras(census, size, removed)
-        for subset in asked:
-            within = table.within[subset]
-            # brute force: every extra class whose owner lies inside the subset
-            assert within == sum(
-                not o & ~subset and o & (o - 1) != 0 for o in owners
-            ), bin(subset)
-            assert (within, spanning[subset]) == _oracle_counts(n, masks, subset), bin(
-                subset
-            )
-            # the removal answer against the containment filter
-            assert (subset in table.fit_after_removal) == _fits_by_filter(
-                n, masks, subset, family[removed[subset]]
-            ), bin(subset)
-        if n < 4:  # a table holds counts for its own size only
-            assert all(
-                not count or c.bit_count() == size for c, count in enumerate(table.within)
-            )
+        within, spanning = _oracle_counts(n, masks, subset)
+        assert census.spanning[subset] == spanning, bin(subset)
+        if subset.bit_count() != size:
+            continue
+        # brute force: every extra class whose owner lies inside the subset
+        assert table.within[subset] == within == sum(
+            not o & ~subset and o & (o - 1) != 0 for o in owners
+        ), bin(subset)
+        # the swap verdicts against the containment filter
+        for verdicts, traded in (
+            (table, census.swaps.get(subset)),
+            (unrelated, _unrelated_class(family, subset)),
+        ):
+            if traded is not None:
+                assert (subset in verdicts.failed_swaps) == _fits_by_filter(
+                    n, masks, subset, family[traded]
+                ), bin(subset)
+    if n < 4:  # the table holds counts for the swap size only
+        assert all(
+            not count or c.bit_count() == size for c, count in enumerate(table.within)
+        )
 
 
 def _sampled_four_qubit_subsets():
@@ -432,36 +446,44 @@ class TestOwnerCensus:
         assert owner_census.cache_info().misses == 1
 
     def test_answers_do_not_depend_on_the_other_subsets_asked(self):
-        # each subset's answer is the same asked alone, among the samples of
-        # its size, or among all 24310 nine-class choices
+        # each choice's verdict is the same asked alone, among the sampled
+        # nine-class choices, or among all 24310 of them; a valid swap is
+        # traded for its own class, which passes, any other choice for an
+        # unrelated class
         census = owner_census(canonical_complete_set(4))
         family = search.all_maximal_classes(4)
-        subsets = _sampled_four_qubit_subsets()
 
-        def ask(size, asked):
-            removed = {c: _unrelated_class(family, c) for c in asked}
-            return count_extras(census, size, removed)
+        def ask(asked):
+            return count_extras(_traded_for(census, {
+                c: census.swaps.get(c, _unrelated_class(family, c)) for c in asked
+            }))
 
         nines = [sum(1 << i for i in c) for c in combinations(range(17), 9)]
-        among_nines = ask(9, nines)
+        sampled = [c for c in _sampled_four_qubit_subsets() if c.bit_count() == 9]
+        among_nines, together = ask(nines), ask(sampled)
+        assert among_nines.within == together.within == count_extras(census).within
         verdicts = set()
-        for subset in subsets:
-            size = subset.bit_count()
-            alone = ask(size, [subset])
-            together = ask(size, [c for c in subsets if c.bit_count() == size])
-            assert alone.within == together.within
-            fits = subset in alone.fit_after_removal
-            assert fits == (subset in together.fit_after_removal)
-            if size == 9:
-                assert among_nines.within == alone.within
-                assert fits == (subset in among_nines.fit_after_removal)
+        for subset in sampled + nines[::500] + sorted(census.swaps)[::100]:
+            fits = subset in ask([subset]).failed_swaps
+            assert fits == (subset in among_nines.failed_swaps)
+            if subset in sampled:
+                assert fits == (subset in together.failed_swaps)
             verdicts.add(fits)
         assert verdicts == {True, False}
 
-    def test_removal_is_asked_only_of_the_lifted_size(self):
-        census = owner_census(canonical_complete_set(3))
-        with pytest.raises(ValueError, match="size 5"):
-            count_extras(census, 5, {0b1111: 0})
+    @pytest.mark.parametrize(
+        "n, count, sha256",
+        [
+            (2, 10, "5f63d22f62e91963bfaf7e42279edbc1ea6ba54a63100a7559972f14026e4ac7"),
+            (3, 126, "b936b6bb1d42aac35eb33c3e6e1366cfc3a11ecdb502b1468fa79968303f5265"),
+            (4, 1870, "bd598f16b7794ba128b19a92e6370507f0e33f7526298a008a9ff26a7dc5f299"),
+        ],
+    )
+    def test_swaps_are_pinned(self, n, count, sha256):
+        # which class each choice trades for, as (choice mask, family index)
+        swaps = sorted(owner_census(canonical_complete_set(n)).swaps.items())
+        assert len(swaps) == count
+        assert hashlib.sha256(repr(swaps).encode()).hexdigest() == sha256
 
     def test_rejects_a_class_set_that_is_not_complete(self):
         classes = canonical_complete_set(3).classes
@@ -509,6 +531,13 @@ class TestConjectureScan:
         assert report.within_union_distribution == {
             0: 2040, 1: 12240, 2: 8160, 3: 510, 4: 1360
         }
+        # the count of each nine-class choice, in combinations order, so the
+        # distribution cannot hold with the counts moved between choices
+        within = count_extras(owner_census(canonical_complete_set(4))).within
+        counts = [within[sum(1 << i for i in c)] for c in combinations(range(17), 9)]
+        assert hashlib.sha256(repr(counts).encode()).hexdigest() == (
+            "1022a98f6bd50169efc37659f8e9a98ec33724f5cad83b8ff4f885f14752c02d"
+        )
         assert report.spanning_distribution == {0: 22440, 1: 1870}
         assert report.swap_passes == 1870
         assert report.swap_failures == ()
@@ -517,7 +546,7 @@ class TestConjectureScan:
         # the family, the complete set and the owner census are cached
         # before measuring; the scan itself keeps two flat count tables
         census = owner_census(canonical_complete_set(4))
-        assert sum(count_extras(census, 9, {}).within) == 35530
+        assert sum(count_extras(census).within) == 35530
         tracemalloc.start()
         try:
             report = conjecture_scan()
@@ -547,10 +576,10 @@ def _one_spanning_choices():
     return census, masks, choices, spanning
 
 
-def _fit_after_removal(census, choices, removed):
-    """The engine's answer for each choice, asked of all choices in one pass."""
-    table = count_extras(census, 9, dict(zip(choices, removed)))
-    return [c in table.fit_after_removal for c in choices]
+def _failed_swaps(census, choices, traded):
+    """The engine's verdict on each choice traded for its class, in one pass."""
+    table = count_extras(_traded_for(census, dict(zip(choices, traded))))
+    return [c in table.failed_swaps for c in choices]
 
 
 def _lowest_chosen_class(family, masks, choices):
@@ -573,7 +602,7 @@ class TestSwapCheckFromCensus:
             want = [
                 _fits_by_filter(4, masks, c, family[r]) for c, r in zip(choices, removed)
             ]
-            assert _fit_after_removal(census, choices, removed) == want
+            assert _failed_swaps(census, choices, removed) == want
             verdicts.update(want)
         assert verdicts == {True, False}
 
@@ -582,7 +611,7 @@ class TestSwapCheckFromCensus:
         family = search.all_maximal_classes(4)
 
         def fits(removed):
-            return _fit_after_removal(census, choices, removed)
+            return _failed_swaps(census, choices, removed)
 
         assert not any(fits(spanning))
         # removing one chosen complete-set class leaves the other eight
