@@ -20,7 +20,7 @@ import json
 import sys
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from mubforge import analysis
 from mubforge import certificates as cert
@@ -74,20 +74,24 @@ def _indented_json(obj, pad: str = "\n") -> str:
     return json.dumps(obj)
 
 
-def _emit(certificate: dict, output: str | Path | None, table: bool) -> None:
-    """Write a certificate to ``output`` as indented, key-sorted JSON.
+def _write(args: argparse.Namespace, contents: Iterable[tuple]) -> int:
+    """Certify, render and write each ``(path, (config, payload))``; return EXIT_OK.
 
     The text is exactly ``json.dumps(certificate, indent=2, sort_keys=True)``,
     written by ``_indented_json`` at about twice the stdlib's speed. Without
-    an output path it goes to stdout, unless a table is asked for.
+    a path it goes to stdout, unless a table is asked for. ``contents`` may
+    be lazy: one certificate is held in memory at a time.
     """
-    text = _indented_json(certificate)
-    if output:
-        Path(output).write_text(text + "\n", encoding="utf-8")
-    if table:
-        _print_table(certificate)
-    elif not output:
-        print(text)
+    for path, content in contents:
+        certificate = cert.make_certificate(*content)
+        text = _indented_json(certificate)
+        if path:
+            Path(path).write_text(text + "\n", encoding="utf-8")
+        if args.table:
+            _print_table(certificate)
+        elif not path:
+            print(text)
+    return EXIT_OK
 
 
 def _print_table(certificate: dict) -> None:
@@ -126,8 +130,6 @@ def _print_table(certificate: dict) -> None:
         print(f"within-union counts: {payload['within_union_distribution']}")
         print(f"spanning counts    : {payload['spanning_distribution']}")
         print(f"swap passes        : {payload['swap_passes']}")
-    else:  # pragma: no cover
-        print(_indented_json(payload))
 
 
 def _resolve_source(source: str) -> ClassSet:
@@ -170,9 +172,7 @@ def _resolve_source(source: str) -> ClassSet:
 
 def _cmd_complete_set(args: argparse.Namespace) -> int:
     content = cert.complete_set_content(canonical_complete_set(args.dim))
-    certificate = cert.make_certificate("complete-set", *content)
-    _emit(certificate, args.output, args.table)
-    return EXIT_OK
+    return _write(args, [(args.output, content)])
 
 
 def _parse_indices(text: str) -> tuple[int, ...]:
@@ -182,32 +182,31 @@ def _parse_indices(text: str) -> tuple[int, ...]:
         raise ValueError(f"bad index list {text!r}; expected e.g. 0,1,2") from None
 
 
-def _unextendible_certificate(n: int, chosen: tuple[int, ...], seed: int) -> dict:
-    content = cert.unextendible_content(canonical_complete_set(n), chosen, seed)
-    return cert.make_certificate("find-unextendible", *content)
-
-
 def _cmd_find_unextendible(args: argparse.Namespace) -> int:
+    complete = canonical_complete_set(args.dim)
+    outdir = Path(args.output) if args.all and args.output else None
     if args.all:
-        complete = canonical_complete_set(args.dim)
         # every valid swap's choice, in itertools.combinations order
         choices = sorted(
             tuple(i for i in range(len(complete)) if c >> i & 1)
             for c in owner_census(complete).swaps
         )
-        outdir = Path(args.output) if args.output else None
-        if outdir:
-            outdir.mkdir(parents=True, exist_ok=True)
-        for chosen in choices:
-            certificate = _unextendible_certificate(args.dim, chosen, args.seed)
-            name = f"unextendible-n{args.dim}-" + "-".join(map(str, chosen)) + ".json"
-            _emit(certificate, outdir / name if outdir else None, args.table)
-        if outdir:
-            print(f"wrote {len(choices)} certificates to {outdir}")
-        return EXIT_OK
-    chosen = _parse_indices(args.choose)
-    certificate = _unextendible_certificate(args.dim, chosen, args.seed)
-    _emit(certificate, args.output, args.table)
+    else:
+        choices = [_parse_indices(args.choose)]
+    paths = [args.output] * len(choices)
+    if outdir:
+        outdir.mkdir(parents=True, exist_ok=True)
+        paths = [
+            outdir / f"unextendible-n{args.dim}-{'-'.join(map(str, c))}.json"
+            for c in choices
+        ]
+    # lazy, so that --all at n = 4 holds one of its 1870 certificates at a time
+    _write(args, (
+        (path, cert.unextendible_content(complete, chosen, args.seed))
+        for path, chosen in zip(paths, choices)
+    ))
+    if outdir:
+        print(f"wrote {len(choices)} certificates to {outdir}")
     return EXIT_OK
 
 
@@ -254,9 +253,7 @@ def _cmd_strong(args: argparse.Namespace) -> int:
     # the parser leaves the default unset, so building it loads no numeric code
     starts = analysis.DEFAULT_STARTS if args.starts is None else args.starts
     content = cert.strong_content(args.source, cs, starts, args.seed, args.stop_below)
-    certificate = cert.make_certificate("strong", *content)
-    _emit(certificate, args.output, args.table)
-    return EXIT_OK
+    return _write(args, [(args.output, content)])
 
 
 def _cmd_eur(args: argparse.Namespace) -> int:
@@ -264,31 +261,25 @@ def _cmd_eur(args: argparse.Namespace) -> int:
     extras = extra_classes_within_union(cs)
     if not extras:
         raise ValueError("no extra class exists inside the source triple")
-    certificates = [
-        cert.make_certificate("eur", *cert.eur_content(args.source, cs, extra))
-        for extra in extras
-    ]
+    # every report is computed before any file is written
+    contents = [cert.eur_content(args.source, cs, extra) for extra in extras]
     base = Path(args.output) if args.output else None
-    for i, certificate in enumerate(certificates):
-        path = base
-        if base and len(certificates) > 1:
-            path = base.with_name(f"{base.stem}-{i}{base.suffix}")
-        _emit(certificate, path, args.table)
-    return EXIT_OK
+    paths = [base] * len(contents)
+    if base and len(contents) > 1:
+        paths = [
+            base.with_name(f"{base.stem}-{i}{base.suffix}") for i in range(len(contents))
+        ]
+    return _write(args, zip(paths, contents))
 
 
 def _cmd_ks(args: argparse.Namespace) -> int:
     content = cert.ks_content(args.source, _resolve_source(args.source))
-    certificate = cert.make_certificate("ks", *content)
-    _emit(certificate, args.output, args.table)
-    return EXIT_OK
+    return _write(args, [(args.output, content)])
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     content = cert.scan_content(args.dim, args.budget, args.seed)
-    certificate = cert.make_certificate("scan", *content)
-    _emit(certificate, args.output, args.table)
-    return EXIT_OK
+    return _write(args, [(args.output, content)])
 
 
 def _generator_seed(text: str) -> int:

@@ -257,7 +257,7 @@ def test_label_seeds_and_recorded_negative_scan_seeds_are_accepted(tmp_path, cap
     # parser refused one still verifies
     scan = tmp_path / "scan.json"
     content = scan_content(4, None, -3)
-    scan.write_text(json.dumps(make_certificate("scan", *content)), encoding="utf-8")
+    scan.write_text(json.dumps(make_certificate(*content)), encoding="utf-8")
     capsys.readouterr()
     assert run(["check", str(labelled), str(scan)]) == 0
     assert capsys.readouterr().out.splitlines() == [
@@ -615,7 +615,7 @@ def test_a_class_set_beyond_the_search_bound_is_refused_as_it_is_read(
         "expected_complete": True,
     }
     path = tmp_path / "five.json"
-    path.write_text(json.dumps(make_certificate("complete-set", {"n": 5}, payload)))
+    path.write_text(json.dumps(make_certificate({"n": 5}, payload)))
     message = "class sets are read for up to 4 qubits, got 5"
     for command in ("strong", "eur", "ks"):
         assert run([command, str(path)]) == 2
@@ -650,6 +650,34 @@ def test_eur_floats_reproduce_within_tolerance(tmp_path):
     problems = verify_certificate(cert)
     assert len(problems) == 1
     assert problems[0].startswith("payload.states[0].average does not reproduce: ")
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("config", "saturation_tol", 1e-300),
+        ("config", "saturation_tol", -0.0),
+        ("config", "saturation_tol", 2e-12),
+        ("payload", "bound", 1.0000000000005),
+    ],
+    ids=["tighter-tol", "negative-zero-tol", "looser-tol", "moved-bound"],
+)
+def test_eur_constants_reproduce_exactly(tmp_path, capsys, section, key, value):
+    # only the entropies are computed in floating point: a saturation
+    # tolerance that was never tested, or a moved bound, refutes
+    out = tmp_path / "e.json"
+    assert run(["eur", "paper-d4-weak", "--output", str(out)]) == 0
+    path = sorted(tmp_path.glob("e*.json"))[0]
+    cert = load(path)
+    cert[section][key] = value
+    _rehash(cert)
+    path.write_text(json.dumps(cert), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["check", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"{path}: REFUTED"
+    assert len(lines) == 2
+    assert lines[1].startswith(f"  - {section}.{key} does not reproduce: {json.dumps(value)}, ")
 
 
 @pytest.mark.parametrize("command", ["eur", "ks"])
@@ -794,7 +822,7 @@ def test_strong_residual_worse_than_a_rerun_is_refuted(tmp_path, capsys):
     assert strong_unext_search(triple, starts=10, seed=1).min_residual < 1e-12  # extendible
     good = tmp_path / "strong.json"
     content = cert.strong_content("extendible-triple", triple, 10, 1, None)
-    good.write_text(json.dumps(cert.make_certificate("strong", *content)), encoding="utf-8")
+    good.write_text(json.dumps(cert.make_certificate(*content)), encoding="utf-8")
     e0 = np.eye(4)[0]
 
     def basis_vector(payload):
@@ -1338,6 +1366,35 @@ def test_find_unextendible_all_emits_its_136_certificates_in_a_pinned_order(caps
     )
 
 
+def test_find_unextendible_all_writes_ten_named_files(tmp_path, capsys):
+    # the stdout form is pinned by the 136-certificate test above
+    outdir = tmp_path / "unext"
+    assert run(["find-unextendible", "-n", "2", "--all", "-o", str(outdir)]) == 0
+    assert capsys.readouterr().out == f"wrote 10 certificates to {outdir}\n"
+    assert sorted(p.name for p in outdir.iterdir()) == [
+        f"unextendible-n2-{choice}.json" for choice in (
+            "0-1-2", "0-1-3", "0-1-4", "0-2-3", "0-2-4",
+            "0-3-4", "1-2-3", "1-2-4", "1-3-4", "2-3-4",
+        )
+    ]
+
+
+def test_find_unextendible_all_prints_ten_tables(capsys):
+    assert run(["find-unextendible", "-n", "2", "--all", "--table"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    heads = [i for i, line in enumerate(lines) if line == "command   : find-unextendible"]
+    assert len(heads) == 10 and heads[0] == 0
+    assert not any(line.startswith(("{", "wrote")) for line in lines)
+
+
+def test_eur_writes_one_numbered_file_per_extra_class(tmp_path, capsys):
+    out = tmp_path / "e.json"
+    assert run(["eur", "paper-d4-weak", "-o", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["e-0.json", "e-1.json", "e-2.json"]
+    assert {load(p)["command"] for p in tmp_path.iterdir()} == {"eur"}
+
+
 def _not_exhaustive(payload):
     payload["extendibility"]["exhaustive"] = False
 
@@ -1472,7 +1529,9 @@ def test_readme_library_example_runs():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1]
     printed = _python(block.split("```", 1)[0]).splitlines()
+    assert len(printed) == 3
     assert printed[0] == "('IZ', 'XI', 'XZ')"
+    assert abs(float(printed[1]) - 0.25) <= 1e-9
     assert printed[-1] == "1.0 True"
 
 
