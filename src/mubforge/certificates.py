@@ -97,6 +97,7 @@ _OUTCOME_KEYS = {
 
 
 def canonical_json(obj) -> str:
+    """Sorted keys and no whitespace: the text both hashed and written."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
