@@ -16,22 +16,26 @@ beside the inputs it was given as the config and payload the CLI writes;
 ``check`` feeds it the inputs the payload declares and requires the whole
 config and payload back as identical JSON, except eur's collision entropies,
 the only values a rebuild computes in floating point, which pass within
-REBUILD_FLOAT_TOL.
+REBUILD_FLOAT_TOL. A key the file adds or lacks is named by its dotted path.
 Declared classes that do not rebuild refute the claim. A ``source`` that is
 a built-in name stands for that set, which is rebuilt in place of the
 payload's classes; any other ``source`` string, and the find-unextendible
 ``seed`` (an int the construction does not use), are labels, echoed back.
 
-Strong-search outcomes keep their own route, since files from earlier
-optimizers must still verify: the payload carries exactly the keys every
-optimizer has written, the seed and start counts are JSON integers and the
-vector parts lists of d numbers, the numbers must be finite and consistent,
-the search settings must be the fixed ones every search runs with, the
-vector must give the recorded residual, and a spot re-run of the first
-RECHECK_STARTS starts must not beat it. The re-run takes only its seed and
-start count from the file, so it costs at most RECHECK_STARTS x
-(analysis.MAX_ITERATIONS + 1) evaluations of the residual kernel, whatever
-the file says.
+A search_outcome verifies the same way: one writer, ``_search_outcome``,
+makes the strong config and payload for ``strong_content`` and for
+``check``. What the search found (the residual, the vector, the start
+counts and the best start index) is echoed back once its numbers pass:
+they must be finite JSON numbers, integers where they count, consistent
+with each other, the vector must give the recorded residual, and a spot
+re-run of the first RECHECK_STARTS starts must not beat it. Everything
+else, the search's fixed settings included, is rebuilt from the declared
+classes (or the built-in ``source``), the seed, ``starts_requested`` and
+``stop_below``; files from earlier optimizers verify because they wrote
+the same fields. A key the writer writes but a strong file lacks makes the
+file malformed. The re-run takes only its seed and start count from the
+file, so it costs at most RECHECK_STARTS x (analysis.MAX_ITERATIONS + 1)
+evaluations of the residual kernel, whatever the file says.
 
 The payload hash covers the schema version, command, config and payload in
 canonical JSON; the creation timestamp sits outside the hashed region so
@@ -81,21 +85,6 @@ REBUILD_FLOAT_TOL = 1e-12
 _ENTROPY = re.compile(r"payload\.states\[\d+\]\.(per_basis\[\d+\]|average)")
 RECHECK_STARTS = 25
 
-# The closed key sets of a search_outcome, as every optimizer has written
-# them: a key beyond these refutes, a missing one is malformed.
-_OUTCOME_KEYS = {
-    "payload": frozenset({
-        "kind", "classes", "min_residual", "best_vector", "starts", "seed",
-        "converged_starts", "config",
-    }),
-    "payload.config": frozenset({
-        "starts_requested", "stop_below", "max_iterations", "f_tol",
-        "gradient_tol", "best_start_index",
-    }),
-    "payload.best_vector": frozenset({"re", "im"}),
-}
-
-
 def canonical_json(obj) -> str:
     """Sorted keys and no whitespace: the text both hashed and written."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -130,47 +119,43 @@ def _vector_from_json(data: dict, d: int) -> np.ndarray:
     return np.array(data["re"], dtype=float) + 1j * np.array(data["im"], dtype=float)
 
 
-def _check_int(value, where: str) -> None:
-    """Raise ValueError unless ``value`` is a JSON integer (a bool is not)."""
-    if type(value) is not int:
-        raise ValueError(f"{where} must be an integer, got {value!r}")
-
-
 # One function per command runs the domain call and returns the (config,
 # payload) pair the CLI writes; ``check`` calls the deterministic ones again
-# on the inputs the payload declares.
+# on the inputs the payload declares, and writes a strong pair again through
+# ``_search_outcome`` around what the file says its search found.
+
+
+def _search_outcome(
+    source: str, cs: ClassSet, starts: int, seed: int, stop_below: Optional[float],
+    found: analysis.SearchOutcome,
+) -> tuple[dict, dict]:
+    """The strong config and payload: what the search ``found``, its vector
+    as JSON, beside the inputs and the fixed settings it ran with."""
+    payload = {
+        "kind": "search_outcome",
+        "classes": classes_to_json(cs),
+        "min_residual": found.min_residual,
+        "best_vector": found.best_vector,
+        "starts": found.starts,
+        "seed": seed,
+        "converged_starts": found.converged_starts,
+        "config": {
+            "starts_requested": starts,
+            "stop_below": stop_below,
+            **analysis.SEARCH_SETTINGS,
+            "best_start_index": found.best_start_index,
+        },
+    }
+    config = {"source": source, "starts": starts, "seed": seed, "stop_below": stop_below}
+    return config, payload
 
 
 def strong_content(
     source: str, cs: ClassSet, starts: int, seed: int, stop_below: Optional[float]
 ) -> tuple[dict, dict]:
     outcome = analysis.strong_unext_search(cs, starts, seed, stop_below=stop_below)
-    payload = {
-        "kind": "search_outcome",
-        "classes": classes_to_json(cs),
-        "min_residual": outcome.min_residual,
-        "best_vector": _vector_to_json(outcome.best_vector),
-        "starts": outcome.starts,
-        "seed": seed,
-        "converged_starts": outcome.converged_starts,
-        "config": {
-            "starts_requested": starts,
-            "stop_below": stop_below,
-            **analysis.SEARCH_SETTINGS,
-            "best_start_index": outcome.best_start_index,
-        },
-    }
-    return _strong_config(source, payload), payload
-
-
-def _strong_config(source: str, payload: dict) -> dict:
-    settings = payload["config"]
-    return {
-        "source": source,
-        "starts": settings["starts_requested"],
-        "seed": payload["seed"],
-        "stop_below": settings["stop_below"],
-    }
+    found = outcome._replace(best_vector=_vector_to_json(outcome.best_vector))
+    return _search_outcome(source, cs, starts, seed, stop_below, found)
 
 
 def complete_set_content(cs: ClassSet) -> tuple[dict, dict]:
@@ -295,9 +280,9 @@ def _declared(what: str):
 # another type (a bool for an int, say) no longer matches the file's.
 
 
-def _source(config: dict, declared: ClassSet) -> tuple[str, ClassSet]:
+def _source(label, declared: ClassSet) -> tuple[str, ClassSet]:
     """The ``source`` label and its classes: a built-in set, else those declared."""
-    source = str(config["source"])
+    source = str(label)
     return source, named_class_set(source) if source in NAMED_CLASS_SETS else declared
 
 
@@ -316,14 +301,14 @@ def _rebuild_unextendible_set(payload: dict, config: dict) -> tuple[dict, dict]:
 
 def _rebuild_eur_report(payload: dict, config: dict) -> tuple[dict, dict]:
     with _declared("eur input"):
-        source, cs = _source(config, classes_from_json(payload["classes"]))
+        source, cs = _source(config["source"], classes_from_json(payload["classes"]))
         return eur_content(source, cs, class_from_json(payload["extra_class"]))
 
 
 def _rebuild_ks_report(payload: dict, config: dict) -> tuple[dict, dict]:
     with _declared("ks input"):
         original = ClassSet(2, tuple(class_from_json(c) for c in payload["original"]))
-        return ks_content(*_source(config, original))
+        return ks_content(*_source(config["source"], original))
 
 
 def _rebuild_scan_report(payload: dict, config: dict) -> tuple[dict, dict]:
@@ -331,12 +316,102 @@ def _rebuild_scan_report(payload: dict, config: dict) -> tuple[dict, dict]:
     return scan_content(int(payload["n"]), budget, int(payload["seed"]))
 
 
-# payload kind -> the command that emits it and the rebuild ``check`` runs;
-# search_outcome has no rebuild and goes through _verify_search_outcome
-_KINDS: dict[str, tuple[str, Optional[Callable]]] = {
+def _at(tree: dict, path: str):
+    """The value at a dotted path of ``tree``; KeyError names the first key missing."""
+    node, keys = tree, path.split(".")
+    for i, key in enumerate(keys):
+        if not isinstance(node, dict) or key not in node:
+            raise KeyError(".".join(keys[: i + 1]))
+        node = node[key]
+    return node
+
+
+def _int_at(tree: dict, path: str) -> int:
+    """The value at ``path``; ValueError unless it is a JSON integer (a bool is not)."""
+    value = _at(tree, path)
+    if type(value) is not int:
+        raise ValueError(f"{path} must be an integer, got {value!r}")
+    return value
+
+
+def _require_keys(tree: dict, want: dict, prefix: str = "") -> None:
+    """Raise KeyError naming the first key of ``want``, at any depth, that ``tree`` lacks."""
+    for key, value in want.items():
+        _at(tree, prefix + key)
+        if isinstance(value, dict):
+            _require_keys(tree, value, f"{prefix}{key}.")
+
+
+def _rebuild_search_outcome(payload: dict, config: dict) -> tuple[dict, dict]:
+    """Check what the search found, then write the strong pair around it.
+
+    The seed, the start counts and the best start index must be JSON
+    integers, each vector part a list of d numbers, and ``stop_below`` one
+    the search takes. The recorded numbers must be finite and agree with
+    each other, the vector must give the recorded residual, and a spot
+    re-run of the first starts must not beat it: at most RECHECK_STARTS x
+    (MAX_ITERATIONS + 1) single-start evaluations of the residual kernel,
+    made in about MAX_ITERATIONS batched calls. Over m condition rows at
+    dimension d, each evaluation costs about 2 m (d-1)^2 complex
+    multiply-adds and each step one (d-1) x (d-1) solve per start; a start
+    in flight holds O(m + (d-1)^2) numbers, never an m x (d-1) Jacobian.
+    Values of the wrong type, a negative seed, which no generator takes,
+    and a key the writer writes but the file lacks raise ValueError or
+    KeyError (malformed).
+    """
+    import numpy as np
+
+    tree = {"config": config, "payload": payload}
+    stop_below = _at(tree, "payload.config.stop_below")
+    analysis.check_stop_below(stop_below)
+    seed, starts, converged, requested, best = (
+        _int_at(tree, f"payload.{key}") for key in (
+            "seed", "starts", "converged_starts", "config.starts_requested",
+            "config.best_start_index",
+        )
+    )
+    cs = classes_from_json(_at(tree, "payload.classes"))
+    source, named = _source(_at(tree, "config.source"), cs)
+    vector = {part: _at(tree, f"payload.best_vector.{part}") for part in ("re", "im")}
+    vec = _vector_from_json(vector, 1 << cs.n)
+    recorded = _at(tree, "payload.min_residual")
+    if not (math.isfinite(recorded) and np.isfinite(vec).all()):
+        raise _Refuted("recorded residual or best vector is not finite")
+    problems = []
+    if not 0 <= converged <= starts:
+        problems.append("converged starts are not between 0 and the starts made")
+    if not 0 <= best < starts:
+        problems.append("best start index is not one of the starts made")
+    if starts > requested or (stop_below is None and starts != requested):
+        problems.append("starts made do not match the starts requested")
+    eigenbases = [bases.eigenbasis(c) for c in cs]
+    if abs(np.linalg.norm(vec) - 1.0) > 1e-9:
+        raise _Refuted(*problems, "best vector is not unit norm")
+    fresh = analysis.residual(vec, eigenbases)
+    if abs(fresh - recorded) > RESIDUAL_RECHECK_TOL:
+        problems.append(
+            f"recomputed residual {fresh!r} disagrees with recorded {recorded!r}"
+        )
+    # Deterministic spot re-run: the first few starts can never beat the
+    # recorded optimum of the full run.
+    rerun = analysis.strong_unext_search(cs, min(starts, RECHECK_STARTS), seed)
+    if recorded > rerun.min_residual + RESIDUAL_RECHECK_TOL:
+        problems.append("recorded residual is worse than a deterministic re-run")
+    if problems:
+        raise _Refuted(*problems)
+    found = analysis.SearchOutcome(recorded, vector, starts, converged, best)
+    want_config, want_payload = _search_outcome(
+        source, named, requested, seed, stop_below, found
+    )
+    _require_keys(tree, {"config": want_config, "payload": want_payload})
+    return want_config, want_payload
+
+
+# payload kind -> the command that emits it and the rebuild ``check`` runs
+_KINDS: dict[str, tuple[str, Callable]] = {
     "class_set": ("complete-set", _rebuild_class_set),
     "unextendible_set": ("find-unextendible", _rebuild_unextendible_set),
-    "search_outcome": ("strong", None),
+    "search_outcome": ("strong", _rebuild_search_outcome),
     "eur_report": ("eur", _rebuild_eur_report),
     "ks_report": ("ks", _rebuild_ks_report),
     "scan_report": ("scan", _rebuild_scan_report),
@@ -363,18 +438,25 @@ def make_certificate(config: dict, payload: dict) -> dict:
 def _differences(got, want, path: str) -> list[str]:
     """Where ``got`` departs from the rebuilt ``want``, one line per place.
 
-    Equal canonical JSON means equal keys, lengths, types and values; below
-    that, a finite float at an _ENTROPY path within REBUILD_FLOAT_TOL of the
-    rebuilt one passes.
+    Equal canonical JSON means equal keys, lengths, types and values. Below
+    that, each key one dict has and the other lacks is named, shared keys
+    and equal-length lists are compared item by item, and a finite float at
+    an _ENTROPY path within REBUILD_FLOAT_TOL of the rebuilt one passes.
     """
     got_text, want_text = canonical_json(got), canonical_json(want)
     if got_text == want_text:
         return []
-    if isinstance(got, dict) and isinstance(want, dict) and got.keys() == want.keys():
-        return [
-            line for key in sorted(want)
-            for line in _differences(got[key], want[key], f"{path}.{key}")
-        ]
+    if isinstance(got, dict) and isinstance(want, dict):
+        lines = []
+        for key in sorted(got.keys() | want.keys()):
+            where = f"{path}.{key}"
+            if key not in want:
+                lines.append(f"{where} is an unexpected field")
+            elif key not in got:
+                lines.append(f"{where} is missing")
+            else:
+                lines += _differences(got[key], want[key], where)
+        return lines
     if isinstance(got, list) and isinstance(want, list) and len(got) == len(want):
         return [
             line for i, (g, w) in enumerate(zip(got, want))
@@ -388,108 +470,32 @@ def _differences(got, want, path: str) -> list[str]:
     return [f"{path} does not reproduce: {got_text[:60]}, rebuilt {want_text[:60]}"]
 
 
-def _verify_search_outcome(payload: dict, config: dict) -> list[str]:
-    """Re-check a strong-search outcome from the file alone.
-
-    The payload, its optimizer config and its vector carry exactly the keys
-    of _OUTCOME_KEYS. The seed, the start counts and the best start index
-    must be JSON integers, and each vector part a list of d numbers. The
-    recorded numbers must be finite and agree with each other and with the
-    config, and each setting of SEARCH_SETTINGS must be there with its JSON
-    type. The recorded vector must give the recorded residual, and a spot
-    re-run of the first starts must not beat it: at most RECHECK_STARTS x
-    (MAX_ITERATIONS + 1) single-start evaluations of the residual kernel,
-    made in about MAX_ITERATIONS batched calls. Over m condition rows at
-    dimension d, each evaluation costs about 2 m (d-1)^2 complex
-    multiply-adds and each step one (d-1) x (d-1) solve per start; a start
-    in flight holds O(m + (d-1)^2) numbers, never an m x (d-1) Jacobian.
-    Values of the wrong type, a ``stop_below`` the search rejects (a
-    non-finite one), a negative seed, which no generator takes, and missing
-    keys raise ValueError or KeyError (malformed).
-    """
-    import numpy as np
-
-    settings = payload["config"]
-    problems = []
-    for path, node in (
-        ("payload", payload),
-        ("payload.config", settings),
-        ("payload.best_vector", payload["best_vector"]),
-    ):
-        missing = sorted(_OUTCOME_KEYS[path] - set(node))
-        if missing:
-            raise KeyError(f"{path}.{missing[0]}")
-        problems += [
-            f"{path}.{key} is not a search outcome field"
-            for key in sorted(set(node) - _OUTCOME_KEYS[path])
-        ]
-    analysis.check_stop_below(settings["stop_below"])
-    for key in ("seed", "starts", "converged_starts"):
-        _check_int(payload[key], f"payload.{key}")
-    for key in ("starts_requested", "best_start_index"):
-        _check_int(settings[key], f"payload.config.{key}")
-    cs = classes_from_json(payload["classes"])
-    source, named = _source(config, cs)
-    problems += _differences(payload["classes"], classes_to_json(named), "payload.classes")
-    starts = payload["starts"]
-    vec = _vector_from_json(payload["best_vector"], 1 << cs.n)
-    if not (math.isfinite(payload["min_residual"]) and np.isfinite(vec).all()):
-        return problems + ["recorded residual or best vector is not finite"]
-    if not 0 <= payload["converged_starts"] <= starts:
-        problems.append("converged starts are not between 0 and the starts made")
-    if not 0 <= settings["best_start_index"] < starts:
-        problems.append("best start index is not one of the starts made")
-    requested = settings["starts_requested"]
-    if starts > requested or (settings["stop_below"] is None and starts != requested):
-        problems.append("starts made do not match the starts requested")
-    for key, value in analysis.SEARCH_SETTINGS.items():  # what every optimizer used
-        if type(settings[key]) is not type(value) or settings[key] != value:
-            problems.append(f"payload.config.{key} is not {value}")
-    problems += _differences(config, _strong_config(source, payload), "config")
-    eigenbases = [bases.eigenbasis(c) for c in cs]
-    if abs(np.linalg.norm(vec) - 1.0) > 1e-9:
-        problems.append("best vector is not unit norm")
-        return problems
-    fresh = analysis.residual(vec, eigenbases)
-    if abs(fresh - payload["min_residual"]) > RESIDUAL_RECHECK_TOL:
-        problems.append(
-            f"recomputed residual {fresh!r} disagrees with recorded "
-            f"{payload['min_residual']!r}"
-        )
-    # Deterministic spot re-run: the first few starts can never beat the
-    # recorded optimum of the full run.
-    rerun = analysis.strong_unext_search(
-        cs, min(starts, RECHECK_STARTS), payload["seed"]
-    )
-    if payload["min_residual"] > rerun.min_residual + RESIDUAL_RECHECK_TOL:
-        problems.append("recorded residual is worse than a deterministic re-run")
-    return problems
-
-
 def verify_payload(payload: dict, config: dict) -> list[str]:
     """Re-derive every claim in a payload; return a list of discrepancies."""
     kind = payload.get("kind")
     if kind not in _KINDS:
         return [f"unknown payload kind {kind!r}"]
     try:
-        if kind == "search_outcome":
-            return _verify_search_outcome(payload, config)
         want_config, want_payload = _KINDS[kind][1](payload, config)
     except _Refuted as exc:
-        return [str(exc)]
+        return list(exc.args)
     return _differences(config, want_config, "config") + _differences(
         payload, want_payload, "payload"
     )
 
 
 def verify_certificate(cert: dict) -> list[str]:
-    """Full re-verification of a parsed certificate file."""
-    problems = []
+    """Full re-verification of a parsed certificate file.
+
+    A missing top-level field raises KeyError and another schema version
+    ValueError: such a file is malformed, not a claim to refute.
+    """
     for key in ("schema_version", "command", "config", "payload", "payload_sha256"):
         if key not in cert:
-            return [f"missing certificate field {key!r}"]
+            raise KeyError(key)
     if cert["schema_version"] != SCHEMA_VERSION:
-        return [f"unsupported schema version {cert['schema_version']!r}"]
+        raise ValueError(f"unsupported schema version {cert['schema_version']!r}")
+    problems = []
     fresh_hash = _payload_hash(cert["command"], cert["config"], cert["payload"])
     if fresh_hash != cert["payload_sha256"]:
         problems.append("payload hash mismatch: certificate was altered")

@@ -421,6 +421,34 @@ class TestCheckMalformedInput:
         assert lines[0].startswith(f"{bad}: malformed (")
         assert lines[1] == f"{strong_cert}: verified"
 
+    @pytest.mark.parametrize(
+        "field, value, reason",
+        [(field, None, f"KeyError: '{field}'") for field in (
+            "schema_version", "command", "config", "payload", "payload_sha256")]
+        + [("schema_version", "2", "ValueError: unsupported schema version '2'")],
+        ids=["no-schema-version", "no-command", "no-config", "no-payload",
+             "no-payload-sha256", "schema-version-2"],
+    )
+    def test_envelope_that_carries_no_claim_is_malformed(
+        self, tmp_path, field, value, reason, capsys
+    ):
+        # a file without a hashed field or its hash, or of another schema
+        # version, states no claim to refute; the file after it is checked
+        good = tmp_path / "good.json"
+        assert run(["complete-set", "-n", "2", "-o", str(good)]) == 0
+        cert = load(good)
+        if value is None:
+            del cert[field]
+        else:
+            cert[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cert), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["check", str(bad), str(good)]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            f"{bad}: malformed ({reason})", f"{good}: verified",
+        ]
+
     def test_nesting_near_the_recursion_limit_does_not_stop_the_next(self, tmp_path, capsys):
         # a config nested just under the JSON decoder's limit parses, and
         # then overflows the stack when the certificate is hashed
@@ -856,7 +884,7 @@ def test_strong_key_sets_are_closed(tmp_path, capsys, path):
 
     where = ".".join(("payload",) + path)
     lines = _refuted_then_verified(tmp_path, capsys, good, add_key)
-    assert lines == [f"  - {where}.note is not a search outcome field"]
+    assert lines == [f"  - {where}.note is an unexpected field"]
 
 
 @pytest.fixture(scope="module")
@@ -972,7 +1000,9 @@ class TestUntrustedOptimizerSettings:
         assert run(["check", str(bad)]) == 1
         pinned = {"max_iterations": 500, "f_tol": 1e-14}[key]
         assert capsys.readouterr().out.splitlines() == [
-            f"{bad}: REFUTED", f"  - payload.config.{key} is not {pinned}",
+            f"{bad}: REFUTED",
+            f"  - payload.config.{key} does not reproduce: "
+            f"{canonical_json(value)}, rebuilt {canonical_json(pinned)}",
         ]
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
@@ -1015,7 +1045,8 @@ class TestUntrustedOptimizerSettings:
         assert time.perf_counter() - start < 5.0
         assert code == 1
         assert capsys.readouterr().out.splitlines() == [
-            f"{big}: REFUTED", "  - payload.config.max_iterations is not 500",
+            f"{big}: REFUTED",
+            "  - payload.config.max_iterations does not reproduce: 1000000000, rebuilt 500",
         ]
         # the re-run's bound, whatever the file says
         assert 0 < sum(rows) <= RECHECK_STARTS * (MAX_ITERATIONS + 1)
@@ -1844,8 +1875,9 @@ def _pinned_setting_problems(strong_text, key, mutate):
 
 @pytest.mark.parametrize("how", sorted(MUTATIONS))
 def test_strong_gradient_tol_is_pinned(strong_text, how):
+    tampered = canonical_json(MUTATIONS[how](1e-12))
     assert _pinned_setting_problems(strong_text, "gradient_tol", MUTATIONS[how]) == [
-        "payload.config.gradient_tol is not 1e-12"
+        f"payload.config.gradient_tol does not reproduce: {tampered}, rebuilt 1e-12"
     ]
 
 
@@ -1857,8 +1889,11 @@ def test_strong_gradient_tol_is_pinned(strong_text, how):
     + ["max_iterations-float", "max_iterations-bool"],
 )
 def test_strong_step_settings_are_pinned(strong_text, key, mutate):
+    pinned = PINNED_SETTINGS[key]
+    tampered = canonical_json(mutate(pinned))
     assert _pinned_setting_problems(strong_text, key, mutate) == [
-        f"payload.config.{key} is not {PINNED_SETTINGS[key]}"
+        f"payload.config.{key} does not reproduce: {tampered}, "
+        f"rebuilt {canonical_json(pinned)}"
     ]
 
 
@@ -1987,6 +2022,70 @@ def test_rehashed_single_field_mutation_never_verifies(emitted, monkeypatch, rou
     assert untolerated == []
     assert [row[1] for i, row in enumerate(allowances) if i not in used] == []
     assert count == SWEPT_MUTANTS[route]
+
+
+def _at_path(cert, dotted):
+    node = cert
+    for key in dotted.split("."):
+        node = node[key]
+    return node
+
+
+PAYLOAD_KINDS = sorted(set(SWEPT_COMMANDS) - {"scan_report-all"})
+
+
+@pytest.mark.parametrize(
+    "kind, where",
+    [(kind, "payload") for kind in PAYLOAD_KINDS]
+    + [("search_outcome", "payload.config"), ("class_set", "payload.class_set")],
+)
+def test_every_kind_names_an_unexpected_key(emitted, kind, where):
+    # "remark", since a scan payload already has a "note"
+    cert = json.loads(emitted[kind])
+    _at_path(cert, where)["remark"] = "unchecked"
+    _rehash(cert)
+    assert verify_certificate(cert) == [f"{where}.remark is an unexpected field"]
+
+
+def test_a_removed_key_of_a_deterministic_kind_is_named(emitted):
+    cert = json.loads(emitted["eur_report"])
+    del cert["payload"]["saturated"]
+    _rehash(cert)
+    assert verify_certificate(cert) == ["payload.saturated is missing"]
+
+
+@pytest.mark.parametrize(
+    "dotted",
+    ["payload.config.f_tol", "payload.best_vector.im", "config.starts", "config.source"],
+)
+def test_a_removed_key_of_a_strong_file_is_malformed(emitted, dotted):
+    cert = json.loads(emitted["search_outcome"])
+    parent, key = dotted.rsplit(".", 1)
+    del _at_path(cert, parent)[key]
+    _rehash(cert)
+    with pytest.raises(KeyError) as exc:
+        verify_certificate(cert)
+    assert exc.value.args == (dotted,)
+
+
+@pytest.mark.parametrize(
+    "name", [*(f"{p.parent.name}/{p.name}" for p in LBFGS_CERTIFICATES + LM_CERTIFICATES),
+             "fresh"],
+)
+def test_emit_and_check_share_the_strong_writer(tmp_path, name):
+    # the strong rebuild, given a file, writes that file's own config and
+    # payload: the writer that emits a strong certificate is the one that
+    # checks it, for today's search and for the earlier optimizers' files
+    if name == "fresh":
+        path = tmp_path / "fresh.json"
+        assert main([
+            "strong", "paper-d8-strong", "--starts", "30", "--seed", "2", "-o", str(path),
+        ]) == 0
+    else:
+        path = Path(__file__).parent / "data" / name
+    cert = load(path)
+    rebuilt = certificates._rebuild_search_outcome(cert["payload"], cert["config"])
+    assert canonical_json(rebuilt) == canonical_json([cert["config"], cert["payload"]])
 
 
 @pytest.mark.parametrize("command", EMITTING_COMMANDS, ids=lambda c: c[0])
