@@ -40,8 +40,10 @@ from mubforge.unextendible import (
     ConjectureScanReport,
     build_unextendible_set,
     conjecture_scan,
+    context_sign,
     extendibility_check,
     extra_classes_within_union,
+    ks_alternate_partition,
 )
 
 

@@ -1,4 +1,4 @@
-"""Strong-unextendibility search, collision-entropy bounds, and KS contexts.
+"""Strong-unextendibility search and collision-entropy bounds.
 
 The strong-unextendibility test asks whether any unit vector is unbiased to
 every basis in a set. After rotating the frame so the first basis is
@@ -27,14 +27,10 @@ package reads their names as ``analysis.X`` when it runs, never with a
 ``from`` import when it is imported.
 
 Each call returns only what it computed: the search its best residual,
-vector and start counts, ``eur_check`` the per-basis collision entropies of
-each eigenstate (or an error when one misses the bound), and
-``ks_alternate_partition`` the three alternate contexts, whose signs
-``context_sign`` gives one by one. The settings a search ran with, the bound
-and the sign parity are written into the certificates by
-mubforge.certificates. No command needs the paper's d = 8 double contexts,
-so only the tests check them, as the extra classes within the five-class
-set's union.
+vector and start counts, and ``eur_check`` the per-basis collision
+entropies of each eigenstate (or an error when one misses the bound). The
+settings a search ran with and the bound are written into the certificates
+by mubforge.certificates.
 """
 
 from __future__ import annotations
@@ -45,8 +41,6 @@ from typing import NamedTuple, Optional, Sequence
 
 from mubforge.bases import eigenbasis
 from mubforge.classes import ClassSet, CommutingClass
-from mubforge.pauli import multiply
-from mubforge.unextendible import extendibility_check, extra_classes_within_union
 
 SATURATION_TOL = 1e-12
 WITNESS_THRESHOLD = 1e-10
@@ -620,42 +614,3 @@ def eur_check(
             f"exceeds {SATURATION_TOL}"
         )
     return entropies
-
-
-def context_sign(context: CommutingClass) -> int:
-    """Ordered product of the Hermitian representatives as +/- identity.
-
-    Members commute, so the outcome does not depend on the order.
-    """
-    ordered = context.sorted_elements
-    prod = ordered[0]
-    for op in ordered[1:]:
-        prod = multiply(prod, op)
-    if not prod.is_projective_identity or prod.phase % 2:
-        raise ValueError("context product is not plus or minus identity")
-    return 1 if prod.phase == 0 else -1
-
-
-def ks_alternate_partition(cs: ClassSet) -> tuple[CommutingClass, ...]:
-    """Second partition of an unextendible two-qubit triple's nine operators.
-
-    Each of the three new contexts takes one commuting operator from each
-    original class; they come ordered by their lowest operator key.
-    Extendible triples do not admit such a partition and are rejected.
-    """
-    if cs.n != 2 or len(cs) != 3:
-        raise ValueError("expected a triple of two-qubit classes")
-    if extendibility_check(cs):
-        raise ValueError("triple is extendible; no alternate partition exists")
-    union = cs.union_mask
-    fresh = extra_classes_within_union(cs)
-    cover = 0
-    for c in fresh:
-        cover |= c.mask
-    if len(fresh) != 3 or cover != union:
-        raise ValueError("operators do not admit a second partition")
-    for new in fresh:
-        for orig in cs:
-            if (new.mask & orig.mask).bit_count() != 1:
-                raise ValueError("alternate context does not cross all classes")
-    return tuple(sorted(fresh, key=lambda c: c.mask & -c.mask))

@@ -63,7 +63,12 @@ from mubforge.classes import (
 )
 from mubforge.named_sets import NAMED_CLASS_SETS, named_class_set
 from mubforge.search import full_mask
-from mubforge.unextendible import build_unextendible_set, conjecture_scan
+from mubforge.unextendible import (
+    build_unextendible_set,
+    conjecture_scan,
+    context_sign,
+    ks_alternate_partition,
+)
 
 # CPython's own SHA-256: importing hashlib loads OpenSSL's libcrypto, a few
 # MB and milliseconds in every process, for one digest per certificate
@@ -224,8 +229,8 @@ def eur_content(
 
 
 def ks_content(source: str, cs: ClassSet) -> tuple[dict, dict]:
-    alternate = analysis.ks_alternate_partition(cs)
-    signs = [analysis.context_sign(c) for c in (*cs, *alternate)]
+    alternate = ks_alternate_partition(cs)
+    signs = [context_sign(c) for c in (*cs, *alternate)]
     minus = signs.count(-1)
     payload = {
         "kind": "ks_report",

@@ -25,8 +25,7 @@ from mubforge import analysis
 from mubforge import certificates as cert
 from mubforge.classes import ClassSet, canonical_complete_set, classes_from_json
 from mubforge.named_sets import NAMED_CLASS_SETS, named_class_set
-from mubforge.search import owner_census
-from mubforge.unextendible import extra_classes_within_union
+from mubforge.unextendible import extra_classes_within_union, owner_census
 
 EXIT_OK = 0
 EXIT_REFUTED = 1

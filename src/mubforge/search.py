@@ -1,4 +1,4 @@
-"""Class search engine over the canonical Pauli enumeration.
+"""The maximal commuting class family, and which classes fit in a universe.
 
 Nonidentity projective operators are addressed by ``key - 1`` where
 ``key = (x << n) | z``, so a set of operators is one Python integer and a
@@ -8,27 +8,6 @@ ascending key order. Maximal commuting classes are the Lagrangian subgroups
 of the symplectic space; for n <= 4 there are only 15, 135 and 2295 of them,
 so their masks are built once per qubit count, and "which classes fit inside
 this universe" is one AND per family member.
-
-Census queries over the sub-collections of a complete set use owner masks
-instead. Inside a fixed complete set every nonidentity operator belongs to
-exactly one class, so each maximal class has an owner mask: the set of
-complete-set classes its operators come from. A class lies inside the
-union of a sub-collection C iff its owner is a subset of C, and it draws
-from every class of C iff its owner equals C. Answers are counts in flat
-``array`` tables of 2**len(parts) entries indexed by the sub-collection
-mask: the census's ``spanning`` table counts the classes each C owns. At
-n = 4 a table is 2**17 16-bit counts, 256 KiB.
-
-The census also carries the swap rule of the unextendible constructions,
-built once beside the owner masks it reads: a choice C of ``swap_size`` =
-2**(n-1) + 1 classes owns a class when that class's owner equals C, and
-the swap of C is valid when C owns exactly one class
-(``OwnerCensus.swaps``). ``count_extras`` takes the census alone: it lifts
-each owner to its supersets of ``swap_size`` classes, so its cost follows
-the answers it finds, not the 2**(2**n + 1) possible sub-collections, and
-the same pass checks every swap, since a class fits inside the union of
-C minus the traded class S exactly when its owner lies inside C and it
-has no key in S.
 
 The family itself is built in closed form from the quadratic-form picture
 of stabilizer states (Dehaene and De Moor, quant-ph/0304125): the
@@ -41,14 +20,8 @@ independent oracle.
 
 from __future__ import annotations
 
-from array import array
 from functools import lru_cache
 from itertools import combinations, product
-from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, NamedTuple
-
-if TYPE_CHECKING:  # classes builds on this module
-    from mubforge.classes import ClassSet
 
 MAX_SEARCH_QUBITS = 4
 
@@ -161,107 +134,3 @@ def classes_within_mask(n: int, universe_mask: int) -> list[int]:
             f"universe mask is not a set of nonidentity operators on {n} qubits"
         )
     return [m for m in family if m & universe_mask == m]
-
-
-class OwnerCensus(NamedTuple):
-    """Owner masks of the class family with respect to one complete set.
-
-    ``parts`` are the class masks of the complete set, in its order, and
-    ``owners[i]`` is the owner mask of ``all_maximal_classes(n)[i]``: bit j
-    is set when the class holds an operator of ``parts[j]``. A
-    sub-collection of the complete set is a mask C of the same kind. A
-    single-bit owner marks a complete-set class itself; every other class
-    is an extra class.
-
-    ``spanning[C]`` counts the extra classes whose owner is C, the ones
-    that draw from every class of C: a flat table of 2**len(parts) unsigned
-    16-bit entries, since a count never passes the family size (2295 at
-    n = 4). C owns those classes. ``swaps`` maps each choice C of
-    ``swap_size`` = 2**(n-1) + 1 classes that owns exactly one class to
-    that class's family index: the swap of C trades it for that class.
-    Both are read-only, since every caller shares the cached census.
-    """
-
-    n: int
-    parts: tuple[int, ...]
-    owners: tuple[int, ...]
-    spanning: memoryview
-    swap_size: int
-    swaps: Mapping[int, int]
-
-
-@lru_cache(maxsize=16)
-def owner_census(complete: ClassSet) -> OwnerCensus:
-    """Owner census of a complete class set; any other set is refused."""
-    if not complete.complete:
-        raise ValueError("an owner census needs a complete class set")
-    n, parts = complete.n, tuple(c.mask for c in complete)
-    bits = [(1 << j, m) for j, m in enumerate(parts)]
-    owners = tuple(
-        sum(bit for bit, m in bits if m & cls) for cls in all_maximal_classes(n)
-    )
-    spanning = array("H", [0]) * (1 << len(parts))
-    for owner in owners:
-        if owner & (owner - 1):
-            spanning[owner] += 1
-    size = (1 << (n - 1)) + 1
-    swaps = {
-        owner: i
-        for i, owner in enumerate(owners)
-        if owner.bit_count() == size and spanning[owner] == 1
-    }
-    return OwnerCensus(
-        n, parts, owners, memoryview(spanning).toreadonly(), size,
-        MappingProxyType(swaps),
-    )
-
-
-class ExtrasTable(NamedTuple):
-    """What ``count_extras`` found for the swap-size sub-collections of a census.
-
-    ``within[C]`` is the number of extra classes inside the union of C, for
-    every C of ``swap_size`` classes (other entries stay 0).
-    ``failed_swaps`` holds the choices of ``swaps`` whose traded set is
-    extendible: the union of C, minus the class C is traded for, still
-    holds a maximal class.
-    """
-
-    within: array
-    failed_swaps: frozenset[int]
-
-
-def count_extras(census: OwnerCensus) -> ExtrasTable:
-    """Count the extra classes inside every union of ``swap_size`` classes.
-
-    An extra class lies inside the union of C exactly when its owner is a
-    subset of C, so every extra owner of at most ``swap_size`` bits is
-    lifted to its supersets of that size and each lift adds one to a flat
-    table indexed by the sub-collection mask; an owner of ``swap_size`` bits
-    lifts only to itself. The cost is the number of (class,
-    sub-collection) pairs, and the memory one table of 2**len(parts)
-    counts, however many sub-collections are read back.
-
-    The same pass checks each swap. The classes whose owner lies inside C
-    are its extras and its complete-set classes, and one of them fits in
-    what is left of the union of C once the traded class is taken out
-    exactly when it shares no operator with that class: for a complete-set
-    class, when the traded class's owner misses it.
-    """
-    family = all_maximal_classes(census.n)
-    owners, size, swaps = census.owners, census.swap_size, census.swaps
-    within = array("H", [0]) * (1 << len(census.parts))
-    failed = {c for c, r in swaps.items() if c & ~owners[r]}
-    bits = [1 << j for j in range(len(census.parts))]
-    for i, owner in enumerate(owners):
-        p = owner.bit_count()
-        if not 2 <= p <= size:
-            continue
-        cls = family[i]
-        free = [b for b in bits if not owner & b] if p < size else ()
-        # the added bits are free, so each sum is a union with the owner
-        for c in map(owner.__add__, map(sum, combinations(free, size - p))):
-            within[c] += 1
-            r = swaps.get(c)
-            if r is not None and not cls & family[r]:
-                failed.add(c)
-    return ExtrasTable(within, frozenset(failed))

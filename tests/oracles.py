@@ -32,7 +32,7 @@ import numpy as np
 
 from mubforge.classes import ClassSet, CommutingClass
 from mubforge.pauli import MAX_QUBITS, PauliOperator, commutes
-from mubforge.search import owner_census
+from mubforge.unextendible import owner_census
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -14,10 +14,8 @@ import numpy as np
 from mubforge.analysis import (
     WITNESS_THRESHOLD,
     collision_entropy,
-    context_sign,
     eur_bound,
     eur_check,
-    ks_alternate_partition,
     residual,
     strong_unext_search,
 )
@@ -37,8 +35,10 @@ from mubforge.named_sets import (
 from mubforge.search import all_maximal_classes, full_mask
 from mubforge.unextendible import (
     conjecture_scan,
+    context_sign,
     extendibility_check,
     extra_classes_within_union,
+    ks_alternate_partition,
 )
 from oracles import (
     ALTERNATE_FIVE_D8,

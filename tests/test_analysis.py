@@ -12,10 +12,8 @@ from mubforge import analysis
 from mubforge.analysis import (
     UnbiasedVectorProblem,
     collision_entropy,
-    context_sign,
     eur_bound,
     eur_check,
-    ks_alternate_partition,
     residual,
     strong_unext_search,
 )
@@ -36,8 +34,10 @@ from mubforge.pauli import multiply
 from mubforge.search import all_maximal_classes
 from mubforge.unextendible import (
     build_unextendible_set,
+    context_sign,
     extendibility_check,
     extra_classes_within_union,
+    ks_alternate_partition,
 )
 from oracles import (
     ALTERNATE_FIVE_D8,
@@ -506,6 +506,13 @@ class TestEur:
         with pytest.raises(ValueError):
             eur_check(weak, class_from_strings(("ZI", "IZ", "ZZ")))
 
+    def test_an_average_that_misses_the_bound_is_refused(self, monkeypatch):
+        # no average deviates by less than zero, so every state misses
+        monkeypatch.setattr(analysis, "SATURATION_TOL", -1.0)
+        weak = weak_triple_d4()
+        with pytest.raises(ValueError, match="saturation failed"):
+            eur_check(weak, extra_classes_within_union(weak)[0])
+
 
 class TestKsContexts:
     def test_alternate_partition_matches_published_classes(self):
@@ -574,6 +581,11 @@ class TestKsContexts:
         cs = canonical_complete_set(2)
         with pytest.raises(ValueError, match="extendible"):
             ks_alternate_partition(ClassSet(2, cs.classes[:3]))
+
+    def test_a_class_whose_product_is_not_the_identity_is_refused(self):
+        # a one-qubit class holds one operator, which is its own product
+        with pytest.raises(ValueError, match="not plus or minus identity"):
+            context_sign(class_from_strings(("X",)))
 
 
 class TestD8DoublePartition:

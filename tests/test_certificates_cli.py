@@ -1634,19 +1634,18 @@ with contextlib.redirect_stdout(io.StringIO()):
         main(["complete-set", "-n", "4", "-o", "complete.json"]),
         main(["find-unextendible", "-n", "3", "--all", "-o", "unext"]),
         main(["scan", "-n", "4", "--all", "-o", "scan.json"]),
+        main(["ks", "paper-d4-weak", "-o", "ks.json"]),
     ]
-    outputs = ["complete.json", "scan.json"] + sorted(glob.glob("unext/*.json"))
+    outputs = ["complete.json", "scan.json", "ks.json"] + sorted(glob.glob("unext/*.json"))
     codes.append(main(["check"] + outputs))
 print(codes, len(outputs))
 {NUMERIC_LAYER_RAN}
 """
-    assert _python(code).splitlines() == ["[0, 0, 0, 0] 128", "[False, False]"]
+    assert _python(code).splitlines() == ["[0, 0, 0, 0, 0] 129", "[False, False]"]
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["ks", "paper-d4-weak"], ["strong", "paper-d4-strong", "--starts", "5"]],
-    ids=["ks", "strong"],
+    "argv", [["strong", "paper-d4-strong", "--starts", "5"]], ids=["strong"]
 )
 def test_numeric_commands_run_the_numeric_layer(argv):
     code = f"""

@@ -109,6 +109,11 @@ class TestClassConstruction:
             choices.add(other.generators)
         assert len(choices) == 28  # the independent triples of seven elements
 
+    def test_equality_with_a_non_class_is_left_to_the_other_operand(self):
+        cls = class_from_strings(("ZI", "IZ", "ZZ"))
+        assert cls.__eq__(cls.letters()) is NotImplemented
+        assert cls != cls.letters() and cls != cls.mask
+
     def test_class_from_elements_requires_closure(self):
         with pytest.raises(ValueError, match="closed"):
             class_from_elements([pauli_from_string(s) for s in ("ZI", "IZ")])

@@ -209,6 +209,10 @@ class TestEnumerateAndIndependence:
         with pytest.raises(ValueError):
             independent([])
 
+    def test_mixed_qubit_counts_rejected(self):
+        with pytest.raises(ValueError, match="qubit counts differ: 1 vs 2"):
+            independent([pauli_from_string("X"), pauli_from_string("XI")])
+
     def test_identity_breaks_independence(self):
         assert not independent([identity(1)])
 

@@ -25,18 +25,15 @@ from mubforge.named_sets import (
     weak_triple_d4,
 )
 from mubforge.pauli import commutes
-from mubforge import search
-from mubforge.search import (
-    classes_within_mask,
-    count_extras,
-    full_mask,
-    owner_census,
-)
+from mubforge import search, unextendible
+from mubforge.search import classes_within_mask, full_mask
 from mubforge.unextendible import (
     build_unextendible_set,
     conjecture_scan,
+    count_extras,
     extendibility_check,
     extra_classes_within_union,
+    owner_census,
 )
 from oracles import WEAK_TRIPLE_D4_LEFTOVER, enumerate_classes_in, theorem4_census
 
@@ -167,6 +164,17 @@ class TestBuildUnextendibleSet:
         triple = weak_triple_d4()
         with pytest.raises(ValueError):
             build_unextendible_set(triple, (0, 1, 2))
+
+    def test_an_extendible_swap_is_refused(self, monkeypatch):
+        # a census that trades the first three classes for the first of
+        # them leaves three classes of the complete set, which extend
+        cs = canonical_complete_set(2)
+        census = unextendible.owner_census(cs)
+        first = search.all_maximal_classes(2).index(cs[0].mask)
+        doctored = _traded_for(census, {0b111: first})
+        monkeypatch.setattr(unextendible, "owner_census", lambda complete: doctored)
+        with pytest.raises(ValueError, match="the swapped set is extendible"):
+            build_unextendible_set(cs, (0, 1, 2))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_below_four_qubits_the_owned_class_is_the_unions_only_extra(self, n):
