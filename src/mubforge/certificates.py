@@ -9,6 +9,13 @@ hashes: every claim was checked by the code that computed it, which is what
 the unhashed ``verified`` flag records. ``verify_payload`` is the one
 verifier; ``check`` runs it once, on the file alone.
 
+One rule sorts a damaged file for every kind. A key its writer writes but
+the file lacks, at any depth, ``kind`` included, raises KeyError naming it,
+and a ``kind`` that names no payload raises ValueError: either way the file
+is malformed, with no claim to refute. Declared classes that do not
+rebuild, a key the file adds and a value that does not reproduce refute
+the claim.
+
 The deterministic kinds (class_set, unextendible_set, eur_report, ks_report,
 scan_report) verify by re-emission. One ``*_content`` function per kind runs
 the domain call, which returns only what it computed, and writes that result
@@ -16,11 +23,10 @@ beside the inputs it was given as the config and payload the CLI writes;
 ``check`` feeds it the inputs the payload declares and requires the whole
 config and payload back as identical JSON, except eur's collision entropies,
 the only values a rebuild computes in floating point, which pass within
-REBUILD_FLOAT_TOL. A key the file adds or lacks is named by its dotted path.
-Declared classes that do not rebuild refute the claim. A ``source`` that is
-a built-in name stands for that set, which is rebuilt in place of the
-payload's classes; any other ``source`` string, and the find-unextendible
-``seed`` (an int the construction does not use), are labels, echoed back.
+REBUILD_FLOAT_TOL. A ``source`` that is a built-in name stands for that
+set, which is rebuilt in place of the payload's classes; any other
+``source`` string, and the find-unextendible ``seed`` (an int the
+construction does not use), are labels, echoed back.
 
 A search_outcome verifies the same way: one writer, ``_search_outcome``,
 makes the strong config and payload for ``strong_content`` and for
@@ -32,8 +38,7 @@ re-run of the first RECHECK_STARTS starts must not beat it. Everything
 else, the search's fixed settings included, is rebuilt from the declared
 classes (or the built-in ``source``), the seed, ``starts_requested`` and
 ``stop_below``; files from earlier optimizers verify because they wrote
-the same fields. A key the writer writes but a strong file lacks makes the
-file malformed. The re-run takes only its seed and start count from the
+the same fields. The re-run takes only its seed and start count from the
 file, so it costs at most RECHECK_STARTS x (analysis.MAX_ITERATIONS + 1)
 evaluations of the residual kernel, whatever the file says.
 
@@ -274,10 +279,12 @@ class _Refuted(Exception):
 
 @contextmanager
 def _declared(what: str):
-    """Declared inputs that fail to rebuild refute the claim they carry."""
+    """Declared inputs that fail to rebuild refute the claim they carry:
+    TypeError, ValueError and OverflowError become ``_Refuted``. A KeyError,
+    a key the file lacks, passes through: the file is malformed."""
     try:
         yield
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise _Refuted(f"{what} does not rebuild: {exc}") from None
 
 
@@ -339,14 +346,6 @@ def _int_at(tree: dict, path: str) -> int:
     return value
 
 
-def _require_keys(tree: dict, want: dict, prefix: str = "") -> None:
-    """Raise KeyError naming the first key of ``want``, at any depth, that ``tree`` lacks."""
-    for key, value in want.items():
-        _at(tree, prefix + key)
-        if isinstance(value, dict):
-            _require_keys(tree, value, f"{prefix}{key}.")
-
-
 def _rebuild_search_outcome(payload: dict, config: dict) -> tuple[dict, dict]:
     """Check what the search found, then write the strong pair around it.
 
@@ -360,9 +359,9 @@ def _rebuild_search_outcome(payload: dict, config: dict) -> tuple[dict, dict]:
     dimension d, each evaluation costs about 2 m (d-1)^2 complex
     multiply-adds and each step one (d-1) x (d-1) solve per start; a start
     in flight holds O(m + (d-1)^2) numbers, never an m x (d-1) Jacobian.
-    Values of the wrong type, a negative seed, which no generator takes,
-    and a key the writer writes but the file lacks raise ValueError or
-    KeyError (malformed).
+    Values of the wrong type and a negative seed, which no generator takes,
+    raise ValueError (malformed); declared classes that do not rebuild
+    refute the file.
     """
     import numpy as np
 
@@ -375,7 +374,8 @@ def _rebuild_search_outcome(payload: dict, config: dict) -> tuple[dict, dict]:
             "config.best_start_index",
         )
     )
-    cs = classes_from_json(_at(tree, "payload.classes"))
+    with _declared("classes"):
+        cs = classes_from_json(_at(tree, "payload.classes"))
     source, named = _source(_at(tree, "config.source"), cs)
     vector = {part: _at(tree, f"payload.best_vector.{part}") for part in ("re", "im")}
     vec = _vector_from_json(vector, 1 << cs.n)
@@ -405,11 +405,7 @@ def _rebuild_search_outcome(payload: dict, config: dict) -> tuple[dict, dict]:
     if problems:
         raise _Refuted(*problems)
     found = analysis.SearchOutcome(recorded, vector, starts, converged, best)
-    want_config, want_payload = _search_outcome(
-        source, named, requested, seed, stop_below, found
-    )
-    _require_keys(tree, {"config": want_config, "payload": want_payload})
-    return want_config, want_payload
+    return _search_outcome(source, named, requested, seed, stop_below, found)
 
 
 # payload kind -> the command that emits it and the rebuild ``check`` runs
@@ -444,9 +440,10 @@ def _differences(got, want, path: str) -> list[str]:
     """Where ``got`` departs from the rebuilt ``want``, one line per place.
 
     Equal canonical JSON means equal keys, lengths, types and values. Below
-    that, each key one dict has and the other lacks is named, shared keys
-    and equal-length lists are compared item by item, and a finite float at
-    an _ENTROPY path within REBUILD_FLOAT_TOL of the rebuilt one passes.
+    that, a key ``got`` lacks raises KeyError naming its path, each key it
+    adds is named, shared keys and equal-length lists are compared item by
+    item, and a finite float at an _ENTROPY path within REBUILD_FLOAT_TOL
+    of the rebuilt one passes.
     """
     got_text, want_text = canonical_json(got), canonical_json(want)
     if got_text == want_text:
@@ -458,7 +455,7 @@ def _differences(got, want, path: str) -> list[str]:
             if key not in want:
                 lines.append(f"{where} is an unexpected field")
             elif key not in got:
-                lines.append(f"{where} is missing")
+                raise KeyError(where)
             else:
                 lines += _differences(got[key], want[key], where)
         return lines
@@ -476,10 +473,16 @@ def _differences(got, want, path: str) -> list[str]:
 
 
 def verify_payload(payload: dict, config: dict) -> list[str]:
-    """Re-derive every claim in a payload; return a list of discrepancies."""
-    kind = payload.get("kind")
+    """Re-derive every claim in a payload; return a list of discrepancies.
+
+    A key the writer writes but the file lacks raises KeyError, and a
+    ``kind`` that names no payload ValueError: such a file is malformed.
+    """
+    kind = payload.get("kind")  # AttributeError unless an object
+    if "kind" not in payload:
+        raise KeyError("payload.kind")
     if kind not in _KINDS:
-        return [f"unknown payload kind {kind!r}"]
+        raise ValueError(f"unknown payload kind {kind!r}")
     try:
         want_config, want_payload = _KINDS[kind][1](payload, config)
     except _Refuted as exc:
@@ -492,8 +495,9 @@ def verify_payload(payload: dict, config: dict) -> list[str]:
 def verify_certificate(cert: dict) -> list[str]:
     """Full re-verification of a parsed certificate file.
 
-    A missing top-level field raises KeyError and another schema version
-    ValueError: such a file is malformed, not a claim to refute.
+    A missing field, at the top level or below, raises KeyError, and another
+    schema version or an unknown payload kind ValueError: such a file is
+    malformed, not a claim to refute.
     """
     for key in ("schema_version", "command", "config", "payload", "payload_sha256"):
         if key not in cert:
@@ -505,7 +509,7 @@ def verify_certificate(cert: dict) -> list[str]:
     if fresh_hash != cert["payload_sha256"]:
         problems.append("payload hash mismatch: certificate was altered")
     problems.extend(verify_payload(cert["payload"], cert["config"]))
-    kind = cert["payload"].get("kind")
-    if kind in _KINDS and cert["command"] != _KINDS[kind][0]:
+    kind = cert["payload"]["kind"]
+    if cert["command"] != _KINDS[kind][0]:
         problems.append(f"command {cert['command']!r} does not emit a {kind} payload")
     return problems

@@ -8,9 +8,9 @@ verifier: it re-derives a certificate from the file alone and exits 0
 file whose kind needs numpy when numpy cannot be imported). A command
 that needs numpy without it exits 2 with one ``error:`` line.
 
-Sources for the analysis commands are either paths to class-set
-certificates or one of the built-in names: paper-d4-weak, paper-d4-strong,
-paper-d8-strong.
+Sources for the analysis commands are either paths to class-set or
+unextendible-set certificates or one of the built-in names: paper-d4-weak,
+paper-d4-strong, paper-d8-strong.
 """
 
 from __future__ import annotations
@@ -98,6 +98,17 @@ def _print_table(certificate: dict) -> None:
         print(f"swap passes        : {payload['swap_passes']}")
 
 
+def _read_json(path: Path, subject: str):
+    """The JSON a file holds; ValueError says why ``subject`` cannot be read."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ValueError(f"{subject} cannot be read ({exc.strerror})") from None
+    # not UTF-8, not JSON, an over-long integer, or nested too deeply
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{subject} cannot be read as UTF-8 JSON ({exc})") from None
+
+
 def _resolve_source(source: str) -> ClassSet:
     """A built-in set, or the classes of a class-set or unextendible-set file.
 
@@ -110,14 +121,7 @@ def _resolve_source(source: str) -> ClassSet:
         raise ValueError(
             f"source {source!r} is neither a built-in name nor an existing file"
         )
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ValueError(f"source {source!r} cannot be read ({exc.strerror})") from None
-    except RecursionError:
-        raise ValueError(f"source {source!r} is nested too deeply to read") from None
-    except ValueError as exc:  # not UTF-8, not JSON, or an over-long integer
-        raise ValueError(f"source {source!r} cannot be read as UTF-8 JSON ({exc})") from None
+    data = _read_json(path, f"source {source!r}")
     payload = data.get("payload", data) if isinstance(data, dict) else data
     if not isinstance(payload, dict):
         raise ValueError(f"source {source!r} does not hold a payload object")
@@ -180,11 +184,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     worst = EXIT_OK
     for path in args.certificates:
         try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
+            data = _read_json(Path(path), "file")
             if not isinstance(data, dict):
                 raise ValueError("not a JSON object")
-        # ValueError covers bad JSON, non-UTF-8 bytes and over-long integers
-        except (OSError, ValueError, RecursionError) as exc:
+        except ValueError as exc:
             print(f"{path}: malformed ({exc})")
             worst = max(worst, EXIT_MALFORMED)
             continue

@@ -349,6 +349,14 @@ def _one_class(cert):
     classes["classes"] = classes["classes"][:1]
 
 
+def _drop_kind(cert):
+    del cert["payload"]["kind"]
+
+
+def _unknown_kind(cert):
+    cert["payload"]["kind"] = "extension_report"
+
+
 class TestCheckMalformedInput:
     @pytest.fixture
     def strong_cert(self, tmp_path):
@@ -367,9 +375,12 @@ class TestCheckMalformedInput:
             (_non_numeric_vector, "ValueError: best_vector.re is not a list of 4 numbers"),
             (_drop_gradient_tol, "KeyError: 'payload.config.gradient_tol'"),
             (_one_class, "ValueError: need at least two classes"),
+            (_drop_kind, "KeyError: 'payload.kind'"),
+            (_unknown_kind, "ValueError: unknown payload kind 'extension_report'"),
         ],
         ids=["missing-classes", "payload-string", "missing-max-iterations",
-             "non-numeric-vector", "missing-gradient-tol", "one-class"],
+             "non-numeric-vector", "missing-gradient-tol", "one-class",
+             "missing-kind", "unknown-kind"],
     )
     def test_probe_is_malformed(self, tmp_path, strong_cert, mutate, reason, capsys):
         cert = load(strong_cert)
@@ -743,6 +754,11 @@ def _two_classes(payload):
     classes["classes"] = classes["classes"][:2]
 
 
+def _changed_letter(payload):
+    elements = payload["classes"]["classes"][0]["elements"]
+    elements[0] = ("Z" if elements[0][0] == "X" else "X") + elements[0][1:]
+
+
 def _three_qubit_extra(payload):
     from mubforge.classes import canonical_complete_set, class_to_json
 
@@ -759,9 +775,12 @@ def _three_qubit_extra(payload):
          "eur input does not rebuild: expected three two-qubit classes"),
         ("eur", "paper-d4-weak", _three_qubit_extra,
          "eur input does not rebuild: extra class acts on a different qubit count"),
+        # declared classes that do not rebuild refute a strong file too
+        ("strong", "paper-d4-strong", _changed_letter,
+         "classes does not rebuild: class elements do not match the closure of generators"),
     ],
     ids=["eur-no-states", "eur-unsaturated", "ks-no-operators",
-         "eur-label-source-two-classes", "eur-three-qubit-extra"],
+         "eur-label-source-two-classes", "eur-three-qubit-extra", "strong-changed-letter"],
 )
 def test_rehashed_report_tamper_is_refuted(tmp_path, capsys, command, source, mutate, problem):
     if source == "triple.json":  # a file source is a label: the payload's classes count
@@ -2046,25 +2065,48 @@ def test_every_kind_names_an_unexpected_key(emitted, kind, where):
     assert verify_certificate(cert) == [f"{where}.remark is an unexpected field"]
 
 
-def test_a_removed_key_of_a_deterministic_kind_is_named(emitted):
-    cert = json.loads(emitted["eur_report"])
-    del cert["payload"]["saturated"]
-    _rehash(cert)
-    assert verify_certificate(cert) == ["payload.saturated is missing"]
+def _dotted(path):
+    """A path of keys and indices as ``check`` names it: ``a.b[0].c``."""
+    return "".join(
+        f"[{key}]" if isinstance(key, int) else f".{key}" for key in path
+    ).lstrip(".")
+
+
+REMOVED_STRONG_KEYS = [
+    "payload.config.f_tol", "payload.best_vector.im", "config.starts", "config.source",
+]
 
 
 @pytest.mark.parametrize(
-    "dotted",
-    ["payload.config.f_tol", "payload.best_vector.im", "config.starts", "config.source"],
+    "route, dotted",
+    [("search_outcome", dotted) for dotted in REMOVED_STRONG_KEYS]
+    + [(route, None) for route in sorted(SWEPT_COMMANDS)],
+    ids=[*REMOVED_STRONG_KEYS, *(f"every-key-of-{route}" for route in sorted(SWEPT_COMMANDS))],
 )
-def test_a_removed_key_of_a_strong_file_is_malformed(emitted, dotted):
-    cert = json.loads(emitted["search_outcome"])
-    parent, key = dotted.rsplit(".", 1)
-    del _at_path(cert, parent)[key]
-    _rehash(cert)
-    with pytest.raises(KeyError) as exc:
-        verify_certificate(cert)
-    assert exc.value.args == (dotted,)
+def test_a_removed_key_of_a_strong_file_is_malformed(emitted, route, dotted):
+    # a key the writer writes but the file lacks makes a file of any kind
+    # malformed: every dict key of config and payload, at any depth and in
+    # every list item, raises KeyError naming it, by its dotted path or,
+    # where a reader indexes it directly, by the key alone
+    cert = json.loads(emitted[route])
+    paths = [
+        path for path in _hashed_paths(cert)
+        if path[0] in ("config", "payload") and len(path) > 1 and isinstance(path[-1], str)
+    ]
+    if dotted:
+        paths = [path for path in paths if _dotted(path) == dotted]
+    assert paths
+    for path in paths:
+        mutant = json.loads(emitted[route])
+        parent = mutant
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+        _rehash(mutant)
+        with pytest.raises(KeyError) as exc:
+            verify_certificate(mutant)
+        named = (_dotted(path),) if dotted else (_dotted(path), path[-1])
+        assert exc.value.args[0] in named
 
 
 @pytest.mark.parametrize(
