@@ -144,19 +144,14 @@ class UnbiasedVectorProblem(NamedTuple):
             t.flags.writeable = False
         return cls(d, bases, *tables)
 
-    def torus_vector(self, theta: np.ndarray) -> np.ndarray:
+    def vector(self, theta: np.ndarray) -> np.ndarray:
+        """Candidate vector in the original frame, unit norm."""
         import numpy as np
 
         psi = np.empty(self.d, dtype=complex)
         psi[0] = 1.0 / math.sqrt(self.d)
         psi[1:] = np.exp(1j * np.asarray(theta)) / math.sqrt(self.d)
-        return psi
-
-    def vector(self, theta: np.ndarray) -> np.ndarray:
-        """Candidate vector in the original frame, unit norm."""
-        import numpy as np
-
-        v = self.bases[0].T @ self.torus_vector(theta)
+        v = self.bases[0].T @ psi
         return v / np.linalg.norm(v)
 
     def residual_and_gradient(

@@ -56,7 +56,7 @@ import time
 from contextlib import contextmanager
 from typing import Callable, Optional, Sequence
 
-from mubforge import analysis, bases
+from mubforge import analysis
 from mubforge.classes import (
     ClassSet,
     CommutingClass,
@@ -161,8 +161,11 @@ def _search_outcome(
 
 
 def strong_content(
-    source: str, cs: ClassSet, starts: int, seed: int, stop_below: Optional[float]
+    source: str, cs: ClassSet, starts: Optional[int], seed: int,
+    stop_below: Optional[float],
 ) -> tuple[dict, dict]:
+    """``starts`` None means ``analysis.DEFAULT_STARTS``."""
+    starts = analysis.DEFAULT_STARTS if starts is None else starts
     outcome = analysis.strong_unext_search(cs, starts, seed, stop_below=stop_below)
     found = outcome._replace(best_vector=_vector_to_json(outcome.best_vector))
     return _search_outcome(source, cs, starts, seed, stop_below, found)
@@ -389,7 +392,7 @@ def _rebuild_search_outcome(payload: dict, config: dict) -> tuple[dict, dict]:
         problems.append("best start index is not one of the starts made")
     if starts > requested or (stop_below is None and starts != requested):
         problems.append("starts made do not match the starts requested")
-    eigenbases = [bases.eigenbasis(c) for c in cs]
+    eigenbases = [analysis.eigenbasis(c) for c in cs]
     if abs(np.linalg.norm(vec) - 1.0) > 1e-9:
         raise _Refuted(*problems, "best vector is not unit norm")
     fresh = analysis.residual(vec, eigenbases)

@@ -7,14 +7,15 @@ partition of all 4**n - 1 operators into 2**n + 1 mutually disjoint classes;
 their joint eigenbases form a full family of mutually unbiased bases.
 
 A class stores its generators and one bit mask of its elements (bit
-``key - 1`` per element, as in mubforge.search); every element view, the
-equality test and the disjointness test read that mask. Elements are
-operators modulo phase, so the views return each as its standard Hermitian
-``PauliOperator`` and membership reads only the key. ``class_from_mask``
-turns any mask, such as a member of the search family, back into a class
-with canonical generators.
+``key - 1`` per element, as in mubforge.search); ``sorted_elements``,
+``letters()``, membership, the equality test and the disjointness test all
+read that mask. Elements are operators modulo phase, so ``sorted_elements``
+returns each as its standard Hermitian ``PauliOperator``, in key order, and
+membership reads only the key. ``class_from_mask`` turns any mask, such as
+a member of the search family, back into a class with canonical generators.
 
-Whether a ``ClassSet`` is complete is read off the union of its masks.
+A ``ClassSet``'s operators are the bits of ``union_mask``, the union of its
+masks, and whether the set is complete is read off that union.
 ``complete_set_from`` completes any set, the empty one included (the
 canonical four-qubit set), by one exact cover over the canonical class
 family. The canonical two- and three-qubit sets are pinned listings,
@@ -106,10 +107,6 @@ class CommutingClass(_Frozen):
         return tuple(
             PauliOperator.from_key(self.n, k) for k in keys_of_mask(self.mask)
         )
-
-    @property
-    def elements(self) -> frozenset[PauliOperator]:
-        return frozenset(self.sorted_elements)
 
     def letters(self) -> tuple[str, ...]:
         return mask_letters(self.n, self.mask)
@@ -256,11 +253,6 @@ class ClassSet(_Frozen):
         # the classes are disjoint, so counting their operators is the cover;
         # without a class, n is unchecked (a file may give any) and nothing is covered
         return bool(self.classes) and self.union_mask.bit_count() == (1 << 2 * self.n) - 1
-
-    def operators(self) -> tuple[PauliOperator, ...]:
-        return tuple(
-            PauliOperator.from_key(self.n, k) for k in keys_of_mask(self.union_mask)
-        )
 
 
 def complete_set_from(seeds: ClassSet) -> ClassSet:

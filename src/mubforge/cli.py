@@ -21,7 +21,6 @@ import sys
 from pathlib import Path
 from typing import Iterable, Optional
 
-from mubforge import analysis
 from mubforge import certificates as cert
 from mubforge.classes import ClassSet, canonical_complete_set, classes_from_json
 from mubforge.named_sets import NAMED_CLASS_SETS, named_class_set
@@ -219,9 +218,9 @@ def _missing(exc: ImportError) -> str:
 
 def _cmd_strong(args: argparse.Namespace) -> int:
     cs = _resolve_source(args.source)
-    # the parser leaves the default unset, so building it loads no numeric code
-    starts = analysis.DEFAULT_STARTS if args.starts is None else args.starts
-    content = cert.strong_content(args.source, cs, starts, args.seed, args.stop_below)
+    # the parser leaves the default unset, so building it loads no numeric
+    # code; strong_content reads a missing --starts as the default
+    content = cert.strong_content(args.source, cs, args.starts, args.seed, args.stop_below)
     return _write(args, [(args.output, content)])
 
 

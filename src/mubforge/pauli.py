@@ -8,8 +8,8 @@ concatenated key ``x||z`` coincides with lexicographic order on bit strings.
 
 An operator modulo phase, the unit of class membership, is its standard
 Hermitian representative: phase exponent |x & z| mod 4, one factor of i per
-Y letter, as ``from_key`` and ``hermitian()`` build it. Operators order by
-(n, x, z, phase), which is key order among Hermitian representatives.
+Y letter, as ``from_key`` builds it. Operators order by (n, x, z, phase),
+which is key order among Hermitian representatives.
 
 Everything here is exact integer arithmetic; dense matrices never appear in
 this module.
@@ -73,21 +73,12 @@ class PauliOperator(_PauliFields):
         return (self.x << self.n) | self.z
 
     @property
-    def is_identity(self) -> bool:
-        """True for the exact identity, phase included."""
-        return self.x == 0 and self.z == 0 and self.phase == 0
-
-    @property
     def is_projective_identity(self) -> bool:
         return self.x == 0 and self.z == 0
 
     @property
     def is_hermitian(self) -> bool:
         return (self.phase - (self.x & self.z).bit_count()) % 2 == 0
-
-    def hermitian(self) -> "PauliOperator":
-        """Standard Hermitian representative (one factor of i per Y letter)."""
-        return PauliOperator.from_key(self.n, self.key)
 
     @classmethod
     def from_key(cls, n: int, key: int) -> "PauliOperator":

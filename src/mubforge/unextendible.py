@@ -50,9 +50,12 @@ into the three extra classes within its union, each taking one operator
 from every class of the triple (``ks_alternate_partition``). Each operator
 then lies in two of the six contexts, so when an odd number of the context
 products are minus the identity (``context_sign``) no noncontextual value
-assignment exists: a state-independent Kochen-Specker proof. No command
-needs the paper's d = 8 double contexts, so only the tests check them, as
-the extra classes within the five-class set's union.
+assignment exists: a state-independent Kochen-Specker proof. The tests
+check all 20 unextendible triples among the 80 disjoint two-qubit triples:
+each gives three contexts that cover its nine operators, with odd parity,
+and the 60 extendible triples are refused. No command needs the paper's
+d = 8 double contexts, so only the tests check them, as the extra classes
+within the five-class set's union.
 
 Each call returns only what it computed: ``build_unextendible_set`` the
 unextendible class set itself, the unchosen classes in their order and the
@@ -329,23 +332,14 @@ def context_sign(context: CommutingClass) -> int:
 def ks_alternate_partition(cs: ClassSet) -> tuple[CommutingClass, ...]:
     """Second partition of an unextendible two-qubit triple's nine operators.
 
-    Each of the three new contexts takes one commuting operator from each
-    original class; they come ordered by their lowest operator key.
-    Extendible triples do not admit such a partition and are rejected.
+    The new contexts are the extra classes within the union, ordered by
+    their lowest operator key. Each takes one operator from each original
+    class, since two operators of one class would bring in their product
+    and make it that class. Extendible triples do not admit such a
+    partition and are rejected.
     """
     if cs.n != 2 or len(cs) != 3:
         raise ValueError("expected a triple of two-qubit classes")
     if extendibility_check(cs):
         raise ValueError("triple is extendible; no alternate partition exists")
-    union = cs.union_mask
-    fresh = extra_classes_within_union(cs)
-    cover = 0
-    for c in fresh:
-        cover |= c.mask
-    if len(fresh) != 3 or cover != union:
-        raise ValueError("operators do not admit a second partition")
-    for new in fresh:
-        for orig in cs:
-            if (new.mask & orig.mask).bit_count() != 1:
-                raise ValueError("alternate context does not cross all classes")
-    return tuple(sorted(fresh, key=lambda c: c.mask & -c.mask))
+    return tuple(sorted(extra_classes_within_union(cs), key=lambda c: c.mask & -c.mask))

@@ -8,11 +8,12 @@ maximal commuting classes inside a universe by a depth-first search over
 generator chains, a different route from the package's closed-form
 family. ``residual_jacobian`` forms the strong search's residuals and their
 full Jacobian by broadcasting, the route the package's normal-equation
-kernel avoids. ``enumerate_nonidentity``, ``commuting_overlap`` and
-``theorem4_census`` are the operator listing, the commuting-overlap sets
-and the d = 8 spanning census, which only the tests ask for.
-``start_angles`` draws the strong search's starting phases with one numpy
-generator per start, the route the package's block draw avoids.
+kernel avoids. ``enumerate_nonidentity``, ``operators``,
+``commuting_overlap`` and ``theorem4_census`` are the operator listings of
+all of n qubits and of a class set, the commuting-overlap sets and the
+d = 8 spanning census, which only the tests ask for. ``start_angles``
+draws the strong search's starting phases with one numpy generator per
+start, the route the package's block draw avoids.
 ``sign_columns`` reads each class element's eigenvalue signs off a basis
 through those dense matrices, and ``unbiasedness_deviation`` measures how
 far two bases are from mutually unbiased. ``BASIS_LISTING_*`` are the
@@ -32,6 +33,7 @@ import numpy as np
 
 from mubforge.classes import ClassSet, CommutingClass
 from mubforge.pauli import MAX_QUBITS, PauliOperator, commutes
+from mubforge.search import keys_of_mask
 from mubforge.unextendible import owner_census
 
 I2 = np.eye(2, dtype=complex)
@@ -127,6 +129,11 @@ def enumerate_nonidentity(n: int) -> list[PauliOperator]:
     return [PauliOperator.from_key(n, key) for key in range(1, 1 << (2 * n))]
 
 
+def operators(cs: ClassSet) -> list[PauliOperator]:
+    """The operators of a class set's union, in key order."""
+    return [PauliOperator.from_key(cs.n, k) for k in keys_of_mask(cs.union_mask)]
+
+
 def commuting_overlap(p: PauliOperator, c: CommutingClass) -> frozenset[PauliOperator]:
     """The subset of class elements commuting with ``p``.
 
@@ -137,7 +144,7 @@ def commuting_overlap(p: PauliOperator, c: CommutingClass) -> frozenset[PauliOpe
         raise ValueError("identity has no meaningful commuting overlap")
     if p in c:
         raise ValueError("operator lies in the class; overlap is degenerate")
-    return frozenset(e for e in c.elements if commutes(p, e))
+    return frozenset(e for e in c.sorted_elements if commutes(p, e))
 
 
 def theorem4_census(complete: ClassSet, k: int) -> int:

@@ -27,11 +27,7 @@ from mubforge.classes import (
     class_from_strings,
     mask_letters,
 )
-from mubforge.named_sets import (
-    strong_five_d8,
-    strong_triple_d4,
-    weak_triple_d4,
-)
+from mubforge.named_sets import named_class_set
 from mubforge.search import all_maximal_classes, full_mask
 from mubforge.unextendible import (
     conjecture_scan,
@@ -83,7 +79,7 @@ def test_a01_unique_extra_class_for_every_triple():
 
 def test_a02_weak_triple_unextendible_with_exact_leftover():
     started = time.perf_counter()
-    weak = weak_triple_d4()
+    weak = named_class_set("paper-d4-weak")
     assert extendibility_check(weak) == ()
     leftover = mask_letters(2, full_mask(2) & ~weak.union_mask)
     assert set(leftover) == set(WEAK_TRIPLE_D4_LEFTOVER)
@@ -135,8 +131,8 @@ def test_a06_strong_unextendibility_two_sided():
     started = time.perf_counter()
     # evidence side: the published strong sets keep their calibrated floors
     for cs, floor, label in (
-        (strong_triple_d4(), 0.25, "d=4"),
-        (strong_five_d8(), 0.125, "d=8"),
+        (named_class_set("paper-d4-strong"), 0.25, "d=4"),
+        (named_class_set("paper-d8-strong"), 0.125, "d=8"),
     ):
         outcome = strong_unext_search(cs, starts=1000, seed=7)
         assert abs(outcome.min_residual - floor) < 1e-9, f"{label} floor moved"
@@ -174,7 +170,7 @@ def test_a07_collision_entropy_saturation():
             pairs += 1
     assert pairs >= 10
     # random states never beat the bound
-    bases = [eigenbasis(c) for c in weak_triple_d4()]
+    bases = [eigenbasis(c) for c in named_class_set("paper-d4-weak")]
     rng = np.random.default_rng(41)
     for _ in range(10_000):
         psi = random_state(rng, 4)
@@ -185,7 +181,7 @@ def test_a07_collision_entropy_saturation():
 
 def test_a08_ks_contexts_and_d8_double_partition():
     started = time.perf_counter()
-    triple = weak_triple_d4()
+    triple = named_class_set("paper-d4-weak")
     alternate = ks_alternate_partition(triple)
     got = {frozenset(c.letters()) for c in alternate}
     assert got == {frozenset(g) for g in ALTERNATE_TRIPLE_D4}
@@ -196,7 +192,7 @@ def test_a08_ks_contexts_and_d8_double_partition():
     assert set(minus_context.letters()) == {"YZ", "ZX", "XY"}
     # d = 8: the published second partition is every class within the union
     # beyond the five, meeting class i in 3 operators and the others in 1
-    first = strong_five_d8()
+    first = named_class_set("paper-d8-strong")
     second = ClassSet(3, tuple(class_from_strings(g) for g in ALTERNATE_FIVE_D8))
     assert second.union_mask == first.union_mask
     assert set(extra_classes_within_union(first)) == set(second)

@@ -25,11 +25,7 @@ from mubforge.classes import (
     class_from_mask,
     class_from_strings,
 )
-from mubforge.named_sets import (
-    strong_five_d8,
-    strong_triple_d4,
-    weak_triple_d4,
-)
+from mubforge.named_sets import named_class_set
 from mubforge.pauli import multiply
 from mubforge.search import all_maximal_classes
 from mubforge.unextendible import (
@@ -43,6 +39,7 @@ from oracles import (
     ALTERNATE_FIVE_D8,
     ALTERNATE_TRIPLE_D4,
     matrix_from_letters,
+    operators,
     random_state,
     residual_jacobian,
     start_angles,
@@ -100,7 +97,7 @@ class TestUnbiasedVectorProblem:
         # g = J^T r is half the gradient of F, and H = J^T J is the
         # Gauss-Newton matrix of the broadcast Jacobian oracle
         h = 1e-6
-        for sets in (first_three(), strong_five_d8()):
+        for sets in (first_three(), named_class_set("paper-d8-strong")):
             problem = UnbiasedVectorProblem.from_classes(sets)
             bases = triple_bases(sets)
             n = problem.d - 1
@@ -126,7 +123,7 @@ class TestUnbiasedVectorProblem:
     def test_newton_hessian_matches_central_differences_of_the_gradient(self):
         # in Newton mode H is the Jacobian of g = J^T r, half the Hessian of F
         h = 1e-5
-        for sets in (strong_triple_d4(), strong_five_d8()):
+        for sets in (named_class_set("paper-d4-strong"), named_class_set("paper-d8-strong")):
             problem = UnbiasedVectorProblem.from_classes(sets)
             n = problem.d - 1
             theta = np.random.default_rng(21).uniform(0, 2 * np.pi, (40, n))
@@ -139,7 +136,7 @@ class TestUnbiasedVectorProblem:
                 assert np.max(np.abs(hess[:, :, j] - (g_plus - g_minus) / (2 * h))) < 1e-6
 
     def test_unflagged_rows_are_the_gauss_newton_call(self):
-        for sets in (first_three(), strong_five_d8()):
+        for sets in (first_three(), named_class_set("paper-d8-strong")):
             problem = UnbiasedVectorProblem.from_classes(sets)
             theta = np.random.default_rng(5).uniform(0, 2 * np.pi, (33, problem.d - 1))
             plain = problem.residual_and_gradient(theta)
@@ -156,7 +153,7 @@ class TestUnbiasedVectorProblem:
         # each row of a batch is computed on its own, in its own mode:
         # exactly the 1-row call, whatever the batch size and the other
         # rows' modes
-        for sets in (first_three(), strong_five_d8()):
+        for sets in (first_three(), named_class_set("paper-d8-strong")):
             problem = UnbiasedVectorProblem.from_classes(sets)
             n = problem.d - 1
             m = len(problem.conditions)
@@ -187,7 +184,7 @@ class TestUnbiasedVectorProblem:
             assert np.max(np.abs(probs - 0.25)) < 1e-12
 
     def test_problem_residual_matches_full_residual(self):
-        for cs in (first_three(), strong_five_d8()):
+        for cs in (first_three(), named_class_set("paper-d8-strong")):
             problem = UnbiasedVectorProblem.from_classes(cs)
             bases = triple_bases(cs)
             theta = np.random.default_rng(8).uniform(0, 2 * np.pi, (10, problem.d - 1))
@@ -230,13 +227,14 @@ class TestStrongSearch:
         assert extendible == 60
 
     @pytest.mark.parametrize(
-        "sets, floor", [(strong_triple_d4, 0.25), (strong_five_d8, 0.125)], ids=["d4", "d8"]
+        "name, floor", [("paper-d4-strong", 0.25), ("paper-d8-strong", 0.125)],
+        ids=["d4", "d8"],
     )
-    def test_floors_hold_and_almost_every_start_converges(self, sets, floor):
+    def test_floors_hold_and_almost_every_start_converges(self, name, floor):
         # the calibrated floors over twenty seeds at the default 1000
         # starts; at most 2% of starts may end unconverged, so a tail of
         # starts crawling to max_iterations cannot return unnoticed
-        cs = sets()
+        cs = named_class_set(name)
         for seed in range(500, 520):
             out = strong_unext_search(cs, seed=seed)
             assert out.starts == 1000
@@ -277,7 +275,7 @@ class TestStrongSearch:
         assert np.array_equal(whole, step[[0, 1, 3, 4]])
 
     def test_strong_triple_has_a_high_floor_quick(self):
-        out = strong_unext_search(strong_triple_d4(), starts=60, seed=5)
+        out = strong_unext_search(named_class_set("paper-d4-strong"), starts=60, seed=5)
         assert out.min_residual > 1e-3
         assert out.starts == 60
 
@@ -341,11 +339,7 @@ class TestStrongSearch:
         # part-way
         if source == "d4-extendible":
             monkeypatch.setattr(analysis, "MAX_ITERATIONS", 1)
-        cs = {
-            "d4-strong": strong_triple_d4,
-            "d8-strong": strong_five_d8,
-            "d4-extendible": first_three,
-        }[source]()
+        cs = first_three() if source == "d4-extendible" else named_class_set(f"paper-{source}")
         outcomes = []
         default = (analysis._BATCH_ROWS, analysis._BATCH_BYTES)
         for rows, budget in ((1, 0), (7, 0), default, (1024, 0)):
@@ -364,7 +358,7 @@ class TestStrongSearch:
         # at most 256 starts are in flight or drawn ahead at once at d = 8,
         # where the byte budget allows no more than the row floor; the
         # problem tables and bases are built once before measuring
-        cs = strong_five_d8()
+        cs = named_class_set("paper-d8-strong")
         assert analysis._BATCH_BYTES // (8 * 7 * 7) == analysis._BATCH_ROWS == 256
         strong_unext_search(cs, starts=5, seed=1)
         tracemalloc.start()
@@ -379,10 +373,10 @@ class TestStrongSearch:
     def test_outcome_records_configuration(self):
         # the search returns what it computed; the certificate content
         # records the settings it ran the search with
-        out = strong_unext_search(strong_triple_d4(), starts=8, seed=2)
+        out = strong_unext_search(named_class_set("paper-d4-strong"), starts=8, seed=2)
         assert out.converged_starts <= out.starts == 8
         assert 0 <= out.best_start_index < out.starts
-        config, payload = strong_content("paper-d4-strong", strong_triple_d4(), 8, 2, None)
+        config, payload = strong_content("paper-d4-strong", named_class_set("paper-d4-strong"), 8, 2, None)
         assert config == {
             "source": "paper-d4-strong", "starts": 8, "seed": 2, "stop_below": None,
         }
@@ -425,7 +419,7 @@ class TestStartAngles:
             return draw(seed, ks, n)
 
         starts = []
-        problem = UnbiasedVectorProblem.from_classes(strong_five_d8())
+        problem = UnbiasedVectorProblem.from_classes(named_class_set("paper-d8-strong"))
         kernel = UnbiasedVectorProblem.residual_and_gradient
 
         def first_points(self, theta, newton=False):
@@ -446,7 +440,7 @@ class TestStartAngles:
         with pytest.raises(ValueError, match="non-negative"):
             analysis._start_angles(-1, np.arange(3), 3)
         with pytest.raises(ValueError, match="non-negative"):
-            strong_unext_search(strong_triple_d4(), starts=5, seed=-1)
+            strong_unext_search(named_class_set("paper-d4-strong"), starts=5, seed=-1)
 
 
 class TestCollisionEntropy:
@@ -461,7 +455,7 @@ class TestCollisionEntropy:
         assert abs(collision_entropy(b0, other[0]) - 2.0) < 1e-12
 
     def test_extra_class_eigenstate_gives_exactly_one_bit(self):
-        weak = weak_triple_d4()
+        weak = named_class_set("paper-d4-weak")
         extra = extra_classes_within_union(weak)[0]
         states = eigenbasis(extra)
         for c in weak:
@@ -475,7 +469,7 @@ class TestEur:
         assert eur_bound(3, 4) == 1.0
 
     def test_weak_triple_saturates_for_every_extra_class(self):
-        weak = weak_triple_d4()
+        weak = named_class_set("paper-d4-weak")
         for extra in extra_classes_within_union(weak):
             entropies = eur_check(weak, extra)
             assert list(entropies) == ["00", "01", "10", "11"]
@@ -493,7 +487,7 @@ class TestEur:
             assert abs(sum(per_basis) / len(per_basis) - 1.0) <= 1e-12
 
     def test_random_states_respect_the_bound(self):
-        weak = weak_triple_d4()
+        weak = named_class_set("paper-d4-weak")
         bases = triple_bases(weak)
         rng = np.random.default_rng(23)
         for _ in range(1000):
@@ -502,45 +496,45 @@ class TestEur:
             assert avg >= 1.0 - 1e-9
 
     def test_rejects_foreign_extra_class(self):
-        weak = weak_triple_d4()
+        weak = named_class_set("paper-d4-weak")
         with pytest.raises(ValueError):
             eur_check(weak, class_from_strings(("ZI", "IZ", "ZZ")))
 
     def test_an_average_that_misses_the_bound_is_refused(self, monkeypatch):
         # no average deviates by less than zero, so every state misses
         monkeypatch.setattr(analysis, "SATURATION_TOL", -1.0)
-        weak = weak_triple_d4()
+        weak = named_class_set("paper-d4-weak")
         with pytest.raises(ValueError, match="saturation failed"):
             eur_check(weak, extra_classes_within_union(weak)[0])
 
 
 class TestKsContexts:
     def test_alternate_partition_matches_published_classes(self):
-        weak = weak_triple_d4()
+        weak = named_class_set("paper-d4-weak")
         alternate = ks_alternate_partition(weak)
         got = {frozenset(c.letters()) for c in alternate}
         want = {frozenset(group) for group in ALTERNATE_TRIPLE_D4}
         assert got == want
         # the alternate contexts cover the same nine operators
         assert ClassSet(2, alternate).union_mask == weak.union_mask
-        assert len(weak.operators()) == 9
+        assert len(operators(weak)) == 9
 
     def test_every_operator_sits_in_exactly_two_contexts(self):
-        weak = weak_triple_d4()
+        weak = named_class_set("paper-d4-weak")
         contexts = ks_contexts(weak)
-        for op in weak.operators():
+        for op in operators(weak):
             holders = [c for c in contexts if op in c]
             assert len(holders) == 2
 
     def test_sign_pattern_and_parity(self):
-        contexts = ks_contexts(weak_triple_d4())
+        contexts = ks_contexts(named_class_set("paper-d4-weak"))
         signs = [context_sign(c) for c in contexts]
         assert signs.count(-1) == 1  # so the parity is odd
         minus_context = contexts[signs.index(-1)]
         assert set(minus_context.letters()) == {"YZ", "ZX", "XY"}
 
     def test_signs_against_dense_matrix_oracle(self):
-        for context in ks_contexts(weak_triple_d4()):
+        for context in ks_contexts(named_class_set("paper-d4-weak")):
             sign = context_sign(context)
             m = np.eye(4, dtype=complex)
             for p in context.sorted_elements:
@@ -548,10 +542,9 @@ class TestKsContexts:
             assert np.allclose(m, sign * np.eye(4), atol=1e-12)
 
     def test_context_products_are_order_independent(self):
-        for context in ks_contexts(weak_triple_d4()):
-            ops = [p.hermitian() for p in context.sorted_elements]
+        for context in ks_contexts(named_class_set("paper-d4-weak")):
             results = set()
-            for perm in permutations(ops):
+            for perm in permutations(context.sorted_elements):
                 prod = perm[0]
                 for op in perm[1:]:
                     prod = multiply(prod, op)
@@ -561,21 +554,42 @@ class TestKsContexts:
     def test_squared_slot_product_is_plus_identity(self):
         # multiplying every operator twice, copies adjacent, gives +identity
         m = np.eye(4, dtype=complex)
-        for op in weak_triple_d4().operators():
+        for op in operators(named_class_set("paper-d4-weak")):
             mat = matrix_from_letters(op.to_string())
             m = m @ mat @ mat
         assert np.allclose(m, np.eye(4), atol=1e-12)
 
     def test_strong_triple_also_has_an_alternate_partition(self):
-        signs = [context_sign(c) for c in ks_contexts(strong_triple_d4())]
+        signs = [context_sign(c) for c in ks_contexts(named_class_set("paper-d4-strong"))]
         assert signs.count(-1) % 2 == 1
 
-    def test_all_constructed_triples_have_odd_parity(self):
-        cs = canonical_complete_set(2)
-        for picks in combinations(range(5), 3):
-            us = build_unextendible_set(cs, picks)
-            signs = [context_sign(c) for c in ks_contexts(us)]
+    def test_every_disjoint_triple_has_odd_parity_or_is_refused(self):
+        # all 80 pairwise-disjoint two-qubit triples: the 20 unextendible
+        # ones, the constructed swap sets among them, split into three
+        # contexts that cover the nine operators, meet every class in one
+        # operator and have odd parity; the 60 extendible ones are refused
+        partitioned, refused = set(), 0
+        for trio in combinations(all_maximal_classes(2), 3):
+            if any(a & b for a, b in combinations(trio, 2)):
+                continue
+            cs = ClassSet(2, tuple(class_from_mask(2, m) for m in trio))
+            try:
+                alternate = ks_alternate_partition(cs)
+            except ValueError as exc:
+                assert "extendible" in str(exc) and extendibility_check(cs)
+                refused += 1
+                continue
+            assert len(alternate) == 3
+            assert ClassSet(2, alternate).union_mask == cs.union_mask
+            assert all((a.mask & c.mask).bit_count() == 1 for a in alternate for c in cs)
+            signs = [context_sign(c) for c in ks_contexts(cs)]
             assert signs.count(-1) % 2 == 1
+            partitioned.add(frozenset(trio))
+        assert (len(partitioned), refused) == (20, 60)
+        complete = canonical_complete_set(2)
+        for picks in combinations(range(5), 3):
+            swap = build_unextendible_set(complete, picks)
+            assert frozenset(c.mask for c in swap) in partitioned
 
     def test_extendible_triple_rejected(self):
         cs = canonical_complete_set(2)
@@ -593,7 +607,7 @@ class TestD8DoublePartition:
         # the published second partition is every class within the union
         # beyond the five, and class i of each partition meets class j of
         # the other in a closed triple when i = j and one operator otherwise
-        first = strong_five_d8()
+        first = named_class_set("paper-d8-strong")
         second = ClassSet(3, tuple(class_from_strings(g) for g in ALTERNATE_FIVE_D8))
         assert second.union_mask == first.union_mask
         assert set(extra_classes_within_union(first)) == set(second)

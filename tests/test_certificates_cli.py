@@ -21,13 +21,7 @@ from mubforge.certificates import (
     verify_certificate,
 )
 from mubforge.cli import MALFORMED_ERRORS, build_parser, main
-from mubforge.named_sets import (
-    NAMED_CLASS_SETS,
-    STRONG_FIVE_D8,
-    STRONG_TRIPLE_D4,
-    WEAK_TRIPLE_D4,
-    named_class_set,
-)
+from mubforge.named_sets import NAMED_CLASS_SETS, named_class_set
 
 
 def run(args: list[str]) -> int:
@@ -46,14 +40,7 @@ class TestNamedSources:
             "paper-d8-strong",
         }
 
-    @pytest.mark.parametrize(
-        "name,listing",
-        [
-            ("paper-d4-weak", WEAK_TRIPLE_D4),
-            ("paper-d4-strong", STRONG_TRIPLE_D4),
-            ("paper-d8-strong", STRONG_FIVE_D8),
-        ],
-    )
+    @pytest.mark.parametrize("name,listing", list(NAMED_CLASS_SETS.items()))
     def test_named_sets_pin_exact_listings(self, name, listing):
         cs = named_class_set(name)
         got = [frozenset(c.letters()) for c in cs.classes]
@@ -129,7 +116,7 @@ class TestFindUnextendible:
         cert = load(out)
         classes = cert["payload"]["classes"]["classes"]
         got = {frozenset(c["elements"]) for c in classes}
-        want = {frozenset(group) for group in WEAK_TRIPLE_D4}
+        want = {frozenset(group) for group in NAMED_CLASS_SETS["paper-d4-weak"]}
         assert got == want
         leftover = cert["payload"]["extendibility"]["universe_operators"]
         assert set(leftover) == {"IX", "XX", "YX", "ZI", "ZY", "ZZ"}

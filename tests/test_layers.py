@@ -35,10 +35,8 @@ IMPORTS = {
     "unextendible": {"pauli", "search", "classes"},
     "bases": {"pauli", "search", "classes"},
     "analysis": {"bases", "classes"},
-    "certificates": {
-        "analysis", "bases", "classes", "named_sets", "search", "unextendible",
-    },
-    "cli": {"analysis", "certificates", "classes", "named_sets", "unextendible"},
+    "certificates": {"analysis", "classes", "named_sets", "search", "unextendible"},
+    "cli": {"certificates", "classes", "named_sets", "unextendible"},
 }
 
 

@@ -77,9 +77,9 @@ class TestEncoding:
             pauli_from_string("X" * 9)
 
     def test_identity_flags(self):
-        assert identity(2).is_identity
+        assert identity(2) == PauliOperator(2, 0, 0, 0)
         assert PauliOperator(2, 0, 0, 2).is_projective_identity
-        assert not PauliOperator(2, 0, 0, 2).is_identity
+        assert PauliOperator(2, 0, 0, 2) != identity(2)
 
 
 class TestMultiply:
@@ -104,7 +104,7 @@ class TestMultiply:
         assert multiply(identity(2), op) == op
 
     def test_phase_exact_against_matrices_all_two_qubit_pairs(self):
-        ops = [p.hermitian() for p in enumerate_nonidentity(2)]
+        ops = enumerate_nonidentity(2)
         for a in ops:
             for b in ops:
                 mb = op_matrix(b)
@@ -150,7 +150,7 @@ class TestCommutes:
 
     def test_commuting_iff_products_share_phase(self):
         # exhaustive on two qubits
-        herms2 = [p.hermitian() for p in enumerate_nonidentity(2)]
+        herms2 = enumerate_nonidentity(2)
         for a in herms2:
             for b in herms2:
                 assert commutes(a, b) == (
@@ -161,7 +161,7 @@ class TestCommutes:
         ops3 = enumerate_nonidentity(3)
         for _ in range(500):
             i, j = rng.integers(len(ops3), size=2)
-            a, b = ops3[i].hermitian(), ops3[j].hermitian()
+            a, b = ops3[i], ops3[j]
             assert commutes(a, b) == (multiply(a, b).phase == multiply(b, a).phase)
 
     def test_census_of_commuting_partners(self):

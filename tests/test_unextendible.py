@@ -20,10 +20,7 @@ from mubforge.classes import (
     complete_set_from,
     mask_letters,
 )
-from mubforge.named_sets import (
-    strong_five_d8,
-    weak_triple_d4,
-)
+from mubforge.named_sets import named_class_set
 from mubforge.pauli import commutes
 from mubforge import search, unextendible
 from mubforge.search import classes_within_mask, full_mask
@@ -59,7 +56,7 @@ class TestExtraClassesWithinUnion:
         for picks in combinations(range(5), 3):
             sub = ClassSet(2, tuple(cs[i] for i in picks))
             extra = extra_classes_within_union(sub)[0]
-            per_class = [extra.elements & cs[i].elements for i in picks]
+            per_class = [[p for p in extra.sorted_elements if p in cs[i]] for i in picks]
             assert all(len(part) == 1 for part in per_class)
             w1, w2, w3 = (next(iter(part)) for part in per_class)
             assert w1.key ^ w2.key == w3.key
@@ -97,7 +94,7 @@ class TestExtraClassesWithinUnion:
 
 class TestExtendibilityCheck:
     def test_weak_triple_is_unextendible_with_pinned_leftover(self):
-        weak = weak_triple_d4()
+        weak = named_class_set("paper-d4-weak")
         assert extendibility_check(weak) == ()
         leftover = mask_letters(2, full_mask(2) & ~weak.union_mask)
         assert set(leftover) == set(WEAK_TRIPLE_D4_LEFTOVER)
@@ -121,7 +118,7 @@ class TestExtendibilityCheck:
         assert full_mask(2) & ~cs.union_mask == 0
 
     def test_named_five_is_unextendible(self):
-        assert extendibility_check(strong_five_d8()) == ()
+        assert extendibility_check(named_class_set("paper-d8-strong")) == ()
 
 
 class TestBuildUnextendibleSet:
@@ -161,7 +158,7 @@ class TestBuildUnextendibleSet:
             build_unextendible_set(cs, (0, 1, 7))
 
     def test_incomplete_input_rejected(self):
-        triple = weak_triple_d4()
+        triple = named_class_set("paper-d4-weak")
         with pytest.raises(ValueError):
             build_unextendible_set(triple, (0, 1, 2))
 
@@ -268,7 +265,7 @@ class TestCensus:
         cs = canonical_complete_set(3)
         class_of = {}
         for idx, c in enumerate(cs.classes):
-            for p in c.elements:
+            for p in c.sorted_elements:
                 class_of[p.key] = idx
 
         def inside_count(picks, host_pos):
@@ -495,7 +492,7 @@ class TestOwnerCensus:
 
     def test_rejects_a_class_set_that_is_not_complete(self):
         classes = canonical_complete_set(3).classes
-        for incomplete in (ClassSet(3, classes[:-1]), ClassSet(3, ()), strong_five_d8()):
+        for incomplete in (ClassSet(3, classes[:-1]), ClassSet(3, ()), named_class_set("paper-d8-strong")):
             with pytest.raises(ValueError, match="needs a complete class set"):
                 owner_census(incomplete)
         # a repeated class never reaches the census: the set itself is refused
