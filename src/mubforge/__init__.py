@@ -13,7 +13,18 @@ compiled or run until one of its attributes is first read. The
 combinatorial commands never read one, so a process that runs them without
 cached bytecode does not compile those modules. Every name in ``__all__``
 not bound at import is theirs, served by the module ``__getattr__`` from
-``analysis``, which loads it.
+``analysis``, which loads it. Plain imports inside the functions would
+spare the combinatorial commands the same work, but the benchmark's tracer
+(perfbench/spans.py) patches only the layer modules that are in
+``sys.modules`` when it installs, right after this import; reading an
+attribute of a lazy module runs it, so the tracer still patches every
+layer.
+
+For the same start-up cost, no module imports ``dataclasses``, which would
+pull in ``inspect``, ``ast``, ``dis`` and ``tokenize`` at the start of
+every command: records are ``typing.NamedTuple``s, and the two classes
+with their own equality, ``CommutingClass`` and ``ClassSet``, are small
+``__slots__`` classes.
 """
 
 import sys

@@ -12,9 +12,10 @@ verifier; ``check`` runs it once, on the file alone.
 One rule sorts a damaged file for every kind. A key its writer writes but
 the file lacks, at any depth, ``kind`` included, raises KeyError naming it,
 and a ``kind`` that names no payload raises ValueError: either way the file
-is malformed, with no claim to refute. Declared classes that do not
-rebuild, a key the file adds and a value that does not reproduce refute
-the claim.
+is malformed, with no claim to refute. So is an integer a rebuild reads
+with ``_int_at`` (a seed, a start count, a scan's n or budget) that the
+file holds as another JSON type. Declared classes that do not rebuild, a
+key the file adds and a value that does not reproduce refute the claim.
 
 The deterministic kinds (class_set, unextendible_set, eur_report, ks_report,
 scan_report) verify by re-emission. One ``*_content`` function per kind runs
@@ -40,7 +41,10 @@ classes (or the built-in ``source``), the seed, ``starts_requested`` and
 ``stop_below``; files from earlier optimizers verify because they wrote
 the same fields. The re-run takes only its seed and start count from the
 file, so it costs at most RECHECK_STARTS x (analysis.MAX_ITERATIONS + 1)
-evaluations of the residual kernel, whatever the file says.
+evaluations of the residual kernel, whatever the file says. Nothing
+re-derives ``converged_starts`` or ``best_start_index``, so they are
+checked only for range: a rehashed file with another value in range still
+verifies.
 
 The payload hash covers the schema version, command, config and payload in
 canonical JSON; the creation timestamp sits outside the hashed region so
@@ -76,7 +80,9 @@ from mubforge.unextendible import (
 )
 
 # CPython's own SHA-256: importing hashlib loads OpenSSL's libcrypto, a few
-# MB and milliseconds in every process, for one digest per certificate
+# MB and milliseconds in every process, for one digest per certificate.
+# Only scan --budget and the check of its files still load it, through
+# numpy.random
 try:
     from _sha2 import sha256  # Python 3.12+
 except ImportError:
@@ -291,8 +297,28 @@ def _declared(what: str):
         raise _Refuted(f"{what} does not rebuild: {exc}") from None
 
 
-# Inputs the rebuild echoes pass through str() or int() first, so a value of
-# another type (a bool for an int, say) no longer matches the file's.
+def _at(tree: dict, path: str):
+    """The value at a dotted path of ``tree``; KeyError names the first key missing."""
+    node, keys = tree, path.split(".")
+    for i, key in enumerate(keys):
+        if not isinstance(node, dict) or key not in node:
+            raise KeyError(".".join(keys[: i + 1]))
+        node = node[key]
+    return node
+
+
+def _int_at(tree: dict, path: str) -> int:
+    """The value at ``path``; ValueError unless it is a JSON integer (a bool is not)."""
+    value = _at(tree, path)
+    if type(value) is not int:
+        raise ValueError(f"{path} must be an integer, got {value!r}")
+    return value
+
+
+# Seeds, counts, budgets and a scan's n are read with _int_at, so a value
+# that is not a JSON integer is malformed. The other inputs a rebuild
+# echoes pass through str() or int() first, so a value of another type (a
+# bool for a chosen index, say) no longer matches the file's.
 
 
 def _source(label, declared: ClassSet) -> tuple[str, ClassSet]:
@@ -307,7 +333,7 @@ def _rebuild_class_set(payload: dict, config: dict) -> tuple[dict, dict]:
 
 
 def _rebuild_unextendible_set(payload: dict, config: dict) -> tuple[dict, dict]:
-    seed = int(config["seed"])
+    seed = _int_at({"config": config}, "config.seed")
     with _declared("provenance"):
         prov = payload["provenance"]
         chosen = [int(i) for i in prov["chosen"]]
@@ -327,26 +353,9 @@ def _rebuild_ks_report(payload: dict, config: dict) -> tuple[dict, dict]:
 
 
 def _rebuild_scan_report(payload: dict, config: dict) -> tuple[dict, dict]:
-    budget = None if payload["budget"] is None else int(payload["budget"])
-    return scan_content(int(payload["n"]), budget, int(payload["seed"]))
-
-
-def _at(tree: dict, path: str):
-    """The value at a dotted path of ``tree``; KeyError names the first key missing."""
-    node, keys = tree, path.split(".")
-    for i, key in enumerate(keys):
-        if not isinstance(node, dict) or key not in node:
-            raise KeyError(".".join(keys[: i + 1]))
-        node = node[key]
-    return node
-
-
-def _int_at(tree: dict, path: str) -> int:
-    """The value at ``path``; ValueError unless it is a JSON integer (a bool is not)."""
-    value = _at(tree, path)
-    if type(value) is not int:
-        raise ValueError(f"{path} must be an integer, got {value!r}")
-    return value
+    tree = {"payload": payload}
+    budget = None if _at(tree, "payload.budget") is None else _int_at(tree, "payload.budget")
+    return scan_content(_int_at(tree, "payload.n"), budget, _int_at(tree, "payload.seed"))
 
 
 def _rebuild_search_outcome(payload: dict, config: dict) -> tuple[dict, dict]:

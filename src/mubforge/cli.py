@@ -11,6 +11,30 @@ that needs numpy without it exits 2 with one ``error:`` line.
 Sources for the analysis commands are either paths to class-set or
 unextendible-set certificates or one of the built-in names: paper-d4-weak,
 paper-d4-strong, paper-d8-strong.
+
+``find-unextendible`` takes exactly one of ``--choose`` and ``--all``, and
+``scan`` exactly one of ``--budget`` and ``--all``. ``find-unextendible
+--all`` writes one certificate per valid swap, in itertools.combinations
+order (10, 126 and 1870 at n = 2, 3 and 4), into the ``--output``
+directory, or as JSON Lines on stdout. The ``--seed`` of ``strong`` and
+``scan`` drives a generator and must be non-negative (``check`` still
+verifies a ``scan --all`` file that records a negative one); the seed of
+``find-unextendible`` is only recorded and that of ``complete-set`` is
+ignored, so both take any integer. A usage error exits 2 with argparse's
+usage line; input the parser lets through but the command cannot use (a
+``--choose`` list with an empty part, or that owns no class or several,
+an output path that cannot be written, a ``--starts`` too large to
+allocate, a ``--stop-below`` that is not finite) exits 2 with one
+``error:`` line.
+
+Only ``strong``, ``eur`` and ``scan --budget``, and ``check`` of their
+files, import numpy; the other commands and their checks run on the
+standard library alone. The same ``complete-set``, ``find-unextendible``,
+``scan`` or ``ks`` command, with the same seed where it takes one, gives
+the same hashed content on every machine. ``strong`` and ``eur`` write
+floats that another BLAS kernel may round differently in the last bits,
+so their hashes can differ between machines, while each file verifies on
+every one.
 """
 
 from __future__ import annotations

@@ -532,15 +532,56 @@ def _bool_seed(cert):
     cert["config"]["seed"] = False
 
 
-@pytest.mark.parametrize("mutate", [_bool_index, _bool_seed], ids=["index", "seed"])
-def test_a_bool_does_not_stand_in_for_an_int(tmp_path, mutate):
-    # False == 0 in Python, but the file no longer says what was emitted
+@pytest.mark.parametrize(
+    "mutate, malformed", [(_bool_index, None), (_bool_seed, "config.seed")],
+    ids=["index", "seed"],
+)
+def test_a_bool_does_not_stand_in_for_an_int(tmp_path, mutate, malformed):
+    # False == 0 in Python, but the file no longer says what was emitted: a
+    # chosen index is echoed and refuted, the seed is read as an integer
     out = tmp_path / "w.json"
     assert run(["find-unextendible", "-n", "2", "--choose", "0,1,2", "-o", str(out)]) == 0
     cert = load(out)
     mutate(cert)
     _rehash(cert)
-    assert verify_certificate(cert)
+    if malformed is None:
+        assert verify_certificate(cert)
+    else:
+        with pytest.raises(ValueError, match=f"^{malformed} must be an integer, got False$"):
+            verify_certificate(cert)
+
+
+@pytest.mark.parametrize(
+    "argv, field, value",
+    [
+        (["find-unextendible", "-n", "2", "--choose", "0,1,2"], ("config", "seed"), 1.5),
+        (["find-unextendible", "-n", "2", "--choose", "0,1,2"], ("config", "seed"), "0"),
+        (["find-unextendible", "-n", "2", "--choose", "0,1,2"], ("config", "seed"), True),
+        (["scan", "-n", "4", "--budget", "5"], ("payload", "seed"), 1.5),
+        (["scan", "-n", "4", "--budget", "5"], ("payload", "budget"), 5.0),
+        (["scan", "-n", "4", "--budget", "5"], ("payload", "n"), 4.0),
+        (["scan", "-n", "4", "--all"], ("payload", "budget"), "null"),
+    ],
+    ids=["unext-seed-float", "unext-seed-string", "unext-seed-true", "scan-seed",
+         "scan-budget", "scan-n", "scan-budget-string"],
+)
+def test_an_integer_field_of_another_type_is_malformed(tmp_path, capsys, argv, field, value):
+    # the rebuild reads these fields as JSON integers (a scan's budget may
+    # also be null), so any other value leaves no claim to refute
+    good = tmp_path / "good.json"
+    assert run(argv + ["-o", str(good)]) == 0
+    cert = load(good)
+    cert[field[0]][field[1]] = value
+    _rehash(cert)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cert), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["check", str(bad), str(good)]) == 2
+    path = ".".join(field)
+    assert capsys.readouterr().out.splitlines() == [
+        f"{bad}: malformed (ValueError: {path} must be an integer, got {value!r})",
+        f"{good}: verified",
+    ]
 
 
 OVERFLOW = "cannot convert float infinity to integer"
@@ -552,7 +593,7 @@ OVERFLOW = "cannot convert float infinity to integer"
         (["complete-set", "-n", "2"], ("payload", "class_set", "n"), 1,
          ["REFUTED", f"  - class set does not rebuild: {OVERFLOW}"]),
         (["scan", "-n", "4", "--budget", "5"], ("payload", "seed"), 2,
-         [f"malformed (OverflowError: {OVERFLOW})"]),
+         ["malformed (ValueError: payload.seed must be an integer, got inf)"]),
         (["find-unextendible", "-n", "2", "--choose", "0,1,2"],
          ("payload", "provenance", "chosen", 0), 1,
          ["REFUTED", f"  - provenance does not rebuild: {OVERFLOW}"]),
@@ -1576,18 +1617,6 @@ print(main(["complete-set", "-n", "3", "-o", {str(out)!r}]),
     assert load(out)["payload_sha256"] == (
         "4426026d92491a73dc108979f1718f77ed84f023449a160a1da5a637e683702d"
     )
-
-
-def test_readme_library_example_runs():
-    # the python block under "Library use" runs as written and prints what
-    # its comments say
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1]
-    printed = _python(block.split("```", 1)[0]).splitlines()
-    assert len(printed) == 3
-    assert printed[0] == "('IZ', 'XI', 'XZ')"
-    assert abs(float(printed[1]) - 0.25) <= 1e-9
-    assert printed[-1] == "1.0 True"
 
 
 def test_strong_search_runs_without_scipy(tmp_path):
