@@ -40,13 +40,7 @@ from mubforge.classes import (
     class_from_strings,
     complete_set_from,
 )
-from mubforge.pauli import (
-    PauliOperator,
-    commutes,
-    independent,
-    multiply,
-    pauli_from_string,
-)
+from mubforge.pauli import PauliOperator, commutes, multiply, pauli_from_string
 from mubforge.unextendible import (
     ConjectureScanReport,
     build_unextendible_set,
@@ -96,7 +90,6 @@ __all__ = [
     "eur_check",
     "extendibility_check",
     "extra_classes_within_union",
-    "independent",
     "ks_alternate_partition",
     "multiply",
     "pauli_from_string",

@@ -159,7 +159,7 @@ class UnbiasedVectorProblem(NamedTuple):
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Residuals and the normal-equation terms at a batch of torus points.
 
-        ``theta`` has shape (B, d-1), or (d-1,) for one point. With J =
+        ``theta`` has shape (B, d-1), one torus point per row. With J =
         dr/dtheta the (m, d-1) Jacobian of the m residuals r_a = |<c_a|psi>|^2
         - 1/d, returns r of shape (B, m), g = J^T r of shape (B, d-1) and
         H = J^T J of shape (B, d-1, d-1); F = sum r^2 has gradient 2 g. With
@@ -180,11 +180,9 @@ class UnbiasedVectorProblem(NamedTuple):
         """
         import numpy as np
 
-        theta = np.asarray(theta, dtype=float)
-        lead = theta.shape[:-1]
         n = self.d - 1
-        rows = np.flatnonzero(np.broadcast_to(newton, lead))
-        e = np.exp(1j * theta.reshape(-1, 1, n))
+        rows = np.flatnonzero(np.broadcast_to(newton, len(theta)))
+        e = np.exp(1j * theta[:, None, :])
         u = (self.offset + (e @ self.conditions.T)[:, 0]).conj()
         w = u.real**2 + u.imag**2
         r = w - 1.0 / self.d
@@ -202,11 +200,7 @@ class UnbiasedVectorProblem(NamedTuple):
         hess = 2.0 * h.real
         diag = np.arange(n)
         hess[rows[:, None], diag, diag] -= 2.0 * s.real[rows]
-        return (
-            r.reshape(lead + (-1,)),
-            g.reshape(theta.shape),
-            hess.reshape(lead + (n, n)),
-        )
+        return r, g, hess
 
 
 class SearchOutcome(NamedTuple):

@@ -18,7 +18,7 @@ this module.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 MAX_QUBITS = 8
 
@@ -138,29 +138,3 @@ def commutes(a: PauliOperator, b: PauliOperator) -> bool:
     """True iff the symplectic form x_a.z_b + x_b.z_a vanishes mod 2."""
     _require_same_n(a, b)
     return (((a.x & b.z).bit_count() + (b.x & a.z).bit_count()) & 1) == 0
-
-
-def independent(ops: Sequence[PauliOperator]) -> bool:
-    """GF(2) linear independence of the symplectic vectors (x||z).
-
-    Equivalently: no nonempty sub-product of ``ops`` is projectively the
-    identity.
-    """
-    if not ops:
-        raise ValueError("empty operator list")
-    n = ops[0].n
-    pivots: dict[int, int] = {}
-    for op in ops:
-        if op.n != n:
-            raise ValueError(f"qubit counts differ: {n} vs {op.n}")
-        v = (op.x << n) | op.z
-        while v:
-            msb = v.bit_length() - 1
-            if msb not in pivots:
-                pivots[msb] = v
-                break
-            v ^= pivots[msb]
-        else:
-            return False
-    return True
-

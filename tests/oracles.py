@@ -11,9 +11,12 @@ full Jacobian by broadcasting, the route the package's normal-equation
 kernel avoids. ``enumerate_nonidentity``, ``operators``,
 ``commuting_overlap`` and ``theorem4_census`` are the operator listings of
 all of n qubits and of a class set, the commuting-overlap sets and the
-d = 8 spanning census, which only the tests ask for. ``start_angles``
-draws the strong search's starting phases with one numpy generator per
-start, the route the package's block draw avoids.
+d = 8 spanning census, which only the tests ask for. ``independent``
+decides GF(2) independence by pivot elimination; it is the oracle for the
+library's refusal of dependent generators, which the library reads off
+the span it closes instead. ``start_angles`` draws the strong search's
+starting phases with one numpy generator per start, the route the
+package's block draw avoids.
 ``sign_columns`` reads each class element's eigenvalue signs off a basis
 through those dense matrices, and ``unbiasedness_deviation`` measures how
 far two bases are from mutually unbiased. ``BASIS_LISTING_*`` are the
@@ -28,6 +31,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -127,6 +131,31 @@ def enumerate_nonidentity(n: int) -> list[PauliOperator]:
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
     return [PauliOperator.from_key(n, key) for key in range(1, 1 << (2 * n))]
+
+
+def independent(ops: Sequence[PauliOperator]) -> bool:
+    """GF(2) linear independence of the symplectic vectors (x||z).
+
+    Equivalently: no nonempty sub-product of ``ops`` is projectively the
+    identity.
+    """
+    if not ops:
+        raise ValueError("empty operator list")
+    n = ops[0].n
+    pivots: dict[int, int] = {}
+    for op in ops:
+        if op.n != n:
+            raise ValueError(f"qubit counts differ: {n} vs {op.n}")
+        v = (op.x << n) | op.z
+        while v:
+            msb = v.bit_length() - 1
+            if msb not in pivots:
+                pivots[msb] = v
+                break
+            v ^= pivots[msb]
+        else:
+            return False
+    return True
 
 
 def operators(cs: ClassSet) -> list[PauliOperator]:

@@ -1,9 +1,9 @@
-"""Unbiased-vector search, collision entropy, and context verification."""
+"""Unbiased-vector search and collision entropy."""
 
 from __future__ import annotations
 
 import tracemalloc
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -26,24 +26,13 @@ from mubforge.classes import (
     class_from_strings,
 )
 from mubforge.named_sets import named_class_set
-from mubforge.pauli import multiply
 from mubforge.search import all_maximal_classes
 from mubforge.unextendible import (
     build_unextendible_set,
-    context_sign,
     extendibility_check,
     extra_classes_within_union,
-    ks_alternate_partition,
 )
-from oracles import (
-    ALTERNATE_FIVE_D8,
-    ALTERNATE_TRIPLE_D4,
-    matrix_from_letters,
-    operators,
-    random_state,
-    residual_jacobian,
-    start_angles,
-)
+from oracles import random_state, residual_jacobian, start_angles
 
 
 def triple_bases(cs):
@@ -53,11 +42,6 @@ def triple_bases(cs):
 def first_three():
     """The first three classes of the canonical two-qubit complete set."""
     return ClassSet(2, canonical_complete_set(2).classes[:3])
-
-
-def ks_contexts(cs):
-    """The classes of ``cs``, then the alternate partition of their operators."""
-    return (*cs, *ks_alternate_partition(cs))
 
 
 class TestResidual:
@@ -149,7 +133,7 @@ class TestUnbiasedVectorProblem:
             assert g.tobytes() == plain[1].tobytes()
             assert not np.array_equal(hess, plain[2])
 
-    def test_batch_rows_equal_single_point_calls(self):
+    def test_batch_rows_equal_one_row_calls(self):
         # each row of a batch is computed on its own, in its own mode:
         # exactly the 1-row call, whatever the batch size and the other
         # rows' modes
@@ -165,12 +149,10 @@ class TestUnbiasedVectorProblem:
                     assert [a.shape for a in batch] == [(size, m), (size, n), (size, n, n)]
                     flags = np.broadcast_to(newton, size)
                     for b in range(size):
-                        single = problem.residual_and_gradient(theta[b], flags[b])
                         row = problem.residual_and_gradient(
                             theta[b : b + 1], flags[b : b + 1]
                         )
-                        for whole, one, first in zip(batch, single, row):
-                            assert np.array_equal(one, whole[b])
+                        for whole, first in zip(batch, row):
                             assert np.array_equal(first[0], whole[b])
 
     def test_candidates_are_unbiased_to_the_first_basis(self):
@@ -506,110 +488,3 @@ class TestEur:
         weak = named_class_set("paper-d4-weak")
         with pytest.raises(ValueError, match="saturation failed"):
             eur_check(weak, extra_classes_within_union(weak)[0])
-
-
-class TestKsContexts:
-    def test_alternate_partition_matches_published_classes(self):
-        weak = named_class_set("paper-d4-weak")
-        alternate = ks_alternate_partition(weak)
-        got = {frozenset(c.letters()) for c in alternate}
-        want = {frozenset(group) for group in ALTERNATE_TRIPLE_D4}
-        assert got == want
-        # the alternate contexts cover the same nine operators
-        assert ClassSet(2, alternate).union_mask == weak.union_mask
-        assert len(operators(weak)) == 9
-
-    def test_every_operator_sits_in_exactly_two_contexts(self):
-        weak = named_class_set("paper-d4-weak")
-        contexts = ks_contexts(weak)
-        for op in operators(weak):
-            holders = [c for c in contexts if op in c]
-            assert len(holders) == 2
-
-    def test_sign_pattern_and_parity(self):
-        contexts = ks_contexts(named_class_set("paper-d4-weak"))
-        signs = [context_sign(c) for c in contexts]
-        assert signs.count(-1) == 1  # so the parity is odd
-        minus_context = contexts[signs.index(-1)]
-        assert set(minus_context.letters()) == {"YZ", "ZX", "XY"}
-
-    def test_signs_against_dense_matrix_oracle(self):
-        for context in ks_contexts(named_class_set("paper-d4-weak")):
-            sign = context_sign(context)
-            m = np.eye(4, dtype=complex)
-            for p in context.sorted_elements:
-                m = m @ matrix_from_letters(p.to_string())
-            assert np.allclose(m, sign * np.eye(4), atol=1e-12)
-
-    def test_context_products_are_order_independent(self):
-        for context in ks_contexts(named_class_set("paper-d4-weak")):
-            results = set()
-            for perm in permutations(context.sorted_elements):
-                prod = perm[0]
-                for op in perm[1:]:
-                    prod = multiply(prod, op)
-                results.add((prod.key, prod.phase))
-            assert len(results) == 1
-
-    def test_squared_slot_product_is_plus_identity(self):
-        # multiplying every operator twice, copies adjacent, gives +identity
-        m = np.eye(4, dtype=complex)
-        for op in operators(named_class_set("paper-d4-weak")):
-            mat = matrix_from_letters(op.to_string())
-            m = m @ mat @ mat
-        assert np.allclose(m, np.eye(4), atol=1e-12)
-
-    def test_strong_triple_also_has_an_alternate_partition(self):
-        signs = [context_sign(c) for c in ks_contexts(named_class_set("paper-d4-strong"))]
-        assert signs.count(-1) % 2 == 1
-
-    def test_every_disjoint_triple_has_odd_parity_or_is_refused(self):
-        # all 80 pairwise-disjoint two-qubit triples: the 20 unextendible
-        # ones, the constructed swap sets among them, split into three
-        # contexts that cover the nine operators, meet every class in one
-        # operator and have odd parity; the 60 extendible ones are refused
-        partitioned, refused = set(), 0
-        for trio in combinations(all_maximal_classes(2), 3):
-            if any(a & b for a, b in combinations(trio, 2)):
-                continue
-            cs = ClassSet(2, tuple(class_from_mask(2, m) for m in trio))
-            try:
-                alternate = ks_alternate_partition(cs)
-            except ValueError as exc:
-                assert "extendible" in str(exc) and extendibility_check(cs)
-                refused += 1
-                continue
-            assert len(alternate) == 3
-            assert ClassSet(2, alternate).union_mask == cs.union_mask
-            assert all((a.mask & c.mask).bit_count() == 1 for a in alternate for c in cs)
-            signs = [context_sign(c) for c in ks_contexts(cs)]
-            assert signs.count(-1) % 2 == 1
-            partitioned.add(frozenset(trio))
-        assert (len(partitioned), refused) == (20, 60)
-        complete = canonical_complete_set(2)
-        for picks in combinations(range(5), 3):
-            swap = build_unextendible_set(complete, picks)
-            assert frozenset(c.mask for c in swap) in partitioned
-
-    def test_extendible_triple_rejected(self):
-        cs = canonical_complete_set(2)
-        with pytest.raises(ValueError, match="extendible"):
-            ks_alternate_partition(ClassSet(2, cs.classes[:3]))
-
-    def test_a_class_whose_product_is_not_the_identity_is_refused(self):
-        # a one-qubit class holds one operator, which is its own product
-        with pytest.raises(ValueError, match="not plus or minus identity"):
-            context_sign(class_from_strings(("X",)))
-
-
-class TestD8DoublePartition:
-    def test_published_double_partition_verifies(self):
-        # the published second partition is every class within the union
-        # beyond the five, and class i of each partition meets class j of
-        # the other in a closed triple when i = j and one operator otherwise
-        first = named_class_set("paper-d8-strong")
-        second = ClassSet(3, tuple(class_from_strings(g) for g in ALTERNATE_FIVE_D8))
-        assert second.union_mask == first.union_mask
-        assert set(extra_classes_within_union(first)) == set(second)
-        meets = [[(a.mask & b.mask).bit_count() for b in second] for a in first]
-        assert meets == [[3 if i == j else 1 for j in range(5)] for i in range(5)]

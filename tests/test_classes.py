@@ -42,6 +42,7 @@ from oracles import (
     commuting_overlap,
     enumerate_classes_in,
     enumerate_nonidentity,
+    independent,
     operators,
 )
 
@@ -62,6 +63,23 @@ class TestClassConstruction:
     def test_dependent_generators_rejected(self):
         with pytest.raises(ValueError, match="dependent"):
             class_from_generators(gens("ZII", "IZI", "ZZI"))
+
+    def test_every_dependent_commuting_triple_is_refused(self):
+        # all 4095 triples of pairwise-commuting three-qubit operators: a
+        # class is built exactly when the GF(2) oracle calls the triple
+        # independent, and every other triple is refused as dependent
+        built = refused = 0
+        for trio in combinations(enumerate_nonidentity(3), 3):
+            if not all(commutes(a, b) for a, b in combinations(trio, 2)):
+                continue
+            if independent(trio):
+                assert class_from_generators(trio).mask.bit_count() == 7
+                built += 1
+            else:
+                with pytest.raises(ValueError, match="generators are dependent"):
+                    class_from_generators(trio)
+                refused += 1
+        assert (built, refused) == (3780, 315)
 
     def test_wrong_generator_count_rejected(self):
         with pytest.raises(ValueError, match="generators"):

@@ -6,6 +6,10 @@ layers are ordered pauli < search < classes < {named_sets, unextendible,
 bases} < analysis < certificates < cli, and no module imports one above it
 or beside it, so a new upward edge fails here. ``__init__`` is exempt: it
 re-exports the layers and registers the lazily loaded numeric ones.
+
+Every top-level function and class of the library must also have a caller
+in the library: a route that only the tests use belongs in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -79,3 +83,29 @@ def test_every_import_points_down_the_order():
         if rank[imported] >= rank[module]
     ]
     assert upward == []
+
+
+def test_every_top_level_name_is_used_by_the_library():
+    # a use is a Name or an Attribute read anywhere in src/ outside the
+    # name's own definition and __init__'s re-export imports; the match is
+    # by bare name, so a same-named attribute elsewhere counts as a use
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    defined = {
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    }
+    used = set()
+    for module, tree in trees.items():
+        for top in tree.body:
+            if module == "__init__" and isinstance(top, ast.ImportFrom):
+                continue
+            reads = {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(top)
+                if isinstance(node, (ast.Name, ast.Attribute))
+            }
+            used |= reads - {getattr(top, "name", None)}
+    assert sorted(d for d in defined if d[1] not in used) == []

@@ -11,13 +11,13 @@ from mubforge.pauli import (
     PauliOperator,
     commutes,
     identity,
-    independent,
     multiply,
     pauli_from_string,
 )
 from oracles import (
     LETTER_MATS,
     enumerate_nonidentity,
+    independent,
     matrices_commute,
     matrix_from_letters,
 )
