@@ -16,15 +16,15 @@ same kernel call returns the full Hessian in place of J^T J, because
 Gauss-Newton converges only linearly where the residual stays large, as it
 does at the floors. All starts in flight advance together as one numpy
 batch whose rows never interact; see ``strong_unext_search`` for the
-switch and the stopping rules. A residual below the
-witness threshold is a constructive extension witness; a floor well above
-it across all starts is evidence (not proof) of strong unextendibility. The
-search is calibrated in both directions by the test suite. numpy is imported
-by the functions that compute with arrays, so importing this module does not
-load it. Nor does importing the package run this module or mubforge.bases:
-both load on first use (see mubforge/__init__.py), so the rest of the
-package reads their names as ``analysis.X`` when it runs, never with a
-``from`` import when it is imported.
+switch and the stopping rules. A residual below 1e-10 is a constructive
+extension witness; a floor well above it across all starts is evidence
+(not proof) of strong unextendibility. The search is calibrated in both
+directions by the test suite. numpy is imported by the functions that
+compute with arrays, so importing this module does not load it. Nor does
+importing the package run this module or mubforge.bases: both load on
+first use (see mubforge/__init__.py), so the rest of the package reads
+their names as ``analysis.X`` when it runs, never with a ``from`` import
+when it is imported.
 
 Each call returns only what it computed: the search its best residual,
 vector and start counts, and ``eur_check`` the per-basis collision
@@ -43,7 +43,6 @@ from mubforge.bases import eigenbasis
 from mubforge.classes import ClassSet, CommutingClass
 
 SATURATION_TOL = 1e-12
-WITNESS_THRESHOLD = 1e-10
 
 DEFAULT_STARTS = 1000
 MAX_ITERATIONS = 500
@@ -65,9 +64,8 @@ _LAMBDA_CEILING = 1e16
 # a trial point whose damping will be at most this once its step is kept
 # gets the full Hessian in place of J^T J (three kept steps after the start)
 _LAMBDA_NEWTON = 1e-6
-# the starts in flight at once, and the starts drawn at once, are at least
-# _BATCH_ROWS, and more while their (d-1) x (d-1) float64 of state per row
-# fit in _BATCH_BYTES: 256 rows from d = 8 up, 1393 at d = 4
+# the cap on the starts in flight at once, and on the starts drawn at
+# once, is derived from these two in ``_multistart``
 _BATCH_ROWS = 256
 _BATCH_BYTES = 256 * 7 * 7 * 8
 
@@ -255,10 +253,9 @@ def strong_unext_search(
     every component; it also stops, unconverged, when lambda passes
     _LAMBDA_CEILING or after MAX_ITERATIONS steps. These are constants,
     read at call time. A start evaluates the residual kernel at most
-    MAX_ITERATIONS + 1 times (its start point and one trial per step), so
-    the spot re-run of ``check``, at most RECHECK_STARTS starts, costs at
-    most RECHECK_STARTS x (MAX_ITERATIONS + 1) kernel rows, whatever the
-    file says.
+    MAX_ITERATIONS + 1 times (its start point and one trial per step); the
+    mubforge.certificates docstring turns this into the cost bound of the
+    spot re-run of ``check``.
 
     The step runs on the normal equations alone: each start in flight keeps
     J^T r and a (d-1) x (d-1) matrix, which
@@ -275,17 +272,17 @@ def strong_unext_search(
     sets instead. A singular damped system, possible only in the Newton
     phase, counts as a rejected step for its start alone.
 
-    All starts in flight, at most max(_BATCH_ROWS, _BATCH_BYTES // (8
-    (d-1)^2)) of them, are iterated as one batch whose rows never interact,
-    and each row's mode depends only on its own lambda, so every start's
-    result is the same whatever else shares its batch, and a run that stops
-    early after k starts matches a run of k starts. ``stop_below`` ends the
-    search at the first start (by index) whose residual falls under the
-    threshold, which is enough when only a witness is wanted; it must be
-    None or a finite number.
+    All starts in flight, up to the cap ``_multistart`` states, are
+    iterated as one batch whose rows never interact, and each row's mode
+    depends only on its own lambda, so every start's result is the same
+    whatever else shares its batch, and a run that stops early after k
+    starts matches a run of k starts. ``stop_below`` ends the search at the
+    first start (by index) whose residual falls under the threshold, which
+    is enough when only a witness is wanted; it must be None or a finite
+    number.
 
-    A result below WITNESS_THRESHOLD is a constructive extension witness; a
-    floor far above it across all starts is evidence, not proof, that no
+    A result below 1e-10 is a constructive extension witness; a floor far
+    above it across all starts is evidence, not proof, that no
     unbiased vector exists.
     """
     import numpy as np

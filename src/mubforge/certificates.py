@@ -362,18 +362,19 @@ def _rebuild_search_outcome(payload: dict, config: dict) -> tuple[dict, dict]:
     """Check what the search found, then write the strong pair around it.
 
     The seed, the start counts and the best start index must be JSON
-    integers, each vector part a list of d numbers, and ``stop_below`` one
-    the search takes. The recorded numbers must be finite and agree with
-    each other, the vector must give the recorded residual, and a spot
-    re-run of the first starts must not beat it: at most RECHECK_STARTS x
-    (MAX_ITERATIONS + 1) single-start evaluations of the residual kernel,
-    made in about MAX_ITERATIONS batched calls. Over m condition rows at
-    dimension d, each evaluation costs about 2 m (d-1)^2 complex
-    multiply-adds and each step one (d-1) x (d-1) solve per start; a start
-    in flight holds O(m + (d-1)^2) numbers, never an m x (d-1) Jacobian.
-    Values of the wrong type and a negative seed, which no generator takes,
-    raise ValueError (malformed); declared classes that do not rebuild
-    refute the file.
+    integers, the residual and each vector entry a JSON number (a bool is
+    not), each vector part a list of d numbers, and ``stop_below`` one the
+    search takes. The start counts must be in range and the recorded
+    numbers finite, with a unit vector; every problem there is reported
+    before any eigenbasis is built. Then the vector must give the recorded
+    residual, and a spot re-run of the first starts must not beat it, at
+    the cost the module docstring bounds, made in about MAX_ITERATIONS
+    batched calls. Over m condition rows at dimension d, each evaluation
+    costs about 2 m (d-1)^2 complex multiply-adds and each step one (d-1) x
+    (d-1) solve per start; a start in flight holds O(m + (d-1)^2) numbers,
+    never an m x (d-1) Jacobian. Values of the wrong type and a negative
+    seed, which no generator takes, raise ValueError (malformed); declared
+    classes that do not rebuild refute the file.
     """
     import numpy as np
 
@@ -392,8 +393,8 @@ def _rebuild_search_outcome(payload: dict, config: dict) -> tuple[dict, dict]:
     vector = {part: _at(tree, f"payload.best_vector.{part}") for part in ("re", "im")}
     vec = _vector_from_json(vector, 1 << cs.n)
     recorded = _at(tree, "payload.min_residual")
-    if not (math.isfinite(recorded) and np.isfinite(vec).all()):
-        raise _Refuted("recorded residual or best vector is not finite")
+    if type(recorded) not in (int, float):
+        raise ValueError(f"payload.min_residual must be a number, got {recorded!r}")
     problems = []
     if not 0 <= converged <= starts:
         problems.append("converged starts are not between 0 and the starts made")
@@ -401,10 +402,13 @@ def _rebuild_search_outcome(payload: dict, config: dict) -> tuple[dict, dict]:
         problems.append("best start index is not one of the starts made")
     if starts > requested or (stop_below is None and starts != requested):
         problems.append("starts made do not match the starts requested")
-    eigenbases = [analysis.eigenbasis(c) for c in cs]
-    if abs(np.linalg.norm(vec) - 1.0) > 1e-9:
-        raise _Refuted(*problems, "best vector is not unit norm")
-    fresh = analysis.residual(vec, eigenbases)
+    if not (math.isfinite(recorded) and np.isfinite(vec).all()):
+        problems.append("recorded residual or best vector is not finite")
+    elif abs(np.linalg.norm(vec) - 1.0) > 1e-9:
+        problems.append("best vector is not unit norm")
+    if problems:
+        raise _Refuted(*problems)
+    fresh = analysis.residual(vec, [analysis.eigenbasis(c) for c in cs])
     if abs(fresh - recorded) > RESIDUAL_RECHECK_TOL:
         problems.append(
             f"recomputed residual {fresh!r} disagrees with recorded {recorded!r}"

@@ -145,7 +145,7 @@ def _resolve_source(source: str) -> ClassSet:
             f"source {source!r} is neither a built-in name nor an existing file"
         )
     data = _read_json(path, f"source {source!r}")
-    payload = data.get("payload", data) if isinstance(data, dict) else data
+    payload = data.get("payload") if isinstance(data, dict) else None
     if not isinstance(payload, dict):
         raise ValueError(f"source {source!r} does not hold a payload object")
     kind = payload.get("kind")

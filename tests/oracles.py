@@ -23,7 +23,8 @@ far two bases are from mutually unbiased. ``BASIS_LISTING_*`` are the
 published eigenbases of two dimension-4 classes, as reference data for the
 synthesized ones; the other published listings that no command reads (the
 weak triple's leftover operators and the alternate partitions at d = 4 and
-d = 8) sit beside them.
+d = 8) sit beside them. ``WITNESS_THRESHOLD`` is the residual below which
+the tests count a strong search's vector as an extension witness.
 """
 
 from __future__ import annotations
@@ -69,6 +70,9 @@ BASIS_LISTING_D4_YZXXZY = 0.5 * np.array(
     dtype=complex,
 )
 
+
+# A strong search residual below this is an extension witness.
+WITNESS_THRESHOLD = 1e-10
 
 # The six operators left over by the weakly unextendible two-qubit triple.
 WEAK_TRIPLE_D4_LEFTOVER = ("IX", "XX", "YX", "ZI", "ZY", "ZZ")

@@ -6,13 +6,13 @@ Each test prints a single pass line with its elapsed time so a run of
 
 from __future__ import annotations
 
+import hashlib
 import time
 from itertools import combinations
 
 import numpy as np
 
 from mubforge.analysis import (
-    WITNESS_THRESHOLD,
     collision_entropy,
     eur_bound,
     eur_check,
@@ -32,15 +32,18 @@ from mubforge.search import all_maximal_classes, full_mask
 from mubforge.unextendible import (
     conjecture_scan,
     context_sign,
+    count_extras,
     extendibility_check,
     extra_classes_within_union,
     ks_alternate_partition,
+    owner_census,
 )
 from oracles import (
     ALTERNATE_FIVE_D8,
     ALTERNATE_TRIPLE_D4,
     BASIS_LISTING_D4_YY,
     WEAK_TRIPLE_D4_LEFTOVER,
+    WITNESS_THRESHOLD,
     assert_same_basis,
     enumerate_classes_in,
     random_state,
@@ -211,11 +214,26 @@ def test_a09_label_columns_have_weight_two():
 
 
 def test_a10_exhaustive_conjecture_scan():
+    # regression values from the deterministic exhaustive scan; the same
+    # spanning distribution was observed for eight distinct complete sets,
+    # so these counts look like invariants of the dimension rather than
+    # accidents of the canonical partition
     started = time.perf_counter()
     report = conjecture_scan(budget=None, seed=0)
     assert report.exhaustive and report.subsets_scanned == 24310
-    assert sum(report.within_union_distribution.values()) == 24310
-    assert sum(report.spanning_distribution.values()) == 24310
+    assert report.within_union_distribution == {
+        0: 2040, 1: 12240, 2: 8160, 3: 510, 4: 1360
+    }
+    # the count of each nine-class choice, in combinations order, so the
+    # distribution cannot hold with the counts moved between choices
+    within = count_extras(owner_census(canonical_complete_set(4))).within
+    counts = [within[sum(1 << i for i in c)] for c in combinations(range(17), 9)]
+    assert hashlib.sha256(repr(counts).encode()).hexdigest() == (
+        "1022a98f6bd50169efc37659f8e9a98ec33724f5cad83b8ff4f885f14752c02d"
+    )
+    assert report.spanning_distribution == {0: 22440, 1: 1870}
+    assert report.swap_passes == 1870
+    assert report.swap_failures == ()
     # determinism of the sampled mode against itself
     again = conjecture_scan(budget=64, seed=12)
     assert again == conjecture_scan(budget=64, seed=12)

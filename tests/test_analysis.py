@@ -32,7 +32,7 @@ from mubforge.unextendible import (
     extendibility_check,
     extra_classes_within_union,
 )
-from oracles import random_state, residual_jacobian, start_angles
+from oracles import WITNESS_THRESHOLD, random_state, residual_jacobian, start_angles
 
 
 def triple_bases(cs):
@@ -182,7 +182,7 @@ class TestStrongSearch:
             out = strong_unext_search(
                 ClassSet(2, tuple(cs[i] for i in picks)), starts=50, seed=3, stop_below=1e-12
             )
-            assert out.min_residual < analysis.WITNESS_THRESHOLD
+            assert out.min_residual < WITNESS_THRESHOLD
             rest = [eigenbasis(cs[i]) for i in range(5) if i not in picks]
             overlap = max(
                 float(np.max(np.abs(b.conj() @ out.best_vector)))
@@ -205,7 +205,7 @@ class TestStrongSearch:
             extendible += 1
             problem = UnbiasedVectorProblem.from_classes(cs)
             final_f, _, _ = analysis._multistart(problem, 50, 3, None)
-            assert np.max(final_f) < analysis.WITNESS_THRESHOLD
+            assert np.max(final_f) < WITNESS_THRESHOLD
         assert extendible == 60
 
     @pytest.mark.parametrize(
@@ -234,9 +234,9 @@ class TestStrongSearch:
         for picks in (range(9), range(8, 17), range(0, 17, 2)):
             out = strong_unext_search(
                 ClassSet(4, tuple(cs[i] for i in picks)), starts=50,
-                stop_below=analysis.WITNESS_THRESHOLD,
+                stop_below=WITNESS_THRESHOLD,
             )
-            assert out.min_residual < analysis.WITNESS_THRESHOLD
+            assert out.min_residual < WITNESS_THRESHOLD
 
     def test_a_singular_system_fails_only_its_own_row(self):
         rng = np.random.default_rng(6)

@@ -32,6 +32,45 @@ def load(path: Path) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+# One certificate of each deterministic payload kind, each re-verified by
+# rebuilding its whole payload from the inputs it declares.
+DETERMINISTIC_COMMANDS = {
+    "class_set": ["complete-set", "-n", "2"],
+    "unextendible_set": ["find-unextendible", "-n", "2", "--choose", "0,1,2"],
+    "eur_report": ["eur", "paper-d4-weak"],
+    "ks_report": ["ks", "paper-d4-weak"],
+    "scan_report": ["scan", "-n", "4", "--budget", "64", "--seed", "12"],
+}
+
+
+# One certificate per route through ``check``: each deterministic kind, the
+# exhaustive scan beside the sampled one, and a strong search.
+SWEPT_COMMANDS = {
+    **DETERMINISTIC_COMMANDS,
+    "scan_report-all": ["scan", "-n", "4", "--all"],
+    "search_outcome": ["strong", "paper-d4-strong", "--starts", "20", "--seed", "3"],
+}
+
+
+@pytest.fixture(scope="module")
+def emitted(tmp_path_factory):
+    out = tmp_path_factory.mktemp("emitted")
+    texts = {}
+    for kind, command in SWEPT_COMMANDS.items():
+        path = out / f"{kind}.json"
+        assert main(command + ["--output", str(path)]) == 0
+        # eur writes one file per extra class; any one will do
+        texts[kind] = sorted(out.glob(f"{kind}*.json"))[0].read_text(encoding="utf-8")
+    return texts
+
+
+def _emitted_file(emitted, kind, tmp_path) -> Path:
+    """A file in ``tmp_path`` holding the emitted certificate of ``kind``."""
+    path = tmp_path / f"{kind}.json"
+    path.write_text(emitted[kind], encoding="utf-8")
+    return path
+
+
 class TestNamedSources:
     def test_registry_contains_the_three_published_sets(self):
         assert set(NAMED_CLASS_SETS) == {
@@ -264,32 +303,27 @@ class TestCheckCommand:
         run(["complete-set", "-n", "2", "--output", str(out)])
         assert run(["check", str(out)]) == 0
 
-    def test_altered_operator_detected(self, tmp_path):
-        out = tmp_path / "c.json"
-        run(["complete-set", "-n", "2", "--output", str(out)])
-        cert = load(out)
+    def test_altered_operator_detected(self, emitted, tmp_path):
+        cert = json.loads(emitted["class_set"])
         cert["payload"]["class_set"]["classes"][0]["elements"][0] = "XY"
+        out = tmp_path / "c.json"
         out.write_text(json.dumps(cert), encoding="utf-8")
         assert run(["check", str(out)]) == 1
 
-    def test_rehashed_tamper_still_refuted(self, tmp_path):
+    def test_rehashed_tamper_still_refuted(self, emitted, tmp_path):
         # fixing the hash after editing the payload must not fool the checker
-        for n, choose in ((2, "0,1,2"), (4, "0,1,2,3,4,5,6,7,8")):
-            out = tmp_path / f"c{n}.json"
-            run(["find-unextendible", "-n", str(n), "--choose", choose, "--output", str(out)])
-            cert = load(out)
+        out = tmp_path / "c.json"
+        run(["find-unextendible", "-n", "4", "--choose", "0,1,2,3,4,5,6,7,8", "--output", str(out)])
+        for n, text in ((2, emitted["unextendible_set"]), (4, out.read_text(encoding="utf-8"))):
+            cert = json.loads(text)
             cert["payload"]["extendibility"]["universe_operators"][0] = "I" * (n - 1) + "Y"
-            cert["payload_sha256"] = _payload_hash(
-                cert["command"], cert["config"], cert["payload"]
-            )
+            _rehash(cert)
             out.write_text(json.dumps(cert), encoding="utf-8")
             assert run(["check", str(out)]) == 1
 
-    def test_truncated_file_exits_two(self, tmp_path):
+    def test_truncated_file_exits_two(self, emitted, tmp_path):
         out = tmp_path / "c.json"
-        run(["complete-set", "-n", "2", "--output", str(out)])
-        text = out.read_text(encoding="utf-8")
-        out.write_text(text[: len(text) // 2], encoding="utf-8")
+        out.write_text(emitted["class_set"][: len(emitted["class_set"]) // 2], encoding="utf-8")
         assert run(["check", str(out)]) == 2
 
     def test_missing_file_exits_two(self, tmp_path):
@@ -301,10 +335,8 @@ class TestCheckCommand:
         assert run(["check", str(out)]) == 2
         assert capsys.readouterr().out == f"{out}: malformed (not a JSON object)\n"
 
-    def test_verify_certificate_reports_problems(self, tmp_path):
-        out = tmp_path / "c.json"
-        run(["complete-set", "-n", "2", "--output", str(out)])
-        cert = load(out)
+    def test_verify_certificate_reports_problems(self, emitted):
+        cert = json.loads(emitted["class_set"])
         cert["payload"]["class_set"]["classes"][0]["elements"][0] = "XY"
         problems = verify_certificate(cert)
         assert problems and any("hash" in p for p in problems)
@@ -345,14 +377,6 @@ def _unknown_kind(cert):
 
 
 class TestCheckMalformedInput:
-    @pytest.fixture
-    def strong_cert(self, tmp_path):
-        out = tmp_path / "strong.json"
-        assert run([
-            "strong", "paper-d4-strong", "--starts", "5", "--output", str(out),
-        ]) == 0
-        return out
-
     @pytest.mark.parametrize(
         "mutate, reason",
         [
@@ -369,8 +393,8 @@ class TestCheckMalformedInput:
              "non-numeric-vector", "missing-gradient-tol", "one-class",
              "missing-kind", "unknown-kind"],
     )
-    def test_probe_is_malformed(self, tmp_path, strong_cert, mutate, reason, capsys):
-        cert = load(strong_cert)
+    def test_probe_is_malformed(self, emitted, tmp_path, mutate, reason, capsys):
+        cert = json.loads(emitted["search_outcome"])
         mutate(cert)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(cert), encoding="utf-8")
@@ -378,22 +402,20 @@ class TestCheckMalformedInput:
         assert run(["check", str(bad)]) == 2
         assert capsys.readouterr().out == f"{bad}: malformed ({reason})\n"
 
-    def test_scan_with_zero_budget_is_malformed(self, tmp_path, capsys):
-        out = tmp_path / "scan.json"
-        assert run(["scan", "-n", "4", "--budget", "5", "--output", str(out)]) == 0
-        cert = load(out)
+    def test_scan_with_zero_budget_is_malformed(self, emitted, tmp_path, capsys):
+        cert = json.loads(emitted["scan_report"])
         cert["payload"]["budget"] = 0
+        out = tmp_path / "scan.json"
         out.write_text(json.dumps(cert), encoding="utf-8")
         capsys.readouterr()
         assert run(["check", str(out)]) == 2
         assert capsys.readouterr().out.startswith(f"{out}: malformed (ValueError: ")
 
-    def test_scan_for_another_qubit_count_is_malformed(self, tmp_path, capsys):
-        out = tmp_path / "scan.json"
-        assert run(["scan", "-n", "4", "--budget", "5", "--output", str(out)]) == 0
-        cert = load(out)
+    def test_scan_for_another_qubit_count_is_malformed(self, emitted, tmp_path, capsys):
+        cert = json.loads(emitted["scan_report"])
         cert["config"]["n"] = cert["payload"]["n"] = 5
         _rehash(cert)
+        out = tmp_path / "scan.json"
         out.write_text(json.dumps(cert), encoding="utf-8")
         capsys.readouterr()
         assert run(["check", str(out)]) == 2
@@ -406,18 +428,19 @@ class TestCheckMalformedInput:
         [None, b"\xff\xfe", b"1" * 5000, b"[" * 100000],
         ids=["missing-classes", "not-utf8", "long-integer", "deep-nesting"],
     )
-    def test_bad_file_does_not_stop_the_next(self, tmp_path, strong_cert, raw, capsys):
+    def test_bad_file_does_not_stop_the_next(self, emitted, tmp_path, raw, capsys):
+        good = _emitted_file(emitted, "search_outcome", tmp_path)
         if raw is None:
-            cert = load(strong_cert)
+            cert = load(good)
             _drop_classes(cert)
             raw = json.dumps(cert).encode("utf-8")
         bad = tmp_path / "bad.json"
         bad.write_bytes(raw)
         capsys.readouterr()
-        assert run(["check", str(bad), str(strong_cert)]) == 2
+        assert run(["check", str(bad), str(good)]) == 2
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith(f"{bad}: malformed (")
-        assert lines[1] == f"{strong_cert}: verified"
+        assert lines[1] == f"{good}: verified"
 
     @pytest.mark.parametrize(
         "field, value, reason",
@@ -428,12 +451,11 @@ class TestCheckMalformedInput:
              "no-payload-sha256", "schema-version-2"],
     )
     def test_envelope_that_carries_no_claim_is_malformed(
-        self, tmp_path, field, value, reason, capsys
+        self, emitted, tmp_path, field, value, reason, capsys
     ):
         # a file without a hashed field or its hash, or of another schema
         # version, states no claim to refute; the file after it is checked
-        good = tmp_path / "good.json"
-        assert run(["complete-set", "-n", "2", "-o", str(good)]) == 0
+        good = _emitted_file(emitted, "class_set", tmp_path)
         cert = load(good)
         if value is None:
             del cert[field]
@@ -447,13 +469,14 @@ class TestCheckMalformedInput:
             f"{bad}: malformed ({reason})", f"{good}: verified",
         ]
 
-    def test_nesting_near_the_recursion_limit_does_not_stop_the_next(self, tmp_path, capsys):
+    def test_nesting_near_the_recursion_limit_does_not_stop_the_next(
+        self, emitted, tmp_path, capsys
+    ):
         # a config nested just under the JSON decoder's limit parses, and
         # then overflows the stack when the certificate is hashed
         import sys
 
-        good = tmp_path / "good.json"
-        assert run(["complete-set", "-n", "2", "-o", str(good)]) == 0
+        good = _emitted_file(emitted, "class_set", tmp_path)
         cert = load(good)
         cert["config"]["pad"] = "PAD"
         text = json.dumps(cert)
@@ -490,11 +513,10 @@ def _refuted_then_verified(tmp_path, capsys, good, mutate):
     return lines[1:-1]
 
 
-def test_provenance_that_does_not_rebuild_is_refuted(tmp_path, capsys):
+def test_provenance_that_does_not_rebuild_is_refuted(emitted, tmp_path, capsys):
     from mubforge.classes import canonical_complete_set, classes_to_json
 
-    good = tmp_path / "w.json"
-    assert run(["find-unextendible", "-n", "2", "--choose", "0,1,2", "-o", str(good)]) == 0
+    good = _emitted_file(emitted, "unextendible_set", tmp_path)
 
     def foreign_provenance(payload):
         # these nine classes of the four-qubit set own no spanning class
@@ -510,10 +532,9 @@ def test_provenance_that_does_not_rebuild_is_refuted(tmp_path, capsys):
     ]
 
 
-def test_provenance_is_required(tmp_path, capsys):
+def test_provenance_is_required(emitted, tmp_path, capsys):
     # without a provenance an unextendible set cannot be re-derived
-    good = tmp_path / "w.json"
-    assert run(["find-unextendible", "-n", "2", "--choose", "0,1,2", "-o", str(good)]) == 0
+    good = _emitted_file(emitted, "unextendible_set", tmp_path)
 
     def drop_provenance(payload):
         payload["provenance"] = None
@@ -536,12 +557,10 @@ def _bool_seed(cert):
     "mutate, malformed", [(_bool_index, None), (_bool_seed, "config.seed")],
     ids=["index", "seed"],
 )
-def test_a_bool_does_not_stand_in_for_an_int(tmp_path, mutate, malformed):
+def test_a_bool_does_not_stand_in_for_an_int(emitted, mutate, malformed):
     # False == 0 in Python, but the file no longer says what was emitted: a
     # chosen index is echoed and refuted, the seed is read as an integer
-    out = tmp_path / "w.json"
-    assert run(["find-unextendible", "-n", "2", "--choose", "0,1,2", "-o", str(out)]) == 0
-    cert = load(out)
+    cert = json.loads(emitted["unextendible_set"])
     mutate(cert)
     _rehash(cert)
     if malformed is None:
@@ -552,24 +571,25 @@ def test_a_bool_does_not_stand_in_for_an_int(tmp_path, mutate, malformed):
 
 
 @pytest.mark.parametrize(
-    "argv, field, value",
+    "kind, field, value",
     [
-        (["find-unextendible", "-n", "2", "--choose", "0,1,2"], ("config", "seed"), 1.5),
-        (["find-unextendible", "-n", "2", "--choose", "0,1,2"], ("config", "seed"), "0"),
-        (["find-unextendible", "-n", "2", "--choose", "0,1,2"], ("config", "seed"), True),
-        (["scan", "-n", "4", "--budget", "5"], ("payload", "seed"), 1.5),
-        (["scan", "-n", "4", "--budget", "5"], ("payload", "budget"), 5.0),
-        (["scan", "-n", "4", "--budget", "5"], ("payload", "n"), 4.0),
-        (["scan", "-n", "4", "--all"], ("payload", "budget"), "null"),
+        ("unextendible_set", ("config", "seed"), 1.5),
+        ("unextendible_set", ("config", "seed"), "0"),
+        ("unextendible_set", ("config", "seed"), True),
+        ("scan_report", ("payload", "seed"), 1.5),
+        ("scan_report", ("payload", "budget"), 5.0),
+        ("scan_report", ("payload", "n"), 4.0),
+        ("scan_report-all", ("payload", "budget"), "null"),
     ],
     ids=["unext-seed-float", "unext-seed-string", "unext-seed-true", "scan-seed",
          "scan-budget", "scan-n", "scan-budget-string"],
 )
-def test_an_integer_field_of_another_type_is_malformed(tmp_path, capsys, argv, field, value):
+def test_an_integer_field_of_another_type_is_malformed(
+    emitted, tmp_path, capsys, kind, field, value
+):
     # the rebuild reads these fields as JSON integers (a scan's budget may
     # also be null), so any other value leaves no claim to refute
-    good = tmp_path / "good.json"
-    assert run(argv + ["-o", str(good)]) == 0
+    good = _emitted_file(emitted, kind, tmp_path)
     cert = load(good)
     cert[field[0]][field[1]] = value
     _rehash(cert)
@@ -588,24 +608,22 @@ OVERFLOW = "cannot convert float infinity to integer"
 
 
 @pytest.mark.parametrize(
-    "argv, field, code, verdict",
+    "kind, field, code, verdict",
     [
-        (["complete-set", "-n", "2"], ("payload", "class_set", "n"), 1,
+        ("class_set", ("payload", "class_set", "n"), 1,
          ["REFUTED", f"  - class set does not rebuild: {OVERFLOW}"]),
-        (["scan", "-n", "4", "--budget", "5"], ("payload", "seed"), 2,
+        ("scan_report", ("payload", "seed"), 2,
          ["malformed (ValueError: payload.seed must be an integer, got inf)"]),
-        (["find-unextendible", "-n", "2", "--choose", "0,1,2"],
-         ("payload", "provenance", "chosen", 0), 1,
+        ("unextendible_set", ("payload", "provenance", "chosen", 0), 1,
          ["REFUTED", f"  - provenance does not rebuild: {OVERFLOW}"]),
     ],
     ids=["class-set-n", "scan-seed", "provenance-chosen"],
 )
 def test_an_integer_field_that_overflows_does_not_stop_the_next(
-    tmp_path, capsys, argv, field, code, verdict
+    emitted, tmp_path, capsys, kind, field, code, verdict
 ):
     # JSON reads 1e400 as infinity, and int() of infinity overflows
-    good = tmp_path / "good.json"
-    assert run(argv + ["-o", str(good)]) == 0
+    good = _emitted_file(emitted, kind, tmp_path)
     cert = load(good)
     node = cert
     for key in field[:-1]:
@@ -628,11 +646,10 @@ def test_an_integer_field_that_overflows_does_not_stop_the_next(
     ids=["true-on-three", "false-on-five", "int-one", "true-on-none", "true-on-n0"],
 )
 def test_a_complete_flag_its_classes_contradict_is_refused(
-    tmp_path, capsys, n, keep, declared, want
+    emitted, tmp_path, capsys, n, keep, declared, want
 ):
     # "complete" is derived from the classes, so a file may only repeat it
-    good = tmp_path / "c.json"
-    assert run(["complete-set", "-n", "2", "-o", str(good)]) == 0
+    good = _emitted_file(emitted, "class_set", tmp_path)
 
     def contradict(payload):
         class_set = payload["class_set"]
@@ -650,11 +667,12 @@ def test_a_complete_flag_its_classes_contradict_is_refused(
 
 
 @pytest.mark.parametrize("n", [0, 2, 18, 10**18], ids=["n0", "n2", "n18", "huge-n"])
-def test_an_empty_class_set_is_refuted_without_building_its_cover(tmp_path, capsys, n):
+def test_an_empty_class_set_is_refuted_without_building_its_cover(
+    emitted, tmp_path, capsys, n
+):
     # the file's n reaches no class, so the refusal must not cost 4**n - 1 bits;
     # an n above the search bound is refused as it is read
-    good = tmp_path / "c.json"
-    assert run(["complete-set", "-n", "2", "-o", str(good)]) == 0
+    good = _emitted_file(emitted, "class_set", tmp_path)
 
     def empty(payload):
         payload["class_set"] = {"n": n, "classes": [], "complete": False}
@@ -700,20 +718,16 @@ def test_a_class_set_beyond_the_search_bound_is_refused_as_it_is_read(
     ]
 
 
-def test_command_must_match_the_payload_kind(tmp_path, capsys):
-    out = tmp_path / "c.json"
-    assert run(["complete-set", "-n", "2", "-o", str(out)]) == 0
-    cert = load(out)
+def test_command_must_match_the_payload_kind(emitted):
+    cert = json.loads(emitted["class_set"])
     cert["command"] = "scan"
     _rehash(cert)
     assert verify_certificate(cert) == ["command 'scan' does not emit a class_set payload"]
 
 
-def test_eur_floats_reproduce_within_tolerance(tmp_path):
+def test_eur_floats_reproduce_within_tolerance(emitted):
     # another BLAS may round the entropies differently in the last digits
-    out = tmp_path / "e.json"
-    assert run(["eur", "paper-d4-weak", "--output", str(out)]) == 0
-    cert = load(sorted(tmp_path.glob("e*.json"))[0])
+    cert = json.loads(emitted["eur_report"])
     state = cert["payload"]["states"][0]
     state["average"] += 1e-14
     _rehash(cert)
@@ -735,12 +749,10 @@ def test_eur_floats_reproduce_within_tolerance(tmp_path):
     ],
     ids=["tighter-tol", "negative-zero-tol", "looser-tol", "moved-bound"],
 )
-def test_eur_constants_reproduce_exactly(tmp_path, capsys, section, key, value):
+def test_eur_constants_reproduce_exactly(emitted, tmp_path, capsys, section, key, value):
     # only the entropies are computed in floating point: a saturation
     # tolerance that was never tested, or a moved bound, refutes
-    out = tmp_path / "e.json"
-    assert run(["eur", "paper-d4-weak", "--output", str(out)]) == 0
-    path = sorted(tmp_path.glob("e*.json"))[0]
+    path = _emitted_file(emitted, "eur_report", tmp_path)
     cert = load(path)
     cert[section][key] = value
     _rehash(cert)
@@ -753,11 +765,9 @@ def test_eur_constants_reproduce_exactly(tmp_path, capsys, section, key, value):
     assert lines[1].startswith(f"  - {section}.{key} does not reproduce: {json.dumps(value)}, ")
 
 
-@pytest.mark.parametrize("command", ["eur", "ks"])
-def test_source_naming_another_builtin_set_is_refuted(tmp_path, command):
-    out = tmp_path / "report.json"
-    assert run([command, "paper-d4-weak", "--output", str(out)]) == 0
-    cert = load(sorted(tmp_path.glob("report*.json"))[0])
+@pytest.mark.parametrize("kind", ["eur_report", "ks_report"], ids=["eur", "ks"])
+def test_source_naming_another_builtin_set_is_refuted(emitted, kind):
+    cert = json.loads(emitted[kind])
     cert["config"]["source"] = "paper-d4-strong"
     _rehash(cert)
     # rebuilt from the set the name stands for, the payload's classes differ
@@ -794,35 +804,36 @@ def _three_qubit_extra(payload):
 
 
 @pytest.mark.parametrize(
-    "command, source, mutate, problem",
+    "kind, mutate, problem",
     [
-        ("eur", "paper-d4-weak", _drop_states, "payload.states does not reproduce: "),
-        ("eur", "paper-d4-weak", _unsaturated, "payload.saturated does not reproduce: "),
-        ("ks", "paper-d4-weak", _drop_operators, "payload.operators does not reproduce: "),
-        ("eur", "triple.json", _two_classes,
+        ("eur_report", _drop_states, "payload.states does not reproduce: "),
+        ("eur_report", _unsaturated, "payload.saturated does not reproduce: "),
+        ("ks_report", _drop_operators, "payload.operators does not reproduce: "),
+        ("eur_report-from-file", _two_classes,
          "eur input does not rebuild: expected three two-qubit classes"),
-        ("eur", "paper-d4-weak", _three_qubit_extra,
+        ("eur_report", _three_qubit_extra,
          "eur input does not rebuild: extra class acts on a different qubit count"),
         # declared classes that do not rebuild refute a strong file too
-        ("strong", "paper-d4-strong", _changed_letter,
+        ("search_outcome", _changed_letter,
          "classes does not rebuild: class elements do not match the closure of generators"),
     ],
     ids=["eur-no-states", "eur-unsaturated", "ks-no-operators",
          "eur-label-source-two-classes", "eur-three-qubit-extra", "strong-changed-letter"],
 )
-def test_rehashed_report_tamper_is_refuted(tmp_path, capsys, command, source, mutate, problem):
-    if source == "triple.json":  # a file source is a label: the payload's classes count
+def test_rehashed_report_tamper_is_refuted(emitted, tmp_path, capsys, kind, mutate, problem):
+    if kind == "eur_report-from-file":  # a file source is a label: the payload's classes count
         from mubforge.classes import classes_to_json
 
         class_set = classes_to_json(named_class_set("paper-d4-weak"))
-        source = str(tmp_path / source)
-        Path(source).write_text(
+        source = tmp_path / "triple.json"
+        source.write_text(
             json.dumps({"payload": {"kind": "class_set", "class_set": class_set}}),
             encoding="utf-8",
         )
-    out = tmp_path / "report.json"
-    assert run([command, source, "--output", str(out)]) == 0
-    good = sorted(tmp_path.glob("report*.json"))[0]  # eur writes one file per extra class
+        assert run(["eur", str(source), "--output", str(tmp_path / "report.json")]) == 0
+        good = sorted(tmp_path.glob("report*.json"))[0]  # one file per extra class
+    else:
+        good = _emitted_file(emitted, kind, tmp_path)
     lines = _refuted_then_verified(tmp_path, capsys, good, mutate)
     assert len(lines) == 1 and lines[0].startswith(f"  - {problem}")
 
@@ -840,17 +851,18 @@ def _rehash(cert):
         (("best_vector", "re", 0), float("nan")),
         (("converged_starts",), 10**30),
         (("starts",), 10**6),
+        (("starts",), 0),
+        (("starts",), -3),
         (("config", "best_start_index"), 999),
         (("config", "starts_requested"), 7),
     ],
-    ids=["nan-residual", "nan-vector", "huge-converged", "huge-starts",
-         "best-index-out-of-range", "fewer-starts-requested"],
+    ids=["nan-residual", "nan-vector", "huge-converged", "huge-starts", "no-starts",
+         "negative-starts", "best-index-out-of-range", "fewer-starts-requested"],
 )
-def test_strong_numbers_must_be_finite_and_consistent(tmp_path, capsys, path, value):
-    good = tmp_path / "strong.json"
-    assert run([
-        "strong", "paper-d4-strong", "--starts", "20", "--seed", "3", "-o", str(good),
-    ]) == 0
+def test_strong_numbers_must_be_finite_and_consistent(emitted, tmp_path, capsys, path, value):
+    # the counts, finiteness and unit norm are judged before any re-run,
+    # which could not start from no starts
+    good = _emitted_file(emitted, "search_outcome", tmp_path)
 
     def mutate(payload):
         node = payload
@@ -878,11 +890,10 @@ def _lower_residual(payload):
     ],
     ids=["doubled-vector", "lowered-residual"],
 )
-def test_strong_vector_must_give_the_recorded_residual(tmp_path, capsys, mutate, problem):
-    good = tmp_path / "strong.json"
-    assert run([
-        "strong", "paper-d4-strong", "--starts", "20", "--seed", "3", "-o", str(good),
-    ]) == 0
+def test_strong_vector_must_give_the_recorded_residual(
+    emitted, tmp_path, capsys, mutate, problem
+):
+    good = _emitted_file(emitted, "search_outcome", tmp_path)
     recorded = load(good)["payload"]["min_residual"]
     lines = _refuted_then_verified(tmp_path, capsys, good, mutate)
     assert len(lines) == 1 and lines[0].startswith(f"  - {problem}")
@@ -917,11 +928,8 @@ def test_strong_residual_worse_than_a_rerun_is_refuted(tmp_path, capsys):
 @pytest.mark.parametrize(
     "path", [(), ("config",), ("best_vector",)], ids=["payload", "config", "vector"]
 )
-def test_strong_key_sets_are_closed(tmp_path, capsys, path):
-    good = tmp_path / "strong.json"
-    assert run([
-        "strong", "paper-d4-strong", "--starts", "20", "--seed", "3", "-o", str(good),
-    ]) == 0
+def test_strong_key_sets_are_closed(emitted, tmp_path, capsys, path):
+    good = _emitted_file(emitted, "search_outcome", tmp_path)
 
     def add_key(payload):
         node = payload
@@ -934,17 +942,6 @@ def test_strong_key_sets_are_closed(tmp_path, capsys, path):
     assert lines == [f"  - {where}.note is an unexpected field"]
 
 
-@pytest.fixture(scope="module")
-def strong_files(tmp_path_factory):
-    out = tmp_path_factory.mktemp("strong-files")
-    for name, argv in (
-        ("s1000", ["paper-d4-strong", "--starts", "1000", "--seed", "500"]),
-        ("s30", ["paper-d4-strong", "--starts", "30", "--seed", "4"]),
-    ):
-        assert main(["strong", *argv, "-o", str(out / f"{name}.json")]) == 0
-    return out
-
-
 def _float_converged(cert):
     cert["payload"]["converged_starts"] = float(cert["payload"]["converged_starts"])
 
@@ -955,7 +952,8 @@ def _float_best_index(cert):
 
 
 def _float_requested(cert):
-    cert["config"]["starts"] = cert["payload"]["config"]["starts_requested"] = 1000.0
+    requested = float(cert["config"]["starts"])
+    cert["config"]["starts"] = cert["payload"]["config"]["starts_requested"] = requested
 
 
 def _bool_strong_seed(cert):
@@ -968,7 +966,15 @@ def _negative_strong_seed(cert):
 
 
 def _float_starts(cert):
-    cert["payload"]["starts"] = 30.0
+    cert["payload"]["starts"] = float(cert["payload"]["starts"])
+
+
+def _bool_residual(cert):
+    cert["payload"]["min_residual"] = True
+
+
+def _string_residual(cert):
+    cert["payload"]["min_residual"] = str(cert["payload"]["min_residual"])
 
 
 def _short_imaginary_part(cert):
@@ -986,25 +992,21 @@ def _short_imaginary_part(cert):
 
 
 @pytest.mark.parametrize(
-    "name, mutate",
-    [
-        ("s1000", _float_converged),
-        ("s1000", _float_best_index),
-        ("s1000", _float_requested),
-        ("s30", _bool_strong_seed),
-        ("s30", _negative_strong_seed),
-        ("s30", _float_starts),
-        ("s30", _short_imaginary_part),
-    ],
+    "mutate",
+    [_float_converged, _float_best_index, _float_requested, _bool_strong_seed,
+     _negative_strong_seed, _float_starts, _short_imaginary_part, _bool_residual,
+     _string_residual],
     ids=["float-converged", "float-best-index", "float-requested", "bool-seed",
-         "negative-seed", "float-starts", "short-imaginary-part"],
+         "negative-seed", "float-starts", "short-imaginary-part", "bool-residual",
+         "string-residual"],
 )
 def test_strong_counts_are_json_ints_and_the_vector_has_d_entries(
-    tmp_path, capsys, strong_files, name, mutate
+    emitted, tmp_path, capsys, mutate
 ):
-    # each mutant equals the emitted file in value, but not in what the
-    # search writes: an int where it counts, d numbers per vector part
-    cert = load(strong_files / f"{name}.json")
+    # each mutant departs from what the search writes in type or shape,
+    # not only in value: an int where it counts, a seed a generator takes,
+    # a number (never a bool) for the residual, d numbers per vector part
+    cert = json.loads(emitted["search_outcome"])
     mutate(cert)
     _rehash(cert)
     bad = tmp_path / "bad.json"
@@ -1018,45 +1020,13 @@ def test_strong_counts_are_json_ints_and_the_vector_has_d_entries(
 class TestUntrustedOptimizerSettings:
     # every search runs with the same fixed settings, and the spot re-run
     # reads none of them from the file; a re-hashed certificate that states
-    # other settings is refuted, and cannot make the re-run misbehave or run
-    # unbounded
-    @pytest.fixture
-    def strong_cert(self, tmp_path):
-        out = tmp_path / "strong.json"
-        assert run([
-            "strong", "paper-d4-strong", "--starts", "30", "--seed", "4",
-            "--output", str(out),
-        ]) == 0
-        return out
-
-    @pytest.mark.parametrize(
-        "key, value",
-        [("max_iterations", 0), ("f_tol", -1), ("max_iterations", float("nan")),
-         ("max_iterations", 2.5), ("max_iterations", True), ("max_iterations", 1e30)],
-        ids=["zero-iterations", "negative-f-tol", "nan-iterations",
-             "fractional-iterations", "bool-iterations", "huge-float-iterations"],
-    )
-    def test_unusable_setting_is_malformed(self, tmp_path, strong_cert, key, value, capsys):
-        # once malformed (exit 2); now a refuted claim with one named reason
-        cert = load(strong_cert)
-        cert["payload"]["config"][key] = value
-        _rehash(cert)
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(cert), encoding="utf-8")
-        capsys.readouterr()
-        assert run(["check", str(bad)]) == 1
-        pinned = {"max_iterations": 500, "f_tol": 1e-14}[key]
-        assert capsys.readouterr().out.splitlines() == [
-            f"{bad}: REFUTED",
-            f"  - payload.config.{key} does not reproduce: "
-            f"{canonical_json(value)}, rebuilt {canonical_json(pinned)}",
-        ]
-
+    # other settings is refuted (test_a_strong_file_must_state_the_pinned_settings),
+    # and cannot make the re-run misbehave or run unbounded
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
-    def test_non_finite_stop_below_is_malformed(self, tmp_path, strong_cert, value, capsys):
+    def test_non_finite_stop_below_is_malformed(self, emitted, tmp_path, value, capsys):
         # what `strong --stop-below nan` or `inf` wrote before the search
         # rejected those values: the same bar in the config and the payload
-        cert = load(strong_cert)
+        cert = json.loads(emitted["search_outcome"])
         cert["config"]["stop_below"] = cert["payload"]["config"]["stop_below"] = value
         _rehash(cert)
         bad = tmp_path / "bad.json"
@@ -1067,7 +1037,7 @@ class TestUntrustedOptimizerSettings:
             f"{bad}: malformed (ValueError: stop_below must be a finite number"
         )
 
-    def test_huge_iteration_count_is_capped(self, tmp_path, strong_cert, capsys, monkeypatch):
+    def test_huge_iteration_count_is_capped(self, emitted, tmp_path, capsys, monkeypatch):
         import time
 
         from mubforge.analysis import MAX_ITERATIONS, UnbiasedVectorProblem
@@ -1081,7 +1051,7 @@ class TestUntrustedOptimizerSettings:
             return kernel(self, theta, newton)
 
         monkeypatch.setattr(UnbiasedVectorProblem, "residual_and_gradient", spy)
-        cert = load(strong_cert)
+        cert = json.loads(emitted["search_outcome"])
         cert["payload"]["config"]["max_iterations"] = 10**9
         _rehash(cert)
         big = tmp_path / "big.json"
@@ -1135,9 +1105,8 @@ class TestAnalysisCommands:
         assert cert["payload"]["starts"] == 40
         assert run(["check", str(out)]) == 0
 
-    def test_strong_from_certificate_source(self, tmp_path):
-        src = tmp_path / "classes.json"
-        run(["find-unextendible", "-n", "2", "--choose", "0,1,2", "--output", str(src)])
+    def test_strong_from_certificate_source(self, emitted, tmp_path):
+        src = _emitted_file(emitted, "unextendible_set", tmp_path)
         out = tmp_path / "s.json"
         assert run([
             "strong", str(src), "--starts", "25", "--seed", "1",
@@ -1165,10 +1134,8 @@ class TestAnalysisCommands:
         assert cert["payload"]["minus_identity_count"] == 1
         assert run(["check", str(out)]) == 0
 
-    def test_ks_rejects_extendible_source(self, tmp_path):
-        src = tmp_path / "complete.json"
-        run(["complete-set", "-n", "2", "--output", str(src)])
-        assert run(["ks", str(src)]) == 2
+    def test_ks_rejects_extendible_source(self, emitted, tmp_path):
+        assert run(["ks", str(_emitted_file(emitted, "class_set", tmp_path))]) == 2
 
     def test_scan_with_budget(self, tmp_path):
         out = tmp_path / "scan.json"
@@ -1194,7 +1161,7 @@ class TestAnalysisCommands:
             ("strong", b'{"kind": "class_set", "class_set": {"n": 2, "complete": false}}'),
             ("eur", b"\xff\xfe"),
             ("strong", b"[" * 100000),
-            ("strong", b'{"kind": "class_set", "class_set": {"n": 1e400}}'),
+            ("strong", b'{"payload": {"kind": "class_set", "class_set": {"n": 1e400}}}'),
             ("strong", b"not json"),
         ],
         ids=["json-array", "payload-array", "directory", "ks-no-classes",
@@ -1214,18 +1181,16 @@ class TestAnalysisCommands:
         if content in (b"\xff\xfe", b"not json"):  # the text does not decode
             assert err.startswith(f"error: source {str(source)!r} cannot be read as UTF-8 JSON (")
 
-    def test_strong_from_a_scan_certificate_is_malformed(self, tmp_path, capsys):
-        source = tmp_path / "scan.json"
-        assert run(["scan", "-n", "4", "--budget", "5", "-o", str(source)]) == 0
+    def test_strong_from_a_scan_certificate_is_malformed(self, emitted, tmp_path, capsys):
+        source = _emitted_file(emitted, "scan_report", tmp_path)
         assert run(["strong", str(source), "--starts", "5"]) == 2
         assert capsys.readouterr().err == (
             "error: certificate payload kind 'scan_report' does not carry classes\n"
         )
 
-    def test_eur_on_two_classes_has_no_extra_class(self, tmp_path, capsys):
+    def test_eur_on_two_classes_has_no_extra_class(self, emitted, tmp_path, capsys):
         # two classes of a complete set support no further class in their union
-        source = tmp_path / "complete.json"
-        assert run(["complete-set", "-n", "2", "-o", str(source)]) == 0
+        source = _emitted_file(emitted, "class_set", tmp_path)
         cert = load(source)
         class_set = cert["payload"]["class_set"]
         class_set["classes"], class_set["complete"] = class_set["classes"][:2], False
@@ -1286,12 +1251,10 @@ class TestArgumentValidation:
         assert err.count("\n") == 1
         assert out.read_text(encoding="utf-8") == "keep me\n"
 
-    def test_eur_single_report_respects_output_path(self, tmp_path):
+    def test_eur_single_report_respects_output_path(self, emitted, tmp_path):
         # a triple taken from a complete set admits exactly one extra class,
         # so exactly one certificate lands at the requested path
-        src = tmp_path / "complete.json"
-        run(["complete-set", "-n", "2", "--output", str(src)])
-        cert = load(src)
+        cert = json.loads(emitted["class_set"])
         cert_payload = cert["payload"]["class_set"]
         triple = dict(cert)
         triple["payload"] = {
@@ -1784,17 +1747,6 @@ print("codes", codes)
     assert sum(line.endswith(": verified") for line in out) == 131
 
 
-# One certificate of each deterministic payload kind, each re-verified by
-# rebuilding its whole payload from the inputs it declares.
-DETERMINISTIC_COMMANDS = {
-    "class_set": ["complete-set", "-n", "2"],
-    "unextendible_set": ["find-unextendible", "-n", "2", "--choose", "0,1,2"],
-    "eur_report": ["eur", "paper-d4-weak"],
-    "ks_report": ["ks", "paper-d4-weak"],
-    "scan_report": ["scan", "-n", "4", "--budget", "64", "--seed", "12"],
-}
-
-
 # Emitting runs no verifier: each command's output is the same on every
 # emission, and ``check`` verifies it.
 EMITTING_COMMANDS = [
@@ -1826,27 +1778,6 @@ def test_emitting_does_not_run_the_checker(tmp_path, monkeypatch):
     monkeypatch.setattr("mubforge.certificates.verify_payload", checker)
     for i, command in enumerate(EMITTING_COMMANDS):
         assert main(command + ["--output", str(tmp_path / f"{i}.json")]) == 0
-
-
-# One certificate per route through ``check``: each deterministic kind, the
-# exhaustive scan beside the sampled one, and a strong search.
-SWEPT_COMMANDS = {
-    **DETERMINISTIC_COMMANDS,
-    "scan_report-all": ["scan", "-n", "4", "--all"],
-    "search_outcome": ["strong", "paper-d4-strong", "--starts", "20", "--seed", "3"],
-}
-
-
-@pytest.fixture(scope="module")
-def emitted(tmp_path_factory):
-    out = tmp_path_factory.mktemp("emitted")
-    texts = {}
-    for kind, command in SWEPT_COMMANDS.items():
-        path = out / f"{kind}.json"
-        assert main(command + ["--output", str(path)]) == 0
-        # eur writes one file per extra class; any one will do
-        texts[kind] = sorted(out.glob(f"{kind}*.json"))[0].read_text(encoding="utf-8")
-    return texts
 
 
 def _hashed_paths(cert):
@@ -1888,46 +1819,42 @@ MUTATIONS = {
 }
 
 
-@pytest.fixture(scope="module")
-def strong_text(emitted):
-    return emitted["search_outcome"]
-
-
 # every optimizer wrote the search's fixed settings, the L-BFGS-B files
 # included; each is pinned in JSON type and value
 PINNED_SETTINGS = {"max_iterations": 500, "f_tol": 1e-14, "gradient_tol": 1e-12}
 
-
-def _pinned_setting_problems(strong_text, key, mutate):
-    cert = json.loads(strong_text)
-    optimizer = cert["payload"]["config"]
-    assert optimizer[key] == PINNED_SETTINGS[key]
-    optimizer[key] = mutate(optimizer[key])
-    _rehash(cert)
-    return verify_certificate(cert)
-
-
-@pytest.mark.parametrize("how", sorted(MUTATIONS))
-def test_strong_gradient_tol_is_pinned(strong_text, how):
-    tampered = canonical_json(MUTATIONS[how](1e-12))
-    assert _pinned_setting_problems(strong_text, "gradient_tol", MUTATIONS[how]) == [
-        f"payload.config.gradient_tol does not reproduce: {tampered}, rebuilt 1e-12"
-    ]
+# (setting, name, value): each of MUTATIONS for every setting, then values
+# the search cannot run with and a pinned value of another JSON type
+OTHER_SETTINGS = [
+    (key, how, MUTATIONS[how](pinned))
+    for key, pinned in PINNED_SETTINGS.items() for how in sorted(MUTATIONS)
+] + [
+    ("max_iterations", "zero", 0), ("max_iterations", "fractional", 2.5),
+    ("max_iterations", "huge-float", 1e30), ("max_iterations", "float", 500.0),
+    ("max_iterations", "bool", True), ("f_tol", "negative", -1),
+]
 
 
 @pytest.mark.parametrize(
-    "key, mutate",
-    [(key, MUTATIONS[how]) for key in ("max_iterations", "f_tol") for how in sorted(MUTATIONS)]
-    + [("max_iterations", lambda value: 500.0), ("max_iterations", lambda value: True)],
-    ids=[f"{key}-{how}" for key in ("max_iterations", "f_tol") for how in sorted(MUTATIONS)]
-    + ["max_iterations-float", "max_iterations-bool"],
+    "key, value", [(key, value) for key, _, value in OTHER_SETTINGS],
+    ids=[f"{key}-{how}" for key, how, _ in OTHER_SETTINGS],
 )
-def test_strong_step_settings_are_pinned(strong_text, key, mutate):
-    pinned = PINNED_SETTINGS[key]
-    tampered = canonical_json(mutate(pinned))
-    assert _pinned_setting_problems(strong_text, key, mutate) == [
-        f"payload.config.{key} does not reproduce: {tampered}, "
-        f"rebuilt {canonical_json(pinned)}"
+def test_a_strong_file_must_state_the_pinned_settings(emitted, tmp_path, capsys, key, value):
+    # a setting the search cannot run with is refuted like any other, with
+    # one named reason, since the spot re-run never reads it
+    cert = json.loads(emitted["search_outcome"])
+    optimizer = cert["payload"]["config"]
+    assert optimizer[key] == PINNED_SETTINGS[key]
+    optimizer[key] = value
+    _rehash(cert)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cert), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["check", str(bad)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"{bad}: REFUTED",
+        f"  - payload.config.{key} does not reproduce: "
+        f"{canonical_json(value)}, rebuilt {canonical_json(PINNED_SETTINGS[key])}",
     ]
 
 
@@ -2099,7 +2026,7 @@ REMOVED_STRONG_KEYS = [
     + [(route, None) for route in sorted(SWEPT_COMMANDS)],
     ids=[*REMOVED_STRONG_KEYS, *(f"every-key-of-{route}" for route in sorted(SWEPT_COMMANDS))],
 )
-def test_a_removed_key_of_a_strong_file_is_malformed(emitted, route, dotted):
+def test_a_removed_key_of_any_kind_is_malformed(emitted, route, dotted):
     # a key the writer writes but the file lacks makes a file of any kind
     # malformed: every dict key of config and payload, at any depth and in
     # every list item, raises KeyError naming it, by its dotted path or,

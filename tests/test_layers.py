@@ -7,9 +7,9 @@ bases} < analysis < certificates < cli, and no module imports one above it
 or beside it, so a new upward edge fails here. ``__init__`` is exempt: it
 re-exports the layers and registers the lazily loaded numeric ones.
 
-Every top-level function and class of the library must also have a caller
-in the library: a route that only the tests use belongs in
-``tests/oracles.py``.
+Every top-level function, class and module-level assignment of the
+library must also have a reader in the library: a route or a constant that
+only the tests use belongs in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -85,17 +85,31 @@ def test_every_import_points_down_the_order():
     assert upward == []
 
 
+def _defines(top: ast.stmt) -> set[str]:
+    """The names a top-level function, class or assignment binds, dunders excepted."""
+    if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+        names = {top.name}
+    elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+        targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+        names = {
+            node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name)
+        }
+    else:
+        return set()
+    return {name for name in names if not (name.startswith("__") and name.endswith("__"))}
+
+
 def test_every_top_level_name_is_used_by_the_library():
     # a use is a Name or an Attribute read anywhere in src/ outside the
     # name's own definition and __init__'s re-export imports; the match is
     # by bare name, so a same-named attribute elsewhere counts as a use
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
     defined = {
-        (module, node.name)
+        (module, name)
         for module, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not (node.name.startswith("__") and node.name.endswith("__"))
+        for top in tree.body
+        for name in _defines(top)
     }
     used = set()
     for module, tree in trees.items():
@@ -106,6 +120,7 @@ def test_every_top_level_name_is_used_by_the_library():
                 node.id if isinstance(node, ast.Name) else node.attr
                 for node in ast.walk(top)
                 if isinstance(node, (ast.Name, ast.Attribute))
+                and isinstance(node.ctx, ast.Load)
             }
-            used |= reads - {getattr(top, "name", None)}
+            used |= reads - _defines(top)
     assert sorted(d for d in defined if d[1] not in used) == []
