@@ -45,6 +45,9 @@ from mubforge.classes import ClassSet, CommutingClass
 SATURATION_TOL = 1e-12
 
 DEFAULT_STARTS = 1000
+# the most starts a search makes, so that every start index is one uint32
+# word of its generator's seed
+MAX_STARTS = 1 << 32
 MAX_ITERATIONS = 500
 F_TOL = 1e-14
 GRADIENT_TOL = 1e-12
@@ -244,8 +247,9 @@ def strong_unext_search(
     Each start draws its initial phases from an independent stream keyed by
     (seed, start index), the one numpy's default_rng([seed, k]) gives,
     though the draws are computed a block of starts at a time without
-    numpy.random; a negative seed raises ValueError. Each start runs its own
-    Levenberg-Marquardt iteration: the damped Gauss-Newton step
+    numpy.random; a negative seed raises ValueError, and so does a start
+    count outside 1..MAX_STARTS, before anything is built. Each start runs
+    its own Levenberg-Marquardt iteration: the damped Gauss-Newton step
     (J^T J + lambda I) delta = -J^T r is kept when it lowers F, after which
     lambda shrinks; otherwise lambda grows. A start
     has converged when an accepted step lowers F by at most F_TOL relative
@@ -287,8 +291,8 @@ def strong_unext_search(
     """
     import numpy as np
 
-    if starts < 1:
-        raise ValueError("need at least one start")
+    if not 1 <= starts <= MAX_STARTS:
+        raise ValueError(f"starts must be in [1, {MAX_STARTS}], got {starts}")
     check_stop_below(stop_below)
     problem = UnbiasedVectorProblem.from_classes(cs)
     final_f, final_theta, converged = _multistart(problem, starts, seed, stop_below)
@@ -417,27 +421,19 @@ def _start_angles(seed: int, ks: np.ndarray, n: int) -> np.ndarray:
 
     Row i is default_rng([seed, ks[i]]).uniform(0, 2 pi, n), bit for bit,
     computed for all the starts at once without numpy.random: the
-    SeedSequence hashes the little-endian uint32 words of seed and k into a
-    four-word pool and generates the PCG64 seed and increment from it; each
-    draw steps the 128-bit state, held as two uint64 halves, and maps its
-    XSL-RR output u to 2 pi ((u >> 11) 2^-53). Every constant is a numpy
-    unsigned scalar, so no value-based cast can widen an array to float. A
-    negative seed raises ValueError, as numpy does.
+    SeedSequence hashes the little-endian uint32 words of seed, then k, into
+    a four-word pool and generates the PCG64 seed and increment from it. A
+    start index is below MAX_STARTS, so k is one word. Each draw steps the
+    128-bit state, held as two uint64 halves, and maps its XSL-RR output u
+    to 2 pi ((u >> 11) 2^-53). Every constant is a numpy unsigned scalar,
+    so no value-based cast can widen an array to float. A negative seed
+    raises ValueError, as numpy does.
     """
     import numpy as np
 
-    seed_words = _uint32_words(seed)
-    ks = np.asarray(ks, dtype=np.uint64)
-    low = (ks & np.uint64(_M32)).astype(np.uint32)
-    high = (ks >> np.uint64(32)).astype(np.uint32)
-    out = np.empty((len(ks), n))
-    # a start index below 2^32 is one entropy word, any other is two
-    for rows, k_words in ((high == 0, [low]), (high != 0, [low, high])):
-        if rows.any():
-            entropy = [np.full(np.count_nonzero(rows), w, np.uint32) for w in seed_words]
-            entropy += [w[rows] for w in k_words]
-            out[rows] = _pcg64_uniform(_seed_state(entropy), n)
-    return out
+    ks = np.asarray(ks, dtype=np.uint32)
+    entropy = [np.full(len(ks), w, np.uint32) for w in _uint32_words(seed)]
+    return _pcg64_uniform(_seed_state(entropy + [ks]), n)
 
 
 def _uint32_words(value: int) -> list[int]:

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from mubforge.classes import CommutingClass
 from mubforge.pauli import PauliOperator, identity, multiply
-from mubforge.search import MAX_SEARCH_QUBITS
 
 UNITARY_TOL = 1e-12
 
@@ -92,10 +91,6 @@ def eigenbasis(c: CommutingClass) -> np.ndarray:
     """
     import numpy as np
 
-    if c.n > MAX_SEARCH_QUBITS:
-        raise ValueError(
-            f"eigenbases are synthesized for up to {MAX_SEARCH_QUBITS} qubits"
-        )
     n, d = c.n, 1 << c.n
     mats = np.array([operator_matrix(m) for m in signed_group(c)])
     signs = 1 - 2 * _label_bits(n)

@@ -120,6 +120,14 @@ def _vector_to_json(v: np.ndarray) -> dict:
     return {"re": [float(a.real) for a in v], "im": [float(a.imag) for a in v]}
 
 
+def _as_float(value: int | float) -> float:
+    """A JSON number as a float; an integer past float's range is infinite."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _vector_from_json(data: dict, d: int) -> np.ndarray:
     """The vector of ``_vector_to_json``; each part must list d numbers."""
     import numpy as np
@@ -132,7 +140,8 @@ def _vector_from_json(data: dict, d: int) -> np.ndarray:
             and all(type(a) in (int, float) for a in values)
         ):
             raise ValueError(f"best_vector.{part} is not a list of {d} numbers")
-    return np.array(data["re"], dtype=float) + 1j * np.array(data["im"], dtype=float)
+    real, imag = (np.array([_as_float(a) for a in data[part]]) for part in ("re", "im"))
+    return real + 1j * imag
 
 
 # One function per command runs the domain call and returns the (config,
@@ -402,7 +411,7 @@ def _rebuild_search_outcome(payload: dict, config: dict) -> tuple[dict, dict]:
         problems.append("best start index is not one of the starts made")
     if starts > requested or (stop_below is None and starts != requested):
         problems.append("starts made do not match the starts requested")
-    if not (math.isfinite(recorded) and np.isfinite(vec).all()):
+    if not (math.isfinite(_as_float(recorded)) and np.isfinite(vec).all()):
         problems.append("recorded residual or best vector is not finite")
     elif abs(np.linalg.norm(vec) - 1.0) > 1e-9:
         problems.append("best vector is not unit norm")

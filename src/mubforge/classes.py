@@ -28,14 +28,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from mubforge.pauli import PauliOperator, commutes, pauli_from_string
-from mubforge.search import (
-    MAX_SEARCH_QUBITS,
-    all_maximal_classes,
-    full_mask,
-    keys_of_mask,
-    mask_of_keys,
-)
+from mubforge.pauli import PauliOperator, check_qubits, commutes, pauli_from_string
+from mubforge.search import all_maximal_classes, full_mask, keys_of_mask, mask_of_keys
 
 # The standard two-qubit complete set used as the canonical fixture.
 CANONICAL_D4_COMPLETE = (
@@ -197,8 +191,10 @@ def class_from_strings(letters: Iterable[str]) -> CommutingClass:
 class ClassSet(_Frozen):
     """An ordered collection of mutually disjoint maximal commuting classes.
 
-    Construction checks that the classes act on n qubits and are pairwise
-    disjoint. Two sets are equal when n and the classes in order are.
+    Construction checks that n is a qubit count the package supports (see
+    mubforge.pauli), even for an empty set, and that the classes act on n
+    qubits and are pairwise disjoint. Two sets are equal when n and the
+    classes in order are.
     """
 
     __slots__ = ("n", "classes")
@@ -206,6 +202,7 @@ class ClassSet(_Frozen):
     classes: tuple[CommutingClass, ...]
 
     def __init__(self, n: int, classes: tuple[CommutingClass, ...]) -> None:
+        check_qubits(n)
         union = 0
         for c in classes:
             if c.n != n:
@@ -246,9 +243,8 @@ class ClassSet(_Frozen):
     @property
     def complete(self) -> bool:
         """True when the classes cover all 4**n - 1 nonidentity operators."""
-        # the classes are disjoint, so counting their operators is the cover;
-        # without a class, n is unchecked (a file may give any) and nothing is covered
-        return bool(self.classes) and self.union_mask.bit_count() == (1 << 2 * self.n) - 1
+        # the classes are disjoint, so counting their operators is the cover
+        return self.union_mask.bit_count() == (1 << 2 * self.n) - 1
 
 
 def complete_set_from(seeds: ClassSet) -> ClassSet:
@@ -337,14 +333,8 @@ def class_from_json(data: dict) -> CommutingClass:
 
 def classes_from_json(data: dict) -> ClassSet:
     """The class set of ``classes_to_json``; its ``"complete"`` must be the
-    JSON bool its classes give. A set on more qubits than the searches and
-    eigenbases support is refused here, with one message for every command."""
-    n = int(data["n"])
-    if n > MAX_SEARCH_QUBITS:
-        raise ValueError(
-            f"class sets are read for up to {MAX_SEARCH_QUBITS} qubits, got {n}"
-        )
-    cs = ClassSet(n, tuple(class_from_json(c) for c in data["classes"]))
+    JSON bool its classes give."""
+    cs = ClassSet(int(data["n"]), tuple(class_from_json(c) for c in data["classes"]))
     if data["complete"] is not cs.complete:
         want = "true" if cs.complete else "false"
         raise ValueError(f'"complete" must be {want} for these classes')

@@ -23,9 +23,9 @@ verifies a ``scan --all`` file that records a negative one); the seed of
 ignored, so both take any integer. A usage error exits 2 with argparse's
 usage line; input the parser lets through but the command cannot use (a
 ``--choose`` list with an empty part, or that owns no class or several,
-an output path that cannot be written, a ``--starts`` too large to
-allocate, a ``--stop-below`` that is not finite) exits 2 with one
-``error:`` line.
+an output path that cannot be written, a ``--starts`` outside 1..2**32
+or too large to allocate, a ``--stop-below`` that is not finite) exits 2
+with one ``error:`` line.
 
 Only ``strong``, ``eur`` and ``scan --budget``, and ``check`` of their
 files, import numpy; the other commands and their checks run on the

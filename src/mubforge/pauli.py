@@ -13,6 +13,12 @@ which is key order among Hermitian representatives.
 
 Everything here is exact integer arithmetic; dense matrices never appear in
 this module.
+
+The package works on 1 to MAX_QUBITS = 4 qubits: the paper builds its sets
+at d = 4 and 8 and scans its n > 3 conjecture at d = 16. That is the one
+bound on a qubit count, and ``check_qubits`` checks it wherever a count
+enters: an operator, a letter string, a class set, a search's full mask.
+ROADMAP item 11 (d = 32, 64) raises it here.
 """
 
 from __future__ import annotations
@@ -20,19 +26,19 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-MAX_QUBITS = 8
+MAX_QUBITS = 4
 
 _LETTER_XZ = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _XZ_LETTER = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 
 
-def _check_qubits(n: int) -> None:
+def check_qubits(n: int) -> None:
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
 
 
 # certificates spell the same few operators many times over; the keys are
-# bounded by MAX_QUBITS, so the cache is too (at most 4**8 per qubit count)
+# bounded by MAX_QUBITS, so the cache is too (at most 4**4 per qubit count)
 @lru_cache(maxsize=None)
 def _letters(n: int, x: int, z: int) -> str:
     return "".join(
@@ -57,7 +63,7 @@ class PauliOperator(_PauliFields):
     __slots__ = ()
 
     def __new__(cls, n: int, x: int, z: int, phase: int = 0) -> "PauliOperator":
-        _check_qubits(n)
+        check_qubits(n)
         top = 1 << n
         if not (0 <= x < top and 0 <= z < top):
             raise ValueError("x/z masks out of range for qubit count")
@@ -102,10 +108,7 @@ def pauli_from_string(s: str) -> PauliOperator:
     contributes one factor of i so that the encoded operator equals the
     standard Hermitian Y and the result always squares to +identity.
     """
-    if not s:
-        raise ValueError("empty Pauli string")
-    if len(s) > MAX_QUBITS:
-        raise ValueError(f"Pauli string longer than {MAX_QUBITS} qubits: {s!r}")
+    check_qubits(len(s))
     x = z = 0
     for ch in s:
         try:

@@ -23,18 +23,15 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, product
 
-MAX_SEARCH_QUBITS = 4
+from mubforge.pauli import check_qubits
 
 # byte b maps to b with its eight bits in reverse order
 _REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def full_mask(n: int) -> int:
-    """Mask of all 4**n - 1 nonidentity operators on n searchable qubits."""
-    if not 1 <= n <= MAX_SEARCH_QUBITS:
-        raise ValueError(
-            f"class searches support 1..{MAX_SEARCH_QUBITS} qubits, got {n}"
-        )
+    """Mask of all 4**n - 1 nonidentity operators on n qubits."""
+    check_qubits(n)
     return (1 << ((1 << (2 * n)) - 1)) - 1
 
 

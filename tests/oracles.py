@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from mubforge.classes import ClassSet, CommutingClass
-from mubforge.pauli import MAX_QUBITS, PauliOperator, commutes
+from mubforge.pauli import PauliOperator, check_qubits, commutes
 from mubforge.search import keys_of_mask
 from mubforge.unextendible import owner_census
 
@@ -132,8 +132,7 @@ def unbiasedness_deviation(b1: np.ndarray, b2: np.ndarray) -> float:
 def enumerate_nonidentity(n: int) -> list[PauliOperator]:
     """All 4**n - 1 nonidentity operators modulo phase, as their standard
     Hermitian representatives in canonical key order."""
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
+    check_qubits(n)
     return [PauliOperator.from_key(n, key) for key in range(1, 1 << (2 * n))]
 
 

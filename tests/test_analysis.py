@@ -286,6 +286,24 @@ class TestStrongSearch:
         with pytest.raises(ValueError):
             strong_unext_search(first_three(), starts=0, seed=0)
 
+    def test_more_starts_than_one_index_word_holds_are_refused_at_once(
+        self, monkeypatch
+    ):
+        # every start index is one uint32 word: one start more is refused
+        # before a row is allocated, and 2**32 starts reach the multistart
+        class Reached(Exception):
+            pass
+
+        def reached(problem, starts, seed, stop_below):
+            raise Reached(starts)
+
+        monkeypatch.setattr(analysis, "_multistart", reached)
+        cs = named_class_set("paper-d4-strong")
+        with pytest.raises(ValueError, match=r"in \[1, 4294967296\], got 4294967297$"):
+            strong_unext_search(cs, starts=2**32 + 1)
+        with pytest.raises(Reached, match="^4294967296$"):
+            strong_unext_search(cs, starts=2**32)
+
     @pytest.mark.parametrize(
         "opts, error",
         [({"max_iterations": 0}, TypeError), ({"max_iterations": -3}, TypeError),
@@ -377,10 +395,8 @@ class TestStartAngles:
         ids=["0", "2^32-1", "2^32", "2^64+5", "2^100+9", "2^130+1"],
     )
     def test_block_draw_matches_a_generator_per_start(self, seed, n):
-        # start indices of one and of two 32-bit words, in one block
-        ks = np.concatenate([
-            np.arange(0, 5), np.arange(2**32 - 3, 2**32 + 3), [2**33 + 7],
-        ])
+        # the lowest and the highest start indices a search can make
+        ks = np.concatenate([np.arange(0, 5), np.arange(2**32 - 3, 2**32)])
         got = analysis._start_angles(seed, ks, n)
         assert got.shape == (len(ks), n) and got.dtype == np.float64
         assert got.tobytes() == start_angles(seed, ks, n).tobytes()

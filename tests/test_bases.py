@@ -171,13 +171,10 @@ class TestFourQubitBases:
             assert np.max(np.abs(overlap - 1.0)) < TOL
 
     def test_larger_sizes_rejected(self):
-        from mubforge.classes import class_from_generators
-
-        five_qubit_z = class_from_generators(
-            [pauli_from_string("I" * k + "Z" + "I" * (4 - k)) for k in range(5)]
-        )
-        with pytest.raises(ValueError, match="up to 4"):
-            eigenbasis(five_qubit_z)
+        # no 5-qubit class comes from generators; one made from a bare mask
+        # fails at its first operator, before any 32 x 32 matrix
+        with pytest.raises(ValueError, match=r"\[1, 4\], got 5$"):
+            eigenbasis(CommutingClass(5, (), 1))
 
 
 class TestUnbiasedness:

@@ -236,17 +236,21 @@ class TestClassSet:
         )
 
     @pytest.mark.parametrize(
-        "classes, message",
+        "n, classes, message",
         [
-            (lambda cs: cs.classes + cs.classes[:1], "pairwise disjoint"),
-            (lambda cs: cs.classes[:1] + canonical_complete_set(3).classes[:1],
-             "qubit count"),
+            (2, lambda cs: cs.classes + cs.classes[:1], "pairwise disjoint"),
+            (2, lambda cs: cs.classes[:1] + canonical_complete_set(3).classes[:1],
+             "does not match the set"),
+            # n is checked even where it reaches no class
+            (0, lambda cs: (), r"must be in \[1, 4\], got 0"),
+            (5, lambda cs: (), r"must be in \[1, 4\], got 5"),
+            (10**18, lambda cs: (), rf"must be in \[1, 4\], got {10**18}$"),
         ],
-        ids=["repeated-class", "other-qubit-count"],
+        ids=["repeated-class", "other-qubit-count", "n0", "n5", "huge-n"],
     )
-    def test_construction_errors(self, classes, message):
+    def test_construction_errors(self, n, classes, message):
         with pytest.raises(ValueError, match=message):
-            ClassSet(2, classes(canonical_complete_set(2)))
+            ClassSet(n, classes(canonical_complete_set(2)))
 
     @pytest.mark.parametrize(
         "n, classes, complete",
@@ -257,13 +261,9 @@ class TestClassSet:
             # five disjoint one-operator masks have the count, not the cover
             (2, lambda cs: tuple(CommutingClass(2, (), 1 << i) for i in range(5)), False),
             (2, lambda cs: (), False),
-            # no operator is left to cover at n = 0, yet no set of classes is complete
-            (0, lambda cs: (), False),
-            # an empty set reads its n unchecked; 4**n - 1 bits are never built
-            (10**18, lambda cs: (), False),
+            (4, lambda cs: (), False),
         ],
-        ids=["canonical", "reversed", "too-few", "uncovered", "empty",
-             "empty-n0", "empty-huge-n"],
+        ids=["canonical", "reversed", "too-few", "uncovered", "empty", "empty-n4"],
     )
     def test_complete_is_derived_from_the_cover(self, n, classes, complete):
         assert ClassSet(n, classes(canonical_complete_set(2))).complete is complete
@@ -496,6 +496,9 @@ class TestClassFamily:
 
     def test_full_mask_matches_enumeration(self):
         assert full_mask(2) == (1 << 15) - 1
+        assert full_mask(4) == (1 << 255) - 1
+        with pytest.raises(ValueError, match=r"must be in \[1, 4\], got 5"):
+            full_mask(5)
 
     def test_keys_of_mask_rejects_a_negative_mask(self):
         # a negative int has infinitely many set bits in two's complement

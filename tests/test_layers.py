@@ -33,11 +33,11 @@ LAYER_ORDER = (
 
 IMPORTS = {
     "pauli": set(),
-    "search": set(),
+    "search": {"pauli"},
     "classes": {"pauli", "search"},
     "named_sets": {"classes"},
     "unextendible": {"pauli", "search", "classes"},
-    "bases": {"pauli", "search", "classes"},
+    "bases": {"pauli", "classes"},
     "analysis": {"bases", "classes"},
     "certificates": {"analysis", "classes", "named_sets", "search", "unextendible"},
     "cli": {"certificates", "classes", "named_sets", "unextendible"},

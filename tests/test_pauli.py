@@ -73,8 +73,9 @@ class TestEncoding:
             pauli_from_string("")
         with pytest.raises(ValueError):
             pauli_from_string("XQ")
-        with pytest.raises(ValueError):
-            pauli_from_string("X" * 9)
+        with pytest.raises(ValueError, match=r"\[1, 4\], got 5"):
+            pauli_from_string("X" * 5)
+        assert pauli_from_string("X" * 4) == PauliOperator(4, 15, 0)
 
     def test_identity_flags(self):
         assert identity(2) == PauliOperator(2, 0, 0, 0)
@@ -179,7 +180,6 @@ class TestEnumerateAndIndependence:
         assert len(enumerate_nonidentity(2)) == 15
         assert len(enumerate_nonidentity(3)) == 63
         assert len(enumerate_nonidentity(4)) == 255
-        assert len(enumerate_nonidentity(5)) == 1023
 
     def test_single_qubit_canonical_order(self):
         assert [p.to_string() for p in enumerate_nonidentity(1)] == ["Z", "X", "Y"]
@@ -192,7 +192,7 @@ class TestEnumerateAndIndependence:
         with pytest.raises(ValueError):
             enumerate_nonidentity(0)
         with pytest.raises(ValueError):
-            enumerate_nonidentity(9)
+            enumerate_nonidentity(5)
 
     def test_dependent_triple(self):
         ops = [pauli_from_string(s) for s in ("XI", "IX", "XX")]
@@ -237,7 +237,7 @@ def test_phase_is_reduced_mod_four(fields, phase):
 
 
 @pytest.mark.parametrize(
-    "fields", [(2, 4, 0), (2, 0, 4), (2, -1, 0), (2, 0, -1), (0, 0, 0), (9, 0, 0)]
+    "fields", [(2, 4, 0), (2, 0, 4), (2, -1, 0), (2, 0, -1), (0, 0, 0), (5, 0, 0)]
 )
 def test_out_of_range_operators_are_rejected(fields):
     with pytest.raises(ValueError):

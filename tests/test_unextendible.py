@@ -278,16 +278,8 @@ class TestCensus:
 
 
 def test_searches_reject_oversized_qubit_counts():
-    from mubforge.classes import class_from_generators
-    from mubforge.pauli import pauli_from_string
-
-    z5 = class_from_generators(
-        [pauli_from_string("I" * k + "Z" + "I" * (4 - k)) for k in range(5)]
-    )
-    with pytest.raises(ValueError, match="support"):
-        extra_classes_within_union(ClassSet(5, (z5,)))
     for n in (0, 5, 40):  # 4**40 keys would not fit in memory
-        with pytest.raises(ValueError, match="support"):
+        with pytest.raises(ValueError, match=rf"must be in \[1, 4\], got {n}$"):
             classes_within_mask(n, 1)
 
 
