@@ -14,9 +14,9 @@ J^T r and J^T J straight from fixed tables of condition-column products,
 and the Jacobian J itself is never formed. Once a start has settled, the
 same kernel call returns the full Hessian in place of J^T J, because
 Gauss-Newton converges only linearly where the residual stays large, as it
-does at the floors. All starts in flight advance together as one numpy
-batch whose rows never interact; see ``strong_unext_search`` for the
-switch and the stopping rules. A residual below 1e-10 is a constructive
+does at the floors. The starts run in numpy batches whose rows never
+interact; ``strong_unext_search`` states the batch rule, the switch and
+the stopping rules. A residual below 1e-10 is a constructive
 extension witness; a floor well above it across all starts is evidence
 (not proof) of strong unextendibility. The search is calibrated in both
 directions by the test suite. numpy is imported by the functions that
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from typing import NamedTuple, Optional, Sequence
 
 from mubforge.bases import eigenbasis
@@ -67,8 +68,8 @@ _LAMBDA_CEILING = 1e16
 # a trial point whose damping will be at most this once its step is kept
 # gets the full Hessian in place of J^T J (three kept steps after the start)
 _LAMBDA_NEWTON = 1e-6
-# the cap on the starts in flight at once, and on the starts drawn at
-# once, is derived from these two in ``_multistart``
+# the starts of one batch: the cap ``strong_unext_search`` derives from
+# these two
 _BATCH_ROWS = 256
 _BATCH_BYTES = 256 * 7 * 7 * 8
 
@@ -220,11 +221,14 @@ class SearchOutcome(NamedTuple):
 
 
 def check_stop_below(stop_below) -> None:
-    """Raise ValueError unless the early-stop bar is None or a finite number."""
+    """Raise ValueError unless the early-stop bar is None or a finite float.
+
+    An integer past float's range counts as infinite.
+    """
     if stop_below is not None and (
         isinstance(stop_below, bool)
         or not isinstance(stop_below, numbers.Real)
-        or not math.isfinite(stop_below)
+        or not abs(stop_below) <= sys.float_info.max
     ):
         raise ValueError(
             f"stop_below must be a finite number or None, got {stop_below!r}"
@@ -246,9 +250,10 @@ def strong_unext_search(
 
     Each start draws its initial phases from an independent stream keyed by
     (seed, start index), the one numpy's default_rng([seed, k]) gives,
-    though the draws are computed a block of starts at a time without
-    numpy.random; a negative seed raises ValueError, and so does a start
-    count outside 1..MAX_STARTS, before anything is built. Each start runs
+    though the draws are computed a batch of starts at a time without
+    numpy.random. A start count that is not an integer raises TypeError,
+    and one outside 1..MAX_STARTS ValueError, before anything is built; a
+    negative seed raises ValueError. Each start runs
     its own Levenberg-Marquardt iteration: the damped Gauss-Newton step
     (J^T J + lambda I) delta = -J^T r is kept when it lowers F, after which
     lambda shrinks; otherwise lambda grows. A start
@@ -276,14 +281,20 @@ def strong_unext_search(
     sets instead. A singular damped system, possible only in the Newton
     phase, counts as a rejected step for its start alone.
 
-    All starts in flight, up to the cap ``_multistart`` states, are
-    iterated as one batch whose rows never interact, and each row's mode
-    depends only on its own lambda, so every start's result is the same
+    Starts run in consecutive batches of cap = max(_BATCH_ROWS,
+    _BATCH_BYTES // (8 (d-1)^2)) starts, 1393 at d = 4 and 256 from d = 8
+    up, so small d, whose rows hold little state, gets more of them. Each
+    batch draws its starting phases in one call and is iterated as one numpy
+    batch whose rows never interact and leave it as they stop; each row's
+    mode depends only on its own lambda, so every start's result is the same
     whatever else shares its batch, and a run that stops early after k
-    starts matches a run of k starts. ``stop_below`` ends the search at the
-    first start (by index) whose residual falls under the threshold, which
-    is enough when only a witness is wanted; it must be None or a finite
-    number.
+    starts matches a run of k starts. A batch makes at most MAX_ITERATIONS +
+    1 kernel calls, and only one batch is held at a time, so memory does not
+    grow with ``starts``. ``stop_below``, which must be None or a finite
+    number, is read between batches: the starts counted end at the first one
+    (by index) whose residual falls under it, and later batches are
+    skipped, which is enough when only a witness is wanted. The best start
+    is the lowest F, the earliest index on ties.
 
     A result below 1e-10 is a constructive extension witness; a floor far
     above it across all starts is evidence, not proof, that no
@@ -291,95 +302,63 @@ def strong_unext_search(
     """
     import numpy as np
 
+    if isinstance(starts, bool) or not isinstance(starts, numbers.Integral):
+        raise TypeError(f"starts must be an integer, got {starts!r}")
     if not 1 <= starts <= MAX_STARTS:
         raise ValueError(f"starts must be in [1, {MAX_STARTS}], got {starts}")
     check_stop_below(stop_below)
     problem = UnbiasedVectorProblem.from_classes(cs)
-    final_f, final_theta, converged = _multistart(problem, starts, seed, stop_below)
-    best_index = int(np.argmin(final_f))
-    best_vector = problem.vector(final_theta[best_index])
+    n = problem.d - 1
+    cap = max(_BATCH_ROWS, _BATCH_BYTES // (8 * n * n))
+    bar = -math.inf if stop_below is None else stop_below
+    converged = 0
+    for first in range(0, starts, cap):
+        ks = np.arange(first, min(first + cap, starts))
+        f, theta, done = _settle(problem, _start_angles(seed, ks, n))
+        hits = np.flatnonzero(f < bar)
+        if hits.size:
+            f, theta, done = (a[: hits[0] + 1] for a in (f, theta, done))
+        i = int(np.argmin(f))
+        if first == 0 or f[i] < best_f:
+            best_f, best_theta, best_index = f[i], theta[i], first + i
+        converged += int(np.count_nonzero(done))
+        if hits.size:
+            break
+    best_vector = problem.vector(best_theta)
     return SearchOutcome(
         min_residual=residual(best_vector, problem.bases),
         best_vector=best_vector,
-        starts=len(final_f),
-        converged_starts=int(np.count_nonzero(converged)),
+        starts=first + len(f),
+        converged_starts=converged,
         best_start_index=best_index,
     )
 
 
-def _multistart(
-    problem: UnbiasedVectorProblem,
-    starts: int,
-    seed: int,
-    stop_below: Optional[float],
+def _settle(
+    problem: UnbiasedVectorProblem, theta: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Final F, angles and converged flag of each counted start.
+    """Final F, angles and converged flag of each start of a batch.
 
-    The batch holds at most cap = max(_BATCH_ROWS, _BATCH_BYTES // (8
-    (d-1)^2)) rows: small d, whose rows hold little state, gets more of
-    them, and from d = 8 up the cap is 256 rows. Starts join the batch in
-    index order, in blocks of 1, 2, 4, ... while it holds fewer than cap
-    rows, and leave it when they stop, so a slow start never holds the next
-    ones back. Once a start ends below ``stop_below``, later starts are
-    dropped and only the earlier ones run on; the starts counted are those
-    up to the first one below it.
-
-    Start k begins at default_rng([seed, k]).uniform(0, 2 pi, d-1), which
-    ``_start_angles`` computes for the next cap starts at once, and only
-    when admission runs past the starts already drawn. So at most cap rows
-    are in flight and at most cap starts drawn ahead, whatever ``starts``
-    is. At d = 8 the 1000-start search peaks near 1.4 MiB under tracemalloc
-    (5.2 MiB at 1024 rows) and runs as fast as with 512 or 1024 rows; at d
-    = 16 the budget alone would allow 55 rows, which ran no faster than 256.
-    At d = 4 the cap is 1393 rows, more than a 1000-start search ever holds
-    (its blocks add up to 1023), and that search peaks near 1.3 MiB, where
-    256 rows cost it more, smaller kernel calls.
-
-    Each row keeps the (g, H) of its current point. A trial point is
-    evaluated in Newton mode exactly when the lambda it would bring,
-    max(lambda * _LAMBDA_DOWN, _LAMBDA_MIN), is at most _LAMBDA_NEWTON; a
-    rejected trial leaves the row's (g, H) as they were.
+    ``theta`` holds the starting phases, one row per start. Each row keeps
+    the (g, H) of its current point. A trial point is evaluated in Newton
+    mode exactly when the lambda it would bring, max(lambda * _LAMBDA_DOWN,
+    _LAMBDA_MIN), is at most _LAMBDA_NEWTON; a rejected trial leaves the
+    row's (g, H) as they were.
     """
     import numpy as np
 
-    n = problem.d - 1
-    cap = max(_BATCH_ROWS, _BATCH_BYTES // (8 * n * n))
-    final_f = np.empty(starts)
-    final_theta = np.empty((starts, n))
-    converged = np.zeros(starts, dtype=bool)
-    limit = starts
-    admitted = 0
-    block = 1
+    n = theta.shape[1]
     identity = np.eye(n)
-    # the rows in flight: row i runs start index[i]
-    index = np.empty(0, dtype=np.intp)
-    theta = np.empty((0, n))
-    grad = np.empty((0, n))
-    hess = np.empty((0, n, n))  # J^T J of each row, or its full Hessian
-    f = np.empty(0)
-    lam = np.empty(0)
-    steps = np.empty(0, dtype=np.intp)
-    drawn = np.empty((0, n))  # the angles of starts admitted, admitted + 1, ..
-    while admitted < limit or index.size:
-        room = min(block, cap - index.size, limit - admitted)
-        if room > 0:
-            if len(drawn) < room:
-                ahead = admitted + len(drawn)
-                ks = np.arange(ahead, min(ahead + cap, limit))
-                drawn = np.concatenate([drawn, _start_angles(seed, ks, n)])
-            new = np.arange(admitted, admitted + room)
-            theta0, drawn = drawn[:room], drawn[room:]
-            r0, grad0, hess0 = problem.residual_and_gradient(theta0)
-            index = np.concatenate([index, new])
-            theta = np.concatenate([theta, theta0])
-            grad = np.concatenate([grad, grad0])
-            hess = np.concatenate([hess, hess0])
-            f = np.concatenate([f, np.einsum("bm,bm->b", r0, r0)])
-            lam = np.concatenate([lam, np.full(room, _LAMBDA_START)])
-            steps = np.concatenate([steps, np.zeros(room, dtype=np.intp)])
-            admitted += room
-            block *= 2
-
+    final_f = np.empty(len(theta))
+    final_theta = np.empty_like(theta)
+    converged = np.zeros(len(theta), dtype=bool)
+    # the rows in flight: row i runs the batch's start index[i]
+    index = np.arange(len(theta))
+    r0, grad, hess = problem.residual_and_gradient(theta)  # hess: J^T J or the Hessian
+    f = np.einsum("bm,bm->b", r0, r0)
+    lam = np.full(len(theta), _LAMBDA_START)
+    steps = 0
+    while index.size:
         flat = np.max(np.abs(2.0 * grad), axis=1) <= GRADIENT_TOL
         step, solved = _solve_rows(hess + lam[:, None, None] * identity, -grad)
         trial = theta + step
@@ -405,15 +384,10 @@ def _multistart(
         final_f[ended] = f[done]
         final_theta[ended] = theta[done]
         converged[ended] = done_converged[done]
-        if stop_below is not None:
-            hits = ended[f[done] < stop_below]
-            if hits.size:
-                limit = min(limit, int(hits.min()) + 1)
-        keep = ~done & (index < limit)
-        index, theta, grad, hess, f, lam, steps = (
-            a[keep] for a in (index, theta, grad, hess, f, lam, steps)
+        index, theta, grad, hess, f, lam = (
+            a[~done] for a in (index, theta, grad, hess, f, lam)
         )
-    return final_f[:limit], final_theta[:limit], converged[:limit]
+    return final_f, final_theta, converged
 
 
 def _start_angles(seed: int, ks: np.ndarray, n: int) -> np.ndarray:

@@ -41,7 +41,9 @@ classes (or the built-in ``source``), the seed, ``starts_requested`` and
 ``stop_below``; files from earlier optimizers verify because they wrote
 the same fields. The re-run takes only its seed and start count from the
 file, so it costs at most RECHECK_STARTS x (analysis.MAX_ITERATIONS + 1)
-evaluations of the residual kernel, whatever the file says. Nothing
+evaluations of the residual kernel, made in at most MAX_ITERATIONS + 1
+batched kernel calls (RECHECK_STARTS starts fit in one batch), whatever
+the file says. Nothing
 re-derives ``converged_starts`` or ``best_start_index``, so they are
 checked only for range: a rehashed file with another value in range still
 verifies.
@@ -377,11 +379,11 @@ def _rebuild_search_outcome(payload: dict, config: dict) -> tuple[dict, dict]:
     numbers finite, with a unit vector; every problem there is reported
     before any eigenbasis is built. Then the vector must give the recorded
     residual, and a spot re-run of the first starts must not beat it, at
-    the cost the module docstring bounds, made in about MAX_ITERATIONS
-    batched calls. Over m condition rows at dimension d, each evaluation
-    costs about 2 m (d-1)^2 complex multiply-adds and each step one (d-1) x
-    (d-1) solve per start; a start in flight holds O(m + (d-1)^2) numbers,
-    never an m x (d-1) Jacobian. Values of the wrong type and a negative
+    the cost the module docstring bounds, made in at most MAX_ITERATIONS +
+    1 batched kernel calls. Over m condition rows at dimension d, each
+    evaluation costs about 2 m (d-1)^2 complex multiply-adds and each step
+    one (d-1) x (d-1) solve per start; a start in flight holds O(m +
+    (d-1)^2) numbers, never an m x (d-1) Jacobian. Values of the wrong type and a negative
     seed, which no generator takes, raise ValueError (malformed); declared
     classes that do not rebuild refute the file.
     """

@@ -23,9 +23,8 @@ verifies a ``scan --all`` file that records a negative one); the seed of
 ignored, so both take any integer. A usage error exits 2 with argparse's
 usage line; input the parser lets through but the command cannot use (a
 ``--choose`` list with an empty part, or that owns no class or several,
-an output path that cannot be written, a ``--starts`` outside 1..2**32
-or too large to allocate, a ``--stop-below`` that is not finite) exits 2
-with one ``error:`` line.
+an output path that cannot be written, a ``--starts`` outside 1..2**32,
+a ``--stop-below`` that is not finite) exits 2 with one ``error:`` line.
 
 Only ``strong``, ``eur`` and ``scan --budget``, and ``check`` of their
 files, import numpy; the other commands and their checks run on the
@@ -344,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--starts", type=int, help="number of starts")
     p.add_argument(
         "--stop-below", type=float, default=None,
-        help="stop early once a residual below this is found",
+        help="skip the later batches of starts once a residual below this is found",
     )
     p.set_defaults(func=_cmd_strong)
 

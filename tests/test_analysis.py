@@ -204,7 +204,7 @@ class TestStrongSearch:
                 continue
             extendible += 1
             problem = UnbiasedVectorProblem.from_classes(cs)
-            final_f, _, _ = analysis._multistart(problem, 50, 3, None)
+            final_f, _, _ = analysis._settle(problem, analysis._start_angles(3, np.arange(50), 3))
             assert np.max(final_f) < WITNESS_THRESHOLD
         assert extendible == 60
 
@@ -286,23 +286,35 @@ class TestStrongSearch:
         with pytest.raises(ValueError):
             strong_unext_search(first_three(), starts=0, seed=0)
 
-    def test_more_starts_than_one_index_word_holds_are_refused_at_once(
-        self, monkeypatch
-    ):
-        # every start index is one uint32 word: one start more is refused
-        # before a row is allocated, and 2**32 starts reach the multistart
-        class Reached(Exception):
-            pass
-
-        def reached(problem, starts, seed, stop_below):
-            raise Reached(starts)
-
-        monkeypatch.setattr(analysis, "_multistart", reached)
+    def test_more_starts_than_one_index_word_holds_are_refused_at_once(self):
+        # every start index is one uint32 word: one start more is refused,
+        # and 2**32 starts run, here ending at the first, which the floor
+        # 0.25 puts below the bar
         cs = named_class_set("paper-d4-strong")
         with pytest.raises(ValueError, match=r"in \[1, 4294967296\], got 4294967297$"):
             strong_unext_search(cs, starts=2**32 + 1)
-        with pytest.raises(Reached, match="^4294967296$"):
-            strong_unext_search(cs, starts=2**32)
+        out = strong_unext_search(cs, starts=2**32, stop_below=1.0)
+        assert out.starts == 1 and out.best_start_index == 0
+        assert out.min_residual < 1.0
+
+    @pytest.mark.parametrize("name", ["paper-d4-strong", "paper-d8-strong"])
+    def test_a_batch_makes_at_most_max_iterations_plus_one_kernel_calls(
+        self, monkeypatch, name
+    ):
+        # the 25 starts of check's spot re-run are one batch: its start
+        # points, then one trial per step
+        calls = []
+        kernel = UnbiasedVectorProblem.residual_and_gradient
+
+        def spy(self, theta, newton=False):
+            calls.append(len(theta))
+            return kernel(self, theta, newton)
+
+        monkeypatch.setattr(analysis, "MAX_ITERATIONS", 3)
+        monkeypatch.setattr(UnbiasedVectorProblem, "residual_and_gradient", spy)
+        strong_unext_search(named_class_set(name), starts=25, seed=1)
+        assert calls[0] == 25
+        assert len(calls) <= 4
 
     @pytest.mark.parametrize(
         "opts, error",
@@ -312,17 +324,25 @@ class TestStrongSearch:
          ({"max_iterations": 2.5}, TypeError), ({"max_iterations": 3.0}, TypeError),
          ({"max_iterations": True}, TypeError), ({"stop_below": float("nan")}, ValueError),
          ({"stop_below": float("inf")}, ValueError),
-         ({"stop_below": float("-inf")}, ValueError)],
+         ({"stop_below": float("-inf")}, ValueError), ({"stop_below": 10**400}, ValueError),
+         ({"starts": True}, TypeError), ({"starts": 5.0}, TypeError)],
         ids=["zero-iterations", "negative-iterations", "negative-f-tol",
              "nan-f-tol", "infinite-f-tol", "nan-iterations",
              "fractional-iterations", "float-iterations", "bool-iterations",
-             "nan-stop-below", "infinite-stop-below", "minus-infinite-stop-below"],
+             "nan-stop-below", "infinite-stop-below", "minus-infinite-stop-below",
+             "huge-int-stop-below", "bool-starts", "float-starts"],
     )
-    def test_rejects_unusable_optimizer_settings(self, opts, error):
+    def test_rejects_unusable_optimizer_settings(self, monkeypatch, opts, error):
         # the step cap and f_tol are constants, not options, so the search
-        # takes no value for them; stop_below must be None or finite
+        # takes no value for them; stop_below must be None or finite, and
+        # starts an integer; each is refused before any eigenbasis is built
+        def built(c):
+            raise AssertionError("an eigenbasis was built")
+
+        cs = first_three()
+        monkeypatch.setattr(analysis, "eigenbasis", built)
         with pytest.raises(error):
-            strong_unext_search(first_three(), starts=5, seed=0, **opts)
+            strong_unext_search(cs, **{"starts": 5, "seed": 0, **opts})
 
     @pytest.mark.parametrize(
         "source, opts",
@@ -355,9 +375,9 @@ class TestStrongSearch:
             assert out.best_start_index == first.best_start_index
 
     def test_search_peak_memory_is_bounded(self):
-        # at most 256 starts are in flight or drawn ahead at once at d = 8,
-        # where the byte budget allows no more than the row floor; the
-        # problem tables and bases are built once before measuring
+        # a batch holds at most 256 starts at d = 8, where the byte budget
+        # allows no more than the row floor; the problem tables and bases
+        # are built once before measuring
         cs = named_class_set("paper-d8-strong")
         assert analysis._BATCH_BYTES // (8 * 7 * 7) == analysis._BATCH_ROWS == 256
         strong_unext_search(cs, starts=5, seed=1)
@@ -369,6 +389,23 @@ class TestStrongSearch:
             tracemalloc.stop()
         assert out.starts == 1000
         assert peak < 2 << 20, f"the d = 8 search peaked at {peak} bytes"
+
+    def test_search_memory_does_not_grow_with_the_starts_requested(self):
+        # both runs end after their first start, below the bar; a search
+        # that sized an array by the starts requested would peak far higher
+        # on the second
+        cs = named_class_set("paper-d8-strong")
+        strong_unext_search(cs, starts=5, seed=1)
+        peaks = []
+        for starts in (1000, 10**6):
+            tracemalloc.start()
+            try:
+                out = strong_unext_search(cs, starts=starts, seed=1, stop_below=1.0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert out.starts == 1
+        assert peaks[1] <= 2 * peaks[0], f"peaks {peaks} bytes"
 
     def test_outcome_records_configuration(self):
         # the search returns what it computed; the certificate content
@@ -403,9 +440,9 @@ class TestStartAngles:
 
     @pytest.mark.parametrize("cap", [1, 7, 256])
     def test_the_search_starts_where_the_generators_do(self, monkeypatch, cap):
-        # a block of cap starts is drawn only when admission runs past the
-        # starts already drawn, and the rows the search starts from are the
-        # per-start draws whatever the block boundaries
+        # each batch of cap starts is drawn in one call, and the rows the
+        # search starts from are the per-start draws whatever the batch
+        # boundaries
         monkeypatch.setattr(analysis, "_BATCH_ROWS", cap)
         monkeypatch.setattr(analysis, "_BATCH_BYTES", 0)
         monkeypatch.setattr(analysis, "MAX_ITERATIONS", 1)
@@ -417,17 +454,16 @@ class TestStartAngles:
             return draw(seed, ks, n)
 
         starts = []
-        problem = UnbiasedVectorProblem.from_classes(named_class_set("paper-d8-strong"))
         kernel = UnbiasedVectorProblem.residual_and_gradient
 
         def first_points(self, theta, newton=False):
-            if newton is False:  # called only on admitted starts
+            if newton is False:  # called only on the start points
                 starts.append(np.array(theta))
             return kernel(self, theta, newton)
 
         monkeypatch.setattr(analysis, "_start_angles", spy)
         monkeypatch.setattr(UnbiasedVectorProblem, "residual_and_gradient", first_points)
-        analysis._multistart(problem, 600, 17, None)
+        strong_unext_search(named_class_set("paper-d8-strong"), starts=600, seed=17)
         assert [(int(k[0]), len(k)) for k in calls] == [
             (first, min(cap, 600 - first)) for first in range(0, 600, cap)
         ]

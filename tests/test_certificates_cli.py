@@ -1017,10 +1017,13 @@ class TestUntrustedOptimizerSettings:
     # reads none of them from the file; a re-hashed certificate that states
     # other settings is refuted (test_a_strong_file_must_state_the_pinned_settings),
     # and cannot make the re-run misbehave or run unbounded
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), 10**400], ids=["nan", "inf", "huge-int"]
+    )
     def test_non_finite_stop_below_is_malformed(self, emitted, tmp_path, value, capsys):
         # what `strong --stop-below nan` or `inf` wrote before the search
-        # rejected those values: the same bar in the config and the payload
+        # rejected those values, or an integer past float's range: the same
+        # bar in the config and the payload
         cert = json.loads(emitted["search_outcome"])
         cert["config"]["stop_below"] = cert["payload"]["config"]["stop_below"] = value
         _rehash(cert)
@@ -1210,8 +1213,8 @@ class TestAnalysisCommands:
         assert not out.exists()
 
     def test_strong_with_more_starts_than_the_bound_exits_two(self, tmp_path, capsys):
-        # the search refuses before it allocates: 2**32 + 1 starts would ask
-        # for 34 GB of final residuals alone; exit 1 would mean refuted
+        # the search refuses before it builds anything: a start index past
+        # 2**32 - 1 is no uint32 word; exit 1 would mean refuted
         out = tmp_path / "strong.json"
         assert run([
             "strong", "paper-d4-strong", "--starts", "4294967297", "--output", str(out),
@@ -1220,6 +1223,21 @@ class TestAnalysisCommands:
             "error: starts must be in [1, 4294967296], got 4294967297\n"
         )
         assert not out.exists()
+
+    def test_strong_with_the_most_starts_runs_until_the_bar(self, tmp_path, capsys):
+        # the search holds one batch at a time, whatever --starts asks, and
+        # its first start ends at the floor 0.125, below the bar
+        out = tmp_path / "strong.json"
+        assert run([
+            "strong", "paper-d8-strong", "--starts", "4294967296", "--stop-below", "1",
+            "--output", str(out),
+        ]) == 0
+        cert = load(out)
+        assert cert["payload"]["starts"] == 1
+        assert cert["payload"]["config"]["starts_requested"] == 4294967296
+        capsys.readouterr()
+        assert run(["check", str(out)]) == 0
+        assert capsys.readouterr().out == f"{out}: verified\n"
 
 
 class TestArgumentValidation:
