@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from typing import NamedTuple, Optional, Sequence
 
 from mubforge.bases import eigenbasis
@@ -220,15 +219,20 @@ class SearchOutcome(NamedTuple):
     best_start_index: int
 
 
-def check_stop_below(stop_below) -> None:
-    """Raise ValueError unless the early-stop bar is None or a finite float.
+def as_float(value: numbers.Real) -> float:
+    """A real number as a float; an integer past float's range is infinite."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
-    An integer past float's range counts as infinite.
-    """
+
+def check_stop_below(stop_below) -> None:
+    """Raise ValueError unless the early-stop bar is None or a finite number."""
     if stop_below is not None and (
         isinstance(stop_below, bool)
         or not isinstance(stop_below, numbers.Real)
-        or not abs(stop_below) <= sys.float_info.max
+        or not math.isfinite(as_float(stop_below))
     ):
         raise ValueError(
             f"stop_below must be a finite number or None, got {stop_below!r}"
